@@ -1,5 +1,7 @@
 """Vector-neuron associative memories and their experiment harness."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     FieldAmplitudes,
     Memory,
@@ -45,7 +47,6 @@ from .identifier import (
     OpCounter,
     asymptotic_digit_estimate,
     build_identifier,
-    coupling_block,
     digit_count,
     enumerated_field,
     identify,
@@ -71,4 +72,8 @@ from .theory import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above, not the submodules they come from
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -8,6 +8,10 @@ Four subcommands:
 * ``identify-bench`` -- pattern-number identification accuracy and cost
 * ``theory-table``   -- closed-form bounds/capacities over a parameter grid
 
+Each subcommand declares its options once, in an option table; its argparse
+subparser and the keys its config file may contain are both built from
+that table.
+
 Every CSV starts with the same column prefix
 
     experiment,N,q,M,a,b,k,trials,seed,coord_err,pattern_err,avg_sweeps,
@@ -28,12 +32,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -68,40 +74,35 @@ class ConfigError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# configuration plumbing
+# option tables and their resolution
 
-_FIELD_TYPES = {
-    "N": int, "q": int, "M": int, "k": int, "trials": int,
-    "max_sweeps": int, "seed": int, "jobs": int,
-    "a": float, "b": float, "load": float, "overlap": float,
-    "kind": str, "sweep": str, "values": str, "out": str,
-}
+REQUIRED = object()  # default of an option that must be given
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved settings for one command invocation."""
+class Option(NamedTuple):
+    """One row of a subcommand's option table.
 
-    command: str
-    N: int = 0
-    q: int = 1
-    M: int = 0
-    a: float = 0.0
-    b: float = 0.0
-    kind: NetworkKind = NetworkKind.PNN2
-    k: int = 0
-    trials: int = 0
-    max_sweeps: int = 20
-    seed: int = 0
-    out: str | None = None
-    jobs: int = 1
-    sweep: str | None = None
-    values: list = field(default_factory=list)
-    overlap: float = 0.0
+    ``name`` is the config-file key; the flag is ``--`` plus the name with
+    '_' written as '-'.  ``type`` is int, float or str, or list[int] /
+    list[float] for a comma-separated list.
+    """
+
+    name: str
+    type: object
+    default: object
+    help: str
 
 
-def _read_config_file(path: str) -> dict:
+_SEED = Option("seed", int, 0, "experiment seed (default 0)")
+_OUT = Option("out", str, None, "CSV path (default stdout)")
+_TRIALS = Option("trials", int, REQUIRED, "Monte Carlo trials per point")
+_JOBS = Option("jobs", int, 1, "parallel worker processes (default 1)")
+_MAX_SWEEPS = Option("max_sweeps", int, 20, "retrieval sweep cap (default 20)")
+
+
+def _read_config_file(path: str, options: Sequence[Option]) -> dict:
     """Flat ``key=value`` lines; '#' starts a comment, blanks are ignored."""
+    known = {opt.name for opt in options}
     settings = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -112,33 +113,12 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in _FIELD_TYPES:
+                if key not in known:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 settings[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return settings
-
-
-def _resolve(args: argparse.Namespace, key: str, default):
-    """CLI flag beats config file beats default."""
-    value = getattr(args, key, None)
-    if value is None and args.config_values is not None:
-        raw = args.config_values.get(key)
-        if raw is not None:
-            caster = _FIELD_TYPES[key]
-            try:
-                value = caster(raw)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}={raw!r}: {exc}") from exc
-    return default if value is None else value
-
-
-def _parse_kind(text: str) -> NetworkKind:
-    try:
-        return NetworkKind(text.lower())
-    except ValueError:
-        raise ConfigError(f"kind must be 'pnn2' or 'pnn3', got {text!r}") from None
 
 
 def _parse_list(text: str, caster, what: str) -> list:
@@ -150,26 +130,56 @@ def _parse_list(text: str, caster, what: str) -> list:
         raise ConfigError(f"bad {what} list {text!r}: {exc}") from exc
 
 
+def _cast(opt: Option, value, from_file: bool):
+    """A given value in its row's type; argparse has already cast int/float flags."""
+    if get_origin(opt.type) is list:
+        return _parse_list(value, get_args(opt.type)[0], opt.name)
+    if not from_file:
+        return value
+    try:
+        return opt.type(value)
+    except ValueError as exc:
+        raise ConfigError(f"config key {opt.name}={value!r}: {exc}") from exc
+
+
+def _resolve(options: Sequence[Option], args: argparse.Namespace, config: dict) -> dict:
+    """Every option's value: flag beats config file beats default."""
+    values = {}
+    for opt in options:
+        value = getattr(args, opt.name)
+        from_file = value is None and opt.name in config
+        if from_file:
+            value = config[opt.name]
+        if value is not None:
+            values[opt.name] = _cast(opt, value, from_file)
+        elif opt.default is REQUIRED:
+            raise ConfigError(f"--{opt.name} is required")
+        else:
+            values[opt.name] = opt.default
+    return values
+
+
+def _parse_kind(text: str) -> NetworkKind:
+    try:
+        return NetworkKind(text.lower())
+    except ValueError:
+        raise ConfigError(f"kind must be 'pnn2' or 'pnn3', got {text!r}") from None
+
+
 def _positive(value: int, what: str) -> int:
     if value < 1:
         raise ConfigError(f"{what} must be >= 1, got {value}")
     return value
 
 
-def _resolve_m(args, cfg: ExperimentConfig) -> int:
-    m = getattr(args, "M", None)
-    load = getattr(args, "load", None)
-    if args.config_values is not None:
-        if m is None and "M" in args.config_values:
-            m = int(args.config_values["M"])
-        if load is None and "load" in args.config_values:
-            load = float(args.config_values["load"])
+def _pattern_count(m: int | None, load: float | None, n: int) -> int:
+    """M from ``--M`` or from ``--load`` times N; exactly one must be given."""
     if m is not None and load is not None:
         raise ConfigError("give either --M or --load, not both")
     if load is not None:
         if load <= 0:
             raise ConfigError(f"load must be positive, got {load}")
-        m = int(round(load * cfg.N))
+        m = int(round(load * n))
     if m is None:
         raise ConfigError("pattern count required: --M or --load")
     return _positive(m, "M")
@@ -209,14 +219,22 @@ def _mean(values) -> float:
     return math.fsum(values) / len(values) if values else float("nan")
 
 
-def _run_batches(worker, payloads: list, jobs: int) -> list:
-    """Run payload batches serially or in processes; order is preserved."""
-    if jobs <= 1 or len(payloads) <= 1:
-        batches = [worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(worker, payloads))
-    return [record for batch in batches for record in batch]
+# ----------------------------------------------------------------------
+# trial runner
+
+# (trial function, context) of the current point, set once in each pool
+# worker by the pool's initializer so the context is not sent per batch
+_worker_task = None
+
+
+def _init_worker(trial: Callable, ctx) -> None:
+    global _worker_task
+    _worker_task = (trial, ctx)
+
+
+def _run_batch(batch: range) -> list:
+    trial, ctx = _worker_task
+    return [trial(ctx, t) for t in batch]
 
 
 def _batch_indices(trials: int, jobs: int) -> list[range]:
@@ -224,45 +242,23 @@ def _batch_indices(trials: int, jobs: int) -> list[range]:
     return [range(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
+def _run_trials(trial: Callable, ctx, trials: int, jobs: int) -> list:
+    """``[trial(ctx, t) for t in range(trials)]``, in up to ``jobs`` processes.
+
+    The pool never has more workers than batches or CPUs.  Each record
+    depends only on (ctx, t), so the worker count cannot change the result.
+    """
+    batches = _batch_indices(trials, jobs)
+    workers = min(jobs, len(batches), os.cpu_count() or 1)
+    if workers <= 1:
+        return [trial(ctx, t) for t in range(trials)]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(trial, ctx)
+    ) as pool:
+        return [record for batch in pool.map(_run_batch, batches) for record in batch]
+
+
 _GEN_STREAM_STRIDE = 1 << 32  # per-sweep-point stream block; trial t uses base + 1 + t
-
-
-# ----------------------------------------------------------------------
-# sweep
-
-def _coord_errors(result: Pattern, target: Pattern) -> int:
-    return int(
-        np.count_nonzero(
-            (result.signs != target.signs) | (result.levels != target.levels)
-        )
-    )
-
-
-def _sweep_batch(payload) -> list:
-    memory, q, a, b, seed, stream_base, trial_range, max_sweeps = payload
-    spec = NoiseSpec(a, b)
-    m_count = memory.n_patterns
-    records = []
-    for t in trial_range:
-        rng = make_rng(seed, stream_base + 1 + t)
-        idx = t % m_count
-        target = Pattern(memory.pattern_signs[idx], memory.pattern_levels[idx])
-        noisy = apply_qnary_noise(target, q, spec, rng)
-        sync = synchronous_step(memory, noisy)
-        retrieval = asynchronous_retrieve(memory, noisy, max_sweeps)
-        final = retrieval.final_state
-        sign_flip = int(
-            memory.kind is NetworkKind.PNN2 and final == target.sign_flipped()
-        )
-        records.append((
-            _coord_errors(sync, target),
-            int(sync != target),
-            _coord_errors(final, target),
-            int(final != target),
-            sign_flip,
-            retrieval.sweeps_used,
-        ))
-    return records
 
 
 def _theory_bound(kind: NetworkKind, n, m, q, a, b):
@@ -274,55 +270,99 @@ def _theory_bound(kind: NetworkKind, n, m, q, a, b):
     return bound.value, int(bound.vacuous)
 
 
+# ----------------------------------------------------------------------
+# sweep
+
+SWEEP_OPTIONS = (
+    _SEED, _OUT, _TRIALS, _JOBS,
+    Option("sweep", str, REQUIRED, "variable to sweep: q, M, a or b"),
+    Option("values", str, "", "comma-separated sweep values"),
+    Option("N", int, REQUIRED, "neurons"),
+    Option("q", int, 1, "levels per neuron (default 1)"),
+    Option("M", int, None, "stored patterns"),
+    Option("load", float, None, "patterns as a multiple of N (alternative to --M)"),
+    Option("a", float, 0.0, "sign-flip probability (default 0)"),
+    Option("b", float, 0.0, "level-change probability (default 0)"),
+    Option("kind", str, "pnn2", "pnn2 (signed, default) or pnn3 (unsigned)"),
+    _MAX_SWEEPS,
+)
+
 SWEEP_EXTRAS = ["sync_coord_err", "sync_pattern_err", "sign_flip"]
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> list:
-    if cfg.sweep not in ("q", "M", "b", "a"):
-        raise ConfigError(f"sweep variable must be one of q, M, b, a; got {cfg.sweep!r}")
-    if not cfg.values:
+def _coord_errors(result: Pattern, target: Pattern) -> int:
+    return int(
+        np.count_nonzero(
+            (result.signs != target.signs) | (result.levels != target.levels)
+        )
+    )
+
+
+def _sweep_trial(ctx, t: int) -> tuple:
+    memory = ctx.memory
+    rng = make_rng(ctx.seed, ctx.stream_base + 1 + t)
+    idx = t % memory.n_patterns
+    target = Pattern(memory.pattern_signs[idx], memory.pattern_levels[idx])
+    noisy = apply_qnary_noise(target, memory.q, ctx.spec, rng)
+    sync = synchronous_step(memory, noisy)
+    retrieval = asynchronous_retrieve(memory, noisy, ctx.max_sweeps)
+    final = retrieval.final_state
+    sign_flip = int(
+        memory.kind is NetworkKind.PNN2 and final == target.sign_flipped()
+    )
+    return (
+        _coord_errors(sync, target),
+        int(sync != target),
+        _coord_errors(final, target),
+        int(final != target),
+        sign_flip,
+        retrieval.sweeps_used,
+    )
+
+
+def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, max_sweeps) -> list:
+    _positive(jobs, "jobs")
+    kind = _parse_kind(kind)
+    points = _parse_list(values, int if sweep in ("q", "M") else float, "values")
+    # with M swept, every point sets its own pattern count
+    base = {"q": q, "M": 1 if sweep == "M" else _pattern_count(M, load, N), "a": a, "b": b}
+    if sweep not in base:
+        raise ConfigError(f"sweep variable must be one of q, M, b, a; got {sweep!r}")
+    if not points:
         raise ConfigError("sweep needs a non-empty --values list")
-    _positive(cfg.trials, "trials")
-    _positive(cfg.N, "N")
-    _positive(cfg.max_sweeps, "max_sweeps")
+    _positive(trials, "trials")
+    _positive(N, "N")
+    _positive(max_sweeps, "max_sweeps")
 
     rows = []
-    for point, value in enumerate(cfg.values):
-        n, q, m, a, b = cfg.N, cfg.q, cfg.M, cfg.a, cfg.b
-        if cfg.sweep == "q":
-            q = int(value)
-        elif cfg.sweep == "M":
-            m = int(value)
-        elif cfg.sweep == "a":
-            a = float(value)
-        else:
-            b = float(value)
+    for point, value in enumerate(points):
+        setting = {**base, sweep: value}
+        q, m, a, b = setting["q"], setting["M"], setting["a"], setting["b"]
         _positive(q, "q")
         _positive(m, "M")
         if not 0 <= a <= 1 or not 0 <= b <= 1:
             raise ConfigError(f"noise rates must be in [0, 1], got a={a} b={b}")
-        if cfg.kind is NetworkKind.PNN3 and a > 0:
+        if kind is NetworkKind.PNN3 and a > 0:
             raise ConfigError("PNN3 states carry no sign; sign noise a must be 0")
-        if cfg.kind is NetworkKind.PNN3 and q < 2:
+        if kind is NetworkKind.PNN3 and q < 2:
             raise ConfigError("PNN3 requires q >= 2")
         if q == 1 and b > 0:
             raise ConfigError("q=1 has no level noise; set b=0")
 
         stream_base = point * _GEN_STREAM_STRIDE
-        patterns = random_qnary_patterns(m, n, q, cfg.kind, make_rng(cfg.seed, stream_base))
-        memory = build_memory(patterns, cfg.kind, q)
-        payloads = [
-            (memory, q, a, b, cfg.seed, stream_base, batch, cfg.max_sweeps)
-            for batch in _batch_indices(cfg.trials, cfg.jobs)
-        ]
-        records = _run_batches(_sweep_batch, payloads, cfg.jobs)
+        patterns = random_qnary_patterns(m, N, q, kind, make_rng(seed, stream_base))
+        ctx = SimpleNamespace(
+            memory=build_memory(patterns, kind, q), spec=NoiseSpec(a, b),
+            seed=seed, stream_base=stream_base, max_sweeps=max_sweeps,
+        )
+        records = _run_trials(_sweep_trial, ctx, trials, jobs)
 
         sync_coord, sync_pat, coord, pat, flips, sweeps = zip(*records)
-        theory, vacuous = _theory_bound(cfg.kind, n, m, q, a, b)
+        theory, vacuous = _theory_bound(kind, N, m, q, a, b)
         rows.append([
-            f"sweep-{cfg.sweep}", n, q, m, a, b, "", cfg.trials, cfg.seed,
-            _mean(coord) / n, _mean(pat), _mean(sweeps), theory, vacuous,
-            _mean(sync_coord) / n, _mean(sync_pat), _mean(flips),
+            f"sweep-{sweep}", N, q, m, a, b, "", trials, seed,
+            _mean(coord) / N, _mean(pat), _mean(sweeps), theory, vacuous,
+            _mean(sync_coord) / N, _mean(sync_pat), _mean(flips),
         ])
     return rows
 
@@ -330,155 +370,158 @@ def cmd_sweep(cfg: ExperimentConfig) -> list:
 # ----------------------------------------------------------------------
 # dpnn-bench
 
+DPNN_OPTIONS = (
+    _SEED, _OUT, _TRIALS, _JOBS,
+    Option("N", int, REQUIRED, "binary pattern length"),
+    Option("k", int, REQUIRED, "mapping parameter (k+1 must divide N)"),
+    Option("M", int, None, "stored patterns"),
+    Option("load", float, None, "patterns as a multiple of N"),
+    Option("a", float, 0.0, "binary noise level (default 0)"),
+    Option("overlap", float, 0.0, "template overlap fraction c (default 0)"),
+    _MAX_SWEEPS,
+)
+
 DPNN_EXTRAS = [
     "hopfield_coord_err", "hopfield_pattern_err", "k_critical", "capacity", "note",
 ]
 
 
-def _dpnn_batch(payload) -> list:
-    dpnn_memory, hopfield_memory, ensemble, k, a, seed, trial_range, max_sweeps = payload
-    records = []
-    for t in trial_range:
-        rng = make_rng(seed, 1 + t)
-        target = ensemble[t % len(ensemble)]
-        noisy = apply_binary_noise(target, a, rng)
+def _dpnn_trial(ctx, t: int) -> tuple:
+    rng = make_rng(ctx.seed, 1 + t)
+    target = ctx.ensemble[t % len(ctx.ensemble)]
+    noisy = apply_binary_noise(target, ctx.a, rng)
 
-        image = map_binary(noisy, k)
-        retrieval = asynchronous_retrieve(dpnn_memory, image, max_sweeps)
-        recovered = unmap_binary(retrieval.final_state, k)
+    image = map_binary(noisy, ctx.k)
+    retrieval = asynchronous_retrieve(ctx.dpnn_memory, image, ctx.max_sweeps)
+    recovered = unmap_binary(retrieval.final_state, ctx.k)
 
-        hop_image = map_binary(noisy, 0)
-        hop_retrieval = asynchronous_retrieve(hopfield_memory, hop_image, max_sweeps)
-        hop_recovered = unmap_binary(hop_retrieval.final_state, 0)
+    hop_image = map_binary(noisy, 0)
+    hop_retrieval = asynchronous_retrieve(ctx.hopfield_memory, hop_image, ctx.max_sweeps)
+    hop_recovered = unmap_binary(hop_retrieval.final_state, 0)
 
-        records.append((
-            int(np.count_nonzero(recovered != target)),
-            int(not np.array_equal(recovered, target)),
-            retrieval.sweeps_used,
-            int(np.count_nonzero(hop_recovered != target)),
-            int(not np.array_equal(hop_recovered, target)),
-        ))
-    return records
+    return (
+        int(np.count_nonzero(recovered != target)),
+        int(not np.array_equal(recovered, target)),
+        retrieval.sweeps_used,
+        int(np.count_nonzero(hop_recovered != target)),
+        int(not np.array_equal(hop_recovered, target)),
+    )
 
 
-def cmd_dpnn_bench(cfg: ExperimentConfig) -> list:
-    _positive(cfg.trials, "trials")
-    _positive(cfg.N, "N")
-    _positive(cfg.max_sweeps, "max_sweeps")
-    if cfg.k < 0:
-        raise ConfigError(f"k must be >= 0, got {cfg.k}")
-    if cfg.N % (cfg.k + 1) != 0:
-        raise ConfigError(f"k+1={cfg.k + 1} must divide N={cfg.N}")
-    if not 0 <= cfg.a < 0.5:
-        raise ConfigError(f"binary noise a must be in [0, 0.5), got {cfg.a}")
-    if not 0 <= cfg.overlap < 1:
-        raise ConfigError(f"overlap must be in [0, 1), got {cfg.overlap}")
+def cmd_dpnn_bench(*, seed, trials, jobs, N, k, M, load, a, overlap, max_sweeps) -> list:
+    _positive(jobs, "jobs")
+    m = _pattern_count(M, load, N)
+    _positive(trials, "trials")
+    _positive(N, "N")
+    _positive(max_sweeps, "max_sweeps")
+    if k < 0:
+        raise ConfigError(f"k must be >= 0, got {k}")
+    if N % (k + 1) != 0:
+        raise ConfigError(f"k+1={k + 1} must divide N={N}")
+    if not 0 <= a < 0.5:
+        raise ConfigError(f"binary noise a must be in [0, 0.5), got {a}")
+    if not 0 <= overlap < 1:
+        raise ConfigError(f"overlap must be in [0, 1), got {overlap}")
 
-    k_c = k_critical(cfg.N, cfg.a)  # NoFeasibleK propagates (exit 3)
+    k_c = k_critical(N, a)  # NoFeasibleK propagates (exit 3)
     note = ""
-    if cfg.k > k_c:
+    if k > k_c:
         note = "k>k_critical"
         print(
-            f"warning: k={cfg.k} exceeds k_critical={k_c}; retrieval is expected to collapse",
+            f"warning: k={k} exceeds k_critical={k_c}; retrieval is expected to collapse",
             file=sys.stderr,
         )
 
-    ensemble = correlated_binary_patterns(cfg.M, cfg.N, cfg.overlap, make_rng(cfg.seed, 0))
-    dpnn_memory = dpnn_build(ensemble, cfg.k)
-    hopfield_memory = dpnn_build(ensemble, 0)
-
-    payloads = [
-        (dpnn_memory, hopfield_memory, ensemble, cfg.k, cfg.a, cfg.seed, batch, cfg.max_sweeps)
-        for batch in _batch_indices(cfg.trials, cfg.jobs)
-    ]
-    records = _run_batches(_dpnn_batch, payloads, cfg.jobs)
+    ensemble = correlated_binary_patterns(m, N, overlap, make_rng(seed, 0))
+    ctx = SimpleNamespace(
+        dpnn_memory=dpnn_build(ensemble, k), hopfield_memory=dpnn_build(ensemble, 0),
+        ensemble=ensemble, k=k, a=a, seed=seed, max_sweeps=max_sweeps,
+    )
+    records = _run_trials(_dpnn_trial, ctx, trials, jobs)
     coord, pat, sweeps, hop_coord, hop_pat = zip(*records)
 
-    n_fragments = cfg.N // (cfg.k + 1)
-    image_level_noise = 1.0 - (1.0 - cfg.a) ** cfg.k
+    n_fragments = N // (k + 1)
+    image_level_noise = 1.0 - (1.0 - a) ** k
     theory, vacuous = _theory_bound(
-        NetworkKind.PNN2, n_fragments, cfg.M, max(1, 2**cfg.k), cfg.a, image_level_noise
+        NetworkKind.PNN2, n_fragments, m, max(1, 2**k), a, image_level_noise
     )
     return [[
-        "dpnn-bench", cfg.N, max(1, 2**cfg.k), cfg.M, cfg.a, "", cfg.k,
-        cfg.trials, cfg.seed,
-        _mean(coord) / cfg.N, _mean(pat), _mean(sweeps), theory, vacuous,
-        _mean(hop_coord) / cfg.N, _mean(hop_pat),
-        k_c, dpnn_capacity(cfg.N, cfg.a, cfg.k), note,
+        "dpnn-bench", N, max(1, 2**k), m, a, "", k, trials, seed,
+        _mean(coord) / N, _mean(pat), _mean(sweeps), theory, vacuous,
+        _mean(hop_coord) / N, _mean(hop_pat),
+        k_c, dpnn_capacity(N, a, k), note,
     ]]
 
 
 # ----------------------------------------------------------------------
 # identify-bench
 
+IDENTIFY_OPTIONS = (
+    _SEED, _OUT, _TRIALS, _JOBS,
+    Option("N", int, REQUIRED, "true coordinates"),
+    Option("q", int, REQUIRED, "levels per coordinate"),
+    Option("M", int, None, "stored patterns"),
+    Option("load", float, None, "patterns as a multiple of N"),
+    Option("b", float, 0.0, "level-change probability (default 0)"),
+)
+
 IDENTIFY_EXTRAS = ["n_digits", "field_evals_per_query"]
 
 
-def _identify_batch(payload) -> list:
-    net, levels_matrix, q, b, seed, trial_range = payload
-    spec = NoiseSpec(0.0, b)
-    m_count = levels_matrix.shape[0]
-    records = []
-    for t in trial_range:
-        rng = make_rng(seed, 1 + t)
-        idx = t % m_count
-        target = Pattern(np.ones(levels_matrix.shape[1], dtype=np.int8), levels_matrix[idx])
-        noisy = apply_qnary_noise(target, q, spec, rng)
-        seeds = rng.integers(1, q + 1, size=net.n_digits)
-        counter = OpCounter()
-        start = time.perf_counter()
-        try:
-            got = identify(net, noisy, enumerated_init=seeds, counter=counter)
-        except UnknownPattern as exc:
-            got = exc.decoded_index
-        elapsed = time.perf_counter() - start
+def _identify_trial(ctx, t: int) -> tuple:
+    net = ctx.net
+    q, m_count = net.q, net.n_patterns
+    rng = make_rng(ctx.seed, 1 + t)
+    idx = t % m_count
+    target = Pattern(np.ones(net.n_true, dtype=np.int8), net.pattern_levels[idx])
+    noisy = apply_qnary_noise(target, q, ctx.spec, rng)
+    seeds = rng.integers(1, q + 1, size=net.n_digits)
+    counter = OpCounter()
+    start = time.perf_counter()
+    try:
+        got = identify(net, noisy, enumerated_init=seeds, counter=counter)
+    except UnknownPattern as exc:
+        got = exc.decoded_index
+    elapsed = time.perf_counter() - start
 
-        digit_errs = 0
-        want, have = idx, got
-        for _ in range(net.n_digits):
-            digit_errs += int(want % q != have % q)
-            want //= q
-            have //= q
-        records.append((
-            digit_errs,
-            int(got != idx or got >= m_count),
-            counter.enumerated_field_evals,
-            elapsed,
-        ))
-    return records
+    digit_errs = 0
+    want, have = idx, got
+    for _ in range(net.n_digits):
+        digit_errs += int(want % q != have % q)
+        want //= q
+        have //= q
+    return (
+        digit_errs,
+        int(got != idx or got >= m_count),
+        counter.enumerated_field_evals,
+        elapsed,
+    )
 
 
-def cmd_identify_bench(cfg: ExperimentConfig) -> list:
-    _positive(cfg.trials, "trials")
-    _positive(cfg.N, "N")
-    _positive(cfg.M, "M")
-    if cfg.q < 2:
+def cmd_identify_bench(*, seed, trials, jobs, N, q, M, load, b) -> list:
+    _positive(jobs, "jobs")
+    m = _pattern_count(M, load, N)
+    _positive(trials, "trials")
+    _positive(N, "N")
+    if q < 2:
         raise ConfigError("identifier needs q >= 2")
-    if cfg.a != 0:
-        raise ConfigError("identifier runs on unsigned patterns; sign noise a must be 0")
-    if not 0 <= cfg.b <= 1:
-        raise ConfigError(f"level noise b must be in [0, 1], got {cfg.b}")
+    if not 0 <= b <= 1:
+        raise ConfigError(f"level noise b must be in [0, 1], got {b}")
 
-    patterns = random_qnary_patterns(cfg.M, cfg.N, cfg.q, NetworkKind.PNN3, make_rng(cfg.seed, 0))
-    net = build_identifier(patterns, cfg.q)
-    levels_matrix = net.pattern_levels
-
-    payloads = [
-        (net, levels_matrix, cfg.q, cfg.b, cfg.seed, batch)
-        for batch in _batch_indices(cfg.trials, cfg.jobs)
-    ]
-    records = _run_batches(_identify_batch, payloads, cfg.jobs)
+    patterns = random_qnary_patterns(m, N, q, NetworkKind.PNN3, make_rng(seed, 0))
+    ctx = SimpleNamespace(net=build_identifier(patterns, q), spec=NoiseSpec(0.0, b), seed=seed)
+    records = _run_trials(_identify_trial, ctx, trials, jobs)
     digit_errs, misses, evals, elapsed = zip(*records)
 
     # wall time varies run to run; keep it out of the deterministic CSV
     print(
-        f"identify-bench: mean {1e6 * _mean(elapsed):.1f} us/query over {cfg.trials} trials",
+        f"identify-bench: mean {1e6 * _mean(elapsed):.1f} us/query over {trials} trials",
         file=sys.stderr,
     )
-    theory, vacuous = _theory_bound(NetworkKind.PNN3, cfg.N, cfg.M, cfg.q, 0.0, cfg.b)
-    n_digits = digit_count(cfg.M, cfg.q)
+    theory, vacuous = _theory_bound(NetworkKind.PNN3, N, m, q, 0.0, b)
+    n_digits = digit_count(m, q)
     return [[
-        "identify-bench", cfg.N, cfg.q, cfg.M, 0.0, cfg.b, "", cfg.trials, cfg.seed,
+        "identify-bench", N, q, m, 0.0, b, "", trials, seed,
         _mean(digit_errs) / n_digits, _mean(misses), 1.0, theory, vacuous,
         n_digits, _mean(evals),
     ]]
@@ -487,53 +530,79 @@ def cmd_identify_bench(cfg: ExperimentConfig) -> list:
 # ----------------------------------------------------------------------
 # theory-table
 
+THEORY_OPTIONS = (
+    _SEED, _OUT,
+    Option("N", list[int], (1000,), "comma-separated sizes (default 1000)"),
+    Option("q", list[int], (1,), "comma-separated level counts (default 1)"),
+    Option("M", list[int], (100,), "comma-separated pattern counts (default 100)"),
+    Option("a", list[float], (0.0,), "comma-separated sign-noise rates (default 0)"),
+    Option("b", list[float], (0.0,), "comma-separated level-noise rates (default 0)"),
+    Option("k", list[int], (1,), "comma-separated mapping parameters (default 1)"),
+)
+
 THEORY_EXTRAS = [
     "capacity_pnn2", "perr_pnn3", "perr_pnn3_vacuous", "capacity_pnn3",
     "dpnn_capacity", "dpnn_exponent", "k_critical",
 ]
 
 
-def cmd_theory_table(cfg: ExperimentConfig, grids: dict) -> list:
+def _or_empty(fn, *args):
+    """fn(*args), or an empty cell where the formula is undefined."""
+    try:
+        return fn(*args)
+    except (ValueError, PnnError):
+        return ""
+
+
+def _pnn3_cells(n, m, q, b) -> tuple:
+    bound = perr_pnn3(n, m, q, b)
+    return bound.value, int(bound.vacuous), capacity_pnn3(n, q, b)
+
+
+def cmd_theory_table(*, seed, **grids) -> list:
     rows = []
-    for n in grids["N"]:
-        for q in grids["q"]:
-            for m in grids["M"]:
-                for a in grids["a"]:
-                    for b in grids["b"]:
-                        for k in grids["k"]:
-                            theory, vacuous = _theory_bound(NetworkKind.PNN2, n, m, q, a, b)
-                            try:
-                                cap2 = capacity_pnn2(n, q, a, b)
-                            except ValueError:
-                                cap2 = ""
-                            try:
-                                bound3 = perr_pnn3(n, m, q, b)
-                                perr3, vac3 = bound3.value, int(bound3.vacuous)
-                                cap3 = capacity_pnn3(n, q, b)
-                            except ValueError:
-                                perr3, vac3, cap3 = "", "", ""
-                            try:
-                                dcap = dpnn_capacity(n, a, k)
-                            except (ValueError, PnnError):
-                                dcap = ""
-                            try:
-                                expo = capacity_exponent(n, a)
-                            except (ValueError, PnnError):
-                                expo = ""
-                            try:
-                                kc = k_critical(n, a)
-                            except (ValueError, PnnError):
-                                kc = ""
-                            rows.append([
-                                "theory", n, q, m, a, b, k, "", cfg.seed,
-                                "", "", "", theory, vacuous,
-                                cap2, perr3, vac3, cap3, dcap, expo, kc,
-                            ])
+    # grids arrive in table order: N, q, M, a, b, k
+    for n, q, m, a, b, k in itertools.product(*grids.values()):
+        theory, vacuous = _theory_bound(NetworkKind.PNN2, n, m, q, a, b)
+        perr3, vac3, cap3 = _or_empty(_pnn3_cells, n, m, q, b) or ("", "", "")
+        rows.append([
+            "theory", n, q, m, a, b, k, "", seed,
+            "", "", "", theory, vacuous,
+            _or_empty(capacity_pnn2, n, q, a, b), perr3, vac3, cap3,
+            _or_empty(dpnn_capacity, n, a, k), _or_empty(capacity_exponent, n, a),
+            _or_empty(k_critical, n, a),
+        ])
     return rows
 
 
 # ----------------------------------------------------------------------
 # argument parsing and dispatch
+
+class Command(NamedTuple):
+    help: str
+    options: tuple
+    run: Callable[..., list]
+    extras: list
+
+
+COMMANDS = {
+    "sweep": Command(
+        "retrieval error vs theory over one swept variable",
+        SWEEP_OPTIONS, cmd_sweep, SWEEP_EXTRAS,
+    ),
+    "dpnn-bench": Command(
+        "decorrelating pipeline vs raw Hopfield", DPNN_OPTIONS, cmd_dpnn_bench, DPNN_EXTRAS,
+    ),
+    "identify-bench": Command(
+        "pattern-number identification benchmark",
+        IDENTIFY_OPTIONS, cmd_identify_bench, IDENTIFY_EXTRAS,
+    ),
+    "theory-table": Command(
+        "closed-form bounds over a parameter grid",
+        THEORY_OPTIONS, cmd_theory_table, THEORY_EXTRAS,
+    ),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -541,130 +610,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo experiments for vector-neuron associative memories.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_trials=True):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--seed", type=int, help="experiment seed (default 0)")
-        p.add_argument("--out", help="CSV path (default stdout)")
-        if with_trials:
-            p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-            p.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
-
-    p = sub.add_parser("sweep", help="retrieval error vs theory over one swept variable")
-    common(p)
-    p.add_argument("--sweep", help="variable to sweep: q, M, a or b")
-    p.add_argument("--values", help="comma-separated sweep values")
-    p.add_argument("--N", type=int, help="neurons")
-    p.add_argument("--q", type=int, help="levels per neuron (default 1)")
-    p.add_argument("--M", type=int, help="stored patterns")
-    p.add_argument("--load", type=float, help="patterns as a multiple of N (alternative to --M)")
-    p.add_argument("--a", type=float, help="sign-flip probability (default 0)")
-    p.add_argument("--b", type=float, help="level-change probability (default 0)")
-    p.add_argument("--kind", help="pnn2 (signed, default) or pnn3 (unsigned)")
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=int, help="retrieval sweep cap (default 20)")
-
-    p = sub.add_parser("dpnn-bench", help="decorrelating pipeline vs raw Hopfield")
-    common(p)
-    p.add_argument("--N", type=int, help="binary pattern length")
-    p.add_argument("--k", type=int, help="mapping parameter (k+1 must divide N)")
-    p.add_argument("--M", type=int, help="stored patterns")
-    p.add_argument("--load", type=float, help="patterns as a multiple of N")
-    p.add_argument("--a", type=float, help="binary noise level (default 0)")
-    p.add_argument("--overlap", type=float, help="template overlap fraction c (default 0)")
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=int, help="retrieval sweep cap (default 20)")
-
-    p = sub.add_parser("identify-bench", help="pattern-number identification benchmark")
-    common(p)
-    p.add_argument("--N", type=int, help="true coordinates")
-    p.add_argument("--q", type=int, help="levels per coordinate")
-    p.add_argument("--M", type=int, help="stored patterns")
-    p.add_argument("--load", type=float, help="patterns as a multiple of N")
-    p.add_argument("--b", type=float, help="level-change probability (default 0)")
-
-    p = sub.add_parser("theory-table", help="closed-form bounds over a parameter grid")
-    common(p, with_trials=False)
-    p.add_argument("--N", help="comma-separated sizes (default 1000)")
-    p.add_argument("--q", help="comma-separated level counts (default 1)")
-    p.add_argument("--M", help="comma-separated pattern counts (default 100)")
-    p.add_argument("--a", help="comma-separated sign-noise rates (default 0)")
-    p.add_argument("--b", help="comma-separated level-noise rates (default 0)")
-    p.add_argument("--k", help="comma-separated mapping parameters (default 1)")
+        for opt in command.options:
+            p.add_argument(
+                "--" + opt.name.replace("_", "-"),
+                dest=opt.name,
+                type=opt.type if opt.type in (int, float) else None,
+                help=opt.help,
+            )
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    args.config_values = (
-        _read_config_file(args.config) if getattr(args, "config", None) else None
-    )
-    command = args.command
-    cfg = ExperimentConfig(command=command)
-    cfg.seed = _resolve(args, "seed", 0)
-    cfg.out = _resolve(args, "out", None)
-
-    if command == "theory-table":
-        grids = {}
-        for key, default, caster in (
-            ("N", "1000", int), ("q", "1", int), ("M", "100", int),
-            ("a", "0", float), ("b", "0", float), ("k", "1", int),
-        ):
-            raw = getattr(args, key, None)  # grid keys stay raw comma lists
-            if raw is None and args.config_values is not None:
-                raw = args.config_values.get(key)
-            grids[key] = _parse_list(str(default if raw is None else raw), caster, key)
-        rows = cmd_theory_table(cfg, grids)
-        _write_csv(cfg.out, PREFIX_COLUMNS + THEORY_EXTRAS, rows)
-        return 0
-
-    cfg.trials = _resolve(args, "trials", None)
-    if cfg.trials is None:
-        raise ConfigError("--trials is required")
-    cfg.jobs = _positive(_resolve(args, "jobs", 1), "jobs")
-    cfg.N = _resolve(args, "N", None)
-    if cfg.N is None:
-        raise ConfigError("--N is required")
-
-    if command == "sweep":
-        cfg.q = _resolve(args, "q", 1)
-        cfg.a = _resolve(args, "a", 0.0)
-        cfg.b = _resolve(args, "b", 0.0)
-        cfg.kind = _parse_kind(_resolve(args, "kind", "pnn2"))
-        cfg.max_sweeps = _resolve(args, "max_sweeps", 20)
-        cfg.sweep = _resolve(args, "sweep", None)
-        if cfg.sweep is None:
-            raise ConfigError("--sweep is required")
-        caster = int if cfg.sweep in ("q", "M") else float
-        cfg.values = _parse_list(str(_resolve(args, "values", "")), caster, "values")
-        if cfg.sweep == "M":
-            cfg.M = 1  # every sweep point overrides it
-        else:
-            cfg.M = _resolve_m(args, cfg)
-        rows = cmd_sweep(cfg)
-        _write_csv(cfg.out, PREFIX_COLUMNS + SWEEP_EXTRAS, rows)
-        return 0
-
-    if command == "dpnn-bench":
-        cfg.k = _resolve(args, "k", None)
-        if cfg.k is None:
-            raise ConfigError("--k is required")
-        cfg.a = _resolve(args, "a", 0.0)
-        cfg.overlap = _resolve(args, "overlap", 0.0)
-        cfg.max_sweeps = _resolve(args, "max_sweeps", 20)
-        cfg.M = _resolve_m(args, cfg)
-        rows = cmd_dpnn_bench(cfg)
-        _write_csv(cfg.out, PREFIX_COLUMNS + DPNN_EXTRAS, rows)
-        return 0
-
-    if command == "identify-bench":
-        cfg.q = _resolve(args, "q", None)
-        if cfg.q is None:
-            raise ConfigError("--q is required")
-        cfg.b = _resolve(args, "b", 0.0)
-        cfg.M = _resolve_m(args, cfg)
-        rows = cmd_identify_bench(cfg)
-        _write_csv(cfg.out, PREFIX_COLUMNS + IDENTIFY_EXTRAS, rows)
-        return 0
-
-    raise ConfigError(f"unknown command {command!r}")
+    command = COMMANDS[args.command]
+    config = _read_config_file(args.config, command.options) if args.config else {}
+    values = _resolve(command.options, args, config)
+    out = values.pop("out")
+    _write_csv(out, PREFIX_COLUMNS + command.extras, command.run(**values))
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

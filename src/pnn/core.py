@@ -177,15 +177,34 @@ class Memory:
 
     Weights are implicit; every field evaluation works from the stored
     pattern arrays.  Instances are safe to share across threads/processes.
+    The constructor rejects invalid arrays with the same typed errors as
+    ``build_memory``.
     """
 
     __slots__ = ("kind", "n_neurons", "q", "pattern_signs", "pattern_levels")
 
     def __init__(self, kind: NetworkKind, q: int, pattern_signs, pattern_levels):
+        q = int(q)
+        if q < 1:
+            raise LevelOutOfRange("q must be >= 1")
+        if kind is NetworkKind.PNN3 and q < 2:
+            raise LevelOutOfRange("PNN3 requires q >= 2 (centering by e/q annihilates q=1 states)")
+        signs = np.asarray(pattern_signs)
+        levels = np.asarray(pattern_levels)
+        if signs.ndim != 2 or signs.shape != levels.shape or signs.size == 0:
+            raise DimensionMismatch("signs and levels must be non-empty (M, N) arrays of one shape")
+        if not np.all(np.abs(signs) == 1):
+            raise SignNotAllowed("signs must be -1 or +1")
+        if levels.min() < 1:
+            raise LevelOutOfRange("levels must be >= 1")
+        if levels.max() > q:
+            raise LevelOutOfRange(f"pattern level {int(levels.max())} exceeds q={q}")
+        if kind is NetworkKind.PNN3 and np.any(signs != 1):
+            raise SignNotAllowed("PNN3 states carry no sign; all signs must be +1")
         self.kind = kind
-        self.q = int(q)
-        signs = np.asarray(pattern_signs, dtype=np.int8).copy()
-        levels = np.asarray(pattern_levels, dtype=np.int64).copy()
+        self.q = q
+        signs = signs.astype(np.int8)
+        levels = levels.astype(np.int64)
         signs.setflags(write=False)
         levels.setflags(write=False)
         self.pattern_signs = signs
@@ -210,30 +229,24 @@ class Memory:
         )
 
 
+def _stack_patterns(patterns: Sequence[Pattern]) -> tuple[np.ndarray, np.ndarray]:
+    """(M, N) sign and level arrays of a non-empty list of equally long patterns."""
+    if not patterns:
+        raise DimensionMismatch("at least one pattern is required")
+    n = len(patterns[0])
+    for p in patterns:
+        if len(p) != n:
+            raise DimensionMismatch(f"pattern lengths differ: {len(p)} vs {n}")
+    return np.stack([p.signs for p in patterns]), np.stack([p.levels for p in patterns])
+
+
 def build_memory(patterns: Sequence[Pattern], kind: NetworkKind, q: int) -> Memory:
     """Store a pattern set with generalized Hebbian couplings.
 
     Raises DimensionMismatch for ragged inputs, LevelOutOfRange for levels
     above q, SignNotAllowed when a PNN3 network receives a signed state.
     """
-    if not patterns:
-        raise DimensionMismatch("at least one pattern is required")
-    q = int(q)
-    if q < 1:
-        raise LevelOutOfRange("q must be >= 1")
-    if kind is NetworkKind.PNN3 and q < 2:
-        raise LevelOutOfRange("PNN3 requires q >= 2 (centering by e/q annihilates q=1 states)")
-    n = len(patterns[0])
-    for p in patterns:
-        if len(p) != n:
-            raise DimensionMismatch(f"pattern lengths differ: {len(p)} vs {n}")
-        if p.levels.max() > q:
-            raise LevelOutOfRange(f"pattern level {int(p.levels.max())} exceeds q={q}")
-        if kind is NetworkKind.PNN3 and np.any(p.signs != 1):
-            raise SignNotAllowed("PNN3 states carry no sign; all signs must be +1")
-    signs = np.stack([p.signs for p in patterns])
-    levels = np.stack([p.levels for p in patterns])
-    return Memory(kind, q, signs, levels)
+    return Memory(kind, q, *_stack_patterns(patterns))
 
 
 def _check_state(memory: Memory, state: Pattern) -> None:

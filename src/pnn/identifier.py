@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Pattern
+from .core import Pattern, _stack_patterns
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -67,14 +67,25 @@ class IdentifierNet:
     ``digit_codes[mu]`` is the base-q representation of mu (most significant
     digit first, digits 0..q-1).  Couplings are evaluated on demand from the
     stored arrays; storage is O(M (N + n)), not (N + n)^2 blocks.
-    Instances are immutable after construction.
+    Instances are immutable after construction, and the constructor rejects
+    invalid levels with the same typed errors as ``build_identifier``.
     """
 
     __slots__ = ("q", "n_true", "n_digits", "pattern_levels", "digit_codes")
 
     def __init__(self, q: int, pattern_levels: np.ndarray):
-        self.q = int(q)
-        levels = np.asarray(pattern_levels, dtype=np.int64).copy()
+        q = int(q)
+        if q < 2:
+            raise LevelOutOfRange("identifier needs q >= 2")
+        levels = np.asarray(pattern_levels)
+        if levels.ndim != 2 or levels.size == 0:
+            raise DimensionMismatch("pattern levels must be a non-empty (M, N) array")
+        if levels.min() < 1:
+            raise LevelOutOfRange("pattern levels must be >= 1")
+        if levels.max() > q:
+            raise LevelOutOfRange(f"pattern level {int(levels.max())} exceeds q={q}")
+        self.q = q
+        levels = levels.astype(np.int64)
         levels.setflags(write=False)
         self.pattern_levels = levels
         self.n_true = levels.shape[1]
@@ -101,19 +112,10 @@ class IdentifierNet:
 
 def build_identifier(patterns: Sequence[Pattern], q: int) -> IdentifierNet:
     """Number the patterns by list position and wire the cross couplings."""
-    if not patterns:
-        raise DimensionMismatch("at least one pattern is required")
-    if q < 2:
-        raise LevelOutOfRange("identifier needs q >= 2")
-    n = len(patterns[0])
-    for p in patterns:
-        if len(p) != n:
-            raise DimensionMismatch(f"pattern lengths differ: {len(p)} vs {n}")
-        if np.any(p.signs != 1):
-            raise SignNotAllowed("identifier patterns are unsigned; all signs must be +1")
-        if p.levels.max() > q:
-            raise LevelOutOfRange(f"pattern level {int(p.levels.max())} exceeds q={q}")
-    return IdentifierNet(q, np.stack([p.levels for p in patterns]))
+    signs, levels = _stack_patterns(patterns)
+    if np.any(signs != 1):
+        raise SignNotAllowed("identifier patterns are unsigned; all signs must be +1")
+    return IdentifierNet(q, levels)
 
 
 def _check_input(net: IdentifierNet, state: Pattern) -> None:
@@ -127,6 +129,12 @@ def _check_input(net: IdentifierNet, state: Pattern) -> None:
         raise LevelOutOfRange(f"input level {int(state.levels.max())} exceeds q={net.q}")
 
 
+def _drive(net: IdentifierNet, state: Pattern) -> np.ndarray:
+    """q * sum_i <w_i^mu, x_i> for every pattern mu, exact integers in float64."""
+    matches = np.sum(net.pattern_levels == state.levels[None, :], axis=1, dtype=np.int64)
+    return (net.q * matches - net.n_true).astype(np.float64)
+
+
 def enumerated_field(net: IdentifierNet, state: Pattern, j: int) -> np.ndarray:
     """Amplitudes of enumerated coordinate j under the input's true coordinates.
 
@@ -136,12 +144,11 @@ def enumerated_field(net: IdentifierNet, state: Pattern, j: int) -> np.ndarray:
     _check_input(net, state)
     if not 0 <= j < net.n_digits:
         raise IndexOutOfRange(f"digit position {j} outside [0, {net.n_digits})")
-    q, n = net.q, net.n_true
-    matches = np.sum(net.pattern_levels == state.levels[None, :], axis=1, dtype=np.int64)
-    drive = (q * matches - n).astype(np.float64)      # q * sum_i <w_i^mu, x_i>
+    q = net.q
+    drive = _drive(net, state)
     binned = np.bincount(net.digit_codes[:, j], weights=drive, minlength=q)
     scaled = q * binned - drive.sum()                 # q^2 * N * A_l
-    return scaled / (float(n) * q * q)
+    return scaled / (float(net.n_true) * q * q)
 
 
 def identify(
@@ -168,9 +175,8 @@ def identify(
         if init.min() < 1 or init.max() > net.q:
             raise LevelOutOfRange("enumerated_init levels must lie in [1, q]")
 
-    q, n = net.q, net.n_true
-    matches = np.sum(net.pattern_levels == state.levels[None, :], axis=1, dtype=np.int64)
-    drive = (q * matches - n).astype(np.float64)
+    q = net.q
+    drive = _drive(net, state)
     total = drive.sum()
 
     index = 0
@@ -189,26 +195,3 @@ def identify(
         raise exc
     return index
 
-
-def coupling_block(net: IdentifierNet, row: int, col: int) -> np.ndarray:
-    """The (q x q) coupling block between extended coordinates row and col.
-
-    Extended indexing: positions 0..n-1 are enumerated, n..n+N-1 are true.
-    Only enumerated->true blocks are nonzero; everything else is cut.
-    Intended for inspection and tests, not for field evaluation.
-    """
-    total = net.n_digits + net.n_true
-    if not (0 <= row < total and 0 <= col < total):
-        raise IndexOutOfRange(f"extended index outside [0, {total})")
-    q = net.q
-    block = np.zeros((q, q))
-    if row < net.n_digits <= col:
-        digits = net.digit_codes[:, row]
-        levels = net.pattern_levels[:, col - net.n_digits]
-        for d, l in zip(digits, levels):
-            left = -np.ones(q) / q
-            left[d] += 1.0
-            right = -np.ones(q) / q
-            right[l - 1] += 1.0
-            block += np.outer(left, right)
-    return block

@@ -7,7 +7,7 @@ the package internals.
 
 import numpy as np
 
-from pnn import Memory, NetworkKind, Pattern
+from pnn import IndexOutOfRange, Memory, NetworkKind, Pattern
 
 
 def unit_vector(level: int, q: int, sign: int = 1) -> np.ndarray:
@@ -208,3 +208,27 @@ def naive_identifier_field(net, state: Pattern, j: int) -> np.ndarray:
             acc += float(w @ x)
         h += y * acc
     return h / net.n_true
+
+
+def coupling_block(net, row: int, col: int) -> np.ndarray:
+    """The (q x q) coupling block between extended coordinates row and col.
+
+    Extended indexing: positions 0..n-1 are enumerated, n..n+N-1 are true.
+    Only enumerated->true blocks are nonzero; everything else is cut.  The
+    identifier never forms these blocks; this spells them out for inspection.
+    """
+    total = net.n_digits + net.n_true
+    if not (0 <= row < total and 0 <= col < total):
+        raise IndexOutOfRange(f"extended index outside [0, {total})")
+    q = net.q
+    block = np.zeros((q, q))
+    if row < net.n_digits <= col:
+        digits = net.digit_codes[:, row]
+        levels = net.pattern_levels[:, col - net.n_digits]
+        for d, l in zip(digits, levels):
+            left = -np.ones(q) / q
+            left[d] += 1.0
+            right = -np.ones(q) / q
+            right[l - 1] += 1.0
+            block += np.outer(left, right)
+    return block

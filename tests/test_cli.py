@@ -14,6 +14,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# one small run per subcommand, every key given as its flag name
+CONFIG_SETTINGS = {
+    "sweep": {
+        "N": "40", "q": "2", "M": "30", "b": "0.3", "trials": "10", "seed": "4",
+        "sweep": "b", "values": "0.1,0.3", "max_sweeps": "15", "kind": "pnn2",
+    },
+    "dpnn-bench": {
+        "N": "100", "k": "1", "load": "0.15", "a": "0.1", "overlap": "0.5",
+        "trials": "12", "seed": "6", "max_sweeps": "10",
+    },
+    "identify-bench": {
+        "N": "60", "q": "8", "M": "100", "b": "0.3", "trials": "20", "seed": "8",
+    },
+    "theory-table": {
+        "N": "500,1000", "q": "1,8", "M": "50", "a": "0,0.1", "b": "0,0.25",
+        "k": "1,2", "seed": "3",
+    },
+}
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
@@ -84,26 +104,6 @@ class TestSweep:
         assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
         assert main(args + ["--jobs", "3", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
-
-    def test_config_file_equivalent_to_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "N = 40\nq = 2\nM = 30\nb = 0.3\ntrials = 10\nseed = 4\n"
-            "sweep = b\nvalues = 0.1,0.3\n# comment line\n"
-        )
-        from_file, _, _ = run_cli(capsys, "sweep", "--config", str(cfg))
-        with_flags, _, _ = run_cli(
-            capsys, "sweep", "--sweep", "b", "--values", "0.1,0.3", "--N", "40",
-            "--q", "2", "--M", "30", "--b", "0.3", "--trials", "10", "--seed", "4",
-        )
-        assert from_file == with_flags == 0
-        f1, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "f1.csv"))
-        f2, _, _ = run_cli(
-            capsys, "sweep", "--sweep", "b", "--values", "0.1,0.3", "--N", "40",
-            "--q", "2", "--M", "30", "--b", "0.3", "--trials", "10", "--seed", "4",
-            "--out", str(tmp_path / "f2.csv"),
-        )
-        assert (tmp_path / "f1.csv").read_bytes() == (tmp_path / "f2.csv").read_bytes()
 
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -264,3 +264,71 @@ class TestArgumentHandling:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert "unknown key" in err
+
+    @pytest.mark.parametrize("command, key", [
+        ("sweep", "overlap"), ("identify-bench", "max_sweeps"),
+    ])
+    def test_config_key_of_another_command_rejected(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(f"N = 40\n{key} = 0.5\n")
+        code, _, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert f"unknown key {key!r}" in err
+
+    @pytest.mark.parametrize("key, value", [("M", "abc"), ("load", "x")])
+    def test_config_cast_error_names_key(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cast.cfg"
+        cfg.write_text(f"N = 40\ntrials = 5\nsweep = q\nvalues = 2\n{key} = {value}\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert f"config key {key}={value!r}" in err
+
+    @pytest.mark.parametrize("command", list(CONFIG_SETTINGS))
+    def test_config_file_equivalent_to_flags(self, tmp_path, capsys, command):
+        settings = CONFIG_SETTINGS[command]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "# comment line\n" + "".join(f"{key} = {value}\n" for key, value in settings.items())
+        )
+        flags = [
+            arg for key, value in settings.items()
+            for arg in ("--" + key.replace("_", "-"), value)
+        ]
+        code_file, from_file, _ = run_cli(capsys, command, "--config", str(cfg))
+        code_flags, with_flags, _ = run_cli(capsys, command, *flags)
+        assert code_file == code_flags == 0
+        assert len(from_file.splitlines()) > 1
+        assert from_file == with_flags
+
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Stands in for the process pool: records its size, runs in-process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("pnn.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("pnn.cli.os.cpu_count", lambda: 3)
+        monkeypatch.setattr("pnn.cli._worker_task", None)
+        args = [
+            "sweep", "--sweep", "q", "--values", "2", "--N", "30", "--M", "20",
+            "--b", "0.2", "--trials", "12", "--seed", "1",
+        ]
+        code, capped, _ = run_cli(capsys, *args, "--jobs", "100000")
+        assert code == 0
+        assert sizes == [3]  # 12 batches, 3 CPUs
+        code, serial, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert capped == serial

@@ -8,6 +8,7 @@ from pnn import (
     FieldAmplitudes,
     IndexOutOfRange,
     LevelOutOfRange,
+    Memory,
     NetworkKind,
     NeuronState,
     Pattern,
@@ -71,6 +72,14 @@ class TestConstruction:
         p = Pattern([1, 1], [1, 1])
         with pytest.raises(LevelOutOfRange):
             build_memory([p], NetworkKind.PNN3, 1)
+
+    def test_constructor_rejects_level_above_q(self):
+        with pytest.raises(LevelOutOfRange):
+            Memory(NetworkKind.PNN2, 2, [[1, -1]], [[1, 5]])
+
+    def test_constructor_rejects_signed_pnn3_state(self):
+        with pytest.raises(SignNotAllowed):
+            Memory(NetworkKind.PNN3, 2, [[1, -1]], [[1, 2]])
 
     def test_memory_arrays_immutable(self):
         mem, _ = random_memory(make_rng(0), 10, 3, 2, NetworkKind.PNN2)

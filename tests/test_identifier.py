@@ -5,6 +5,7 @@ import pytest
 
 from pnn import (
     DimensionMismatch,
+    IdentifierNet,
     LevelOutOfRange,
     NetworkKind,
     NoiseSpec,
@@ -16,14 +17,13 @@ from pnn import (
     asymptotic_digit_estimate,
     build_identifier,
     capacity_pnn3,
-    coupling_block,
     digit_count,
     enumerated_field,
     identify,
     make_rng,
     random_qnary_patterns,
 )
-from oracles import naive_identifier_field
+from oracles import coupling_block, naive_identifier_field
 
 
 def make_net(m, n, q, seed=0):
@@ -87,6 +87,10 @@ class TestBuild:
         b = Pattern([1, 1, 1], [1, 2, 1])
         with pytest.raises(DimensionMismatch):
             build_identifier([a, b], 2)
+
+    def test_constructor_rejects_level_above_q(self):
+        with pytest.raises(LevelOutOfRange):
+            IdentifierNet(4, [[1, 9]])
 
 
 class TestCouplingStructure:
