@@ -200,18 +200,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(out: str | None, header: Sequence[str], rows: list) -> None:
-    def dump(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-
-    if out is None or out == "-":
-        dump(sys.stdout)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            dump(fh)
+def _write_csv(fh, header: Sequence[str], rows: list) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(cell) for cell in row])
 
 
 def _mean(values) -> float:
@@ -324,6 +317,8 @@ def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, m
     _positive(jobs, "jobs")
     kind = _parse_kind(kind)
     points = _parse_list(values, int if sweep in ("q", "M") else float, "values")
+    if sweep == "M" and (M is not None or load is not None):
+        raise ConfigError("--sweep M takes the pattern counts from --values; drop --M and --load")
     # with M swept, every point sets its own pattern count
     base = {"q": q, "M": 1 if sweep == "M" else _pattern_count(M, load, N), "a": a, "b": b}
     if sweep not in base:
@@ -628,7 +623,17 @@ def _dispatch(args: argparse.Namespace) -> int:
     config = _read_config_file(args.config, command.options) if args.config else {}
     values = _resolve(command.options, args, config)
     out = values.pop("out")
-    _write_csv(out, PREFIX_COLUMNS + command.extras, command.run(**values))
+    header = PREFIX_COLUMNS + command.extras
+    if out is None or out == "-":
+        _write_csv(sys.stdout, header, command.run(**values))
+        return 0
+    # opened before any trial runs, so an unwritable path fails at once
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+    with fh:
+        _write_csv(fh, header, command.run(**values))
     return 0
 
 

@@ -8,17 +8,23 @@ vector of R^q, optionally carrying a sign:
 * ``NetworkKind.PNN3`` -- unsigned states (q states per neuron, q >= 2); the
   stored patterns enter the couplings centered by the mean activity e/q.
 
-Couplings are never materialized as N^2 blocks.  The Hebbian sum factorizes
-through per-pattern overlaps
+Both kinds use the Hebbian couplings J_ij = 1/N sum_mu w_i^mu (w_j^mu)^T,
+J_ii = 0, and differ only in the stored vector w of a neuron in state s*e_l:
 
-    m_mu = sum_j <w_j^mu, x_j>,
+    w = alpha * s * e_l - beta * e        (e: the all-ones vector of R^q)
 
-where ``w`` is the stored pattern (PNN2) or the centered stored pattern
-(PNN3) and ``x`` is the running state, so a neuron's local field costs O(M)
-once the overlaps are known.  Overlaps and field amplitudes are kept as
-exact scaled integers internally (scale N for PNN2, N*q^2 for PNN3); the
-single final division is exact enough that float comparisons reproduce the
-integer comparisons bit-for-bit at any realistic size.
+in integers, with (alpha, beta) = (1, 0) for PNN2 and (q, 1) for PNN3 (q
+times the Potts-centered e_l - e/q).  Couplings are never materialized: the
+field factorizes through per-pattern overlaps with the running state x,
+
+    m_mu = sum_j <w_j^mu, x_j>,      h_i = sum_mu w_i^mu m_mu - J_ii x_i,
+
+where the second term removes the self-coupling that the first includes.
+It depends on the patterns only through how many have each level at each
+neuron, an (N, q) count table built once per Memory, so a field costs O(M)
+once the overlaps are known.  Overlaps and fields are exact integers scaled
+by N * alpha^2; the single final division reproduces the integer
+comparisons bit-for-bit at any realistic size.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -68,6 +74,30 @@ class NeuronState:
             raise LevelOutOfRange(f"level must be >= 1, got {self.level}")
 
 
+def _check_levels(levels: np.ndarray, q: int | None = None) -> None:
+    """Raise LevelOutOfRange unless every level is a whole number in [1, q]."""
+    if levels.dtype.kind not in "iu" and np.any(levels % 1 != 0):
+        raise LevelOutOfRange("levels must be whole numbers")
+    if levels.min() < 1:
+        raise LevelOutOfRange("levels must be >= 1")
+    if q is not None and levels.max() > q:
+        raise LevelOutOfRange(f"level {int(levels.max())} exceeds q={q}")
+
+
+def _check_values(signs, levels, q: int | None = None, unsigned: bool = False) -> None:
+    """Raise unless signs are +-1 (+1 when unsigned) and levels whole numbers in [1, q]."""
+    if not np.all(np.abs(signs) == 1):
+        raise SignNotAllowed("signs must be -1 or +1")
+    _check_levels(levels, q)
+    if unsigned and np.any(signs != 1):
+        raise SignNotAllowed("PNN3 states carry no sign; all signs must be +1")
+
+
+def _flat_index(levels: np.ndarray, q: int) -> np.ndarray:
+    """Position i*q + level - 1 in a flattened (N, q) table, per entry of (M, N) levels."""
+    return (levels + np.arange(-1, levels.shape[1] * q - 1, q)).ravel()
+
+
 class Pattern:
     """A length-N sequence of neuron states, stored as sign/level arrays.
 
@@ -79,18 +109,15 @@ class Pattern:
     __slots__ = ("signs", "levels")
 
     def __init__(self, signs, levels):
-        signs = np.asarray(signs, dtype=np.int8)
-        levels = np.asarray(levels, dtype=np.int64)
+        signs = np.asarray(signs)
+        levels = np.asarray(levels)
         if signs.ndim != 1 or levels.ndim != 1 or signs.shape != levels.shape:
             raise DimensionMismatch("signs and levels must be 1-d arrays of equal length")
         if signs.size == 0:
             raise DimensionMismatch("pattern must contain at least one neuron")
-        if not np.all(np.abs(signs) == 1):
-            raise SignNotAllowed("signs must be -1 or +1")
-        if levels.min() < 1:
-            raise LevelOutOfRange("levels must be >= 1")
-        signs = signs.copy()
-        levels = levels.copy()
+        _check_values(signs, levels)
+        signs = signs.astype(np.int8)
+        levels = levels.astype(np.int64)
         signs.setflags(write=False)
         levels.setflags(write=False)
         self.signs = signs
@@ -176,12 +203,16 @@ class Memory:
     """An immutable trained network: kind, dimensions and stored patterns.
 
     Weights are implicit; every field evaluation works from the stored
-    pattern arrays.  Instances are safe to share across threads/processes.
-    The constructor rejects invalid arrays with the same typed errors as
-    ``build_memory``.
+    pattern arrays and the (N, q) table ``_level_counts`` of how many
+    patterns have level l at neuron i.  Instances are safe to share across
+    threads/processes.  The constructor rejects invalid arrays with the same
+    typed errors as ``build_memory``.
     """
 
-    __slots__ = ("kind", "n_neurons", "q", "pattern_signs", "pattern_levels")
+    __slots__ = (
+        "kind", "n_neurons", "q", "pattern_signs", "pattern_levels",
+        "_alpha", "_beta", "_level_counts",
+    )
 
     def __init__(self, kind: NetworkKind, q: int, pattern_signs, pattern_levels):
         q = int(q)
@@ -193,23 +224,21 @@ class Memory:
         levels = np.asarray(pattern_levels)
         if signs.ndim != 2 or signs.shape != levels.shape or signs.size == 0:
             raise DimensionMismatch("signs and levels must be non-empty (M, N) arrays of one shape")
-        if not np.all(np.abs(signs) == 1):
-            raise SignNotAllowed("signs must be -1 or +1")
-        if levels.min() < 1:
-            raise LevelOutOfRange("levels must be >= 1")
-        if levels.max() > q:
-            raise LevelOutOfRange(f"pattern level {int(levels.max())} exceeds q={q}")
-        if kind is NetworkKind.PNN3 and np.any(signs != 1):
-            raise SignNotAllowed("PNN3 states carry no sign; all signs must be +1")
+        _check_values(signs, levels, q, unsigned=kind is NetworkKind.PNN3)
         self.kind = kind
         self.q = q
+        # stored vector w = alpha * s * e_l - beta * e, in integers
+        self._alpha, self._beta = (1, 0) if kind is NetworkKind.PNN2 else (q, 1)
         signs = signs.astype(np.int8)
         levels = levels.astype(np.int64)
-        signs.setflags(write=False)
-        levels.setflags(write=False)
+        n = levels.shape[1]
+        counts = np.bincount(_flat_index(levels, q), minlength=n * q).reshape(n, q)
+        for arr in (signs, levels, counts):
+            arr.setflags(write=False)
         self.pattern_signs = signs
         self.pattern_levels = levels
-        self.n_neurons = signs.shape[1]
+        self._level_counts = counts
+        self.n_neurons = n
 
     @property
     def n_patterns(self) -> int:
@@ -251,59 +280,53 @@ def build_memory(patterns: Sequence[Pattern], kind: NetworkKind, q: int) -> Memo
 
 def _check_state(memory: Memory, state: Pattern) -> None:
     if len(state) != memory.n_neurons:
-        raise DimensionMismatch(
-            f"state length {len(state)} != network size {memory.n_neurons}"
-        )
-    if state.levels.max() > memory.q:
-        raise LevelOutOfRange(
-            f"state level {int(state.levels.max())} exceeds q={memory.q}"
-        )
-    if memory.kind is NetworkKind.PNN3 and np.any(state.signs != 1):
-        raise SignNotAllowed("PNN3 states carry no sign; all signs must be +1")
+        raise DimensionMismatch(f"state length {len(state)} != network size {memory.n_neurons}")
+    _check_values(state.signs, state.levels, memory.q, unsigned=memory.kind is NetworkKind.PNN3)
 
 
-# -- exact integer internals ------------------------------------------------
+# -- exact integer internals, scaled by N alpha^2 ---------------------------
 #
-# PNN2: <w_j^mu, x_j> = s_j^mu s_j [l_j^mu == l_j]          (integers)
-# PNN3: q <w_j^mu, x_j> = q [l_j^mu == l_j] - 1             (integers)
-#
-# Amplitude denominators: N (PNN2) and N q^2 (PNN3).
+# With sigma, lev the stored signs and levels and C = memory._level_counts:
+#   <w_j^mu, x_j> = alpha sigma_j^mu s_j [lev_j^mu == l_j] - beta
+#   J_ii e_l      = alpha^2 C_il e_l - alpha beta (C_i + C_il e) + beta^2 M e
+# (beta is nonzero only for PNN3, whose signs are all +1).
 
 
-def _overlaps_scaled(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Per-pattern overlaps of the current state, as scaled int64."""
-    agree = memory.pattern_levels == levels[None, :]
-    if memory.kind is NetworkKind.PNN2:
-        prod = (memory.pattern_signs * signs[None, :]).astype(np.int64)
-        return np.sum(prod * agree, axis=1)
-    return memory.q * np.sum(agree, axis=1, dtype=np.int64) - memory.n_neurons
+def _terms(memory: Memory, sigma, lev, s, l) -> np.ndarray:
+    """Scaled <w, x> of stored (sigma, lev) against state (s, l), elementwise (int64)."""
+    t = sigma.astype(np.int64)
+    t *= lev == l
+    t *= s
+    t *= memory._alpha
+    t -= memory._beta
+    return t
 
 
-def _self_terms_scaled(memory: Memory, signs, levels, i: int) -> np.ndarray:
-    """Coordinate i's own contribution to each overlap (scaled int64)."""
-    agree = memory.pattern_levels[:, i] == levels[i]
-    if memory.kind is NetworkKind.PNN2:
-        return memory.pattern_signs[:, i].astype(np.int64) * int(signs[i]) * agree
-    return memory.q * agree.astype(np.int64) - 1
+def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Scaled per-pattern overlaps m of the state (signs, levels)."""
+    return _terms(memory, memory.pattern_signs, memory.pattern_levels, signs, levels).sum(axis=1)
 
 
-def _field_scaled(memory: Memory, m_scaled, signs, levels, i: int, self_terms=None) -> np.ndarray:
-    """Scaled amplitudes at neuron i, exact integers held in float64."""
-    if self_terms is None:
-        self_terms = _self_terms_scaled(memory, signs, levels, i)
-    f = (m_scaled - self_terms).astype(np.float64)
-    pat_levels = memory.pattern_levels[:, i]
-    if memory.kind is NetworkKind.PNN2:
-        w = memory.pattern_signs[:, i] * f
-        return np.bincount(pat_levels - 1, weights=w, minlength=memory.q)
-    binned = np.bincount(pat_levels - 1, weights=f, minlength=memory.q)
-    return memory.q * binned - f.sum()
+def _field(memory: Memory, m: np.ndarray, m_sum: int, i: int, s: int, l: int) -> np.ndarray:
+    """Scaled amplitudes at neuron i in state s*e_l, exact integers held in float64.
+
+    h_i = sum_mu w_i^mu m_mu - s J_ii e_l, where m_sum = sum(m) and
+    sum_mu w_i^mu m_mu = alpha sum_mu sigma_i^mu m_mu e_{l_i^mu} - beta m_sum e.
+    """
+    a, b = memory._alpha, memory._beta
+    c = memory._level_counts[i]
+    c_l = int(c[l - 1])
+    binned = np.bincount(
+        memory.pattern_levels[:, i] - 1, weights=memory.pattern_signs[:, i] * m, minlength=memory.q
+    )
+    h = a * binned + (s * a * b) * c
+    h -= b * m_sum + s * (b * b * memory.n_patterns - a * b * c_l)
+    h[l - 1] -= s * a * a * c_l
+    return h
 
 
 def _field_denominator(memory: Memory) -> float:
-    if memory.kind is NetworkKind.PNN2:
-        return float(memory.n_neurons)
-    return float(memory.n_neurons) * memory.q * memory.q
+    return float(memory.n_neurons * memory._alpha ** 2)
 
 
 def local_field(memory: Memory, state: Pattern, i: int) -> FieldAmplitudes:
@@ -315,8 +338,9 @@ def local_field(memory: Memory, state: Pattern, i: int) -> FieldAmplitudes:
     _check_state(memory, state)
     if not 0 <= i < memory.n_neurons:
         raise IndexOutOfRange(f"neuron index {i} outside [0, {memory.n_neurons})")
-    m = _overlaps_scaled(memory, state.signs, state.levels)
-    scaled = _field_scaled(memory, m, state.signs, state.levels, i)
+    m = _overlaps(memory, state.signs, state.levels)
+    s, l = int(state.signs[i]), int(state.levels[i])
+    scaled = _field(memory, m, int(m.sum()), i, s, l)
     return FieldAmplitudes(scaled / _field_denominator(memory))
 
 
@@ -330,19 +354,13 @@ def _decide(kind: NetworkKind, amps: np.ndarray, cur_sign: int, cur_level: int):
     all-zero field leaves the neuron untouched).
     """
     score = np.abs(amps) if kind is NetworkKind.PNN2 else amps
-    top = score.max()
-    if score[cur_level - 1] == top:
+    k = int(score.argmax())  # the lowest maximizing index
+    if score[cur_level - 1] == score[k]:
         k = cur_level - 1
-    else:
-        k = int(np.argmax(score == top))
-    if kind is NetworkKind.PNN3:
-        return 1, k + 1
     a = amps[k]
-    if a > 0:
+    if kind is NetworkKind.PNN3 or a > 0:
         return 1, k + 1
-    if a < 0:
-        return -1, k + 1
-    return cur_sign, k + 1
+    return (-1 if a < 0 else cur_sign), k + 1
 
 
 def neuron_update(
@@ -360,36 +378,22 @@ def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
     """One parallel update of all neurons from fields on the input state."""
     _check_state(memory, state)
     n, q = memory.n_neurons, memory.q
-    m = _overlaps_scaled(memory, state.signs, state.levels)
-
-    # (M, N) matrix of per-coordinate self terms, then scaled amplitudes per neuron
-    agree = memory.pattern_levels == state.levels[None, :]
-    if memory.kind is NetworkKind.PNN2:
-        selfs = (memory.pattern_signs * state.signs[None, :]).astype(np.int64) * agree
-    else:
-        selfs = q * agree.astype(np.int64) - 1
-    f = (m[:, None] - selfs).astype(np.float64)
-
-    amps = np.zeros((n, q))
-    flat_idx = (np.arange(n)[None, :] * q + memory.pattern_levels - 1).ravel()
-    if memory.kind is NetworkKind.PNN2:
-        np.add.at(amps.ravel(), flat_idx, (memory.pattern_signs * f).ravel())
-    else:
-        np.add.at(amps.ravel(), flat_idx, f.ravel())
-        amps = q * amps - f.sum(axis=0)[:, None]
-
-    score = np.abs(amps) if memory.kind is NetworkKind.PNN2 else amps
-    top = score.max(axis=1)
-    cur_idx = state.levels - 1
-    rows = np.arange(n)
-    keep = score[rows, cur_idx] == top
-    k = np.where(keep, cur_idx, (score == top[:, None]).argmax(axis=1))
-    if memory.kind is NetworkKind.PNN2:
-        a = amps[rows, k]
-        new_signs = np.where(a == 0, state.signs, np.sign(a)).astype(np.int8)
-    else:
-        new_signs = np.ones(n, dtype=np.int8)
-    return Pattern(new_signs, k + 1)
+    a, b = memory._alpha, memory._beta
+    m = _overlaps(memory, state.signs, state.levels)
+    # _field of every neuron at once, one row per neuron
+    h = a * np.bincount(
+        _flat_index(memory.pattern_levels, q),
+        weights=(memory.pattern_signs * m[:, None]).ravel(),
+        minlength=n * q,
+    ).reshape(n, q)
+    rows, s, l = np.arange(n), state.signs.astype(np.int64), state.levels
+    c_l = memory._level_counts[rows, l - 1]
+    h += (s * a * b)[:, None] * memory._level_counts
+    h -= (b * int(m.sum()) + s * (b * b * memory.n_patterns - a * b * c_l))[:, None]
+    h[rows, l - 1] -= s * a * a * c_l
+    new = [_decide(memory.kind, h_i, s_i, l_i) for h_i, s_i, l_i in zip(h, s.tolist(), l.tolist())]
+    new_signs, new_levels = zip(*new)
+    return Pattern(new_signs, new_levels)
 
 
 def is_fixed_point(memory: Memory, state: Pattern) -> bool:
@@ -419,43 +423,38 @@ def asynchronous_retrieve(
         raise ValueError("random-permutation order needs an rng")
 
     n = memory.n_neurons
-    signs = input_state.signs.astype(np.int8).copy()
-    levels = input_state.levels.astype(np.int64).copy()
-    m = _overlaps_scaled(memory, signs, levels)
+    signs = input_state.signs.copy()
+    levels = input_state.levels.copy()
+    m = _overlaps(memory, signs, levels)
+    m_sum = int(m.sum())
     trace: list[Pattern] | None = [] if record_trace else None
 
-    converged = False
-    sweeps = 0
     changed_total = 0
-    for _ in range(max_sweeps):
-        sweeps += 1
-        if order is UpdateOrder.SEQUENTIAL:
-            visit = range(n)
-        else:
-            visit = rng.permutation(n)
+    for sweeps in range(1, max_sweeps + 1):
+        visit = range(n) if order is UpdateOrder.SEQUENTIAL else rng.permutation(n)
         changed_this_sweep = 0
         for i in visit:
             i = int(i)
-            old_self = _self_terms_scaled(memory, signs, levels, i)
-            scaled = _field_scaled(memory, m, signs, levels, i, self_terms=old_self)
-            sign, level = _decide(
-                memory.kind, scaled, int(signs[i]), int(levels[i])
-            )
-            if sign != signs[i] or level != levels[i]:
+            s, l = int(signs[i]), int(levels[i])
+            scaled = _field(memory, m, m_sum, i, s, l)
+            sign, level = _decide(memory.kind, scaled, s, l)
+            if sign != s or level != l:
                 signs[i] = sign
                 levels[i] = level
-                m += _self_terms_scaled(memory, signs, levels, i) - old_self
+                sigma, lev = memory.pattern_signs[:, i], memory.pattern_levels[:, i]
+                delta = _terms(memory, sigma, lev, sign, level) - _terms(memory, sigma, lev, s, l)
+                m += delta
+                m_sum += int(delta.sum())
                 changed_this_sweep += 1
             if trace is not None:
                 trace.append(Pattern(signs, levels))
         changed_total += changed_this_sweep
         if changed_this_sweep == 0:
-            converged = True
             break
 
     return RetrievalResult(
         final_state=Pattern(signs, levels),
-        converged=converged,
+        converged=changed_this_sweep == 0,
         sweeps_used=sweeps,
         updates_changed=changed_total,
         trace=trace,
@@ -465,15 +464,14 @@ def asynchronous_retrieve(
 def energy(memory: Memory, state: Pattern) -> float:
     """E = -1/2 sum_i <x_i, h_i>; the 1/2 counts each symmetric pair once.
 
-    Strictly decreases under any accepted single-neuron update and is exact
-    up to one float division (the sums are integers).
+    sum_i <x_i, h_i> = m.m - sum_i J_ii[l_i, l_i], where the diagonal-block
+    entry is J_ii[l, l] = (alpha^2 - 2 alpha beta) C_il + beta^2 M.  Strictly
+    decreases under any accepted single-neuron update and is exact up to one
+    float division (the sums are integers).
     """
     _check_state(memory, state)
-    agree = memory.pattern_levels == state.levels[None, :]
-    if memory.kind is NetworkKind.PNN2:
-        g = (memory.pattern_signs * state.signs[None, :]).astype(np.int64) * agree
-    else:
-        g = memory.q * agree.astype(np.int64) - 1
-    m = g.sum(axis=1)
-    total = int(np.sum(m * m) - np.sum(g * g))
-    return -0.5 * total / _field_denominator(memory)
+    a, b = memory._alpha, memory._beta
+    m = _overlaps(memory, state.signs, state.levels)
+    c_l = memory._level_counts[np.arange(memory.n_neurons), state.levels - 1]
+    diag = (a * a - 2 * a * b) * int(c_l.sum()) + b * b * memory.n_patterns * memory.n_neurons
+    return -0.5 * (int(m @ m) - diag) / _field_denominator(memory)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Pattern, _stack_patterns
+from .core import Pattern, _check_levels, _stack_patterns
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -80,10 +80,7 @@ class IdentifierNet:
         levels = np.asarray(pattern_levels)
         if levels.ndim != 2 or levels.size == 0:
             raise DimensionMismatch("pattern levels must be a non-empty (M, N) array")
-        if levels.min() < 1:
-            raise LevelOutOfRange("pattern levels must be >= 1")
-        if levels.max() > q:
-            raise LevelOutOfRange(f"pattern level {int(levels.max())} exceeds q={q}")
+        _check_levels(levels, q)
         self.q = q
         levels = levels.astype(np.int64)
         levels.setflags(write=False)

@@ -251,6 +251,28 @@ class TestArgumentHandling:
         assert code == 2
         assert "not both" in err
 
+    @pytest.mark.parametrize("count", [["--M", "5"], ["--load", "0.5"], ["--M", "5", "--load", "0.5"]])
+    def test_sweep_over_m_rejects_pattern_count(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "sweep", "--sweep", "M", "--values", "3,4", "--N", "20", "--trials", "3",
+            *count,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--sweep M" in err
+
+    def test_unwritable_out_is_config_error_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials ran before --out was opened")
+
+        monkeypatch.setattr("pnn.cli._run_trials", no_trials)
+        code, _, err = run_cli(
+            capsys, "sweep", "--sweep", "q", "--values", "2", "--N", "20", "--M", "5",
+            "--trials", "5", "--out", str(tmp_path / "missing" / "x.csv"),
+        )
+        assert code == 2
+        assert "cannot write --out" in err
+
     def test_bad_kind(self, capsys):
         code, _, _ = run_cli(
             capsys, "sweep", "--sweep", "q", "--values", "2", "--N", "20",

@@ -81,6 +81,22 @@ class TestConstruction:
         with pytest.raises(SignNotAllowed):
             Memory(NetworkKind.PNN3, 2, [[1, -1]], [[1, 2]])
 
+    @pytest.mark.parametrize("signs, levels, error", [
+        ([1.5, -1], [2, 1], SignNotAllowed),
+        ([1, -1], [2.9, 1], LevelOutOfRange),
+    ])
+    def test_pattern_rejects_fractional_values(self, signs, levels, error):
+        with pytest.raises(error):
+            Pattern(signs, levels)
+
+    def test_constructor_rejects_fractional_level(self):
+        with pytest.raises(LevelOutOfRange):
+            Memory(NetworkKind.PNN2, 3, [[1.0, -1.0]], [[2.5, 1.0]])
+
+    def test_whole_float_values_accepted(self):
+        mem = Memory(NetworkKind.PNN2, 3, [[1.0, -1.0]], [[3.0, 1.0]])
+        assert mem.patterns == [Pattern([1, -1], [3, 1])]
+
     def test_memory_arrays_immutable(self):
         mem, _ = random_memory(make_rng(0), 10, 3, 2, NetworkKind.PNN2)
         with pytest.raises(ValueError):

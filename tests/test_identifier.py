@@ -92,6 +92,10 @@ class TestBuild:
         with pytest.raises(LevelOutOfRange):
             IdentifierNet(4, [[1, 9]])
 
+    def test_constructor_rejects_fractional_level(self):
+        with pytest.raises(LevelOutOfRange):
+            IdentifierNet(4, [[1.0, 2.5]])
+
 
 class TestCouplingStructure:
     def test_true_true_block_is_zero(self):
