@@ -16,6 +16,7 @@ from .core import (
     is_fixed_point,
     local_field,
     neuron_update,
+    retrieve_batch,
     synchronous_step,
 )
 from .dpnn import (

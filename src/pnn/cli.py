@@ -46,8 +46,8 @@ import numpy as np
 from .core import (
     NetworkKind,
     Pattern,
-    asynchronous_retrieve,
     build_memory,
+    retrieve_batch,
     synchronous_step,
 )
 from .dpnn import dpnn_build, dpnn_capacity, capacity_exponent, k_critical, map_binary, unmap_binary
@@ -215,38 +215,45 @@ def _mean(values) -> float:
 # ----------------------------------------------------------------------
 # trial runner
 
-# (trial function, context) of the current point, set once in each pool
-# worker by the pool's initializer so the context is not sent per batch
+# Most trials one batch holds, and so one lockstep retrieval relaxes at once.
+# It bounds the (B, M) temporaries of every neuron visit (overlaps, bincount
+# weights and bin index, 8 bytes an entry: 400 KB each at B=128, M=400).  On
+# the README q sweep (200 trials, --jobs 1) 128 beat 32, 64 and one batch
+# of 200; 96 and 163 read the same as 128 within the run-to-run spread.
+_BATCH_TRIALS = 128
+
+# (batch trial function, context) of the current point, set once in each
+# pool worker by the pool's initializer so the context is not sent per batch
 _worker_task = None
 
 
-def _init_worker(trial: Callable, ctx) -> None:
+def _init_worker(trials_fn: Callable, ctx) -> None:
     global _worker_task
-    _worker_task = (trial, ctx)
+    _worker_task = (trials_fn, ctx)
 
 
 def _run_batch(batch: range) -> list:
-    trial, ctx = _worker_task
-    return [trial(ctx, t) for t in batch]
+    trials_fn, ctx = _worker_task
+    return trials_fn(ctx, batch)
 
 
-def _batch_indices(trials: int, jobs: int) -> list[range]:
-    per = max(1, math.ceil(trials / max(1, jobs * 4)))
-    return [range(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
+def _run_trials(trials_fn: Callable, ctx, trials: int, jobs: int) -> list:
+    """The records of trials 0..trials-1, in order, in up to ``jobs`` processes.
 
-
-def _run_trials(trial: Callable, ctx, trials: int, jobs: int) -> list:
-    """``[trial(ctx, t) for t in range(trials)]``, in up to ``jobs`` processes.
-
-    The pool never has more workers than batches or CPUs.  Each record
-    depends only on (ctx, t), so the worker count cannot change the result.
+    ``trials_fn(ctx, batch)`` returns the records of one contiguous range
+    of trial indices.  Batches are as large as the cap allows with one per
+    worker, and the pool never has more workers than batches or CPUs.  Each
+    record depends only on (ctx, t), so neither the worker count nor the
+    batch size can change the result.
     """
-    batches = _batch_indices(trials, jobs)
-    workers = min(jobs, len(batches), os.cpu_count() or 1)
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    per = min(_BATCH_TRIALS, math.ceil(trials / workers))
+    batches = [range(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
+    workers = min(workers, len(batches))
     if workers <= 1:
-        return [trial(ctx, t) for t in range(trials)]
+        return [record for batch in batches for record in trials_fn(ctx, batch)]
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(trial, ctx)
+        max_workers=workers, initializer=_init_worker, initargs=(trials_fn, ctx)
     ) as pool:
         return [record for batch in pool.map(_run_batch, batches) for record in batch]
 
@@ -291,26 +298,32 @@ def _coord_errors(result: Pattern, target: Pattern) -> int:
     )
 
 
-def _sweep_trial(ctx, t: int) -> tuple:
+def _sweep_trials(ctx, batch: range) -> list[tuple]:
     memory = ctx.memory
-    rng = make_rng(ctx.seed, ctx.stream_base + 1 + t)
-    idx = t % memory.n_patterns
-    target = Pattern(memory.pattern_signs[idx], memory.pattern_levels[idx])
-    noisy = apply_qnary_noise(target, memory.q, ctx.spec, rng)
-    sync = synchronous_step(memory, noisy)
-    retrieval = asynchronous_retrieve(memory, noisy, ctx.max_sweeps)
-    final = retrieval.final_state
-    sign_flip = int(
-        memory.kind is NetworkKind.PNN2 and final == target.sign_flipped()
-    )
-    return (
-        _coord_errors(sync, target),
-        int(sync != target),
-        _coord_errors(final, target),
-        int(final != target),
-        sign_flip,
-        retrieval.sweeps_used,
-    )
+    targets, inputs = [], []
+    for t in batch:
+        rng = make_rng(ctx.seed, ctx.stream_base + 1 + t)
+        idx = t % memory.n_patterns
+        targets.append(Pattern(memory.pattern_signs[idx], memory.pattern_levels[idx]))
+        inputs.append(apply_qnary_noise(targets[-1], memory.q, ctx.spec, rng))
+    records = []
+    for target, noisy, retrieval in zip(
+        targets, inputs, retrieve_batch(memory, inputs, ctx.max_sweeps)
+    ):
+        sync = synchronous_step(memory, noisy)
+        final = retrieval.final_state
+        sign_flip = int(
+            memory.kind is NetworkKind.PNN2 and final == target.sign_flipped()
+        )
+        records.append((
+            _coord_errors(sync, target),
+            int(sync != target),
+            _coord_errors(final, target),
+            int(final != target),
+            sign_flip,
+            retrieval.sweeps_used,
+        ))
+    return records
 
 
 def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, max_sweeps) -> list:
@@ -350,7 +363,7 @@ def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, m
             memory=build_memory(patterns, kind, q), spec=NoiseSpec(a, b),
             seed=seed, stream_base=stream_base, max_sweeps=max_sweeps,
         )
-        records = _run_trials(_sweep_trial, ctx, trials, jobs)
+        records = _run_trials(_sweep_trials, ctx, trials, jobs)
 
         sync_coord, sync_pat, coord, pat, flips, sweeps = zip(*records)
         theory, vacuous = _theory_bound(kind, N, m, q, a, b)
@@ -381,26 +394,30 @@ DPNN_EXTRAS = [
 ]
 
 
-def _dpnn_trial(ctx, t: int) -> tuple:
-    rng = make_rng(ctx.seed, 1 + t)
-    target = ctx.ensemble[t % len(ctx.ensemble)]
-    noisy = apply_binary_noise(target, ctx.a, rng)
-
-    image = map_binary(noisy, ctx.k)
-    retrieval = asynchronous_retrieve(ctx.dpnn_memory, image, ctx.max_sweeps)
-    recovered = unmap_binary(retrieval.final_state, ctx.k)
-
-    hop_image = map_binary(noisy, 0)
-    hop_retrieval = asynchronous_retrieve(ctx.hopfield_memory, hop_image, ctx.max_sweeps)
-    hop_recovered = unmap_binary(hop_retrieval.final_state, 0)
-
-    return (
-        int(np.count_nonzero(recovered != target)),
-        int(not np.array_equal(recovered, target)),
-        retrieval.sweeps_used,
-        int(np.count_nonzero(hop_recovered != target)),
-        int(not np.array_equal(hop_recovered, target)),
+def _dpnn_trials(ctx, batch: range) -> list[tuple]:
+    targets = [ctx.ensemble[t % len(ctx.ensemble)] for t in batch]
+    inputs = [
+        apply_binary_noise(target, ctx.a, make_rng(ctx.seed, 1 + t))
+        for t, target in zip(batch, targets)
+    ]
+    pipeline = retrieve_batch(
+        ctx.dpnn_memory, [map_binary(y, ctx.k) for y in inputs], ctx.max_sweeps
     )
+    hopfield = retrieve_batch(
+        ctx.hopfield_memory, [map_binary(y, 0) for y in inputs], ctx.max_sweeps
+    )
+    records = []
+    for target, retrieval, hop_retrieval in zip(targets, pipeline, hopfield):
+        recovered = unmap_binary(retrieval.final_state, ctx.k)
+        hop_recovered = unmap_binary(hop_retrieval.final_state, 0)
+        records.append((
+            int(np.count_nonzero(recovered != target)),
+            int(not np.array_equal(recovered, target)),
+            retrieval.sweeps_used,
+            int(np.count_nonzero(hop_recovered != target)),
+            int(not np.array_equal(hop_recovered, target)),
+        ))
+    return records
 
 
 def cmd_dpnn_bench(*, seed, trials, jobs, N, k, M, load, a, overlap, max_sweeps) -> list:
@@ -432,7 +449,7 @@ def cmd_dpnn_bench(*, seed, trials, jobs, N, k, M, load, a, overlap, max_sweeps)
         dpnn_memory=dpnn_build(ensemble, k), hopfield_memory=dpnn_build(ensemble, 0),
         ensemble=ensemble, k=k, a=a, seed=seed, max_sweeps=max_sweeps,
     )
-    records = _run_trials(_dpnn_trial, ctx, trials, jobs)
+    records = _run_trials(_dpnn_trials, ctx, trials, jobs)
     coord, pat, sweeps, hop_coord, hop_pat = zip(*records)
 
     n_fragments = N // (k + 1)
@@ -461,6 +478,10 @@ IDENTIFY_OPTIONS = (
 )
 
 IDENTIFY_EXTRAS = ["n_digits", "field_evals_per_query"]
+
+
+def _identify_trials(ctx, batch: range) -> list[tuple]:
+    return [_identify_trial(ctx, t) for t in batch]
 
 
 def _identify_trial(ctx, t: int) -> tuple:
@@ -505,7 +526,7 @@ def cmd_identify_bench(*, seed, trials, jobs, N, q, M, load, b) -> list:
 
     patterns = random_qnary_patterns(m, N, q, NetworkKind.PNN3, make_rng(seed, 0))
     ctx = SimpleNamespace(net=build_identifier(patterns, q), spec=NoiseSpec(0.0, b), seed=seed)
-    records = _run_trials(_identify_trial, ctx, trials, jobs)
+    records = _run_trials(_identify_trials, ctx, trials, jobs)
     digit_errs, misses, evals, elapsed = zip(*records)
 
     # wall time varies run to run; keep it out of the deterministic CSV

@@ -68,10 +68,9 @@ class NeuronState:
     level: int
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise SignNotAllowed(f"sign must be -1 or +1, got {self.sign}")
-        if self.level < 1:
-            raise LevelOutOfRange(f"level must be >= 1, got {self.level}")
+        _check_values(np.asarray([self.sign]), np.asarray([self.level]))
+        object.__setattr__(self, "sign", int(self.sign))
+        object.__setattr__(self, "level", int(self.level))
 
 
 def _check_levels(levels: np.ndarray, q: int | None = None) -> None:
@@ -94,8 +93,25 @@ def _check_values(signs, levels, q: int | None = None, unsigned: bool = False) -
 
 
 def _flat_index(levels: np.ndarray, q: int) -> np.ndarray:
-    """Position i*q + level - 1 in a flattened (N, q) table, per entry of (M, N) levels."""
-    return (levels + np.arange(-1, levels.shape[1] * q - 1, q)).ravel()
+    """Position i*q + level - 1 in a flattened (N, q) table, per entry of (N, M) levels."""
+    return (levels + np.arange(-1, levels.shape[0] * q - 1, q)[:, None]).ravel()
+
+
+def _count_levels(levels: np.ndarray, q: int) -> np.ndarray:
+    """(N, q) int64 table of how often each level occurs in each row of (N, M) levels.
+
+    Counted about 2**16 entries at a time, so each block's bincount index
+    stays in cache and no (N, M) index array is ever allocated.
+    """
+    n, m = levels.shape
+    per = max(1, (1 << 16) // m)
+    counts = np.empty((n, q), dtype=np.int64)
+    for lo in range(0, n, per):
+        block = levels[lo:lo + per]
+        counts[lo:lo + per] = np.bincount(
+            _flat_index(block, q), minlength=len(block) * q
+        ).reshape(-1, q)
+    return counts
 
 
 class Pattern:
@@ -204,15 +220,16 @@ class Memory:
 
     Weights are implicit; every field evaluation works from the stored
     pattern arrays and the (N, q) table ``_level_counts`` of how many
-    patterns have level l at neuron i.  Instances are safe to share across
-    threads/processes.  The constructor rejects invalid arrays with the same
-    typed errors as ``build_memory``.
+    patterns have level l at neuron i.  The patterns are stored
+    neuron-major: row i of ``_signs`` (int8) and ``_levels`` (the narrowest
+    unsigned type holding q) is neuron i of every pattern, contiguous, which
+    is what one neuron visit reads.  ``pattern_signs`` and
+    ``pattern_levels`` are read-only (M, N) views of them.  Instances are
+    safe to share across threads/processes.  The constructor rejects
+    invalid arrays with the same typed errors as ``build_memory``.
     """
 
-    __slots__ = (
-        "kind", "n_neurons", "q", "pattern_signs", "pattern_levels",
-        "_alpha", "_beta", "_level_counts",
-    )
+    __slots__ = ("kind", "n_neurons", "q", "_signs", "_levels", "_alpha", "_beta", "_level_counts")
 
     def __init__(self, kind: NetworkKind, q: int, pattern_signs, pattern_levels):
         q = int(q)
@@ -229,25 +246,40 @@ class Memory:
         self.q = q
         # stored vector w = alpha * s * e_l - beta * e, in integers
         self._alpha, self._beta = (1, 0) if kind is NetworkKind.PNN2 else (q, 1)
-        signs = signs.astype(np.int8)
-        levels = levels.astype(np.int64)
-        n = levels.shape[1]
-        counts = np.bincount(_flat_index(levels, q), minlength=n * q).reshape(n, q)
+        signs = signs.T.astype(np.int8, order="C")
+        # cast before transposing, so the transposing copy moves narrow elements
+        levels = levels.astype(np.min_scalar_type(q)).T.copy()
+        n = levels.shape[0]
+        counts = _count_levels(levels, q)
         for arr in (signs, levels, counts):
             arr.setflags(write=False)
-        self.pattern_signs = signs
-        self.pattern_levels = levels
+        self._signs = signs
+        self._levels = levels
         self._level_counts = counts
         self.n_neurons = n
 
     @property
+    def pattern_signs(self) -> np.ndarray:
+        """(M, N) read-only view of the stored signs."""
+        return self._signs.T
+
+    @property
+    def pattern_levels(self) -> np.ndarray:
+        """(M, N) read-only view of the stored levels.
+
+        Its dtype is the narrowest unsigned integer type that holds q (uint8
+        up to q = 255), so cast before subtracting levels.
+        """
+        return self._levels.T
+
+    @property
     def n_patterns(self) -> int:
-        return self.pattern_signs.shape[0]
+        return self._signs.shape[1]
 
     @property
     def patterns(self) -> list[Pattern]:
         return [
-            Pattern(self.pattern_signs[mu], self.pattern_levels[mu])
+            Pattern(self._signs[:, mu], self._levels[:, mu])
             for mu in range(self.n_patterns)
         ]
 
@@ -284,6 +316,17 @@ def _check_state(memory: Memory, state: Pattern) -> None:
     _check_values(state.signs, state.levels, memory.q, unsigned=memory.kind is NetworkKind.PNN3)
 
 
+def _check_retrieval(memory: Memory, inputs: Sequence[Pattern], max_sweeps) -> int:
+    """Validate a retrieval's input states and sweep cap; the cap as an int."""
+    if len(inputs) == 0:
+        raise DimensionMismatch("at least one input state is required")
+    for state in inputs:
+        _check_state(memory, state)
+    if not (max_sweeps >= 1 and max_sweeps % 1 == 0):
+        raise ValueError(f"max_sweeps must be a whole number >= 1, got {max_sweeps}")
+    return int(max_sweeps)
+
+
 # -- exact integer internals, scaled by N alpha^2 ---------------------------
 #
 # With sigma, lev the stored signs and levels and C = memory._level_counts:
@@ -303,8 +346,11 @@ def _terms(memory: Memory, sigma, lev, s, l) -> np.ndarray:
 
 
 def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Scaled per-pattern overlaps m of the state (signs, levels)."""
-    return _terms(memory, memory.pattern_signs, memory.pattern_levels, signs, levels).sum(axis=1)
+    """Scaled per-pattern overlaps m of the state (signs, levels): the sum
+    over neurons of ``_terms``, with the +-1/0 products kept in int8."""
+    agree = memory._signs * (memory._levels == levels.astype(memory._levels.dtype)[:, None])
+    agree *= signs.astype(np.int8)[:, None]
+    return memory._alpha * agree.sum(axis=0, dtype=np.int64) - memory._beta * memory.n_neurons
 
 
 def _field(memory: Memory, m: np.ndarray, m_sum: int, i: int, s: int, l: int) -> np.ndarray:
@@ -316,9 +362,7 @@ def _field(memory: Memory, m: np.ndarray, m_sum: int, i: int, s: int, l: int) ->
     a, b = memory._alpha, memory._beta
     c = memory._level_counts[i]
     c_l = int(c[l - 1])
-    binned = np.bincount(
-        memory.pattern_levels[:, i] - 1, weights=memory.pattern_signs[:, i] * m, minlength=memory.q
-    )
+    binned = np.bincount(memory._levels[i] - 1, weights=memory._signs[i] * m, minlength=memory.q)
     h = a * binned + (s * a * b) * c
     h -= b * m_sum + s * (b * b * memory.n_patterns - a * b * c_l)
     h[l - 1] -= s * a * a * c_l
@@ -363,6 +407,36 @@ def _decide(kind: NetworkKind, amps: np.ndarray, cur_sign: int, cur_level: int):
     return (-1 if a < 0 else cur_sign), k + 1
 
 
+def _decide_bins(memory: Memory, bins: np.ndarray, c, c_l, signs, levels):
+    """The new (signs, levels) of B neurons in states (signs, levels).
+
+    ``bins`` holds their flattened (B, q) Hebbian sums
+    sum_mu sigma_i^mu m_mu e_{lev_i^mu}; c are their rows of the level-count
+    table (or one row shared by all) and c_l the counts at their current
+    levels.  ``bins`` is completed in place to the decision field
+    bins + s beta C_i - s alpha C_il e_l: the field of ``_field`` divided by
+    alpha > 0, less -beta sum(m) - s (beta^2 M - alpha beta C_il), which
+    shifts all of a neuron's amplitudes alike and is zero for PNN2 (whose
+    rule compares moduli).  So the rule of ``_decide``, applied to each row,
+    picks the same state here as on the full field.
+    """
+    q = memory.q
+    base = np.arange(0, bins.size, q)  # flat position of each row's level 1
+    cur = base + levels - 1
+    bins[cur] -= memory._alpha * signs * c_l
+    if memory._beta:
+        rows = bins.reshape(-1, q)  # a view: adding to it completes bins
+        rows += memory._beta * c  # s beta C_i, as PNN3 signs are all +1
+    score = np.abs(bins) if memory.kind is NetworkKind.PNN2 else bins
+    best = score.reshape(-1, q).argmax(axis=1) + base
+    best = np.where(score[cur] == score[best], cur, best)
+    new_levels = best - base + 1
+    if memory.kind is NetworkKind.PNN3:
+        return signs, new_levels
+    a = bins[best]
+    return np.where(a > 0, 1, np.where(a < 0, -1, signs)), new_levels
+
+
 def neuron_update(
     kind: NetworkKind, amplitudes: FieldAmplitudes | np.ndarray, current: NeuronState
 ) -> NeuronState:
@@ -378,22 +452,12 @@ def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
     """One parallel update of all neurons from fields on the input state."""
     _check_state(memory, state)
     n, q = memory.n_neurons, memory.q
-    a, b = memory._alpha, memory._beta
     m = _overlaps(memory, state.signs, state.levels)
-    # _field of every neuron at once, one row per neuron
-    h = a * np.bincount(
-        _flat_index(memory.pattern_levels, q),
-        weights=(memory.pattern_signs * m[:, None]).ravel(),
-        minlength=n * q,
-    ).reshape(n, q)
-    rows, s, l = np.arange(n), state.signs.astype(np.int64), state.levels
-    c_l = memory._level_counts[rows, l - 1]
-    h += (s * a * b)[:, None] * memory._level_counts
-    h -= (b * int(m.sum()) + s * (b * b * memory.n_patterns - a * b * c_l))[:, None]
-    h[rows, l - 1] -= s * a * a * c_l
-    new = [_decide(memory.kind, h_i, s_i, l_i) for h_i, s_i, l_i in zip(h, s.tolist(), l.tolist())]
-    new_signs, new_levels = zip(*new)
-    return Pattern(new_signs, new_levels)
+    bins = np.bincount(
+        _flat_index(memory._levels, q), weights=(memory._signs * m).ravel(), minlength=n * q
+    )
+    s, l, c = state.signs.astype(np.int64), state.levels, memory._level_counts
+    return Pattern(*_decide_bins(memory, bins, c, c[np.arange(n), l - 1], s, l))
 
 
 def is_fixed_point(memory: Memory, state: Pattern) -> bool:
@@ -414,11 +478,10 @@ def asynchronous_retrieve(
     Fields are always evaluated on the current state; overlaps are updated
     incrementally, so each neuron visit costs O(M + q).  Energy never
     increases along the way.  ``rng`` is required for the seeded
-    random-permutation order.
+    random-permutation order.  ``retrieve_batch`` relaxes many inputs at
+    once in sequential order.
     """
-    _check_state(memory, input_state)
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    max_sweeps = _check_retrieval(memory, [input_state], max_sweeps)
     if order is UpdateOrder.RANDOM_PERMUTATION and rng is None:
         raise ValueError("random-permutation order needs an rng")
 
@@ -441,7 +504,7 @@ def asynchronous_retrieve(
             if sign != s or level != l:
                 signs[i] = sign
                 levels[i] = level
-                sigma, lev = memory.pattern_signs[:, i], memory.pattern_levels[:, i]
+                sigma, lev = memory._signs[i], memory._levels[i]
                 delta = _terms(memory, sigma, lev, sign, level) - _terms(memory, sigma, lev, s, l)
                 m += delta
                 m_sum += int(delta.sum())
@@ -459,6 +522,62 @@ def asynchronous_retrieve(
         updates_changed=changed_total,
         trace=trace,
     )
+
+
+def retrieve_batch(
+    memory: Memory, inputs: Sequence[Pattern], max_sweeps: int
+) -> list[RetrievalResult]:
+    """Relax several inputs in lockstep, visiting neurons in sequential order.
+
+    Result r equals ``asynchronous_retrieve(memory, inputs[r], max_sweeps)``
+    bit for bit.  A visit to neuron i sums every still-active input's
+    Hebbian field with one ``bincount`` over (row, stored level) and decides
+    all of them with ``_decide_bins``; an input drops out after the first
+    sweep that changes nothing in it.
+    """
+    max_sweeps = _check_retrieval(memory, inputs, max_sweeps)
+    a, q, counts = memory._alpha, memory.q, memory._level_counts
+    # the active rows: input index, state (neuron-major), overlaps, changes so far
+    index = np.arange(len(inputs))
+    signs = np.stack([p.signs for p in inputs], axis=1).astype(np.int64)
+    levels = np.stack([p.levels for p in inputs], axis=1)
+    m = np.stack([_overlaps(memory, p.signs, p.levels) for p in inputs]).astype(np.float64)
+    changed_total = np.zeros(len(inputs), dtype=np.int64)
+    results: list = [None] * len(inputs)
+
+    for sweeps in range(1, max_sweeps + 1):
+        offsets = (np.arange(len(index)) * q - 1)[:, None]  # bin of (row, level)
+        changed = np.zeros(len(index), dtype=np.int64)
+        for i in range(memory.n_neurons):
+            sigma, lev = memory._signs[i], memory._levels[i]
+            s, l = signs[i], levels[i]
+            bins = np.bincount(
+                (lev + offsets).ravel(), weights=(m * sigma).ravel(), minlength=len(index) * q
+            )
+            new_s, new_l = _decide_bins(memory, bins, counts[i], counts[i][l - 1], s, l)
+            moved = np.flatnonzero((new_s != s) | (new_l != l))
+            if moved.size:
+                ns, nl = new_s[moved, None], new_l[moved, None]
+                old_s, old_l = s[moved, None], l[moved, None]
+                m[moved] += a * sigma * (ns * (lev == nl) - old_s * (lev == old_l))
+                signs[i, moved] = new_s[moved]
+                levels[i, moved] = new_l[moved]
+                changed[moved] += 1
+        changed_total += changed
+        done = (changed == 0) | (sweeps == max_sweeps)
+        for r in np.flatnonzero(done):
+            results[index[r]] = RetrievalResult(
+                final_state=Pattern(signs[:, r], levels[:, r]),
+                converged=bool(changed[r] == 0),
+                sweeps_used=sweeps,
+                updates_changed=int(changed_total[r]),
+            )
+        keep = ~done
+        index, signs, levels = index[keep], signs[:, keep], levels[:, keep]
+        m, changed_total = m[keep], changed_total[keep]
+        if index.size == 0:
+            break
+    return results
 
 
 def energy(memory: Memory, state: Pattern) -> float:

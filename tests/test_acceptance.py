@@ -47,6 +47,7 @@ from pnn import (
     perr_pnn3,
     random_binary_patterns,
     random_qnary_patterns,
+    retrieve_batch,
     synchronous_step,
     unmap_binary,
 )
@@ -76,14 +77,14 @@ def _retrieval_errors(kind, n, q, m, a, b, trials, seed, max_sweeps=12):
     patterns = random_qnary_patterns(m, n, q, kind, make_rng(seed, 0))
     memory = build_memory(patterns, kind, q)
     spec = NoiseSpec(a, b)
-    async_errs = sync_errs = 0
-    for t in range(trials):
-        rng = make_rng(seed, 1 + t)
-        target = patterns[t % m]
-        noisy = apply_qnary_noise(target, q, spec, rng)
-        sync_errs += synchronous_step(memory, noisy) != target
-        result = asynchronous_retrieve(memory, noisy, max_sweeps)
-        async_errs += result.final_state != target
+    targets = [patterns[t % m] for t in range(trials)]
+    inputs = [
+        apply_qnary_noise(target, q, spec, make_rng(seed, 1 + t))
+        for t, target in enumerate(targets)
+    ]
+    sync_errs = sum(synchronous_step(memory, x) != target for x, target in zip(inputs, targets))
+    results = retrieve_batch(memory, inputs, max_sweeps)
+    async_errs = sum(r.final_state != target for r, target in zip(results, targets))
     return async_errs / trials, sync_errs / trials
 
 

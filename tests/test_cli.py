@@ -2,10 +2,27 @@
 
 import csv
 import io
+import math
 
+import numpy as np
 import pytest
 
-from pnn.cli import PREFIX_COLUMNS, main
+from pnn import (
+    NetworkKind,
+    NoiseSpec,
+    apply_binary_noise,
+    apply_qnary_noise,
+    asynchronous_retrieve,
+    build_memory,
+    correlated_binary_patterns,
+    dpnn_build,
+    make_rng,
+    map_binary,
+    random_qnary_patterns,
+    synchronous_step,
+    unmap_binary,
+)
+from pnn.cli import _BATCH_TRIALS, PREFIX_COLUMNS, _fmt, main
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +191,85 @@ class TestDpnnBench:
         assert main(args + ["--jobs", "2", "--out", str(one)]) == 0
         assert main(args + ["--jobs", "1", "--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+
+def _mean(values):
+    return math.fsum(values) / len(values)
+
+
+def _coord_errors(result, target):
+    return int(np.count_nonzero((result.signs != target.signs) | (result.levels != target.levels)))
+
+
+class TestBatchedTrials:
+    """More trials than one batch holds, so the CLI relaxes two lockstep
+    batches; every CSV cell the trials produce must equal a recomputation
+    that relaxes each trial alone with ``asynchronous_retrieve``."""
+
+    TRIALS = _BATCH_TRIALS + 5
+    MAX_SWEEPS = 4
+
+    @pytest.mark.parametrize("kind, q, a", [("pnn2", 3, 0.1), ("pnn3", 4, 0.0)])
+    def test_sweep_cells_equal_serial_recomputation(self, capsys, kind, q, a):
+        n, m, b, seed = 24, 12, 0.3, 11
+        code, out, _ = run_cli(
+            capsys, "sweep", "--sweep", "q", "--values", str(q), "--kind", kind,
+            "--N", str(n), "--M", str(m), "--a", str(a), "--b", str(b),
+            "--trials", str(self.TRIALS), "--seed", str(seed), "--max-sweeps", str(self.MAX_SWEEPS),
+        )
+        assert code == 0
+        kind = NetworkKind(kind)
+        patterns = random_qnary_patterns(m, n, q, kind, make_rng(seed, 0))
+        memory = build_memory(patterns, kind, q)
+        records = []
+        for t in range(self.TRIALS):
+            target = patterns[t % m]
+            noisy = apply_qnary_noise(target, q, NoiseSpec(a, b), make_rng(seed, 1 + t))
+            sync = synchronous_step(memory, noisy)
+            result = asynchronous_retrieve(memory, noisy, self.MAX_SWEEPS)
+            final = result.final_state
+            records.append((
+                _coord_errors(final, target), int(final != target), result.sweeps_used,
+                _coord_errors(sync, target), int(sync != target),
+                int(kind is NetworkKind.PNN2 and final == target.sign_flipped()),
+            ))
+        coord, pat, sweeps, sync_coord, sync_pat, flips = zip(*records)
+        want = {
+            "coord_err": _mean(coord) / n, "pattern_err": _mean(pat), "avg_sweeps": _mean(sweeps),
+            "sync_coord_err": _mean(sync_coord) / n, "sync_pattern_err": _mean(sync_pat),
+            "sign_flip": _mean(flips),
+        }
+        _, rows = parse_csv(out)
+        assert {col: rows[0][col] for col in want} == {col: _fmt(v) for col, v in want.items()}
+
+    def test_dpnn_cells_equal_serial_recomputation(self, capsys):
+        n, k, m, a, overlap, seed = 100, 1, 8, 0.1, 0.3, 12
+        code, out, _ = run_cli(
+            capsys, "dpnn-bench", "--N", str(n), "--k", str(k), "--M", str(m), "--a", str(a),
+            "--overlap", str(overlap), "--trials", str(self.TRIALS), "--seed", str(seed),
+            "--max-sweeps", str(self.MAX_SWEEPS),
+        )
+        assert code == 0
+        ensemble = correlated_binary_patterns(m, n, overlap, make_rng(seed, 0))
+        memories = {k: dpnn_build(ensemble, k), 0: dpnn_build(ensemble, 0)}
+        records = []
+        for t in range(self.TRIALS):
+            target = ensemble[t % m]
+            noisy = apply_binary_noise(target, a, make_rng(seed, 1 + t))
+            record = []
+            for kk, memory in memories.items():
+                result = asynchronous_retrieve(memory, map_binary(noisy, kk), self.MAX_SWEEPS)
+                recovered = unmap_binary(result.final_state, kk)
+                errs = int(np.count_nonzero(recovered != target))
+                record += [errs, int(errs > 0), result.sweeps_used]
+            records.append(record)
+        coord, pat, sweeps, hop_coord, hop_pat, _ = zip(*records)
+        want = {
+            "coord_err": _mean(coord) / n, "pattern_err": _mean(pat), "avg_sweeps": _mean(sweeps),
+            "hopfield_coord_err": _mean(hop_coord) / n, "hopfield_pattern_err": _mean(hop_pat),
+        }
+        _, rows = parse_csv(out)
+        assert {col: rows[0][col] for col in want} == {col: _fmt(v) for col, v in want.items()}
 
 
 class TestIdentifyBench:
@@ -350,7 +446,7 @@ class TestArgumentHandling:
         ]
         code, capped, _ = run_cli(capsys, *args, "--jobs", "100000")
         assert code == 0
-        assert sizes == [3]  # 12 batches, 3 CPUs
+        assert sizes == [3]  # 3 CPUs, so 3 batches of 4 trials
         code, serial, _ = run_cli(capsys, *args)
         assert code == 0
         assert capped == serial

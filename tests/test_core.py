@@ -22,6 +22,7 @@ from pnn import (
     make_rng,
     neuron_update,
     random_qnary_patterns,
+    retrieve_batch,
     synchronous_step,
 )
 from oracles import ScalarHopfield, naive_energy, naive_local_field
@@ -96,6 +97,13 @@ class TestConstruction:
     def test_whole_float_values_accepted(self):
         mem = Memory(NetworkKind.PNN2, 3, [[1.0, -1.0]], [[3.0, 1.0]])
         assert mem.patterns == [Pattern([1, -1], [3, 1])]
+
+    def test_level_counts_match_naive_count_across_blocks(self):
+        # M = 1000 counts 65 neurons per block: three blocks, the last partial
+        mem, _ = random_memory(make_rng(39), 150, 5, 1000, NetworkKind.PNN2)
+        levels = mem.pattern_levels
+        naive = np.stack([np.count_nonzero(levels == l, axis=0) for l in range(1, 6)], axis=1)
+        assert np.array_equal(mem._level_counts, naive)
 
     def test_memory_arrays_immutable(self):
         mem, _ = random_memory(make_rng(0), 10, 3, 2, NetworkKind.PNN2)
@@ -195,6 +203,22 @@ class TestNeuronUpdate:
         out = neuron_update(NetworkKind.PNN2, FieldAmplitudes(np.array([0.0, 0.0, 0.0])), NeuronState(-1, 1))
         assert out == NeuronState(-1, 1)
 
+    @pytest.mark.parametrize("sign, level, error", [
+        (1, 2.5, LevelOutOfRange),
+        (1, 0, LevelOutOfRange),
+        (0, 1, SignNotAllowed),
+        (0.5, 1, SignNotAllowed),
+    ])
+    def test_neuron_state_rejects_invalid_values(self, sign, level, error):
+        with pytest.raises(error):
+            NeuronState(sign, level)
+
+    def test_whole_float_neuron_state_is_integral(self):
+        state = NeuronState(-1.0, 2.0)
+        assert (type(state.sign), type(state.level)) == (int, int)
+        out = neuron_update(NetworkKind.PNN2, FieldAmplitudes(np.array([1.0, 2.0, 3.0])), state)
+        assert out == NeuronState(1, 3)
+
 
 class TestSynchronousStep:
     def test_stored_pattern_is_fixed(self):
@@ -263,6 +287,14 @@ class TestAsynchronousRetrieve:
         with pytest.raises(ValueError):
             asynchronous_retrieve(mem, patterns[0], 0)
 
+    @pytest.mark.parametrize("max_sweeps", [0, 2.5, -1])
+    def test_bad_max_sweeps_rejected_alike_by_both_entry_points(self, max_sweeps):
+        mem, patterns = random_memory(make_rng(32), 10, 2, 2, NetworkKind.PNN2)
+        with pytest.raises(ValueError, match="max_sweeps must be a whole number >= 1"):
+            asynchronous_retrieve(mem, patterns[0], max_sweeps)
+        with pytest.raises(ValueError, match="max_sweeps must be a whole number >= 1"):
+            retrieve_batch(mem, patterns, max_sweeps)
+
     def test_unconverged_flagged(self):
         # overloaded q=1 network: one sweep from a random state rarely settles
         rng = make_rng(33)
@@ -304,6 +336,43 @@ class TestAsynchronousRetrieve:
         res = asynchronous_retrieve(mem, patterns[0], 3, record_trace=True)
         assert len(res.trace) == 8 * res.sweeps_used
         assert res.trace[-1] == res.final_state
+
+
+class TestRetrieveBatch:
+    @pytest.mark.parametrize("kind, q", [
+        (NetworkKind.PNN2, 1), (NetworkKind.PNN2, 3), (NetworkKind.PNN3, 4),
+    ])
+    def test_rows_equal_serial_retrieval(self, kind, q):
+        # random inputs: some hit the 3-sweep cap, the others converge
+        rng = make_rng(37)
+        mem, _ = random_memory(rng, 40, q, 10, kind)
+        inputs = [random_state(rng, 40, q, kind) for _ in range(12)]
+        batch = retrieve_batch(mem, inputs, 3)
+        serial = [asynchronous_retrieve(mem, x, 3) for x in inputs]
+        assert {r.converged for r in serial} == {True, False}
+        for got, want in zip(batch, serial):
+            assert got.final_state == want.final_state
+            assert (got.converged, got.sweeps_used, got.updates_changed) == (
+                want.converged, want.sweeps_used, want.updates_changed
+            )
+
+    def test_empty_inputs_rejected(self):
+        mem, _ = random_memory(make_rng(38), 10, 2, 2, NetworkKind.PNN2)
+        with pytest.raises(DimensionMismatch):
+            retrieve_batch(mem, [], 5)
+
+    def test_ragged_inputs_rejected(self):
+        mem, patterns = random_memory(make_rng(38), 10, 2, 2, NetworkKind.PNN2)
+        short = Pattern(patterns[1].signs[:9], patterns[1].levels[:9])
+        with pytest.raises(DimensionMismatch):
+            retrieve_batch(mem, [patterns[0], short], 5)
+
+    def test_every_input_validated(self):
+        mem, patterns = random_memory(make_rng(38), 10, 2, 2, NetworkKind.PNN3)
+        with pytest.raises(LevelOutOfRange):
+            retrieve_batch(mem, [patterns[0], Pattern(np.ones(10), np.full(10, 3))], 5)
+        with pytest.raises(SignNotAllowed):
+            retrieve_batch(mem, [patterns[0], patterns[1].sign_flipped()], 5)
 
 
 class TestEnergy:

@@ -1,8 +1,11 @@
-"""Property tests: fields, energy and both dynamics against the naive oracles.
+"""Property tests against the naive oracles and the serial dynamics.
 
 Hypothesis draws small memories of both kinds, with pattern levels drawn
 from [1, used] for a random used <= q, so that levels no pattern uses (a
 zero level count at a neuron) come up often, and states over all of [1, q].
+Fields, energy and both dynamics are checked against the naive sums, batched
+retrieval against serial retrieval, the binary mapping against its literal
+reference and the identifier's digits against the naive identifier field.
 """
 
 import numpy as np
@@ -10,20 +13,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pnn import (
+    IdentifierNet,
     Memory,
     NetworkKind,
     Pattern,
+    UnknownPattern,
     asynchronous_retrieve,
     energy,
+    identify,
     local_field,
+    map_binary,
     neuron_update,
+    retrieve_batch,
     synchronous_step,
+    unmap_binary,
 )
-from oracles import naive_energy, naive_local_field
+from oracles import (
+    naive_energy,
+    naive_identifier_field,
+    naive_local_field,
+    reference_map_binary,
+    reference_unmap_binary,
+)
 
 
 @st.composite
-def memory_and_state(draw):
+def memory_and_states(draw, count=st.just(1)):
+    """A memory and ``count`` states; later states may repeat earlier ones."""
     kind = draw(st.sampled_from(NetworkKind))
     q = draw(st.integers(2 if kind is NetworkKind.PNN3 else 1, 5))
     m = draw(st.integers(1, 6))
@@ -38,7 +54,17 @@ def memory_and_state(draw):
         return draw(st.lists(row(element), min_size=m, max_size=m))
 
     memory = Memory(kind, q, rows(sign), rows(st.integers(1, used)))
-    return memory, Pattern(draw(row(sign)), draw(row(st.integers(1, q))))
+    states = []
+    for _ in range(draw(count)):
+        if states and draw(st.booleans()):
+            states.append(draw(st.sampled_from(states)))
+        else:
+            states.append(Pattern(draw(row(sign)), draw(row(st.integers(1, q)))))
+    return memory, states
+
+
+def memory_and_state():
+    return memory_and_states().map(lambda case: (case[0], case[1][0]))
 
 
 def naive_update(memory, state, i):
@@ -88,3 +114,77 @@ def test_every_visit_follows_the_naive_field_and_changes_lower_energy(case):
             assert snapshot_energy < prev_energy - 1e-9
             prev, prev_energy = snapshot, snapshot_energy
     assert result.final_state == prev
+
+
+@given(memory_and_states(count=st.integers(1, 5)), st.integers(1, 4))
+def test_batched_retrieval_equals_serial_retrieval(case, max_sweeps):
+    memory, inputs = case
+    batch = retrieve_batch(memory, inputs, max_sweeps)
+    assert len(batch) == len(inputs)
+    for state, got in zip(inputs, batch):
+        want = asynchronous_retrieve(memory, state, max_sweeps)
+        assert got.final_state == want.final_state
+        assert (got.converged, got.sweeps_used, got.updates_changed) == (
+            want.converged, want.sweeps_used, want.updates_changed
+        )
+
+
+@st.composite
+def binary_vector(draw):
+    k = draw(st.integers(0, 5))
+    fragments = draw(st.integers(1, 6))
+    bits = st.sampled_from((-1, 1))
+    y = draw(st.lists(bits, min_size=fragments * (k + 1), max_size=fragments * (k + 1)))
+    return np.array(y), k
+
+
+@given(binary_vector())
+def test_map_binary_matches_reference_and_round_trips(case):
+    y, k = case
+    image = map_binary(y, k)
+    signs, levels = reference_map_binary(y, k)
+    assert np.array_equal(image.signs, signs)
+    assert np.array_equal(image.levels, levels)
+    assert np.array_equal(unmap_binary(image, k), reference_unmap_binary(signs, levels, k))
+    assert np.array_equal(unmap_binary(image, k), y)
+
+
+@given(st.integers(0, 5), st.data())
+def test_unmap_binary_matches_reference_and_round_trips(k, data):
+    n = data.draw(st.integers(1, 6))
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    levels = data.draw(st.lists(st.integers(1, 2**k), min_size=n, max_size=n))
+    image = Pattern(signs, levels)
+    y = unmap_binary(image, k)
+    assert np.array_equal(y, reference_unmap_binary(signs, levels, k))
+    assert map_binary(y, k) == image
+
+
+@st.composite
+def identifier_and_input(draw):
+    q = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 6))
+    used = draw(st.integers(1, q))
+    level_row = st.lists(st.integers(1, used), min_size=n, max_size=n)
+    net = IdentifierNet(q, draw(st.lists(level_row, min_size=m, max_size=m)))
+    levels = draw(st.lists(st.integers(1, q), min_size=n, max_size=n))
+    return net, Pattern(np.ones(n, dtype=np.int8), levels)
+
+
+@given(identifier_and_input())
+def test_identify_decodes_the_naive_identifier_field(case):
+    """Digit j is the lowest maximizer of the naive field at enumerated
+    coordinate j, rounded so exact ties stay ties (distinct amplitudes differ
+    by at least 1/(N q^2) >= 1/150 here), most significant digit first."""
+    net, state = case
+    want = 0
+    for j in range(net.n_digits):
+        field = np.round(naive_identifier_field(net, state, j), 9)
+        want = want * net.q + int(field.argmax())
+    try:
+        got = identify(net, state)
+    except UnknownPattern as exc:
+        assert want >= net.n_patterns
+        got = exc.decoded_index
+    assert got == want
