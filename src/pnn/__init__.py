@@ -3,10 +3,8 @@
 from types import ModuleType as _ModuleType
 
 from .core import (
-    FieldAmplitudes,
     Memory,
     NetworkKind,
-    NeuronState,
     Pattern,
     RetrievalResult,
     UpdateOrder,
@@ -15,7 +13,6 @@ from .core import (
     energy,
     is_fixed_point,
     local_field,
-    neuron_update,
     retrieve_batch,
     synchronous_step,
 )

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,19 +58,6 @@ class UpdateOrder(Enum):
 
     SEQUENTIAL = "sequential"
     RANDOM_PERMUTATION = "random-permutation"
-
-
-@dataclass(frozen=True)
-class NeuronState:
-    """One neuron: a sign in {-1,+1} and a 1-based level in [1, q]."""
-
-    sign: int
-    level: int
-
-    def __post_init__(self):
-        _check_values(np.asarray([self.sign]), np.asarray([self.level]))
-        object.__setattr__(self, "sign", int(self.sign))
-        object.__setattr__(self, "level", int(self.level))
 
 
 def _check_levels(levels: np.ndarray, q: int | None = None) -> None:
@@ -139,23 +126,8 @@ class Pattern:
         self.signs = signs
         self.levels = levels
 
-    @classmethod
-    def from_states(cls, states: Iterable[NeuronState]) -> "Pattern":
-        states = list(states)
-        return cls([s.sign for s in states], [s.level for s in states])
-
-    @property
-    def n_neurons(self) -> int:
-        return self.signs.size
-
     def __len__(self) -> int:
         return self.signs.size
-
-    def __getitem__(self, i: int) -> NeuronState:
-        return NeuronState(int(self.signs[i]), int(self.levels[i]))
-
-    def states(self) -> list[NeuronState]:
-        return [self[i] for i in range(len(self))]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pattern):
@@ -174,29 +146,6 @@ class Pattern:
 
     def __repr__(self):
         return f"Pattern(N={len(self)})"
-
-
-@dataclass(frozen=True)
-class FieldAmplitudes:
-    """Coefficients of a neuron's local field in the unit-vector basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.float64)
-        if a.ndim != 1 or a.size < 1:
-            raise DimensionMismatch("amplitudes must be a non-empty 1-d array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("amplitudes must be finite")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    def __len__(self):
-        return self.amplitudes.size
-
-    def __getitem__(self, i):
-        return float(self.amplitudes[i])
 
 
 @dataclass
@@ -232,9 +181,11 @@ class Memory:
     __slots__ = ("kind", "n_neurons", "q", "_signs", "_levels", "_alpha", "_beta", "_level_counts")
 
     def __init__(self, kind: NetworkKind, q: int, pattern_signs, pattern_levels):
+        if not isinstance(kind, NetworkKind):
+            raise ValueError(f"kind must be a NetworkKind, got {kind!r}")
+        if not (q >= 1 and q % 1 == 0):
+            raise LevelOutOfRange(f"q must be a whole number >= 1, got {q}")
         q = int(q)
-        if q < 1:
-            raise LevelOutOfRange("q must be >= 1")
         if kind is NetworkKind.PNN3 and q < 2:
             raise LevelOutOfRange("PNN3 requires q >= 2 (centering by e/q annihilates q=1 states)")
         signs = np.asarray(pattern_signs)
@@ -304,8 +255,10 @@ def _stack_patterns(patterns: Sequence[Pattern]) -> tuple[np.ndarray, np.ndarray
 def build_memory(patterns: Sequence[Pattern], kind: NetworkKind, q: int) -> Memory:
     """Store a pattern set with generalized Hebbian couplings.
 
-    Raises DimensionMismatch for ragged inputs, LevelOutOfRange for levels
-    above q, SignNotAllowed when a PNN3 network receives a signed state.
+    Raises ValueError for a kind that is not a NetworkKind, DimensionMismatch
+    for ragged inputs, LevelOutOfRange for a q that is not a whole number
+    >= 1 (>= 2 for PNN3) or levels above q, SignNotAllowed when a PNN3
+    network receives a signed state.
     """
     return Memory(kind, q, *_stack_patterns(patterns))
 
@@ -373,19 +326,23 @@ def _field_denominator(memory: Memory) -> float:
     return float(memory.n_neurons * memory._alpha ** 2)
 
 
-def local_field(memory: Memory, state: Pattern, i: int) -> FieldAmplitudes:
+def local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
     """Local-field amplitudes at neuron i for the given state.
 
-    Algebraically equal to the naive double sum over patterns and the other
-    N-1 neurons (self-coupling excluded); evaluated in O(M + q) via overlaps.
+    A read-only float64 array of shape (q,): amplitude l - 1 is the field's
+    coefficient on e_l.  Algebraically equal to the naive double sum over
+    patterns and the other N-1 neurons (self-coupling excluded); evaluated
+    in O(M + q) via overlaps.
     """
     _check_state(memory, state)
-    if not 0 <= i < memory.n_neurons:
-        raise IndexOutOfRange(f"neuron index {i} outside [0, {memory.n_neurons})")
+    if not (0 <= i < memory.n_neurons and i % 1 == 0):
+        raise IndexOutOfRange(f"neuron index {i} is not a whole number in [0, {memory.n_neurons})")
+    i = int(i)
     m = _overlaps(memory, state.signs, state.levels)
     s, l = int(state.signs[i]), int(state.levels[i])
-    scaled = _field(memory, m, int(m.sum()), i, s, l)
-    return FieldAmplitudes(scaled / _field_denominator(memory))
+    amplitudes = _field(memory, m, int(m.sum()), i, s, l) / _field_denominator(memory)
+    amplitudes.setflags(write=False)
+    return amplitudes
 
 
 def _decide(kind: NetworkKind, amps: np.ndarray, cur_sign: int, cur_level: int):
@@ -437,17 +394,6 @@ def _decide_bins(memory: Memory, bins: np.ndarray, c, c_l, signs, levels):
     return np.where(a > 0, 1, np.where(a < 0, -1, signs)), new_levels
 
 
-def neuron_update(
-    kind: NetworkKind, amplitudes: FieldAmplitudes | np.ndarray, current: NeuronState
-) -> NeuronState:
-    """The state the neuron takes under the given field (see ``_decide``)."""
-    amps = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=np.float64)
-    if current.level > amps.size:
-        raise LevelOutOfRange(f"current level {current.level} exceeds q={amps.size}")
-    sign, level = _decide(kind, amps, current.sign, current.level)
-    return NeuronState(sign, level)
-
-
 def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
     """One parallel update of all neurons from fields on the input state."""
     _check_state(memory, state)
@@ -482,6 +428,8 @@ def asynchronous_retrieve(
     once in sequential order.
     """
     max_sweeps = _check_retrieval(memory, [input_state], max_sweeps)
+    if not isinstance(order, UpdateOrder):
+        raise ValueError(f"order must be an UpdateOrder, got {order!r}")
     if order is UpdateOrder.RANDOM_PERMUTATION and rng is None:
         raise ValueError("random-permutation order needs an rng")
 

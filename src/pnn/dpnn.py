@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Memory, NetworkKind, Pattern, UpdateOrder, asynchronous_retrieve, build_memory
+from .core import Memory, NetworkKind, Pattern, asynchronous_retrieve, build_memory
 from .errors import LengthNotDivisible, NoFeasibleK
 from .theory import capacity_pnn2
 
@@ -226,15 +226,9 @@ def dpnn_build(binary_patterns, k: int) -> Memory:
     return build_memory(images, NetworkKind.PNN2, max(1, 2**k))
 
 
-def dpnn_retrieve(
-    memory: Memory,
-    noisy_y,
-    k: int,
-    max_sweeps: int,
-    order: UpdateOrder = UpdateOrder.SEQUENTIAL,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Three-stage recognition: map, relax to a fixed point, map back."""
+def dpnn_retrieve(memory: Memory, noisy_y, k: int, max_sweeps: int) -> np.ndarray:
+    """Three-stage recognition: map, relax to a fixed point (sequential
+    order), map back."""
     image = map_binary(noisy_y, k)
-    result = asynchronous_retrieve(memory, image, max_sweeps, order=order, rng=rng)
+    result = asynchronous_retrieve(memory, image, max_sweeps)
     return unmap_binary(result.final_state, k)

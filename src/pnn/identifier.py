@@ -164,13 +164,12 @@ def identify(
     """
     _check_input(net, state)
     if enumerated_init is not None:
-        init = np.asarray(enumerated_init, dtype=np.int64)
+        init = np.asarray(enumerated_init)
         if init.shape != (net.n_digits,):
             raise DimensionMismatch(
                 f"enumerated_init must have length {net.n_digits}"
             )
-        if init.min() < 1 or init.max() > net.q:
-            raise LevelOutOfRange("enumerated_init levels must lie in [1, q]")
+        _check_levels(init, net.q)
 
     q = net.q
     drive = _drive(net, state)

@@ -43,6 +43,8 @@ def random_qnary_patterns(
     """
     if m < 1 or n < 1 or q < 1:
         raise ValueError(f"need m, n, q >= 1, got m={m} n={n} q={q}")
+    if not isinstance(kind, NetworkKind):
+        raise ValueError(f"kind must be a NetworkKind, got {kind!r}")
     patterns = []
     for _ in range(m):
         levels = rng.integers(1, q + 1, size=n)

@@ -51,6 +51,32 @@ def naive_local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
     return h / n
 
 
+def naive_decide(kind: NetworkKind, amplitudes, sign: int, level: int) -> tuple[int, int]:
+    """The (sign, level) a neuron in state (sign, level) takes under a field.
+
+    PNN2 aligns with the amplitude of largest modulus and takes its sign;
+    PNN3 aligns with the largest signed amplitude and stays unsigned.  Among
+    tied maximizers the current level wins if it is one of them, otherwise
+    the lowest level; a zero amplitude keeps the current sign.
+    """
+    amps = np.asarray(amplitudes).tolist()  # plain Python numbers, exact as given
+    score = [abs(a) for a in amps] if kind is NetworkKind.PNN2 else amps
+    top = max(score)
+    winners = [lv for lv in range(1, len(amps) + 1) if score[lv - 1] == top]
+    chosen = level if level in winners else winners[0]
+    if kind is NetworkKind.PNN3:
+        return 1, chosen
+    amp = amps[chosen - 1]
+    return (1 if amp > 0 else -1 if amp < 0 else sign), chosen
+
+
+def with_neuron(state: Pattern, i: int, sign: int, level: int) -> Pattern:
+    """``state`` with neuron i set to (sign, level)."""
+    signs, levels = state.signs.copy(), state.levels.copy()
+    signs[i], levels[i] = sign, level
+    return Pattern(signs, levels)
+
+
 def naive_energy(memory: Memory, state: Pattern) -> float:
     total = 0.0
     for i in range(memory.n_neurons):
@@ -117,10 +143,7 @@ class DenseVectorHopfield:
     are the unnormalized integer sum over patterns of outer products of such
     states, with every q x q diagonal block (a neuron's coupling to itself)
     zeroed; scaling by 1/N never changes a decision, and integer fields make
-    ties exact.  A neuron aligns with its largest-modulus amplitude and takes
-    that amplitude's sign.  Among tied maximizers the current level wins if
-    it is one of them, otherwise the lowest level; a zero amplitude keeps the
-    current sign.
+    ties exact.  Each neuron follows ``naive_decide`` for PNN2.
     """
 
     def __init__(self, images, q: int):
@@ -155,12 +178,7 @@ class DenseVectorHopfield:
             sweeps += 1
             changed = 0
             for i in range(self.n):
-                h = self.field(x, i)
-                top = int(np.abs(h).max())
-                winners = [lv for lv in range(1, self.q + 1) if abs(h[lv - 1]) == top]
-                level = levels[i] if levels[i] in winners else winners[0]
-                amp = h[level - 1]
-                sign = 1 if amp > 0 else (-1 if amp < 0 else signs[i])
+                sign, level = naive_decide(NetworkKind.PNN2, self.field(x, i), signs[i], levels[i])
                 if (sign, level) != (signs[i], levels[i]):
                     signs[i], levels[i] = sign, level
                     x[i * self.q:(i + 1) * self.q] = unit_vector(level, self.q, sign)

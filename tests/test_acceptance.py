@@ -42,7 +42,6 @@ from pnn import (
     local_field,
     make_rng,
     map_binary,
-    neuron_update,
     perr_pnn2,
     perr_pnn3,
     random_binary_patterns,
@@ -52,7 +51,7 @@ from pnn import (
     unmap_binary,
 )
 from pnn.cli import main as cli_main
-from oracles import ScalarHopfield
+from oracles import ScalarHopfield, naive_decide, with_neuron
 
 
 def _report(num, name, ok, detail=""):
@@ -89,8 +88,9 @@ def _retrieval_errors(kind, n, q, m, a, b, trials, seed, max_sweeps=12):
 
 
 def test_c01_energy_monotonicity():
-    """50 random memories, 1000 single-neuron updates each: energy never
-    rises above the previous value + 1e-12 and drops strictly on a change."""
+    """50 random memories, 1000 single-neuron updates each by the oracle
+    rule ``naive_decide`` on ``local_field``: energy never rises above the
+    previous value + 1e-12 and drops strictly on a change."""
     combos = list(itertools.product(
         (NetworkKind.PNN2, NetworkKind.PNN3), (2, 8), (10, 50)
     ))
@@ -109,12 +109,10 @@ def test_c01_energy_monotonicity():
                 state = _random_state(rng, n, q, kind)
                 last = energy(memory, state)
             i = int(rng.integers(0, n))
-            new = neuron_update(kind, local_field(memory, state, i), state[i])
-            if new != state[i]:
-                signs = state.signs.copy()
-                levels = state.levels.copy()
-                signs[i], levels[i] = new.sign, new.level
-                state = Pattern(signs, levels)
+            old = int(state.signs[i]), int(state.levels[i])
+            new = naive_decide(kind, local_field(memory, state, i), *old)
+            if new != old:
+                state = with_neuron(state, i, *new)
                 current = energy(memory, state)
                 worst_rise = max(worst_rise, current - last)
                 assert current < last, "energy must drop strictly on a change"

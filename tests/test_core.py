@@ -5,12 +5,10 @@ import pytest
 
 from pnn import (
     DimensionMismatch,
-    FieldAmplitudes,
     IndexOutOfRange,
     LevelOutOfRange,
     Memory,
     NetworkKind,
-    NeuronState,
     Pattern,
     SignNotAllowed,
     UpdateOrder,
@@ -20,12 +18,11 @@ from pnn import (
     is_fixed_point,
     local_field,
     make_rng,
-    neuron_update,
     random_qnary_patterns,
     retrieve_batch,
     synchronous_step,
 )
-from oracles import ScalarHopfield, naive_energy, naive_local_field
+from oracles import ScalarHopfield, naive_decide, naive_energy, naive_local_field, with_neuron
 
 
 def random_memory(rng, n, q, m, kind):
@@ -90,9 +87,29 @@ class TestConstruction:
         with pytest.raises(error):
             Pattern(signs, levels)
 
+    @pytest.mark.parametrize("signs, levels, error", [
+        ([0, 1], [1, 1], SignNotAllowed),
+        ([1, 1], [0, 1], LevelOutOfRange),
+    ])
+    def test_pattern_rejects_zero_sign_and_level(self, signs, levels, error):
+        with pytest.raises(error):
+            Pattern(signs, levels)
+
     def test_constructor_rejects_fractional_level(self):
         with pytest.raises(LevelOutOfRange):
             Memory(NetworkKind.PNN2, 3, [[1.0, -1.0]], [[2.5, 1.0]])
+
+    @pytest.mark.parametrize("kind", ["pnn3", "pnn2", None])
+    def test_constructor_rejects_kind_not_a_network_kind(self, kind):
+        with pytest.raises(ValueError, match="NetworkKind"):
+            Memory(kind, 3, [[1, 1, 1]], [[2, 1, 3]])
+        with pytest.raises(ValueError, match="NetworkKind"):
+            build_memory([Pattern([1, 1, 1], [2, 1, 3])], kind, 3)
+
+    @pytest.mark.parametrize("q", [3.7, 2.5, float("nan")])
+    def test_constructor_rejects_non_integral_q(self, q):
+        with pytest.raises(LevelOutOfRange):
+            Memory(NetworkKind.PNN2, q, [[1, -1]], [[2, 1]])
 
     def test_whole_float_values_accepted(self):
         mem = Memory(NetworkKind.PNN2, 3, [[1.0, -1.0]], [[3.0, 1.0]])
@@ -115,13 +132,13 @@ class TestLocalField:
     def test_hand_evaluated_single_pattern(self):
         x = Pattern([1, 1], [1, 2])
         mem = build_memory([x], NetworkKind.PNN2, 2)
-        np.testing.assert_allclose(local_field(mem, x, 0).amplitudes, [0.5, 0.0])
+        np.testing.assert_allclose(local_field(mem, x, 0), [0.5, 0.0])
 
     def test_hand_evaluated_flipped_neighbor(self):
         x = Pattern([1, 1], [1, 2])
         mem = build_memory([x], NetworkKind.PNN2, 2)
         state = Pattern([1, -1], [1, 2])
-        np.testing.assert_allclose(local_field(mem, state, 0).amplitudes, [-0.5, 0.0])
+        np.testing.assert_allclose(local_field(mem, state, 0), [-0.5, 0.0])
 
     def test_index_out_of_range(self):
         x = Pattern([1, 1], [1, 2])
@@ -130,6 +147,15 @@ class TestLocalField:
             local_field(mem, x, 2)
         with pytest.raises(IndexOutOfRange):
             local_field(mem, x, -1)
+        with pytest.raises(IndexOutOfRange):
+            local_field(mem, x, 1.5)
+
+    def test_returns_read_only_float64_amplitudes(self):
+        mem, _ = random_memory(make_rng(14), 6, 3, 2, NetworkKind.PNN3)
+        h = local_field(mem, random_state(make_rng(15), 6, 3, NetworkKind.PNN3), 2)
+        assert (type(h), h.dtype, h.shape) == (np.ndarray, np.float64, (3,))
+        with pytest.raises(ValueError):
+            h[0] = 1.0
 
     @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -139,7 +165,7 @@ class TestLocalField:
         for trial in range(5):
             state = random_state(rng, 8, q, kind)
             for i in (0, 3, 7):
-                got = local_field(mem, state, i).amplitudes
+                got = local_field(mem, state, i)
                 want = naive_local_field(mem, state, i)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -149,7 +175,7 @@ class TestLocalField:
         oracle = ScalarHopfield([p.signs for p in patterns])
         state = random_state(rng, 20, 1, NetworkKind.PNN2)
         for i in range(20):
-            got = local_field(mem, state, i).amplitudes
+            got = local_field(mem, state, i)
             want = oracle.field(state.signs, i) / 20
             np.testing.assert_allclose(got, [want], rtol=1e-12, atol=1e-15)
 
@@ -164,60 +190,37 @@ class TestLocalField:
         mem_ab = build_memory(first + second, NetworkKind.PNN2, q)
         state = random_state(rng, n, q, NetworkKind.PNN2)
         for i in range(n):
-            combined = local_field(mem_ab, state, i).amplitudes
-            split = local_field(mem_a, state, i).amplitudes + local_field(mem_b, state, i).amplitudes
+            combined = local_field(mem_ab, state, i)
+            split = local_field(mem_a, state, i) + local_field(mem_b, state, i)
             np.testing.assert_allclose(combined, split, atol=1e-12)
 
 
 class TestNeuronUpdate:
+    """Hand-worked cases of the oracle decision rule the dynamics are checked against."""
+
     def test_unique_max_modulus(self):
-        out = neuron_update(NetworkKind.PNN2, FieldAmplitudes(np.array([0.5, 0.0])), NeuronState(1, 2))
-        assert out == NeuronState(1, 1)
+        assert naive_decide(NetworkKind.PNN2, [0.5, 0.0], 1, 2) == (1, 1)
 
     def test_sign_carried_from_amplitude(self):
-        out = neuron_update(NetworkKind.PNN2, FieldAmplitudes(np.array([-0.3, 0.2])), NeuronState(1, 2))
-        assert out == NeuronState(-1, 1)
+        assert naive_decide(NetworkKind.PNN2, [-0.3, 0.2], 1, 2) == (-1, 1)
 
     def test_tie_keeps_current_level_with_field_sign(self):
-        out = neuron_update(NetworkKind.PNN2, FieldAmplitudes(np.array([0.5, -0.5])), NeuronState(1, 2))
-        assert out == NeuronState(-1, 2)
+        assert naive_decide(NetworkKind.PNN2, [0.5, -0.5], 1, 2) == (-1, 2)
 
     def test_tie_without_current_level_picks_lowest(self):
-        out = neuron_update(NetworkKind.PNN2, FieldAmplitudes(np.array([0.5, -0.5, 0.1])), NeuronState(1, 3))
-        assert out == NeuronState(1, 1)
+        assert naive_decide(NetworkKind.PNN2, [0.5, -0.5, 0.1], 1, 3) == (1, 1)
 
     def test_pnn3_signed_argmax(self):
-        out = neuron_update(NetworkKind.PNN3, FieldAmplitudes(np.array([0.1, 0.4, -0.9])), NeuronState(1, 1))
-        assert out == NeuronState(1, 2)
+        assert naive_decide(NetworkKind.PNN3, [0.1, 0.4, -0.9], 1, 1) == (1, 2)
 
     def test_all_zero_field_keeps_state(self):
-        cur = NeuronState(-1, 2)
-        out = neuron_update(NetworkKind.PNN2, FieldAmplitudes(np.zeros(3)), cur)
-        assert out == cur
-        out3 = neuron_update(NetworkKind.PNN3, FieldAmplitudes(np.zeros(3)), NeuronState(1, 2))
-        assert out3 == NeuronState(1, 2)
+        assert naive_decide(NetworkKind.PNN2, np.zeros(3), -1, 2) == (-1, 2)
+        assert naive_decide(NetworkKind.PNN3, np.zeros(3), 1, 2) == (1, 2)
 
     def test_zero_at_chosen_level_keeps_sign(self):
-        # level 2 dominates in modulus but has amplitude 0 only if all zero;
-        # a zero at the *current* level with a tie elsewhere keeps the sign
-        out = neuron_update(NetworkKind.PNN2, FieldAmplitudes(np.array([0.0, 0.0, 0.0])), NeuronState(-1, 1))
-        assert out == NeuronState(-1, 1)
-
-    @pytest.mark.parametrize("sign, level, error", [
-        (1, 2.5, LevelOutOfRange),
-        (1, 0, LevelOutOfRange),
-        (0, 1, SignNotAllowed),
-        (0.5, 1, SignNotAllowed),
-    ])
-    def test_neuron_state_rejects_invalid_values(self, sign, level, error):
-        with pytest.raises(error):
-            NeuronState(sign, level)
-
-    def test_whole_float_neuron_state_is_integral(self):
-        state = NeuronState(-1.0, 2.0)
-        assert (type(state.sign), type(state.level)) == (int, int)
-        out = neuron_update(NetworkKind.PNN2, FieldAmplitudes(np.array([1.0, 2.0, 3.0])), state)
-        assert out == NeuronState(1, 3)
+        # the largest modulus is zero only when every amplitude is; the
+        # current level wins the tie and keeps its negative sign
+        assert naive_decide(NetworkKind.PNN2, [0.0, 0.0, 0.0], -1, 1) == (-1, 1)
 
 
 class TestSynchronousStep:
@@ -331,6 +334,12 @@ class TestAsynchronousRetrieve:
         )
         assert a.final_state == b.final_state and a.sweeps_used == b.sweeps_used
 
+    @pytest.mark.parametrize("order", ["sequential", None])
+    def test_order_not_an_update_order_rejected(self, order):
+        mem, patterns = random_memory(make_rng(35), 10, 2, 2, NetworkKind.PNN2)
+        with pytest.raises(ValueError, match="UpdateOrder"):
+            asynchronous_retrieve(mem, patterns[0], 5, order=order, rng=make_rng(77))
+
     def test_trace_records_every_visit(self):
         mem, patterns = random_memory(make_rng(36), 8, 2, 2, NetworkKind.PNN2)
         res = asynchronous_retrieve(mem, patterns[0], 3, record_trace=True)
@@ -404,13 +413,10 @@ class TestEnergy:
             last = energy(mem, state)
             for i in rng.integers(0, 20, size=60):
                 i = int(i)
-                new = neuron_update(mem.kind, local_field(mem, state, i), state[i])
-                if new != state[i]:
-                    signs = state.signs.copy()
-                    levels = state.levels.copy()
-                    signs[i] = new.sign
-                    levels[i] = new.level
-                    state = Pattern(signs, levels)
+                old = int(state.signs[i]), int(state.levels[i])
+                new = naive_decide(mem.kind, local_field(mem, state, i), *old)
+                if new != old:
+                    state = with_neuron(state, i, *new)
                     current = energy(mem, state)
                     assert current < last  # strict drop on every accepted change
                     last = current

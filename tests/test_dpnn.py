@@ -43,9 +43,9 @@ CAPACITY_1000_0_1 = 252.916273890741103
 class TestMapping:
     def test_fragment_hand_values(self):
         img = map_binary(np.array([1, -1, 1]), 2)
-        assert img[0].sign == 1 and img[0].level == 2
+        assert img.signs[0] == 1 and img.levels[0] == 2
         img = map_binary(np.array([-1, 1, 1]), 2)
-        assert img[0].sign == -1 and img[0].level == 4
+        assert img.signs[0] == -1 and img.levels[0] == 4
 
     def test_k0_is_plain_encoding(self):
         y = np.array([1, -1, -1, 1])
@@ -65,7 +65,7 @@ class TestMapping:
             for f in range(12):
                 frag = y[f * (k + 1):(f + 1) * (k + 1)]
                 sign, level = reference_map_fragment(frag)
-                assert img[f].sign == sign and img[f].level == level
+                assert img.signs[f] == sign and img.levels[f] == level
 
     def test_unmap_hand_value(self):
         img = Pattern([-1], [4])
@@ -92,14 +92,14 @@ class TestMapping:
             other = y.copy()
             other[pos] = -other[pos]
             mapped = map_binary(other, k)
-            assert mapped[0].level != base[0].level
+            assert mapped.levels[0] != base.levels[0]
 
     def test_differing_sign_bit_gives_opposite_sign_same_level(self):
         y = np.array([1, -1, 1, 1, -1], dtype=np.int8)
         flipped = y.copy()
         flipped[0] = -1
         a, b = map_binary(y, 4), map_binary(flipped, 4)
-        assert a[0].level == b[0].level and a[0].sign == -b[0].sign
+        assert a.levels[0] == b.levels[0] and a.signs[0] == -b.signs[0]
 
     def test_mapping_params(self):
         p = MappingParams.for_length(1000, 9)

@@ -184,6 +184,8 @@ class TestIdentify:
             identify(net, Pattern(-np.ones(12), np.ones(12)))
         with pytest.raises(LevelOutOfRange):
             identify(net, _[0], enumerated_init=[0, 1])
+        with pytest.raises(LevelOutOfRange):
+            identify(net, _[0], enumerated_init=[1.5, 2])
 
     def test_zero_noise_exact_far_from_capacity(self):
         n, q = 80, 8

@@ -66,6 +66,11 @@ class TestQnaryGeneration:
         with pytest.raises(ValueError):
             random_qnary_patterns(1, 0, 2, NetworkKind.PNN2, make_rng(0))
 
+    @pytest.mark.parametrize("kind", ["pnn2", "pnn3", None])
+    def test_kind_must_be_a_network_kind(self, kind):
+        with pytest.raises(ValueError, match="NetworkKind"):
+            random_qnary_patterns(2, 4, 3, kind, make_rng(0))
+
 
 class TestQnaryNoise:
     def test_zero_rates_identity(self):

@@ -3,9 +3,10 @@
 Hypothesis draws small memories of both kinds, with pattern levels drawn
 from [1, used] for a random used <= q, so that levels no pattern uses (a
 zero level count at a neuron) come up often, and states over all of [1, q].
-Fields, energy and both dynamics are checked against the naive sums, batched
-retrieval against serial retrieval, the binary mapping against its literal
-reference and the identifier's digits against the naive identifier field.
+Fields and energy are checked against the naive sums, both dynamics against
+the naive decision rule on the naive field, batched retrieval against serial
+retrieval, the binary mapping against its literal reference and the
+identifier's digits against the naive identifier field.
 """
 
 import numpy as np
@@ -23,17 +24,18 @@ from pnn import (
     identify,
     local_field,
     map_binary,
-    neuron_update,
     retrieve_batch,
     synchronous_step,
     unmap_binary,
 )
 from oracles import (
+    naive_decide,
     naive_energy,
     naive_identifier_field,
     naive_local_field,
     reference_map_binary,
     reference_unmap_binary,
+    with_neuron,
 )
 
 
@@ -68,21 +70,22 @@ def memory_and_state():
 
 
 def naive_update(memory, state, i):
-    """The update rule on the oracle's field, rounded so exact ties stay ties.
+    """The naive rule's (sign, level) for neuron i on the oracle's field,
+    rounded so exact ties stay ties.
 
     The oracle sums floats; its field differs from the exact one by far less
     than 1e-9, while distinct exact amplitudes differ by at least
     1/(N q^2) >= 1/175 at these sizes.
     """
     field = np.round(naive_local_field(memory, state, i), 9)
-    return neuron_update(memory.kind, field, state[i])
+    return naive_decide(memory.kind, field, int(state.signs[i]), int(state.levels[i]))
 
 
 @given(memory_and_state())
 def test_local_field_matches_naive_double_sum(case):
     memory, state = case
     for i in range(memory.n_neurons):
-        got = local_field(memory, state, i).amplitudes
+        got = local_field(memory, state, i)
         np.testing.assert_allclose(got, naive_local_field(memory, state, i), rtol=1e-12, atol=1e-12)
 
 
@@ -95,8 +98,8 @@ def test_energy_matches_naive_energy(case):
 @given(memory_and_state())
 def test_synchronous_step_applies_the_rule_to_every_naive_field(case):
     memory, state = case
-    want = [naive_update(memory, state, i) for i in range(memory.n_neurons)]
-    assert synchronous_step(memory, state) == Pattern.from_states(want)
+    signs, levels = zip(*(naive_update(memory, state, i) for i in range(memory.n_neurons)))
+    assert synchronous_step(memory, state) == Pattern(signs, levels)
 
 
 @given(memory_and_state())
@@ -106,9 +109,7 @@ def test_every_visit_follows_the_naive_field_and_changes_lower_energy(case):
     prev, prev_energy = state, naive_energy(memory, state)
     for t, snapshot in enumerate(result.trace):
         i = t % memory.n_neurons
-        want = prev.states()
-        want[i] = naive_update(memory, prev, i)
-        assert snapshot == Pattern.from_states(want)
+        assert snapshot == with_neuron(prev, i, *naive_update(memory, prev, i))
         if snapshot != prev:
             snapshot_energy = naive_energy(memory, snapshot)
             assert snapshot_energy < prev_energy - 1e-9
