@@ -485,11 +485,11 @@ def _identify_trials(ctx, batch: range) -> list[tuple]:
 
 
 def _identify_trial(ctx, t: int) -> tuple:
-    net = ctx.net
-    q, m_count = net.q, net.n_patterns
+    net, memory = ctx.net, ctx.net.memory
+    q, m_count = memory.q, memory.n_patterns
     rng = make_rng(ctx.seed, 1 + t)
     idx = t % m_count
-    target = Pattern(np.ones(net.n_true, dtype=np.int8), net.pattern_levels[idx])
+    target = Pattern(memory.pattern_signs[idx], memory.pattern_levels[idx])
     noisy = apply_qnary_noise(target, q, ctx.spec, rng)
     seeds = rng.integers(1, q + 1, size=net.n_digits)
     counter = OpCounter()

@@ -61,9 +61,15 @@ class UpdateOrder(Enum):
 
 
 def _check_levels(levels: np.ndarray, q: int | None = None) -> None:
-    """Raise LevelOutOfRange unless every level is a whole number in [1, q]."""
-    if levels.dtype.kind not in "iu" and np.any(levels % 1 != 0):
-        raise LevelOutOfRange("levels must be whole numbers")
+    """Raise LevelOutOfRange unless every level is a whole number in [1, q].
+
+    Non-integer levels must also be below 2**63, so that they cast to int64.
+    """
+    if levels.dtype.kind not in "iu":
+        if np.any(levels % 1 != 0):
+            raise LevelOutOfRange("levels must be whole numbers")
+        if levels.max() >= 2.0**63:
+            raise LevelOutOfRange(f"level {levels.max()} does not fit in int64")
     if levels.min() < 1:
         raise LevelOutOfRange("levels must be >= 1")
     if q is not None and levels.max() > q:
@@ -79,26 +85,26 @@ def _check_values(signs, levels, q: int | None = None, unsigned: bool = False) -
         raise SignNotAllowed("PNN3 states carry no sign; all signs must be +1")
 
 
-def _flat_index(levels: np.ndarray, q: int) -> np.ndarray:
-    """Position i*q + level - 1 in a flattened (N, q) table, per entry of (N, M) levels."""
-    return (levels + np.arange(-1, levels.shape[0] * q - 1, q)[:, None]).ravel()
+def _level_sums(levels: np.ndarray, q: int, signs=None, m=None) -> np.ndarray:
+    """(N, q) table of sums over each row i of (N, M) levels, binned by level.
 
-
-def _count_levels(levels: np.ndarray, q: int) -> np.ndarray:
-    """(N, q) int64 table of how often each level occurs in each row of (N, M) levels.
-
-    Counted about 2**16 entries at a time, so each block's bincount index
-    stays in cache and no (N, M) index array is ever allocated.
+    Bin (i, l - 1) counts the entries of row i at level l (int64), or, given
+    (N, M) signs and an (M,) vector m, sums signs[i, mu] * m[mu] over them
+    (float64).  Summed about 2**16 entries a block, so each block's bincount
+    index and weights stay in cache and no (N, M) temporary is allocated;
+    every bin belongs to one row, hence one block, so no sum changes.
     """
-    n, m = levels.shape
-    per = max(1, (1 << 16) // m)
-    counts = np.empty((n, q), dtype=np.int64)
+    n, count = levels.shape
+    per = min(n, max(1, (1 << 16) // count))
+    sums = np.empty((n, q), dtype=np.int64 if m is None else np.float64)
+    offsets = np.arange(-1, per * q - 1, q)[:, None]  # row r's level l goes to bin r*q + l - 1
     for lo in range(0, n, per):
         block = levels[lo:lo + per]
-        counts[lo:lo + per] = np.bincount(
-            _flat_index(block, q), minlength=len(block) * q
+        weights = None if m is None else (signs[lo:lo + per] * m).ravel()
+        sums[lo:lo + per] = np.bincount(
+            (block + offsets[:len(block)]).ravel(), weights=weights, minlength=len(block) * q
         ).reshape(-1, q)
-    return counts
+    return sums
 
 
 class Pattern:
@@ -201,7 +207,7 @@ class Memory:
         # cast before transposing, so the transposing copy moves narrow elements
         levels = levels.astype(np.min_scalar_type(q)).T.copy()
         n = levels.shape[0]
-        counts = _count_levels(levels, q)
+        counts = _level_sums(levels, q)
         for arr in (signs, levels, counts):
             arr.setflags(write=False)
         self._signs = signs
@@ -397,13 +403,10 @@ def _decide_bins(memory: Memory, bins: np.ndarray, c, c_l, signs, levels):
 def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
     """One parallel update of all neurons from fields on the input state."""
     _check_state(memory, state)
-    n, q = memory.n_neurons, memory.q
     m = _overlaps(memory, state.signs, state.levels)
-    bins = np.bincount(
-        _flat_index(memory._levels, q), weights=(memory._signs * m).ravel(), minlength=n * q
-    )
+    bins = _level_sums(memory._levels, memory.q, memory._signs, m).ravel()
     s, l, c = state.signs.astype(np.int64), state.levels, memory._level_counts
-    return Pattern(*_decide_bins(memory, bins, c, c[np.arange(n), l - 1], s, l))
+    return Pattern(*_decide_bins(memory, bins, c, c[np.arange(memory.n_neurons), l - 1], s, l))
 
 
 def is_fixed_point(memory: Memory, state: Pattern) -> bool:

@@ -10,6 +10,10 @@ Couplings among enumerated coordinates are zero, so whatever digits the
 input is seeded with cannot influence the answer, and iterating cannot help;
 one pass is all there is.
 
+The true coordinates are those of a PNN3 ``Memory``, which stores each
+level as q e_l - e, q times the centered e_l - e/q, and whose per-pattern
+overlaps with the input are the drive of every enumerated field.
+
 The pattern body itself is never retrieved here; once the number is known
 the caller looks the pattern up (here: list indexing).
 """
@@ -22,14 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Pattern, _check_levels, _stack_patterns
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    LevelOutOfRange,
-    SignNotAllowed,
-    UnknownPattern,
-)
+from .core import Memory, NetworkKind, Pattern, build_memory
+from .core import _check_levels, _check_state, _field_denominator, _overlaps
+from .errors import DimensionMismatch, IndexOutOfRange, UnknownPattern
 
 
 def digit_count(m: int, q: int) -> int:
@@ -62,74 +61,52 @@ class OpCounter:
 
 
 class IdentifierNet:
-    """M unsigned patterns plus their base-q index digits, cross-coupled only.
+    """A PNN3 memory of M patterns plus their base-q index digits, cross-coupled only.
 
-    ``digit_codes[mu]`` is the base-q representation of mu (most significant
-    digit first, digits 0..q-1).  Couplings are evaluated on demand from the
-    stored arrays; storage is O(M (N + n)), not (N + n)^2 blocks.
-    Instances are immutable after construction, and the constructor rejects
-    invalid levels with the same typed errors as ``build_identifier``.
+    ``memory`` holds the true coordinates; ``digit_codes[mu]`` is the base-q
+    representation of mu (most significant digit first, digits 0..q-1).
+    Couplings are evaluated on demand from the stored arrays; storage is
+    O(M (N + n)), not (N + n)^2 blocks.  Instances are immutable after
+    construction.
     """
 
-    __slots__ = ("q", "n_true", "n_digits", "pattern_levels", "digit_codes")
+    __slots__ = ("memory", "n_digits", "digit_codes")
 
-    def __init__(self, q: int, pattern_levels: np.ndarray):
-        q = int(q)
-        if q < 2:
-            raise LevelOutOfRange("identifier needs q >= 2")
-        levels = np.asarray(pattern_levels)
-        if levels.ndim != 2 or levels.size == 0:
-            raise DimensionMismatch("pattern levels must be a non-empty (M, N) array")
-        _check_levels(levels, q)
-        self.q = q
-        levels = levels.astype(np.int64)
-        levels.setflags(write=False)
-        self.pattern_levels = levels
-        self.n_true = levels.shape[1]
-        m = levels.shape[0]
-        self.n_digits = digit_count(m, self.q)
+    def __init__(self, memory: Memory):
+        if not isinstance(memory, Memory) or memory.kind is not NetworkKind.PNN3:
+            raise ValueError(f"identifier needs a PNN3 Memory, got {memory!r}")
+        self.memory = memory
+        m, q = memory.n_patterns, memory.q
+        self.n_digits = digit_count(m, q)
         codes = np.empty((m, self.n_digits), dtype=np.int64)
         idx = np.arange(m)
         for j in range(self.n_digits - 1, -1, -1):
-            codes[:, j] = idx % self.q
-            idx = idx // self.q
+            codes[:, j] = idx % q
+            idx = idx // q
         codes.setflags(write=False)
         self.digit_codes = codes
 
-    @property
-    def n_patterns(self) -> int:
-        return self.pattern_levels.shape[0]
-
     def __repr__(self):
+        mem = self.memory
         return (
-            f"IdentifierNet(q={self.q}, N={self.n_true}, "
-            f"M={self.n_patterns}, n={self.n_digits})"
+            f"IdentifierNet(q={mem.q}, N={mem.n_neurons}, "
+            f"M={mem.n_patterns}, n={self.n_digits})"
         )
 
 
 def build_identifier(patterns: Sequence[Pattern], q: int) -> IdentifierNet:
-    """Number the patterns by list position and wire the cross couplings."""
-    signs, levels = _stack_patterns(patterns)
-    if np.any(signs != 1):
-        raise SignNotAllowed("identifier patterns are unsigned; all signs must be +1")
-    return IdentifierNet(q, levels)
+    """Number the patterns by list position and wire the cross couplings.
+
+    Raises as ``build_memory`` does for a PNN3 network of q levels.
+    """
+    return IdentifierNet(build_memory(patterns, NetworkKind.PNN3, q))
 
 
-def _check_input(net: IdentifierNet, state: Pattern) -> None:
-    if len(state) != net.n_true:
-        raise DimensionMismatch(
-            f"input length {len(state)} != true-coordinate count {net.n_true}"
-        )
-    if np.any(state.signs != 1):
-        raise SignNotAllowed("identifier inputs are unsigned; all signs must be +1")
-    if state.levels.max() > net.q:
-        raise LevelOutOfRange(f"input level {int(state.levels.max())} exceeds q={net.q}")
-
-
-def _drive(net: IdentifierNet, state: Pattern) -> np.ndarray:
-    """q * sum_i <w_i^mu, x_i> for every pattern mu, exact integers in float64."""
-    matches = np.sum(net.pattern_levels == state.levels[None, :], axis=1, dtype=np.int64)
-    return (net.q * matches - net.n_true).astype(np.float64)
+def _digit_amplitudes(net: IdentifierNet, m: np.ndarray, m_sum: int, j: int) -> np.ndarray:
+    """q^2 N times the amplitudes of enumerated coordinate j, given the
+    memory's overlaps m with the input (m_sum = sum(m)): q bincount - sum(m)."""
+    q = net.memory.q
+    return q * np.bincount(net.digit_codes[:, j], weights=m, minlength=q) - m_sum
 
 
 def enumerated_field(net: IdentifierNet, state: Pattern, j: int) -> np.ndarray:
@@ -138,14 +115,12 @@ def enumerated_field(net: IdentifierNet, state: Pattern, j: int) -> np.ndarray:
     A_l = (1/N) sum_mu <e_l, y_j^mu - e/q> (sum_i <x_i^mu - e/q, x_i>); the
     sums are exact integers scaled by q^2 until the final division.
     """
-    _check_input(net, state)
+    memory = net.memory
+    _check_state(memory, state)
     if not 0 <= j < net.n_digits:
         raise IndexOutOfRange(f"digit position {j} outside [0, {net.n_digits})")
-    q = net.q
-    drive = _drive(net, state)
-    binned = np.bincount(net.digit_codes[:, j], weights=drive, minlength=q)
-    scaled = q * binned - drive.sum()                 # q^2 * N * A_l
-    return scaled / (float(net.n_true) * q * q)
+    m = _overlaps(memory, state.signs, state.levels)
+    return _digit_amplitudes(net, m, int(m.sum()), j) / _field_denominator(memory)
 
 
 def identify(
@@ -162,32 +137,25 @@ def identify(
     the decoded digits name an index >= M (possible once noise is high or q
     does not divide the numbering range evenly).
     """
-    _check_input(net, state)
+    memory = net.memory
+    _check_state(memory, state)
     if enumerated_init is not None:
         init = np.asarray(enumerated_init)
         if init.shape != (net.n_digits,):
-            raise DimensionMismatch(
-                f"enumerated_init must have length {net.n_digits}"
-            )
-        _check_levels(init, net.q)
+            raise DimensionMismatch(f"enumerated_init must have length {net.n_digits}")
+        _check_levels(init, memory.q)
 
-    q = net.q
-    drive = _drive(net, state)
-    total = drive.sum()
-
+    m = _overlaps(memory, state.signs, state.levels)
+    m_sum = int(m.sum())
     index = 0
     for j in range(net.n_digits):
-        binned = np.bincount(net.digit_codes[:, j], weights=drive, minlength=q)
-        scaled = q * binned - total
+        scaled = _digit_amplitudes(net, m, m_sum, j)
         digit = int(np.argmax(scaled == scaled.max()))
         if counter is not None:
             counter.enumerated_field_evals += 1
-        index = index * q + digit
-    if index >= net.n_patterns:
-        exc = UnknownPattern(
-            f"decoded index {index} >= stored pattern count {net.n_patterns}"
-        )
+        index = index * memory.q + digit
+    if index >= memory.n_patterns:
+        exc = UnknownPattern(f"decoded index {index} >= stored pattern count {memory.n_patterns}")
         exc.decoded_index = index
         raise exc
     return index
-

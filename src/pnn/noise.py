@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NetworkKind, Pattern
+from .errors import LevelOutOfRange
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ def random_qnary_patterns(
     """
     if m < 1 or n < 1 or q < 1:
         raise ValueError(f"need m, n, q >= 1, got m={m} n={n} q={q}")
+    if q % 1 != 0:
+        raise LevelOutOfRange(f"q must be a whole number, got {q}")
     if not isinstance(kind, NetworkKind):
         raise ValueError(f"kind must be a NetworkKind, got {kind!r}")
     patterns = []
@@ -62,8 +65,11 @@ def apply_qnary_noise(
     """Distort each coordinate independently per ``spec``.
 
     A triggered level replacement never reproduces the old level.  With q=1
-    there are no other levels, so only the sign channel acts.
+    there are no other levels, so only the sign channel acts.  Raises
+    LevelOutOfRange unless q is a whole number >= the pattern's highest level.
     """
+    if not (q % 1 == 0 and q >= pattern.levels.max()):
+        raise LevelOutOfRange(f"q must be a whole number >= every level, got {q}")
     signs = pattern.signs.copy()
     levels = pattern.levels.copy()
     n = len(pattern)

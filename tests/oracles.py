@@ -215,17 +215,17 @@ def reference_unmap_binary(signs, levels, k: int) -> np.ndarray:
 
 def naive_identifier_field(net, state: Pattern, j: int) -> np.ndarray:
     """Cross-coupling field at enumerated coordinate j, from basis vectors."""
-    q = net.q
+    q = net.memory.q
     h = np.zeros(q)
-    for mu in range(net.n_patterns):
+    for mu in range(net.memory.n_patterns):
         y = centered_vector(int(net.digit_codes[mu, j]) + 1, q)
         acc = 0.0
-        for i in range(net.n_true):
-            w = centered_vector(int(net.pattern_levels[mu, i]), q)
+        for i in range(net.memory.n_neurons):
+            w = centered_vector(int(net.memory.pattern_levels[mu, i]), q)
             x = unit_vector(int(state.levels[i]), q)
             acc += float(w @ x)
         h += y * acc
-    return h / net.n_true
+    return h / net.memory.n_neurons
 
 
 def coupling_block(net, row: int, col: int) -> np.ndarray:
@@ -235,14 +235,14 @@ def coupling_block(net, row: int, col: int) -> np.ndarray:
     Only enumerated->true blocks are nonzero; everything else is cut.  The
     identifier never forms these blocks; this spells them out for inspection.
     """
-    total = net.n_digits + net.n_true
+    total = net.n_digits + net.memory.n_neurons
     if not (0 <= row < total and 0 <= col < total):
         raise IndexOutOfRange(f"extended index outside [0, {total})")
-    q = net.q
+    q = net.memory.q
     block = np.zeros((q, q))
     if row < net.n_digits <= col:
         digits = net.digit_codes[:, row]
-        levels = net.pattern_levels[:, col - net.n_digits]
+        levels = net.memory.pattern_levels[:, col - net.n_digits]
         for d, l in zip(digits, levels):
             left = -np.ones(q) / q
             left[d] += 1.0

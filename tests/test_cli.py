@@ -1,6 +1,7 @@
 """Experiment harness: CSV schema, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import math
 
@@ -329,6 +330,35 @@ class TestTheoryTable:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0]["perr_pnn3"] == "" and rows[0]["capacity_pnn3"] == ""
+
+
+# the README's four commands at reduced trial counts and the sha256 of the CSV
+# each writes; a change that keeps retrieval bit-identical keeps these bytes
+README_CSV_SHA256 = [
+    pytest.param(
+        ["sweep", "--sweep", "q", "--values", "4,8,16", "--N", "200", "--M", "400",
+         "--b", "0.5", "--trials", "20", "--seed", "1"],
+        "716391ef69ce625d72380d49cc5dcd073f1608e00259bd77929ee9264be057b0", id="sweep"),
+    pytest.param(
+        ["dpnn-bench", "--N", "800", "--k", "4", "--M", "200", "--a", "0.1",
+         "--overlap", "0.3", "--trials", "10", "--seed", "1"],
+        "25d4a856b4d45a3bdba466826535d7e4b48fd04fa2ccffd2224a55a57b498fa5", id="dpnn-bench"),
+    pytest.param(
+        ["identify-bench", "--N", "200", "--q", "32", "--M", "1000", "--b", "0.3",
+         "--trials", "100", "--seed", "1"],
+        "cec59484cbe80feeff59e2f0e35378887478b38e4185720e883b3b13072f314c", id="identify-bench"),
+    pytest.param(
+        ["theory-table", "--N", "1000,10000", "--q", "1,16,64", "--M", "100",
+         "--a", "0,0.1", "--b", "0,0.5", "--k", "1"],
+        "2935b49e1ae6e934f51dd6d9dd613def7b82d41f957e1c551ce99184f6f3fa9d", id="theory-table"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", README_CSV_SHA256)
+def test_readme_commands_keep_their_csv_bytes(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestArgumentHandling:

@@ -82,6 +82,8 @@ class TestConstruction:
     @pytest.mark.parametrize("signs, levels, error", [
         ([1.5, -1], [2, 1], SignNotAllowed),
         ([1, -1], [2.9, 1], LevelOutOfRange),
+        ([1], [1e20], LevelOutOfRange),
+        ([1], [2.0**63], LevelOutOfRange),
     ])
     def test_pattern_rejects_fractional_values(self, signs, levels, error):
         with pytest.raises(error):

@@ -7,6 +7,7 @@ from pnn import (
     DimensionMismatch,
     IdentifierNet,
     LevelOutOfRange,
+    Memory,
     NetworkKind,
     NoiseSpec,
     OpCounter,
@@ -16,6 +17,7 @@ from pnn import (
     apply_qnary_noise,
     asymptotic_digit_estimate,
     build_identifier,
+    build_memory,
     capacity_pnn3,
     digit_count,
     enumerated_field,
@@ -90,11 +92,24 @@ class TestBuild:
 
     def test_constructor_rejects_level_above_q(self):
         with pytest.raises(LevelOutOfRange):
-            IdentifierNet(4, [[1, 9]])
+            IdentifierNet(Memory(NetworkKind.PNN3, 4, [[1, 1]], [[1, 9]]))
 
     def test_constructor_rejects_fractional_level(self):
         with pytest.raises(LevelOutOfRange):
-            IdentifierNet(4, [[1.0, 2.5]])
+            IdentifierNet(Memory(NetworkKind.PNN3, 4, [[1, 1]], [[1.0, 2.5]]))
+
+    def test_fractional_q_rejected(self):
+        p = Pattern([1, 1], [1, 2])
+        with pytest.raises(LevelOutOfRange):
+            build_identifier([p], 3.5)
+
+    @pytest.mark.parametrize("memory", [
+        build_memory([Pattern([1, -1], [1, 2])], NetworkKind.PNN2, 2),
+        None,
+    ])
+    def test_constructor_needs_a_pnn3_memory(self, memory):
+        with pytest.raises(ValueError, match="PNN3 Memory"):
+            IdentifierNet(memory)
 
 
 class TestCouplingStructure:
@@ -115,9 +130,9 @@ class TestCouplingStructure:
         net, _ = make_net(5, 6, 3)
         block = coupling_block(net, 1, net.n_digits + 2)
         want = np.zeros((3, 3))
-        for mu in range(net.n_patterns):
+        for mu in range(net.memory.n_patterns):
             y = centered_vector(int(net.digit_codes[mu, 1]) + 1, 3)
-            x = centered_vector(int(net.pattern_levels[mu, 2]), 3)
+            x = centered_vector(int(net.memory.pattern_levels[mu, 2]), 3)
             want += np.outer(y, x)
         np.testing.assert_allclose(block, want, atol=1e-12)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pnn import (
+    LevelOutOfRange,
     NetworkKind,
     NoiseSpec,
     Pattern,
@@ -66,6 +67,11 @@ class TestQnaryGeneration:
         with pytest.raises(ValueError):
             random_qnary_patterns(1, 0, 2, NetworkKind.PNN2, make_rng(0))
 
+    @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
+    def test_fractional_q_rejected(self, kind):
+        with pytest.raises(LevelOutOfRange):
+            random_qnary_patterns(1, 4, 2.5, kind, make_rng(0))
+
     @pytest.mark.parametrize("kind", ["pnn2", "pnn3", None])
     def test_kind_must_be_a_network_kind(self, kind):
         with pytest.raises(ValueError, match="NetworkKind"):
@@ -114,6 +120,17 @@ class TestQnaryNoise:
         p = random_qnary_patterns(1, 100, 1, NetworkKind.PNN2, make_rng(17))[0]
         out = apply_qnary_noise(p, 1, NoiseSpec(0, 0.9), make_rng(18))
         assert out == p
+
+    @pytest.mark.parametrize("q", [2, 2.5, 3.5, 0])
+    def test_q_below_a_level_or_fractional_rejected(self, q):
+        p = Pattern(np.ones(3, dtype=np.int8), [1, 3, 2])
+        with pytest.raises(LevelOutOfRange):
+            apply_qnary_noise(p, q, NoiseSpec(0, 1), make_rng(19))
+
+    def test_q_above_every_level_accepted(self):
+        p = Pattern(np.ones(3, dtype=np.int8), [1, 3, 2])
+        out = apply_qnary_noise(p, 4.0, NoiseSpec(0, 1), make_rng(20))
+        assert np.all(out.levels != p.levels) and out.levels.max() <= 4
 
 
 class TestBinary:

@@ -168,7 +168,8 @@ def identifier_and_input(draw):
     n = draw(st.integers(1, 6))
     used = draw(st.integers(1, q))
     level_row = st.lists(st.integers(1, used), min_size=n, max_size=n)
-    net = IdentifierNet(q, draw(st.lists(level_row, min_size=m, max_size=m)))
+    pattern_levels = draw(st.lists(level_row, min_size=m, max_size=m))
+    net = IdentifierNet(Memory(NetworkKind.PNN3, q, np.ones((m, n)), pattern_levels))
     levels = draw(st.lists(st.integers(1, q), min_size=n, max_size=n))
     return net, Pattern(np.ones(n, dtype=np.int8), levels)
 
@@ -182,10 +183,10 @@ def test_identify_decodes_the_naive_identifier_field(case):
     want = 0
     for j in range(net.n_digits):
         field = np.round(naive_identifier_field(net, state, j), 9)
-        want = want * net.q + int(field.argmax())
+        want = want * net.memory.q + int(field.argmax())
     try:
         got = identify(net, state)
     except UnknownPattern as exc:
-        assert want >= net.n_patterns
+        assert want >= net.memory.n_patterns
         got = exc.decoded_index
     assert got == want
