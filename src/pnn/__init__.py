@@ -14,6 +14,7 @@ from .core import (
     is_fixed_point,
     local_field,
     retrieve_batch,
+    synchronous_batch,
     synchronous_step,
 )
 from .dpnn import (

@@ -48,7 +48,7 @@ from .core import (
     Pattern,
     build_memory,
     retrieve_batch,
-    synchronous_step,
+    synchronous_batch,
 )
 from .dpnn import dpnn_build, dpnn_capacity, capacity_exponent, k_critical, map_binary, unmap_binary
 from .errors import NoFeasibleK, PnnError, UnknownPattern
@@ -307,10 +307,9 @@ def _sweep_trials(ctx, batch: range) -> list[tuple]:
         targets.append(Pattern(memory.pattern_signs[idx], memory.pattern_levels[idx]))
         inputs.append(apply_qnary_noise(targets[-1], memory.q, ctx.spec, rng))
     records = []
-    for target, noisy, retrieval in zip(
-        targets, inputs, retrieve_batch(memory, inputs, ctx.max_sweeps)
+    for target, sync, retrieval in zip(
+        targets, synchronous_batch(memory, inputs), retrieve_batch(memory, inputs, ctx.max_sweeps)
     ):
-        sync = synchronous_step(memory, noisy)
         final = retrieval.final_state
         sign_flip = int(
             memory.kind is NetworkKind.PNN2 and final == target.sign_flipped()

@@ -26,6 +26,15 @@ once the overlaps are known.  Overlaps and fields are exact integers scaled
 by N * alpha^2; the single final division reproduces the integer
 comparisons bit-for-bit at any realistic size.
 
+The batched kernels, ``retrieve_batch`` and ``synchronous_batch``, get
+neuron i's Hebbian sums for B states at once as one small matrix product
+m @ W_i of the (B, M) overlaps with the neuron's signed one-hot (M, q)
+matrix, built in a scratch array per visit and never stored for every
+neuron.  The sums are integers held in float64, so the product is exact,
+in any summation order, while they stay below 2**53.  For one state the
+scalar paths, ``asynchronous_retrieve`` and ``synchronous_step``, bin the
+same sums with ``bincount`` and cost less.
+
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
 """
@@ -63,13 +72,16 @@ class UpdateOrder(Enum):
 def _check_levels(levels: np.ndarray, q: int | None = None) -> None:
     """Raise LevelOutOfRange unless every level is a whole number in [1, q].
 
-    Non-integer levels must also be below 2**63, so that they cast to int64.
+    Levels must also be below 2**63, so that they cast to int64; only
+    non-integer and unsigned dtypes can hold larger values.
     """
     if levels.dtype.kind not in "iu":
         if np.any(levels % 1 != 0):
             raise LevelOutOfRange("levels must be whole numbers")
         if levels.max() >= 2.0**63:
             raise LevelOutOfRange(f"level {levels.max()} does not fit in int64")
+    elif levels.dtype.kind == "u" and levels.max() >= 2**63:
+        raise LevelOutOfRange(f"level {levels.max()} does not fit in int64")
     if levels.min() < 1:
         raise LevelOutOfRange("levels must be >= 1")
     if q is not None and levels.max() > q:
@@ -275,12 +287,16 @@ def _check_state(memory: Memory, state: Pattern) -> None:
     _check_values(state.signs, state.levels, memory.q, unsigned=memory.kind is NetworkKind.PNN3)
 
 
-def _check_retrieval(memory: Memory, inputs: Sequence[Pattern], max_sweeps) -> int:
-    """Validate a retrieval's input states and sweep cap; the cap as an int."""
+def _check_inputs(memory: Memory, inputs: Sequence[Pattern]) -> None:
     if len(inputs) == 0:
         raise DimensionMismatch("at least one input state is required")
     for state in inputs:
         _check_state(memory, state)
+
+
+def _check_retrieval(memory: Memory, inputs: Sequence[Pattern], max_sweeps) -> int:
+    """Validate a retrieval's input states and sweep cap; the cap as an int."""
+    _check_inputs(memory, inputs)
     if not (max_sweeps >= 1 and max_sweeps % 1 == 0):
         raise ValueError(f"max_sweeps must be a whole number >= 1, got {max_sweeps}")
     return int(max_sweeps)
@@ -310,6 +326,15 @@ def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarr
     agree = memory._signs * (memory._levels == levels.astype(memory._levels.dtype)[:, None])
     agree *= signs.astype(np.int8)[:, None]
     return memory._alpha * agree.sum(axis=0, dtype=np.int64) - memory._beta * memory.n_neurons
+
+
+def _stack_inputs(memory: Memory, inputs: Sequence[Pattern]):
+    """Neuron-major (N, B) int64 signs and levels of B checked states, and
+    their (B, M) float64 scaled overlaps."""
+    signs = np.stack([p.signs for p in inputs], axis=1).astype(np.int64)
+    levels = np.stack([p.levels for p in inputs], axis=1)
+    m = np.stack([_overlaps(memory, p.signs, p.levels) for p in inputs]).astype(np.float64)
+    return signs, levels, m
 
 
 def _field(memory: Memory, m: np.ndarray, m_sum: int, i: int, s: int, l: int) -> np.ndarray:
@@ -400,6 +425,25 @@ def _decide_bins(memory: Memory, bins: np.ndarray, c, c_l, signs, levels):
     return np.where(a > 0, 1, np.where(a < 0, -1, signs)), new_levels
 
 
+def _hebbian_bins(memory: Memory, i: int, m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Neuron i's (B, q) Hebbian sums sum_mu sigma_i^mu m[b, mu] e_{lev_i^mu}
+    for the (B, M) float64 overlaps m.
+
+    They are the product m @ W_i of neuron i's signed one-hot (M, q) matrix,
+    W_i[mu, lev_i^mu - 1] = sigma_i^mu.  W_i is scattered into the caller's
+    all-zero float64 (M, q) scratch ``w`` and cleared again after the
+    product, so no W is kept for every neuron.  All terms are integers and
+    |m_mu| <= q N, so the product is exact in any summation order while
+    M q N < 2**53.
+    """
+    flat = w.reshape(-1)
+    at = memory._levels[i] + np.arange(-1, w.size - 1, memory.q)  # row mu's level l is mu*q + l - 1
+    flat[at] = memory._signs[i].astype(np.float64)  # a same-type scatter is the faster one
+    bins = m @ w
+    flat[at] = 0
+    return bins
+
+
 def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
     """One parallel update of all neurons from fields on the input state."""
     _check_state(memory, state)
@@ -407,6 +451,35 @@ def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
     bins = _level_sums(memory._levels, memory.q, memory._signs, m).ravel()
     s, l, c = state.signs.astype(np.int64), state.levels, memory._level_counts
     return Pattern(*_decide_bins(memory, bins, c, c[np.arange(memory.n_neurons), l - 1], s, l))
+
+
+def synchronous_batch(memory: Memory, states: Sequence[Pattern]) -> list[Pattern]:
+    """One parallel update of each state; result r equals
+    ``synchronous_step(memory, states[r])`` bit for bit.
+
+    The fields all come from the states' fixed initial overlaps.  Neuron i's
+    fields on every state are one product (``_hebbian_bins``), decided
+    together with ``_decide_bins``, so no (B, N, q) array is built.  For a
+    single state ``synchronous_step`` is the faster call.
+    """
+    _check_inputs(memory, states)
+    signs, levels, m = _stack_inputs(memory, states)
+    n, b, q = memory.n_neurons, len(states), memory.q
+    w = np.zeros((memory.n_patterns, q))
+    per = min(n, max(1, (1 << 16) // (b * q)))  # neurons per slab of about 2**16 bins
+    bins = np.empty((per, b, q))
+    new_signs, new_levels = np.empty_like(signs), np.empty_like(levels)
+    for lo in range(0, n, per):
+        hi = min(n, lo + per)
+        for i in range(lo, hi):
+            bins[i - lo] = _hebbian_bins(memory, i, m, w)
+        s, l, c = signs[lo:hi], levels[lo:hi], memory._level_counts[lo:hi]
+        new_s, new_l = _decide_bins(
+            memory, bins[:hi - lo].ravel(), np.repeat(c, b, axis=0),
+            np.take_along_axis(c, l - 1, axis=1).ravel(), s.ravel(), l.ravel(),
+        )
+        new_signs[lo:hi], new_levels[lo:hi] = new_s.reshape(-1, b), new_l.reshape(-1, b)
+    return [Pattern(new_signs[:, r], new_levels[:, r]) for r in range(b)]
 
 
 def is_fixed_point(memory: Memory, state: Pattern) -> bool:
@@ -481,30 +554,29 @@ def retrieve_batch(
     """Relax several inputs in lockstep, visiting neurons in sequential order.
 
     Result r equals ``asynchronous_retrieve(memory, inputs[r], max_sweeps)``
-    bit for bit.  A visit to neuron i sums every still-active input's
-    Hebbian field with one ``bincount`` over (row, stored level) and decides
-    all of them with ``_decide_bins``; an input drops out after the first
-    sweep that changes nothing in it.
+    bit for bit.  A visit to neuron i gets every still-active input's
+    Hebbian bins as one product of their (B, M) overlaps with neuron i's
+    signed one-hot (M, q) matrix (``_hebbian_bins``) and decides all of them
+    with ``_decide_bins``; an input drops out after the first sweep that
+    changes nothing in it.  The float64 product is exact while every sum
+    stays below 2**53.  With a single input the scalar visit of
+    ``asynchronous_retrieve`` is the faster one.
     """
     max_sweeps = _check_retrieval(memory, inputs, max_sweeps)
-    a, q, counts = memory._alpha, memory.q, memory._level_counts
+    a, counts = memory._alpha, memory._level_counts
     # the active rows: input index, state (neuron-major), overlaps, changes so far
     index = np.arange(len(inputs))
-    signs = np.stack([p.signs for p in inputs], axis=1).astype(np.int64)
-    levels = np.stack([p.levels for p in inputs], axis=1)
-    m = np.stack([_overlaps(memory, p.signs, p.levels) for p in inputs]).astype(np.float64)
+    signs, levels, m = _stack_inputs(memory, inputs)
     changed_total = np.zeros(len(inputs), dtype=np.int64)
+    w = np.zeros((memory.n_patterns, memory.q))
     results: list = [None] * len(inputs)
 
     for sweeps in range(1, max_sweeps + 1):
-        offsets = (np.arange(len(index)) * q - 1)[:, None]  # bin of (row, level)
         changed = np.zeros(len(index), dtype=np.int64)
         for i in range(memory.n_neurons):
             sigma, lev = memory._signs[i], memory._levels[i]
             s, l = signs[i], levels[i]
-            bins = np.bincount(
-                (lev + offsets).ravel(), weights=(m * sigma).ravel(), minlength=len(index) * q
-            )
+            bins = _hebbian_bins(memory, i, m, w).ravel()
             new_s, new_l = _decide_bins(memory, bins, counts[i], counts[i][l - 1], s, l)
             moved = np.flatnonzero((new_s != s) | (new_l != l))
             if moved.size:

@@ -20,6 +20,7 @@ from pnn import (
     make_rng,
     random_qnary_patterns,
     retrieve_batch,
+    synchronous_batch,
     synchronous_step,
 )
 from oracles import ScalarHopfield, naive_decide, naive_energy, naive_local_field, with_neuron
@@ -84,6 +85,8 @@ class TestConstruction:
         ([1, -1], [2.9, 1], LevelOutOfRange),
         ([1], [1e20], LevelOutOfRange),
         ([1], [2.0**63], LevelOutOfRange),
+        ([1], np.array([2**63], dtype=np.uint64), LevelOutOfRange),
+        ([1], np.array([2**64 - 1], dtype=np.uint64), LevelOutOfRange),
     ])
     def test_pattern_rejects_fractional_values(self, signs, levels, error):
         with pytest.raises(error):
@@ -260,6 +263,24 @@ class TestSynchronousStep:
         mem, _ = random_memory(make_rng(24), 10, 2, 2, NetworkKind.PNN2)
         with pytest.raises(DimensionMismatch):
             synchronous_step(mem, Pattern(np.ones(9), np.ones(9)))
+
+    def test_batch_at_q1_by_hand(self):
+        # Hopfield couplings of [1, 1, 1] and [1, -1, -1]: J_01 = J_02 = 0 and
+        # J_12 = 2, so neuron 0 sees a zero field and keeps its sign, while
+        # neurons 1 and 2 copy each other's sign
+        mem = Memory(NetworkKind.PNN2, 1, [[1, 1, 1], [1, -1, -1]], np.ones((2, 3)))
+        a, b = Pattern([-1, 1, -1], [1, 1, 1]), Pattern([1, 1, 1], [1, 1, 1])
+        assert synchronous_batch(mem, [a, b, a]) == [
+            Pattern([-1, -1, 1], [1, 1, 1]), b, Pattern([-1, -1, 1], [1, 1, 1])
+        ]
+
+    def test_batch_rejects_no_states_and_a_bad_state(self):
+        mem, _ = random_memory(make_rng(25), 10, 2, 2, NetworkKind.PNN2)
+        with pytest.raises(DimensionMismatch):
+            synchronous_batch(mem, [])
+        good, bad = Pattern(np.ones(10), np.ones(10)), Pattern(np.ones(10), np.full(10, 3))
+        with pytest.raises(LevelOutOfRange):
+            synchronous_batch(mem, [good, bad])
 
 
 class TestAsynchronousRetrieve:

@@ -3,10 +3,11 @@
 Hypothesis draws small memories of both kinds, with pattern levels drawn
 from [1, used] for a random used <= q, so that levels no pattern uses (a
 zero level count at a neuron) come up often, and states over all of [1, q].
-Fields and energy are checked against the naive sums, both dynamics against
-the naive decision rule on the naive field, batched retrieval against serial
-retrieval, the binary mapping against its literal reference and the
-identifier's digits against the naive identifier field.
+Fields and energy are checked against the naive sums, both dynamics and the
+batched synchronous step against the naive decision rule on the naive field,
+batched retrieval and the batched step against their serial forms, the
+binary mapping against its literal reference and the identifier's digits
+against the naive identifier field.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from pnn import (
     local_field,
     map_binary,
     retrieve_batch,
+    synchronous_batch,
     synchronous_step,
     unmap_binary,
 )
@@ -100,6 +102,17 @@ def test_synchronous_step_applies_the_rule_to_every_naive_field(case):
     memory, state = case
     signs, levels = zip(*(naive_update(memory, state, i) for i in range(memory.n_neurons)))
     assert synchronous_step(memory, state) == Pattern(signs, levels)
+
+
+@given(memory_and_states(count=st.integers(1, 5)))
+def test_batched_synchronous_step_equals_serial_step_and_naive_rule(case):
+    memory, states = case
+    batch = synchronous_batch(memory, states)
+    assert len(batch) == len(states)
+    for state, got in zip(states, batch):
+        assert got == synchronous_step(memory, state)
+        signs, levels = zip(*(naive_update(memory, state, i) for i in range(memory.n_neurons)))
+        assert got == Pattern(signs, levels)
 
 
 @given(memory_and_state())
