@@ -177,8 +177,8 @@ def _pattern_count(m: int | None, load: float | None, n: int) -> int:
     if m is not None and load is not None:
         raise ConfigError("give either --M or --load, not both")
     if load is not None:
-        if load <= 0:
-            raise ConfigError(f"load must be positive, got {load}")
+        if not (load > 0 and math.isfinite(load)):
+            raise ConfigError(f"--load must be a positive finite number, got {load}")
         m = int(round(load * n))
     if m is None:
         raise ConfigError("pattern count required: --M or --load")

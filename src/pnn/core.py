@@ -30,10 +30,13 @@ The batched kernels, ``retrieve_batch`` and ``synchronous_batch``, get
 neuron i's Hebbian sums for B states at once as one small matrix product
 m @ W_i of the (B, M) overlaps with the neuron's signed one-hot (M, q)
 matrix, built in a scratch array per visit and never stored for every
-neuron.  The sums are integers held in float64, so the product is exact,
-in any summation order, while they stay below 2**53.  For one state the
-scalar paths, ``asynchronous_retrieve`` and ``synchronous_step``, bin the
-same sums with ``bincount`` and cost less.
+neuron; ``retrieve_batch`` updates the overlaps of the states that moved
+with one more product from the same W_i.  The sums are integers held in
+float64, so the products are exact, in any summation order, while they
+stay below 2**53.  For one state the scalar paths, ``asynchronous_retrieve``
+and ``synchronous_step``, bin the same sums with ``bincount`` and cost less.
+All decide on the field over alpha, shifted alike at every level, which
+the alignment rule cannot tell from the field itself.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -310,19 +313,9 @@ def _check_retrieval(memory: Memory, inputs: Sequence[Pattern], max_sweeps) -> i
 # (beta is nonzero only for PNN3, whose signs are all +1).
 
 
-def _terms(memory: Memory, sigma, lev, s, l) -> np.ndarray:
-    """Scaled <w, x> of stored (sigma, lev) against state (s, l), elementwise (int64)."""
-    t = sigma.astype(np.int64)
-    t *= lev == l
-    t *= s
-    t *= memory._alpha
-    t -= memory._beta
-    return t
-
-
 def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Scaled per-pattern overlaps m of the state (signs, levels): the sum
-    over neurons of ``_terms``, with the +-1/0 products kept in int8."""
+    """Scaled per-pattern overlaps m of the state (signs, levels), int64: the
+    sum over neurons of <w_j^mu, x_j>, with the +-1/0 products kept in int8."""
     agree = memory._signs * (memory._levels == levels.astype(memory._levels.dtype)[:, None])
     agree *= signs.astype(np.int8)[:, None]
     return memory._alpha * agree.sum(axis=0, dtype=np.int64) - memory._beta * memory.n_neurons
@@ -337,22 +330,6 @@ def _stack_inputs(memory: Memory, inputs: Sequence[Pattern]):
     return signs, levels, m
 
 
-def _field(memory: Memory, m: np.ndarray, m_sum: int, i: int, s: int, l: int) -> np.ndarray:
-    """Scaled amplitudes at neuron i in state s*e_l, exact integers held in float64.
-
-    h_i = sum_mu w_i^mu m_mu - s J_ii e_l, where m_sum = sum(m) and
-    sum_mu w_i^mu m_mu = alpha sum_mu sigma_i^mu m_mu e_{l_i^mu} - beta m_sum e.
-    """
-    a, b = memory._alpha, memory._beta
-    c = memory._level_counts[i]
-    c_l = int(c[l - 1])
-    binned = np.bincount(memory._levels[i] - 1, weights=memory._signs[i] * m, minlength=memory.q)
-    h = a * binned + (s * a * b) * c
-    h -= b * m_sum + s * (b * b * memory.n_patterns - a * b * c_l)
-    h[l - 1] -= s * a * a * c_l
-    return h
-
-
 def _field_denominator(memory: Memory) -> float:
     return float(memory.n_neurons * memory._alpha ** 2)
 
@@ -363,15 +340,23 @@ def local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
     A read-only float64 array of shape (q,): amplitude l - 1 is the field's
     coefficient on e_l.  Algebraically equal to the naive double sum over
     patterns and the other N-1 neurons (self-coupling excluded); evaluated
-    in O(M + q) via overlaps.
+    in O(M + q) via overlaps as the scaled exact integers
+    h_i = sum_mu w_i^mu m_mu - s J_ii e_l, where
+    sum_mu w_i^mu m_mu = alpha sum_mu sigma_i^mu m_mu e_{l_i^mu} - beta sum(m) e.
     """
     _check_state(memory, state)
     if not (0 <= i < memory.n_neurons and i % 1 == 0):
         raise IndexOutOfRange(f"neuron index {i} is not a whole number in [0, {memory.n_neurons})")
-    i = int(i)
+    i, a, b = int(i), memory._alpha, memory._beta
     m = _overlaps(memory, state.signs, state.levels)
     s, l = int(state.signs[i]), int(state.levels[i])
-    amplitudes = _field(memory, m, int(m.sum()), i, s, l) / _field_denominator(memory)
+    c = memory._level_counts[i]
+    c_l = int(c[l - 1])
+    binned = np.bincount(memory._levels[i] - 1, weights=memory._signs[i] * m, minlength=memory.q)
+    h = a * binned + (s * a * b) * c
+    h -= b * int(m.sum()) + s * (b * b * memory.n_patterns - a * b * c_l)
+    h[l - 1] -= s * a * a * c_l
+    amplitudes = h / _field_denominator(memory)
     amplitudes.setflags(write=False)
     return amplitudes
 
@@ -395,21 +380,22 @@ def _decide(kind: NetworkKind, amps: np.ndarray, cur_sign: int, cur_level: int):
     return (-1 if a < 0 else cur_sign), k + 1
 
 
-def _decide_bins(memory: Memory, bins: np.ndarray, c, c_l, signs, levels):
+def _decide_bins(memory: Memory, bins: np.ndarray, c, c_l, signs, levels, base):
     """The new (signs, levels) of B neurons in states (signs, levels).
 
     ``bins`` holds their flattened (B, q) Hebbian sums
     sum_mu sigma_i^mu m_mu e_{lev_i^mu}; c are their rows of the level-count
-    table (or one row shared by all) and c_l the counts at their current
-    levels.  ``bins`` is completed in place to the decision field
-    bins + s beta C_i - s alpha C_il e_l: the field of ``_field`` divided by
+    table (or one row shared by all), c_l the counts at their current levels
+    and base = arange(0, B*q, q) the flat position of each row's level 1.
+    ``bins`` is completed in place to the decision field
+    bins + s beta C_i - s alpha C_il e_l, which ``asynchronous_retrieve``
+    also decides on: the scaled field of ``local_field`` divided by
     alpha > 0, less -beta sum(m) - s (beta^2 M - alpha beta C_il), which
     shifts all of a neuron's amplitudes alike and is zero for PNN2 (whose
-    rule compares moduli).  So the rule of ``_decide``, applied to each row,
-    picks the same state here as on the full field.
+    rule compares moduli).  So the rule of ``_decide``, applied to each
+    row, picks the same state here as on the full field.
     """
     q = memory.q
-    base = np.arange(0, bins.size, q)  # flat position of each row's level 1
     cur = base + levels - 1
     bins[cur] -= memory._alpha * signs * c_l
     if memory._beta:
@@ -425,23 +411,19 @@ def _decide_bins(memory: Memory, bins: np.ndarray, c, c_l, signs, levels):
     return np.where(a > 0, 1, np.where(a < 0, -1, signs)), new_levels
 
 
-def _hebbian_bins(memory: Memory, i: int, m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Neuron i's (B, q) Hebbian sums sum_mu sigma_i^mu m[b, mu] e_{lev_i^mu}
-    for the (B, M) float64 overlaps m.
+def _load_w(memory: Memory, i: int, flat_w: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Scatter neuron i's signed one-hot (M, q) matrix W_i[mu, lev_i^mu - 1] =
+    sigma_i^mu into the caller's all-zero float64 scratch (passed flattened)
+    at offsets + lev_i, offsets = arange(-1, M*q - 1, q); return the positions.
 
-    They are the product m @ W_i of neuron i's signed one-hot (M, q) matrix,
-    W_i[mu, lev_i^mu - 1] = sigma_i^mu.  W_i is scattered into the caller's
-    all-zero float64 (M, q) scratch ``w`` and cleared again after the
-    product, so no W is kept for every neuron.  All terms are integers and
-    |m_mu| <= q N, so the product is exact in any summation order while
-    M q N < 2**53.
+    The (B, M) float64 overlaps m then give neuron i's Hebbian sums
+    sum_mu sigma_i^mu m[b, mu] e_{lev_i^mu} as m @ W_i, with no W kept for
+    every neuron.  All terms are integers and |m_mu| <= q N, so products
+    with W_i are exact in any summation order while M q N < 2**53.
     """
-    flat = w.reshape(-1)
-    at = memory._levels[i] + np.arange(-1, w.size - 1, memory.q)  # row mu's level l is mu*q + l - 1
-    flat[at] = memory._signs[i].astype(np.float64)  # a same-type scatter is the faster one
-    bins = m @ w
-    flat[at] = 0
-    return bins
+    at = memory._levels[i] + offsets
+    flat_w[at] = memory._signs[i].astype(np.float64)  # a same-type scatter is the faster one
+    return at
 
 
 def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
@@ -450,7 +432,8 @@ def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
     m = _overlaps(memory, state.signs, state.levels)
     bins = _level_sums(memory._levels, memory.q, memory._signs, m).ravel()
     s, l, c = state.signs.astype(np.int64), state.levels, memory._level_counts
-    return Pattern(*_decide_bins(memory, bins, c, c[np.arange(memory.n_neurons), l - 1], s, l))
+    c_l, base = c[np.arange(memory.n_neurons), l - 1], np.arange(0, bins.size, memory.q)
+    return Pattern(*_decide_bins(memory, bins, c, c_l, s, l, base))
 
 
 def synchronous_batch(memory: Memory, states: Sequence[Pattern]) -> list[Pattern]:
@@ -458,7 +441,7 @@ def synchronous_batch(memory: Memory, states: Sequence[Pattern]) -> list[Pattern
     ``synchronous_step(memory, states[r])`` bit for bit.
 
     The fields all come from the states' fixed initial overlaps.  Neuron i's
-    fields on every state are one product (``_hebbian_bins``), decided
+    fields on every state are one product m @ W_i (``_load_w``), decided
     together with ``_decide_bins``, so no (B, N, q) array is built.  For a
     single state ``synchronous_step`` is the faster call.
     """
@@ -466,17 +449,22 @@ def synchronous_batch(memory: Memory, states: Sequence[Pattern]) -> list[Pattern
     signs, levels, m = _stack_inputs(memory, states)
     n, b, q = memory.n_neurons, len(states), memory.q
     w = np.zeros((memory.n_patterns, q))
+    flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)
     per = min(n, max(1, (1 << 16) // (b * q)))  # neurons per slab of about 2**16 bins
     bins = np.empty((per, b, q))
+    base = np.arange(0, bins.size, q)
     new_signs, new_levels = np.empty_like(signs), np.empty_like(levels)
     for lo in range(0, n, per):
         hi = min(n, lo + per)
         for i in range(lo, hi):
-            bins[i - lo] = _hebbian_bins(memory, i, m, w)
+            at = _load_w(memory, i, flat_w, offsets)
+            bins[i - lo] = m @ w
+            flat_w[at] = 0
         s, l, c = signs[lo:hi], levels[lo:hi], memory._level_counts[lo:hi]
         new_s, new_l = _decide_bins(
             memory, bins[:hi - lo].ravel(), np.repeat(c, b, axis=0),
             np.take_along_axis(c, l - 1, axis=1).ravel(), s.ravel(), l.ravel(),
+            base[:(hi - lo) * b],
         )
         new_signs[lo:hi], new_levels[lo:hi] = new_s.reshape(-1, b), new_l.reshape(-1, b)
     return [Pattern(new_signs[:, r], new_levels[:, r]) for r in range(b)]
@@ -497,11 +485,13 @@ def asynchronous_retrieve(
 ) -> RetrievalResult:
     """Relax the input one neuron at a time until a sweep changes nothing.
 
-    Fields are always evaluated on the current state; overlaps are updated
-    incrementally, so each neuron visit costs O(M + q).  Energy never
-    increases along the way.  ``rng`` is required for the seeded
-    random-permutation order.  ``retrieve_batch`` relaxes many inputs at
-    once in sequential order.
+    Each visit decides on the decision field of ``_decide_bins`` at the
+    current state: a ``bincount`` of sigma_i m by level, less s alpha C_il
+    at the current level, plus beta C_i.  On a change the float64 overlaps
+    m move by alpha sigma_i (s'[lev_i = l'] - s[lev_i = l]), so a visit
+    costs O(M + q).  Energy never increases.  ``rng`` is required for the
+    seeded random-permutation order; ``retrieve_batch`` relaxes many
+    inputs at once in sequential order.
     """
     max_sweeps = _check_retrieval(memory, [input_state], max_sweeps)
     if not isinstance(order, UpdateOrder):
@@ -509,11 +499,10 @@ def asynchronous_retrieve(
     if order is UpdateOrder.RANDOM_PERMUTATION and rng is None:
         raise ValueError("random-permutation order needs an rng")
 
-    n = memory.n_neurons
+    n, q, a, b = memory.n_neurons, memory.q, memory._alpha, memory._beta
     signs = input_state.signs.copy()
     levels = input_state.levels.copy()
-    m = _overlaps(memory, signs, levels)
-    m_sum = int(m.sum())
+    m = _overlaps(memory, signs, levels).astype(np.float64)
     trace: list[Pattern] | None = [] if record_trace else None
 
     changed_total = 0
@@ -523,15 +512,16 @@ def asynchronous_retrieve(
         for i in visit:
             i = int(i)
             s, l = int(signs[i]), int(levels[i])
-            scaled = _field(memory, m, m_sum, i, s, l)
+            sigma, lev = memory._signs[i], memory._levels[i]
+            scaled = np.bincount(lev - 1, weights=sigma * m, minlength=q)
+            scaled[l - 1] -= s * a * memory._level_counts[i, l - 1]
+            if b:
+                scaled += b * memory._level_counts[i]
             sign, level = _decide(memory.kind, scaled, s, l)
             if sign != s or level != l:
                 signs[i] = sign
                 levels[i] = level
-                sigma, lev = memory._signs[i], memory._levels[i]
-                delta = _terms(memory, sigma, lev, sign, level) - _terms(memory, sigma, lev, s, l)
-                m += delta
-                m_sum += int(delta.sum())
+                m += a * sigma * ((lev == level) * sign - (lev == l) * s)
                 changed_this_sweep += 1
             if trace is not None:
                 trace.append(Pattern(signs, levels))
@@ -554,38 +544,48 @@ def retrieve_batch(
     """Relax several inputs in lockstep, visiting neurons in sequential order.
 
     Result r equals ``asynchronous_retrieve(memory, inputs[r], max_sweeps)``
-    bit for bit.  A visit to neuron i gets every still-active input's
-    Hebbian bins as one product of their (B, M) overlaps with neuron i's
-    signed one-hot (M, q) matrix (``_hebbian_bins``) and decides all of them
-    with ``_decide_bins``; an input drops out after the first sweep that
-    changes nothing in it.  The float64 product is exact while every sum
-    stays below 2**53.  With a single input the scalar visit of
-    ``asynchronous_retrieve`` is the faster one.
+    bit for bit.  A visit to neuron i loads its signed one-hot (M, q) matrix
+    W_i (``_load_w``), gets every still-active input's Hebbian bins as one
+    product m @ W_i of their (B, M) overlaps and decides all of them with
+    ``_decide_bins``.  The k inputs that moved update their overlaps with
+    m[moved] += (alpha D) @ W_i^T, where the (k, q) D holds -s at the old
+    level and +s' at the new one (the two add when only the sign changed),
+    in products of at most 2**18 multiply-adds, which OpenBLAS keeps on one
+    thread.  An input drops out after the first sweep that changes nothing
+    in it.  The float64 products are exact while every sum stays below
+    2**53.  With a single input the scalar visit is the faster one.
     """
     max_sweeps = _check_retrieval(memory, inputs, max_sweeps)
-    a, counts = memory._alpha, memory._level_counts
+    a, q, counts = memory._alpha, memory.q, memory._level_counts
     # the active rows: input index, state (neuron-major), overlaps, changes so far
     index = np.arange(len(inputs))
     signs, levels, m = _stack_inputs(memory, inputs)
     changed_total = np.zeros(len(inputs), dtype=np.int64)
-    w = np.zeros((memory.n_patterns, memory.q))
+    w = np.zeros((memory.n_patterns, q))
+    flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)
+    per = max(1, (1 << 18) // w.size)  # rows per block of the overlap update
     results: list = [None] * len(inputs)
 
     for sweeps in range(1, max_sweeps + 1):
         changed = np.zeros(len(index), dtype=np.int64)
+        base = np.arange(0, len(index) * q, q)  # flat position of each row's level 1
         for i in range(memory.n_neurons):
-            sigma, lev = memory._signs[i], memory._levels[i]
             s, l = signs[i], levels[i]
-            bins = _hebbian_bins(memory, i, m, w).ravel()
-            new_s, new_l = _decide_bins(memory, bins, counts[i], counts[i][l - 1], s, l)
+            at = _load_w(memory, i, flat_w, offsets)
+            bins = (m @ w).ravel()
+            new_s, new_l = _decide_bins(memory, bins, counts[i], counts[i][l - 1], s, l, base)
             moved = np.flatnonzero((new_s != s) | (new_l != l))
             if moved.size:
-                ns, nl = new_s[moved, None], new_l[moved, None]
-                old_s, old_l = s[moved, None], l[moved, None]
-                m[moved] += a * sigma * (ns * (lev == nl) - old_s * (lev == old_l))
+                d = np.zeros(moved.size * q)  # alpha D, flattened
+                rows = base[:moved.size] - 1
+                d[rows + l[moved]] = -a * s[moved]
+                d[rows + new_l[moved]] += a * new_s[moved]
+                for lo in range(0, moved.size, per):
+                    m[moved[lo:lo + per]] += d.reshape(-1, q)[lo:lo + per] @ w.T
                 signs[i, moved] = new_s[moved]
                 levels[i, moved] = new_l[moved]
                 changed[moved] += 1
+            flat_w[at] = 0
         changed_total += changed
         done = (changed == 0) | (sweeps == max_sweeps)
         for r in np.flatnonzero(done):

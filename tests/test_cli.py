@@ -377,6 +377,25 @@ class TestArgumentHandling:
         assert code == 2
         assert "not both" in err
 
+    @pytest.mark.parametrize("load", ["inf", "nan", "-inf", "0"])
+    @pytest.mark.parametrize("command, args", [
+        ("sweep", ["--sweep", "q", "--values", "2"]), ("dpnn-bench", ["--k", "1"]),
+        ("identify-bench", ["--q", "4"]),
+    ])
+    def test_load_not_positive_and_finite_rejected(self, capsys, command, args, load):
+        code, out, err = run_cli(capsys, command, *args, "--N", "20", f"--load={load}", "--trials", "2")
+        assert code == 2
+        assert out == ""
+        assert "--load" in err and "Traceback" not in err
+
+    def test_config_load_inf_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("N = 20\ntrials = 2\nsweep = q\nvalues = 2\nload = inf\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "--load must be a positive finite number, got inf" in err
+
     @pytest.mark.parametrize("count", [["--M", "5"], ["--load", "0.5"], ["--M", "5", "--load", "0.5"]])
     def test_sweep_over_m_rejects_pattern_count(self, capsys, count):
         code, out, err = run_cli(

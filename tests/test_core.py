@@ -388,6 +388,34 @@ class TestRetrieveBatch:
                 want.converged, want.sweeps_used, want.updates_changed
             )
 
+    def test_one_visit_moves_rows_by_sign_by_level_and_by_both(self):
+        # three noisy copies of a stored pattern that differ from it at neuron 0
+        # by the sign, by the level and by both: the first visit moves all three
+        # back, so one overlap update covers each shape of the delta, and the
+        # later visits see whether it was right
+        rng = make_rng(16)
+        mem, patterns = random_memory(rng, 10, 3, 3, NetworkKind.PNN2)
+        target = patterns[0]
+        signs = target.signs.copy()
+        signs[rng.choice(np.arange(1, 10), 3, replace=False)] *= -1
+        noisy = Pattern(signs, target.levels)
+        s0, l0 = int(target.signs[0]), int(target.levels[0])
+        other = l0 % 3 + 1
+        inputs = [
+            with_neuron(noisy, 0, -s0, l0),
+            with_neuron(noisy, 0, s0, other),
+            with_neuron(noisy, 0, -s0, other),
+        ]
+        for x in inputs:
+            first = asynchronous_retrieve(mem, x, 1, record_trace=True).trace[0]
+            assert (first.signs[0], first.levels[0]) == (s0, l0)
+        for x, got in zip(inputs, retrieve_batch(mem, inputs, 3)):
+            want = asynchronous_retrieve(mem, x, 3)
+            assert got.final_state == want.final_state == target
+            assert (got.converged, got.sweeps_used, got.updates_changed) == (
+                want.converged, want.sweeps_used, want.updates_changed
+            ) == (True, 2, 4)
+
     def test_empty_inputs_rejected(self):
         mem, _ = random_memory(make_rng(38), 10, 2, 2, NetworkKind.PNN2)
         with pytest.raises(DimensionMismatch):

@@ -3,8 +3,9 @@
 Hypothesis draws small memories of both kinds, with pattern levels drawn
 from [1, used] for a random used <= q, so that levels no pattern uses (a
 zero level count at a neuron) come up often, and states over all of [1, q].
-Fields and energy are checked against the naive sums, both dynamics and the
-batched synchronous step against the naive decision rule on the naive field,
+Fields and energy are checked against the naive sums, both dynamics (the
+asynchronous one in either visiting order, visit by visit) and the batched
+synchronous step against the naive decision rule on the naive field,
 batched retrieval and the batched step against their serial forms, the
 binary mapping against its literal reference and the identifier's digits
 against the naive identifier field.
@@ -20,6 +21,7 @@ from pnn import (
     NetworkKind,
     Pattern,
     UnknownPattern,
+    UpdateOrder,
     asynchronous_retrieve,
     energy,
     identify,
@@ -115,13 +117,21 @@ def test_batched_synchronous_step_equals_serial_step_and_naive_rule(case):
         assert got == Pattern(signs, levels)
 
 
-@given(memory_and_state())
-def test_every_visit_follows_the_naive_field_and_changes_lower_energy(case):
+@given(memory_and_state(), st.sampled_from(UpdateOrder), st.integers(0, 2**32 - 1))
+def test_every_visit_follows_the_naive_field_and_changes_lower_energy(case, order, seed):
     memory, state = case
-    result = asynchronous_retrieve(memory, state, max_sweeps=4, record_trace=True)
+    n = memory.n_neurons
+    result = asynchronous_retrieve(
+        memory, state, max_sweeps=4, order=order, rng=np.random.default_rng(seed), record_trace=True
+    )
+    # the visiting order rebuilt from the same seed: one permutation per sweep
+    replay = np.random.default_rng(seed)
+    visits = [
+        int(i) for _ in range(result.sweeps_used)
+        for i in (range(n) if order is UpdateOrder.SEQUENTIAL else replay.permutation(n))
+    ]
     prev, prev_energy = state, naive_energy(memory, state)
-    for t, snapshot in enumerate(result.trace):
-        i = t % memory.n_neurons
+    for i, snapshot in zip(visits, result.trace, strict=True):
         assert snapshot == with_neuron(prev, i, *naive_update(memory, prev, i))
         if snapshot != prev:
             snapshot_energy = naive_energy(memory, snapshot)
