@@ -26,17 +26,18 @@ once the overlaps are known.  Overlaps and fields are exact integers scaled
 by N * alpha^2; the single final division reproduces the integer
 comparisons bit-for-bit at any realistic size.
 
-The batched kernels, ``retrieve_batch`` and ``synchronous_batch``, get
-neuron i's Hebbian sums for B states at once as one small matrix product
-m @ W_i of the (B, M) overlaps with the neuron's signed one-hot (M, q)
-matrix, built in a scratch array per visit and never stored for every
-neuron; ``retrieve_batch`` updates the overlaps of the states that moved
-with one more product from the same W_i.  The sums are integers held in
-float64, so the products are exact, in any summation order, while they
-stay below 2**53.  For one state the scalar paths, ``asynchronous_retrieve``
-and ``synchronous_step``, bin the same sums with ``bincount`` and cost less.
-All decide on the field over alpha, shifted alike at every level, which
-the alignment rule cannot tell from the field itself.
+Every kernel decides on one decision field (``_decision_field``), the
+scaled field over alpha shifted alike at every level, which the alignment
+rule cannot tell from the field itself; ``local_field`` builds the field
+from it.  The asynchronous visit, and ``synchronous_batch`` for one state,
+bin the Hebbian sums with ``bincount``.  ``retrieve_batch``, and
+``synchronous_batch`` for B > 1 states, get neuron i's sums on all B states
+as one small matrix product m @ W_i of the (B, M) overlaps with the
+neuron's signed one-hot (M, q) matrix, built in a scratch array per visit
+and never stored for every neuron; ``retrieve_batch`` updates the overlaps
+of the states that moved with one more product from the same W_i.  The
+sums are integers held in float64, so the products are exact, in any
+summation order, while they stay below 2**53.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -290,16 +291,8 @@ def _check_state(memory: Memory, state: Pattern) -> None:
     _check_values(state.signs, state.levels, memory.q, unsigned=memory.kind is NetworkKind.PNN3)
 
 
-def _check_inputs(memory: Memory, inputs: Sequence[Pattern]) -> None:
-    if len(inputs) == 0:
-        raise DimensionMismatch("at least one input state is required")
-    for state in inputs:
-        _check_state(memory, state)
-
-
-def _check_retrieval(memory: Memory, inputs: Sequence[Pattern], max_sweeps) -> int:
-    """Validate a retrieval's input states and sweep cap; the cap as an int."""
-    _check_inputs(memory, inputs)
+def _check_retrieval(max_sweeps) -> int:
+    """The sweep cap of a retrieval as an int, checked to be a whole number >= 1."""
     if not (max_sweeps >= 1 and max_sweeps % 1 == 0):
         raise ValueError(f"max_sweeps must be a whole number >= 1, got {max_sweeps}")
     return int(max_sweeps)
@@ -322,8 +315,12 @@ def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarr
 
 
 def _stack_inputs(memory: Memory, inputs: Sequence[Pattern]):
-    """Neuron-major (N, B) int64 signs and levels of B checked states, and
-    their (B, M) float64 scaled overlaps."""
+    """Check B input states; their neuron-major (N, B) int64 signs and
+    levels, and their (B, M) float64 scaled overlaps."""
+    if len(inputs) == 0:
+        raise DimensionMismatch("at least one input state is required")
+    for state in inputs:
+        _check_state(memory, state)
     signs = np.stack([p.signs for p in inputs], axis=1).astype(np.int64)
     levels = np.stack([p.levels for p in inputs], axis=1)
     m = np.stack([_overlaps(memory, p.signs, p.levels) for p in inputs]).astype(np.float64)
@@ -334,15 +331,30 @@ def _field_denominator(memory: Memory) -> float:
     return float(memory.n_neurons * memory._alpha ** 2)
 
 
+def _decision_field(memory: Memory, i: int, s: int, l: int, m: np.ndarray) -> np.ndarray:
+    """Scaled decision field D of neuron i in state (s, l) at overlaps m, float64:
+    a ``bincount`` of sigma_i m by level, less s alpha C_il at level l, plus
+    beta C_i (PNN3 signs are all +1).  The scaled field of ``local_field`` is
+    alpha D - beta sum(m) - s (beta^2 M - alpha beta C_il), the same shift at
+    every level, so the alignment rule picks the same state on D."""
+    counts = memory._level_counts
+    # bin 0 stays empty, as levels start at 1
+    d = np.bincount(memory._levels[i], weights=memory._signs[i] * m, minlength=memory.q + 1)[1:]
+    d[l - 1] -= s * memory._alpha * counts[i, l - 1]
+    if memory._beta:
+        d += memory._beta * counts[i]
+    return d
+
+
 def local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
     """Local-field amplitudes at neuron i for the given state.
 
     A read-only float64 array of shape (q,): amplitude l - 1 is the field's
     coefficient on e_l.  Algebraically equal to the naive double sum over
     patterns and the other N-1 neurons (self-coupling excluded); evaluated
-    in O(M + q) via overlaps as the scaled exact integers
-    h_i = sum_mu w_i^mu m_mu - s J_ii e_l, where
-    sum_mu w_i^mu m_mu = alpha sum_mu sigma_i^mu m_mu e_{l_i^mu} - beta sum(m) e.
+    in O(M + q) from the decision field D of ``_decision_field`` as the
+    scaled exact integers alpha D - beta sum(m) - s (beta^2 M - alpha beta C_il),
+    divided once by N alpha^2.
     """
     _check_state(memory, state)
     if not (0 <= i < memory.n_neurons and i % 1 == 0):
@@ -350,12 +362,9 @@ def local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
     i, a, b = int(i), memory._alpha, memory._beta
     m = _overlaps(memory, state.signs, state.levels)
     s, l = int(state.signs[i]), int(state.levels[i])
-    c = memory._level_counts[i]
-    c_l = int(c[l - 1])
-    binned = np.bincount(memory._levels[i] - 1, weights=memory._signs[i] * m, minlength=memory.q)
-    h = a * binned + (s * a * b) * c
+    c_l = int(memory._level_counts[i, l - 1])
+    h = a * _decision_field(memory, i, s, l, m)
     h -= b * int(m.sum()) + s * (b * b * memory.n_patterns - a * b * c_l)
-    h[l - 1] -= s * a * a * c_l
     amplitudes = h / _field_denominator(memory)
     amplitudes.setflags(write=False)
     return amplitudes
@@ -380,34 +389,32 @@ def _decide(kind: NetworkKind, amps: np.ndarray, cur_sign: int, cur_level: int):
     return (-1 if a < 0 else cur_sign), k + 1
 
 
-def _decide_bins(memory: Memory, bins: np.ndarray, c, c_l, signs, levels, base):
-    """The new (signs, levels) of B neurons in states (signs, levels).
+def _decide_bins(memory: Memory, bins: np.ndarray, neurons, signs, levels, base):
+    """The new (signs, levels), flattened in row order, of neurons in B
+    states each: the rule of ``_decide`` applied to each row of their
+    decision fields.
 
-    ``bins`` holds their flattened (B, q) Hebbian sums
-    sum_mu sigma_i^mu m_mu e_{lev_i^mu}; c are their rows of the level-count
-    table (or one row shared by all), c_l the counts at their current levels
-    and base = arange(0, B*q, q) the flat position of each row's level 1.
-    ``bins`` is completed in place to the decision field
-    bins + s beta C_i - s alpha C_il e_l, which ``asynchronous_retrieve``
-    also decides on: the scaled field of ``local_field`` divided by
-    alpha > 0, less -beta sum(m) - s (beta^2 M - alpha beta C_il), which
-    shifts all of a neuron's amplitudes alike and is zero for PNN2 (whose
-    rule compares moduli).  So the rule of ``_decide``, applied to each
-    row, picks the same state here as on the full field.
+    ``neurons`` is one index, with (B,) states and (B, q) ``bins``, or a
+    (K, 1) index column, with (K, B) states and (K, B, q) ``bins``; base =
+    arange(0, K*B*q, q) locates each row's level 1 in the flat bins.  The
+    C-contiguous ``bins`` holds their Hebbian sums sum_mu sigma_i^mu m_mu
+    e_{lev_i^mu} and is completed in place to the decision field of
+    ``_decision_field``, with C_i and C_il read from the level-count table.
     """
-    q = memory.q
+    q, counts = memory.q, memory._level_counts
+    c_l = counts.take(levels + (neurons * q - 1))  # C_il, the count at the current level
+    flat, signs, levels = bins.ravel(), signs.ravel(), levels.ravel()  # views
     cur = base + levels - 1
-    bins[cur] -= memory._alpha * signs * c_l
+    flat[cur] -= memory._alpha * signs * c_l.ravel()
     if memory._beta:
-        rows = bins.reshape(-1, q)  # a view: adding to it completes bins
-        rows += memory._beta * c  # s beta C_i, as PNN3 signs are all +1
-    score = np.abs(bins) if memory.kind is NetworkKind.PNN2 else bins
+        bins += memory._beta * counts[neurons]
+    score = np.abs(flat) if memory.kind is NetworkKind.PNN2 else flat
     best = score.reshape(-1, q).argmax(axis=1) + base
     best = np.where(score[cur] == score[best], cur, best)
     new_levels = best - base + 1
     if memory.kind is NetworkKind.PNN3:
         return signs, new_levels
-    a = bins[best]
+    a = flat[best]
     return np.where(a > 0, 1, np.where(a < 0, -1, signs)), new_levels
 
 
@@ -427,43 +434,42 @@ def _load_w(memory: Memory, i: int, flat_w: np.ndarray, offsets: np.ndarray) -> 
 
 
 def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
-    """One parallel update of all neurons from fields on the input state."""
-    _check_state(memory, state)
-    m = _overlaps(memory, state.signs, state.levels)
-    bins = _level_sums(memory._levels, memory.q, memory._signs, m).ravel()
-    s, l, c = state.signs.astype(np.int64), state.levels, memory._level_counts
-    c_l, base = c[np.arange(memory.n_neurons), l - 1], np.arange(0, bins.size, memory.q)
-    return Pattern(*_decide_bins(memory, bins, c, c_l, s, l, base))
+    """One parallel update of all neurons from fields on the input state:
+    ``synchronous_batch(memory, [state])[0]``."""
+    return synchronous_batch(memory, [state])[0]
 
 
 def synchronous_batch(memory: Memory, states: Sequence[Pattern]) -> list[Pattern]:
-    """One parallel update of each state; result r equals
-    ``synchronous_step(memory, states[r])`` bit for bit.
+    """One parallel update of each state from its fixed initial overlaps m;
+    result r equals ``synchronous_step(memory, states[r])`` bit for bit.
 
-    The fields all come from the states' fixed initial overlaps.  Neuron i's
-    fields on every state are one product m @ W_i (``_load_w``), decided
-    together with ``_decide_bins``, so no (B, N, q) array is built.  For a
-    single state ``synchronous_step`` is the faster call.
+    Neurons go in slabs of about 2**16 bins, so no (B, N, q) array is
+    built.  The Hebbian sums of a slab come from B itself: for one state
+    from ``_level_sums``, the ``bincount`` sums with no W scratch; for more,
+    neuron i's sums on every state are one product m @ W_i (``_load_w``).
+    Each slab is decided with ``_decide_bins``.
     """
-    _check_inputs(memory, states)
     signs, levels, m = _stack_inputs(memory, states)
     n, b, q = memory.n_neurons, len(states), memory.q
-    w = np.zeros((memory.n_patterns, q))
-    flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)
-    per = min(n, max(1, (1 << 16) // (b * q)))  # neurons per slab of about 2**16 bins
-    bins = np.empty((per, b, q))
-    base = np.arange(0, bins.size, q)
+    per = min(n, max(1, (1 << 16) // (b * q)))  # neurons per slab
+    base = np.arange(0, per * b * q, q)
+    if b > 1:
+        w = np.zeros((memory.n_patterns, q))
+        flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)
+        bins = np.empty((per, b, q))
     new_signs, new_levels = np.empty_like(signs), np.empty_like(levels)
     for lo in range(0, n, per):
         hi = min(n, lo + per)
-        for i in range(lo, hi):
-            at = _load_w(memory, i, flat_w, offsets)
-            bins[i - lo] = m @ w
-            flat_w[at] = 0
-        s, l, c = signs[lo:hi], levels[lo:hi], memory._level_counts[lo:hi]
+        if b == 1:
+            slab = _level_sums(memory._levels[lo:hi], q, memory._signs[lo:hi], m[0])[:, None]
+        else:
+            slab = bins[:hi - lo]
+            for i in range(lo, hi):
+                at = _load_w(memory, i, flat_w, offsets)
+                slab[i - lo] = m @ w
+                flat_w[at] = 0
         new_s, new_l = _decide_bins(
-            memory, bins[:hi - lo].ravel(), np.repeat(c, b, axis=0),
-            np.take_along_axis(c, l - 1, axis=1).ravel(), s.ravel(), l.ravel(),
+            memory, slab, np.arange(lo, hi)[:, None], signs[lo:hi], levels[lo:hi],
             base[:(hi - lo) * b],
         )
         new_signs[lo:hi], new_levels[lo:hi] = new_s.reshape(-1, b), new_l.reshape(-1, b)
@@ -485,24 +491,22 @@ def asynchronous_retrieve(
 ) -> RetrievalResult:
     """Relax the input one neuron at a time until a sweep changes nothing.
 
-    Each visit decides on the decision field of ``_decide_bins`` at the
-    current state: a ``bincount`` of sigma_i m by level, less s alpha C_il
-    at the current level, plus beta C_i.  On a change the float64 overlaps
-    m move by alpha sigma_i (s'[lev_i = l'] - s[lev_i = l]), so a visit
-    costs O(M + q).  Energy never increases.  ``rng`` is required for the
-    seeded random-permutation order; ``retrieve_batch`` relaxes many
-    inputs at once in sequential order.
+    Each visit decides on the decision field of ``_decision_field`` at the
+    current state.  On a change the float64 overlaps m move by
+    alpha sigma_i (s'[lev_i = l'] - s[lev_i = l]), so a visit costs O(M + q).
+    Energy never increases.  ``rng`` is required for the seeded
+    random-permutation order; ``retrieve_batch`` relaxes many inputs at
+    once in sequential order.
     """
-    max_sweeps = _check_retrieval(memory, [input_state], max_sweeps)
+    signs, levels, m = _stack_inputs(memory, [input_state])
+    signs, levels, m = signs[:, 0], levels[:, 0], m[0]
+    max_sweeps = _check_retrieval(max_sweeps)
     if not isinstance(order, UpdateOrder):
         raise ValueError(f"order must be an UpdateOrder, got {order!r}")
     if order is UpdateOrder.RANDOM_PERMUTATION and rng is None:
         raise ValueError("random-permutation order needs an rng")
 
-    n, q, a, b = memory.n_neurons, memory.q, memory._alpha, memory._beta
-    signs = input_state.signs.copy()
-    levels = input_state.levels.copy()
-    m = _overlaps(memory, signs, levels).astype(np.float64)
+    n, a = memory.n_neurons, memory._alpha
     trace: list[Pattern] | None = [] if record_trace else None
 
     changed_total = 0
@@ -512,15 +516,11 @@ def asynchronous_retrieve(
         for i in visit:
             i = int(i)
             s, l = int(signs[i]), int(levels[i])
-            sigma, lev = memory._signs[i], memory._levels[i]
-            scaled = np.bincount(lev - 1, weights=sigma * m, minlength=q)
-            scaled[l - 1] -= s * a * memory._level_counts[i, l - 1]
-            if b:
-                scaled += b * memory._level_counts[i]
-            sign, level = _decide(memory.kind, scaled, s, l)
+            sign, level = _decide(memory.kind, _decision_field(memory, i, s, l, m), s, l)
             if sign != s or level != l:
                 signs[i] = sign
                 levels[i] = level
+                sigma, lev = memory._signs[i], memory._levels[i]
                 m += a * sigma * ((lev == level) * sign - (lev == l) * s)
                 changed_this_sweep += 1
             if trace is not None:
@@ -555,11 +555,11 @@ def retrieve_batch(
     in it.  The float64 products are exact while every sum stays below
     2**53.  With a single input the scalar visit is the faster one.
     """
-    max_sweeps = _check_retrieval(memory, inputs, max_sweeps)
-    a, q, counts = memory._alpha, memory.q, memory._level_counts
-    # the active rows: input index, state (neuron-major), overlaps, changes so far
-    index = np.arange(len(inputs))
     signs, levels, m = _stack_inputs(memory, inputs)
+    max_sweeps = _check_retrieval(max_sweeps)
+    a, q = memory._alpha, memory.q
+    # the active rows: state (neuron-major) and overlaps, input index, changes so far
+    index = np.arange(len(inputs))
     changed_total = np.zeros(len(inputs), dtype=np.int64)
     w = np.zeros((memory.n_patterns, q))
     flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)
@@ -572,8 +572,7 @@ def retrieve_batch(
         for i in range(memory.n_neurons):
             s, l = signs[i], levels[i]
             at = _load_w(memory, i, flat_w, offsets)
-            bins = (m @ w).ravel()
-            new_s, new_l = _decide_bins(memory, bins, counts[i], counts[i][l - 1], s, l, base)
+            new_s, new_l = _decide_bins(memory, m @ w, i, s, l, base)
             moved = np.flatnonzero((new_s != s) | (new_l != l))
             if moved.size:
                 d = np.zeros(moved.size * q)  # alpha D, flattened

@@ -57,7 +57,6 @@ class OpCounter:
     """Instrumentation for the one-pass claim."""
 
     enumerated_field_evals: int = 0
-    true_field_evals: int = 0
 
 
 class IdentifierNet:

@@ -51,6 +51,34 @@ def naive_local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
     return h / n
 
 
+def exact_local_field(memory: Memory, state: Pattern, i: int) -> tuple[list[int], int]:
+    """Neuron i's field as exact integers, and the scale that divides them.
+
+    Sums w_i^mu <w_j^mu, x_j> over patterns and the other N-1 neurons with
+    the integer stored vectors alpha*s*e_l - beta*e ((alpha, beta) = (1, 0)
+    for PNN2 and (q, 1) for PNN3, q times the centered vector), in Python
+    integers; the field is the sum divided by N*alpha^2.
+    """
+    q, n = memory.q, memory.n_neurons
+    alpha, beta = (1, 0) if memory.kind is NetworkKind.PNN2 else (q, 1)
+
+    def stored(mu, j):
+        sign, level = int(memory.pattern_signs[mu, j]), int(memory.pattern_levels[mu, j])
+        return [alpha * sign * (lv == level) - beta for lv in range(1, q + 1)]
+
+    def current(j):
+        sign, level = int(state.signs[j]), int(state.levels[j])
+        return [sign * (lv == level) for lv in range(1, q + 1)]
+
+    h = [0] * q
+    for mu in range(memory.n_patterns):
+        overlap = sum(
+            sum(w * x for w, x in zip(stored(mu, j), current(j))) for j in range(n) if j != i
+        )
+        h = [hk + wk * overlap for hk, wk in zip(h, stored(mu, i))]
+    return h, n * alpha * alpha
+
+
 def naive_decide(kind: NetworkKind, amplitudes, sign: int, level: int) -> tuple[int, int]:
     """The (sign, level) a neuron in state (sign, level) takes under a field.
 

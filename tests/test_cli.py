@@ -272,6 +272,23 @@ class TestBatchedTrials:
         _, rows = parse_csv(out)
         assert {col: rows[0][col] for col in want} == {col: _fmt(v) for col, v in want.items()}
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--sweep", "q", "--values", "3", "--kind", "pnn2", "--N", "24", "--M", "12",
+         "--a", "0.1", "--b", "0.3"],
+        ["sweep", "--sweep", "q", "--values", "4", "--kind", "pnn3", "--N", "24", "--M", "12",
+         "--b", "0.3"],
+        ["dpnn-bench", "--N", "100", "--k", "1", "--M", "8", "--a", "0.1", "--overlap", "0.3"],
+    ], ids=["sweep-pnn2", "sweep-pnn3", "dpnn-bench"])
+    def test_csv_bytes_do_not_depend_on_the_batch_cap(self, capsys, monkeypatch, argv):
+        # a cap of 1 sends every synchronous update through the one-state path
+        trials = 23
+        argv = argv + ["--trials", str(trials), "--seed", "13", "--jobs", "1"]
+        _, want, _ = run_cli(capsys, *argv)
+        for cap in (1, 7, trials):
+            monkeypatch.setattr("pnn.cli._BATCH_TRIALS", cap)
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == (0, want)
+
 
 class TestIdentifyBench:
     def test_accuracy_and_op_count(self, capsys):

@@ -274,6 +274,36 @@ class TestSynchronousStep:
             Pattern([-1, -1, 1], [1, 1, 1]), b, Pattern([-1, -1, 1], [1, 1, 1])
         ]
 
+    @pytest.mark.parametrize("kind", list(NetworkKind))
+    def test_many_slabs_follow_the_naive_rule(self, kind):
+        # slabs hold about 2**16 bins, so at q = 2**14 one state updates
+        # 4 neurons a slab and three states 1; levels spread over all of q
+        n, q = 10, 2**14
+        rng = make_rng(26)
+        levels = rng.choice([1, 2, 5000, q - 1, q], size=(3, n))
+        signs = np.ones((3, n)) if kind is NetworkKind.PNN3 else rng.choice([-1, 1], size=(3, n))
+        mem = Memory(kind, q, signs, levels)
+        # states from the same few levels, so that the self-coupling terms
+        # decide some neurons, and two neurons at any level
+        states = []
+        for _ in range(3):
+            lv = rng.choice([1, 2, 5000, q - 1, q], size=n)
+            lv[:2] = rng.integers(1, q + 1, size=2)
+            s = np.ones(n) if kind is NetworkKind.PNN3 else rng.choice([-1, 1], size=n)
+            states.append(Pattern(s, lv))
+
+        def naive_step(state):
+            # the field is an integer over N q^2; rounding the float oracle
+            # to that grid keeps exact ties tied
+            fields = [np.round(naive_local_field(mem, state, i) * n * q * q) for i in range(n)]
+            rule = [naive_decide(kind, h, int(state.signs[i]), int(state.levels[i]))
+                    for i, h in enumerate(fields)]
+            return Pattern(*zip(*rule))
+
+        want = [naive_step(state) for state in states]
+        assert [synchronous_step(mem, state) for state in states] == want
+        assert synchronous_batch(mem, states) == want
+
     def test_batch_rejects_no_states_and_a_bad_state(self):
         mem, _ = random_memory(make_rng(25), 10, 2, 2, NetworkKind.PNN2)
         with pytest.raises(DimensionMismatch):

@@ -176,7 +176,6 @@ class TestIdentify:
         counter = OpCounter()
         identify(net, patterns[123], counter=counter)
         assert counter.enumerated_field_evals == net.n_digits == 3
-        assert counter.true_field_evals == 0
 
     def test_unknown_pattern_raised_for_out_of_range_decode(self):
         # M=3 with q=2 leaves decoded index 3 unmapped; a state far from all

@@ -3,7 +3,8 @@
 Hypothesis draws small memories of both kinds, with pattern levels drawn
 from [1, used] for a random used <= q, so that levels no pattern uses (a
 zero level count at a neuron) come up often, and states over all of [1, q].
-Fields and energy are checked against the naive sums, both dynamics (the
+Fields are checked against the naive sums and, to the bit, against the
+exact integer field, energy against the naive sum, both dynamics (the
 asynchronous one in either visiting order, visit by visit) and the batched
 synchronous step against the naive decision rule on the naive field,
 batched retrieval and the batched step against their serial forms, the
@@ -33,6 +34,7 @@ from pnn import (
     unmap_binary,
 )
 from oracles import (
+    exact_local_field,
     naive_decide,
     naive_energy,
     naive_identifier_field,
@@ -91,6 +93,14 @@ def test_local_field_matches_naive_double_sum(case):
     for i in range(memory.n_neurons):
         got = local_field(memory, state, i)
         np.testing.assert_allclose(got, naive_local_field(memory, state, i), rtol=1e-12, atol=1e-12)
+
+
+@given(memory_and_state())
+def test_local_field_is_the_exact_integer_field_to_the_bit(case):
+    memory, state = case
+    for i in range(memory.n_neurons):
+        field, scale = exact_local_field(memory, state, i)
+        assert local_field(memory, state, i).tolist() == [h / scale for h in field]
 
 
 @given(memory_and_state())
