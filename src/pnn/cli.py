@@ -25,7 +25,7 @@ counts as a pattern error unless the final state matches the target exactly;
 for signed networks an exact global sign flip is still an error but is also
 reported in ``sign_flip``.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible parameters.
+Exit codes: 0 success, 2 configuration error or out of memory, 3 infeasible parameters.
 """
 
 from __future__ import annotations
@@ -216,10 +216,10 @@ def _mean(values) -> float:
 # trial runner
 
 # Most trials one batch holds, and so one lockstep retrieval relaxes at once.
-# It bounds the (B, M) temporaries of every neuron visit (overlaps, bincount
-# weights and bin index, 8 bytes an entry: 400 KB each at B=128, M=400).  On
-# the README q sweep (200 trials, --jobs 1) 128 beat 32, 64 and one batch
-# of 200; 96 and 163 read the same as 128 within the run-to-run spread.
+# It bounds the (B, M) float64 overlaps of a batch and the (k, M) rows of
+# the moved states' overlap update (400 KB each at B=128, M=400).  Tuned
+# for an older kernel: on the README q sweep (200 trials, --jobs 1) 128
+# beat 32, 64 and one batch of 200, and 96 and 163 read the same as 128.
 _BATCH_TRIALS = 128
 
 # (batch trial function, context) of the current point, set once in each
@@ -657,6 +657,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     return 0
 
 
+# the options that set how much memory a command needs, named when it runs out
+_SIZES = ("N", "M", "load", "q", "trials")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -667,6 +671,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (ConfigError, PnnError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        sizes = [f"--{o.name}" for o in COMMANDS[args.command].options if o.name in _SIZES]
+        sizes = f"{', '.join(sizes[:-1])} or {sizes[-1]}"
+        print(f"error: out of memory; lower {sizes}", file=sys.stderr)
         return 2
 
 

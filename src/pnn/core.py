@@ -29,15 +29,11 @@ comparisons bit-for-bit at any realistic size.
 Every kernel decides on one decision field (``_decision_field``), the
 scaled field over alpha shifted alike at every level, which the alignment
 rule cannot tell from the field itself; ``local_field`` builds the field
-from it.  The asynchronous visit, and ``synchronous_batch`` for one state,
-bin the Hebbian sums with ``bincount``.  ``retrieve_batch``, and
-``synchronous_batch`` for B > 1 states, get neuron i's sums on all B states
-as one small matrix product m @ W_i of the (B, M) overlaps with the
-neuron's signed one-hot (M, q) matrix, built in a scratch array per visit
-and never stored for every neuron; ``retrieve_batch`` updates the overlaps
-of the states that moved with one more product from the same W_i.  The
-sums are integers held in float64, so the products are exact, in any
-summation order, while they stay below 2**53.
+from it.  The asynchronous visit bins its sums with ``bincount``.  The
+lockstep kernels, ``retrieve_batch`` and ``synchronous_batch``, decide a
+neuron in all B states with one argmax of an integer key (``_decide_keys``)
+on its sums m @ W_i, the (B, M) overlaps times its signed one-hot (M, q)
+matrix.  Sums and keys are integers in float64, exact below 2**53.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -50,6 +46,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DimensionMismatch,
@@ -214,6 +211,8 @@ class Memory:
         levels = np.asarray(pattern_levels)
         if signs.ndim != 2 or signs.shape != levels.shape or signs.size == 0:
             raise DimensionMismatch("signs and levels must be non-empty (M, N) arrays of one shape")
+        if 4 * signs.size * q >= 2**53:  # the largest batched key, 4 M q N, must be exact
+            raise DimensionMismatch(f"4 M q N = {4 * signs.size * q} must stay below 2**53")
         _check_values(signs, levels, q, unsigned=kind is NetworkKind.PNN3)
         self.kind = kind
         self.q = q
@@ -389,33 +388,45 @@ def _decide(kind: NetworkKind, amps: np.ndarray, cur_sign: int, cur_level: int):
     return (-1 if a < 0 else cur_sign), k + 1
 
 
-def _decide_bins(memory: Memory, bins: np.ndarray, neurons, signs, levels, base):
-    """The new (signs, levels), flattened in row order, of neurons in B
-    states each: the rule of ``_decide`` applied to each row of their
-    decision fields.
+# (scale, the signs of a level's S states, tie) of the key of ``_decide_keys``
+_KEY = {NetworkKind.PNN2: (4.0, np.array([1.0, -1.0]), 2.5),
+        NetworkKind.PNN3: (2.0, np.ones(1), 0.5)}
 
-    ``neurons`` is one index, with (B,) states and (B, q) ``bins``, or a
-    (K, 1) index column, with (K, B) states and (K, B, q) ``bins``; base =
-    arange(0, K*B*q, q) locates each row's level 1 in the flat bins.  The
-    C-contiguous ``bins`` holds their Hebbian sums sum_mu sigma_i^mu m_mu
-    e_{lev_i^mu} and is completed in place to the decision field of
-    ``_decision_field``, with C_i and C_il read from the level-count table.
-    """
-    q, counts = memory.q, memory._level_counts
-    c_l = counts.take(levels + (neurons * q - 1))  # C_il, the count at the current level
-    flat, signs, levels = bins.ravel(), signs.ravel(), levels.ravel()  # views
-    cur = base + levels - 1
-    flat[cur] -= memory._alpha * signs * c_l.ravel()
-    if memory._beta:
-        bins += memory._beta * counts[neurons]
-    score = np.abs(flat) if memory.kind is NetworkKind.PNN2 else flat
-    best = score.reshape(-1, q).argmax(axis=1) + base
-    best = np.where(score[cur] == score[best], cur, best)
-    new_levels = best - base + 1
-    if memory.kind is NetworkKind.PNN3:
-        return signs, new_levels
-    a = flat[best]
-    return np.where(a > 0, 1, np.where(a < 0, -1, signs)), new_levels
+
+def _lockstep_inputs(memory: Memory, states: Sequence[Pattern]):
+    """Check B states.  Return their (N, B) int64 state indices z, z = S (l - 1) + [s = -1] among
+    a neuron's Q = S q states (S = 2 for PNN2, 1 for PNN3); their (B, M) overlaps plus beta, so
+    that m @ W_i holds D's beta C_i; the key's (Q,) scale s' at each state z'; and the (N, Q)
+    table of s (1/2 - scale alpha C_il) at each z = (s, l), S floats per level count."""
+    signs, levels, m = _stack_inputs(memory, states)
+    scale, sign, _ = _KEY[memory.kind]
+    signs_q = np.tile(sign, memory.q)
+    own = (0.5 - scale * memory._alpha * memory._level_counts).repeat(len(sign), axis=1)
+    own *= signs_q
+    return len(sign) * (levels - 1) + (signs < 0), m + memory._beta, scale * signs_q, own
+
+
+def _patterns(memory: Memory, z: np.ndarray) -> list[Pattern]:
+    """The states of (N, B) state indices z, one Pattern a column."""
+    shift = len(_KEY[memory.kind][1]) - 1  # S is 1 or 2, so z >> shift is l - 1
+    signs, levels = 1 - 2 * (z & shift), (z >> shift) + 1
+    return [Pattern(signs[:, r], levels[:, r]) for r in range(z.shape[1])]
+
+
+def _decide_keys(kind: NetworkKind, scale, h: np.ndarray, z: np.ndarray, base, own):
+    """The new state indices of one neuron in B states z, or of K neurons in B states each, from
+    their (B, q) or (K, B, q) sums h: the argmax of an integer key, ``_decide`` to the tie.
+    ``scale`` and ``own`` (at z) are from ``_lockstep_inputs``; ``base``, shaped (S,) + z.shape,
+    is Q times each state's position in z plus its sign slot.  At z = (s, l) the key of z' =
+    (s', l') is 4 s' D_l' + 2 [l' = l] + [z' = z] for PNN2 and 2 D_l' + [z' = z] for PNN3, so
+    scale s' h_l' plus tie + s' s (1/2 - scale alpha C_il) at level l, with D_l's -s alpha C_il.
+    The scale keeps distinct D apart; the bonuses prefer the current level, then the current
+    sign, so a zero D keeps it, then the lowest level."""
+    _, sign, tie = _KEY[kind]
+    key = h.repeat(len(sign), axis=-1)  # state z' at [..., z']
+    key *= scale
+    key.reshape(-1)[base + (z & -len(sign))] += np.multiply.outer(sign, own) + tie  # z's level
+    return key.argmax(axis=-1)
 
 
 def _load_w(memory: Memory, i: int, flat_w: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -423,14 +434,19 @@ def _load_w(memory: Memory, i: int, flat_w: np.ndarray, offsets: np.ndarray) -> 
     sigma_i^mu into the caller's all-zero float64 scratch (passed flattened)
     at offsets + lev_i, offsets = arange(-1, M*q - 1, q); return the positions.
 
-    The (B, M) float64 overlaps m then give neuron i's Hebbian sums
+    The (B, M) overlaps m then give neuron i's Hebbian sums
     sum_mu sigma_i^mu m[b, mu] e_{lev_i^mu} as m @ W_i, with no W kept for
-    every neuron.  All terms are integers and |m_mu| <= q N, so products
-    with W_i are exact in any summation order while M q N < 2**53.
-    """
+    every neuron.  The products and the keys of ``_decide_keys`` are integers, exact in any
+    summation order below 2**53, as ``Memory`` requires 4 M q N < 2**53."""
     at = memory._levels[i] + offsets
     flat_w[at] = memory._signs[i].astype(np.float64)  # a same-type scatter is the faster one
     return at
+
+
+# From B = 4 states on, synchronous_batch takes one m @ W_i product per neuron, not a bincount per
+# state.  ms per state at B = 3/4, bincount vs product, 3 runs, 2-core x86-64, numpy 2.4.6: N=200
+# M=400 q=4 0.58-0.82/0.58-0.79 vs 0.64-1.12/0.53-0.89; N=M=2000 q=16 27-29/25-28 vs 27-29/21-24.
+_SYNC_PRODUCT_STATES = 4
 
 
 def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
@@ -443,37 +459,31 @@ def synchronous_batch(memory: Memory, states: Sequence[Pattern]) -> list[Pattern
     """One parallel update of each state from its fixed initial overlaps m;
     result r equals ``synchronous_step(memory, states[r])`` bit for bit.
 
-    Neurons go in slabs of about 2**16 bins, so no (B, N, q) array is
-    built.  The Hebbian sums of a slab come from B itself: for one state
-    from ``_level_sums``, the ``bincount`` sums with no W scratch; for more,
-    neuron i's sums on every state are one product m @ W_i (``_load_w``).
-    Each slab is decided with ``_decide_bins``.
-    """
-    signs, levels, m = _stack_inputs(memory, states)
-    n, b, q = memory.n_neurons, len(states), memory.q
+    Neurons go in slabs of about 2**16 bins, so no (B, N, q) array is built.
+    A slab's sums come from ``_level_sums`` per state below ``_SYNC_PRODUCT_STATES``
+    states, else from one product m @ W_i per neuron; ``_decide_keys`` decides the slab."""
+    z, m, scale, own = _lockstep_inputs(memory, states)
+    n, b, q, kind, s = memory.n_neurons, len(states), memory.q, memory.kind, scale.size // memory.q
     per = min(n, max(1, (1 << 16) // (b * q)))  # neurons per slab
-    base = np.arange(0, per * b * q, q)
-    if b > 1:
-        w = np.zeros((memory.n_patterns, q))
+    base = (s * q * np.arange(per * b) + np.arange(s)[:, None]).reshape(s, per, b)
+    if b >= _SYNC_PRODUCT_STATES:
+        w, bins = np.zeros((memory.n_patterns, q)), np.empty((per, b, q))
         flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)
-        bins = np.empty((per, b, q))
-    new_signs, new_levels = np.empty_like(signs), np.empty_like(levels)
+    new_z = np.empty_like(z)
     for lo in range(0, n, per):
         hi = min(n, lo + per)
-        if b == 1:
-            slab = _level_sums(memory._levels[lo:hi], q, memory._signs[lo:hi], m[0])[:, None]
+        if b < _SYNC_PRODUCT_STATES:
+            sums = [_level_sums(memory._levels[lo:hi], q, memory._signs[lo:hi], mr) for mr in m]
+            slab = np.stack(sums, axis=1)
         else:
             slab = bins[:hi - lo]
             for i in range(lo, hi):
                 at = _load_w(memory, i, flat_w, offsets)
                 slab[i - lo] = m @ w
                 flat_w[at] = 0
-        new_s, new_l = _decide_bins(
-            memory, slab, np.arange(lo, hi)[:, None], signs[lo:hi], levels[lo:hi],
-            base[:(hi - lo) * b],
-        )
-        new_signs[lo:hi], new_levels[lo:hi] = new_s.reshape(-1, b), new_l.reshape(-1, b)
-    return [Pattern(new_signs[:, r], new_levels[:, r]) for r in range(b)]
+        own_z = np.take_along_axis(own[lo:hi], z[lo:hi], axis=1)
+        new_z[lo:hi] = _decide_keys(kind, scale, slab, z[lo:hi], base[:, :hi - lo], own_z)
+    return _patterns(memory, new_z)
 
 
 def is_fixed_point(memory: Memory, state: Pattern) -> bool:
@@ -521,7 +531,7 @@ def asynchronous_retrieve(
                 signs[i] = sign
                 levels[i] = level
                 sigma, lev = memory._signs[i], memory._levels[i]
-                m += a * sigma * ((lev == level) * sign - (lev == l) * s)
+                m += a * (sigma * ((lev == level) * sign - (lev == l) * s))  # no int8 a * sigma
                 changed_this_sweep += 1
             if trace is not None:
                 trace.append(Pattern(signs, levels))
@@ -545,58 +555,48 @@ def retrieve_batch(
 
     Result r equals ``asynchronous_retrieve(memory, inputs[r], max_sweeps)``
     bit for bit.  A visit to neuron i loads its signed one-hot (M, q) matrix
-    W_i (``_load_w``), gets every still-active input's Hebbian bins as one
-    product m @ W_i of their (B, M) overlaps and decides all of them with
-    ``_decide_bins``.  The k inputs that moved update their overlaps with
-    m[moved] += (alpha D) @ W_i^T, where the (k, q) D holds -s at the old
-    level and +s' at the new one (the two add when only the sign changed),
+    W_i (``_load_w``) and decides every still-active input from its sums
+    m @ W_i (``_decide_keys``).  The k inputs that moved from z to z' add
+    (step[z'] - step[z]) @ W_i^T to their overlaps, step[z] = alpha s e_l,
     in products of at most 2**18 multiply-adds, which OpenBLAS keeps on one
-    thread.  An input drops out after the first sweep that changes nothing
-    in it.  The float64 products are exact while every sum stays below
-    2**53.  With a single input the scalar visit is the faster one.
-    """
-    signs, levels, m = _stack_inputs(memory, inputs)
+    thread.  A sweep changes a neuron at most once, so its changes are the
+    neurons that differ from its start.  An input drops out after the first
+    sweep that changes nothing in it.  One input is faster serially."""
+    z, m, scale, own = _lockstep_inputs(memory, inputs)  # z and m: the active rows
     max_sweeps = _check_retrieval(max_sweeps)
-    a, q = memory._alpha, memory.q
-    # the active rows: state (neuron-major) and overlaps, input index, changes so far
-    index = np.arange(len(inputs))
-    changed_total = np.zeros(len(inputs), dtype=np.int64)
+    n, q, kind, s = memory.n_neurons, memory.q, memory.kind, scale.size // memory.q
+    buf = np.pad(memory._alpha * _KEY[kind][1], s * q - s)  # S (q - 1) zeros each side
+    # step[z] = alpha s e_l for z = S (l - 1) + t with no (Q, q) table: row z starts z floats into
+    # buf[S (q - 1):] and steps S back a column, so only column l - 1 meets alpha sign[t]
+    step = as_strided(buf[s * q - s:], (s * q, q), (8, -8 * s), writeable=False)
+    index = np.arange(len(inputs))  # input of each active row
+    n_changed = np.zeros(len(inputs), dtype=np.int64)
     w = np.zeros((memory.n_patterns, q))
     flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)
     per = max(1, (1 << 18) // w.size)  # rows per block of the overlap update
     results: list = [None] * len(inputs)
 
     for sweeps in range(1, max_sweeps + 1):
-        changed = np.zeros(len(index), dtype=np.int64)
-        base = np.arange(0, len(index) * q, q)  # flat position of each row's level 1
-        for i in range(memory.n_neurons):
-            s, l = signs[i], levels[i]
+        start = z.copy()
+        base = s * q * np.arange(len(index)) + np.arange(s)[:, None]
+        for i in range(n):
+            zi = z[i]
             at = _load_w(memory, i, flat_w, offsets)
-            new_s, new_l = _decide_bins(memory, m @ w, i, s, l, base)
-            moved = np.flatnonzero((new_s != s) | (new_l != l))
+            new = _decide_keys(kind, scale, m @ w, zi, base, own[i].take(zi))
+            moved = (new != zi).nonzero()[0]
             if moved.size:
-                d = np.zeros(moved.size * q)  # alpha D, flattened
-                rows = base[:moved.size] - 1
-                d[rows + l[moved]] = -a * s[moved]
-                d[rows + new_l[moved]] += a * new_s[moved]
+                d = step[new[moved]] - step[zi[moved]]  # fancy indexing reads only k rows
                 for lo in range(0, moved.size, per):
-                    m[moved[lo:lo + per]] += d.reshape(-1, q)[lo:lo + per] @ w.T
-                signs[i, moved] = new_s[moved]
-                levels[i, moved] = new_l[moved]
-                changed[moved] += 1
+                    m[moved[lo:lo + per]] += d[lo:lo + per] @ w.T
+                zi[moved] = new[moved]
             flat_w[at] = 0
-        changed_total += changed
+        changed = np.count_nonzero(z != start, axis=0)
+        n_changed += changed
         done = (changed == 0) | (sweeps == max_sweeps)
-        for r in np.flatnonzero(done):
-            results[index[r]] = RetrievalResult(
-                final_state=Pattern(signs[:, r], levels[:, r]),
-                converged=bool(changed[r] == 0),
-                sweeps_used=sweeps,
-                updates_changed=int(changed_total[r]),
-            )
+        for r, final in zip(np.flatnonzero(done), _patterns(memory, z[:, done])):
+            results[index[r]] = RetrievalResult(final, not changed[r], sweeps, int(n_changed[r]))
         keep = ~done
-        index, signs, levels = index[keep], signs[:, keep], levels[:, keep]
-        m, changed_total = m[keep], changed_total[keep]
+        index, z, m, n_changed = index[keep], z[:, keep], m[keep], n_changed[keep]
         if index.size == 0:
             break
     return results

@@ -23,7 +23,7 @@ from pnn import (
     synchronous_step,
     unmap_binary,
 )
-from pnn.cli import _BATCH_TRIALS, PREFIX_COLUMNS, _fmt, main
+from pnn.cli import _BATCH_TRIALS, COMMANDS, PREFIX_COLUMNS, _fmt, main
 
 
 def run_cli(capsys, *argv):
@@ -369,6 +369,11 @@ README_CSV_SHA256 = [
          "--a", "0,0.1", "--b", "0,0.5", "--k", "1"],
         "2935b49e1ae6e934f51dd6d9dd613def7b82d41f957e1c551ce99184f6f3fa9d", id="theory-table"),
 ]
+# the same bytes from two forked workers, for every command that has --jobs
+README_CSV_SHA256 += [
+    pytest.param(p.values[0] + ["--jobs", "2"], p.values[1], id=f"{p.id}-jobs2")
+    for p in README_CSV_SHA256 if p.id != "theory-table"
+]
 
 
 @pytest.mark.parametrize("argv, digest", README_CSV_SHA256)
@@ -422,6 +427,34 @@ class TestArgumentHandling:
         assert code == 2
         assert out == ""
         assert "--sweep M" in err
+
+    def test_out_of_memory_is_exit_2_naming_the_sizes(self, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("pnn.cli.build_memory", no_memory)
+        code, out, err = run_cli(
+            capsys, "sweep", "--sweep", "q", "--values", "2", "--N", "20", "--M", "5",
+            "--trials", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory; lower --trials, --N, --q, --M or --load\n"
+
+    @pytest.mark.parametrize("argv, sizes", [
+        (["dpnn-bench", "--N", "8", "--k", "1", "--M", "2", "--trials", "2"],
+         "--trials, --N, --M or --load"),
+        (["theory-table"], "--N, --q or --M"),
+    ])
+    def test_out_of_memory_names_only_the_command_s_own_sizes(
+        self, capsys, monkeypatch, argv, sizes
+    ):
+        def no_memory(**values):
+            raise MemoryError
+
+        command = COMMANDS[argv[0]]
+        monkeypatch.setitem(COMMANDS, argv[0], command._replace(run=no_memory))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: out of memory; lower {sizes}\n")
 
     def test_unwritable_out_is_config_error_before_any_trial(self, capsys, tmp_path, monkeypatch):
         def no_trials(*args):

@@ -1,5 +1,7 @@
 """Network construction, fields, updates, dynamics and energy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,17 @@ class TestConstruction:
         levels = mem.pattern_levels
         naive = np.stack([np.count_nonzero(levels == l, axis=0) for l in range(1, 6)], axis=1)
         assert np.array_equal(mem._level_counts, naive)
+
+    def test_exactness_premise_checked_before_the_count_table(self, monkeypatch):
+        # the batched keys reach 4 M q N, exact in float64 only below 2**53
+        def count_table(*args):
+            raise AssertionError("count table allocated")
+
+        monkeypatch.setattr("pnn.core._level_sums", count_table)
+        with pytest.raises(DimensionMismatch, match="2\\*\\*53"):
+            Memory(NetworkKind.PNN2, 2**51, [[1]], [[1]])
+        with pytest.raises(AssertionError, match="count table"):  # 4 M q N = 2**53 - 4
+            Memory(NetworkKind.PNN2, 2**51 - 1, [[1]], [[1]])
 
     def test_memory_arrays_immutable(self):
         mem, _ = random_memory(make_rng(0), 10, 3, 2, NetworkKind.PNN2)
@@ -303,6 +316,8 @@ class TestSynchronousStep:
         want = [naive_step(state) for state in states]
         assert [synchronous_step(mem, state) for state in states] == want
         assert synchronous_batch(mem, states) == want
+        # six states take the m @ W_i product path, still one neuron a slab
+        assert synchronous_batch(mem, states * 2) == want * 2
 
     def test_batch_rejects_no_states_and_a_bad_state(self):
         mem, _ = random_memory(make_rng(25), 10, 2, 2, NetworkKind.PNN2)
@@ -320,6 +335,15 @@ class TestAsynchronousRetrieve:
         res = asynchronous_retrieve(mem, patterns[0], 5)
         assert res.converged and res.sweeps_used == 1 and res.updates_changed == 0
         assert res.final_state == patterns[0]
+
+    def test_pnn3_moves_with_alpha_beyond_int8(self):
+        # PNN3 scales by alpha = q; from q = 128 on, alpha times the int8
+        # stored signs no longer fits in int8
+        mem, patterns = random_memory(make_rng(32), 6, 200, 2, NetworkKind.PNN3)
+        target = patterns[0]
+        noisy = with_neuron(target, 0, 1, int(target.levels[0]) % 200 + 1)
+        res = asynchronous_retrieve(mem, noisy, 3)
+        assert (res.final_state, res.updates_changed) == (target, 1)
 
     def test_single_agreement_recovers_pattern(self):
         # N=4 single stored pattern; input agrees only at neuron 0
@@ -445,6 +469,30 @@ class TestRetrieveBatch:
             assert (got.converged, got.sweeps_used, got.updates_changed) == (
                 want.converged, want.sweeps_used, want.updates_changed
             ) == (True, 2, 4)
+
+    @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
+    def test_large_q_needs_no_table_quadratic_in_q(self, kind):
+        # at q = 2**14 a (2q, q) float64 table alone would take 4 GB; what the
+        # kernels allocate stays a few float64 per level and neuron or pattern
+        q, rng = 2**14, make_rng(39)
+        mem, patterns = random_memory(rng, 6, q, 3, kind)
+        inputs = [with_neuron(p, 0, 1, int(p.levels[0]) % q + 1) for p in patterns]
+        inputs += [random_state(rng, 6, q, kind) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            batch = retrieve_batch(mem, inputs, 3)
+            steps = synchronous_batch(mem, inputs * 2) + synchronous_batch(mem, inputs[:1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        for got, x in zip(batch, inputs):
+            want = asynchronous_retrieve(mem, x, 3)
+            assert got.final_state == want.final_state
+            assert (got.converged, got.sweeps_used, got.updates_changed) == (
+                want.converged, want.sweeps_used, want.updates_changed
+            )
+        assert steps == [synchronous_step(mem, x) for x in inputs * 2 + inputs[:1]]
 
     def test_empty_inputs_rejected(self):
         mem, _ = random_memory(make_rng(38), 10, 2, 2, NetworkKind.PNN2)

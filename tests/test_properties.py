@@ -6,7 +6,8 @@ zero level count at a neuron) come up often, and states over all of [1, q].
 Fields are checked against the naive sums and, to the bit, against the
 exact integer field, energy against the naive sum, both dynamics (the
 asynchronous one in either visiting order, visit by visit) and the batched
-synchronous step against the naive decision rule on the naive field,
+synchronous step against the naive decision rule on the naive field, the
+batched argmax key against the naive rule on small integer fields,
 batched retrieval and the batched step against their serial forms, the
 binary mapping against its literal reference and the identifier's digits
 against the naive identifier field.
@@ -15,6 +16,7 @@ against the naive identifier field.
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pnn import (
     IdentifierNet,
@@ -43,6 +45,7 @@ from oracles import (
     reference_unmap_binary,
     with_neuron,
 )
+from pnn.core import _decide_keys, _lockstep_inputs
 
 
 @st.composite
@@ -125,6 +128,34 @@ def test_batched_synchronous_step_equals_serial_step_and_naive_rule(case):
         assert got == synchronous_step(memory, state)
         signs, levels = zip(*(naive_update(memory, state, i) for i in range(memory.n_neurons)))
         assert got == Pattern(signs, levels)
+
+
+@given(memory_and_state(), st.data())
+def test_batched_key_decides_small_integer_fields_like_the_naive_rule(case, data):
+    # decision fields in -2..2 make ties and zeros common; every neuron is
+    # put in every one of its states, by the state index z = S (l - 1) +
+    # [s = -1] (S = 2 for PNN2, 1 for PNN3), in both call shapes
+    memory, _ = case
+    kind, q, n = memory.kind, memory.q, memory.n_neurons
+    per_level, alpha = (2, 1) if kind is NetworkKind.PNN2 else (1, q)
+    states = [(1 - 2 * (z % per_level), z // per_level + 1) for z in range(per_level * q)]
+    fields = data.draw(arrays(np.int64, (n, len(states), q), elements=st.integers(-2, 2)))
+    # the sums the key is built from: the field with the self-coupling
+    # term s alpha C_il put back at the current level l
+    sums = fields.astype(np.float64)
+    for i in range(n):
+        for z, (s, l) in enumerate(states):
+            sums[i, z, l - 1] += s * alpha * np.count_nonzero(memory.pattern_levels[:, i] == l)
+    _, _, scale, own = _lockstep_inputs(memory, [case[1]])  # own: (n, Q), one entry a state
+    base = len(states) * np.arange(n * len(states)).reshape(n, len(states))
+    base = base + np.arange(per_level).reshape(-1, 1, 1)
+    z = np.tile(np.arange(len(states)), (n, 1))
+    column = _decide_keys(kind, scale, sums, z, base, own)
+    for i in range(n):
+        one = _decide_keys(kind, scale, sums[i], z[i], base[:, 0], own[i])
+        for z_now, (s, l) in enumerate(states):
+            want = naive_decide(kind, fields[i, z_now], s, l)
+            assert states[column[i, z_now]] == states[one[z_now]] == want
 
 
 @given(memory_and_state(), st.sampled_from(UpdateOrder), st.integers(0, 2**32 - 1))
