@@ -43,18 +43,13 @@ from typing import Callable, NamedTuple, Sequence, get_args, get_origin
 
 import numpy as np
 
-from .core import (
-    NetworkKind,
-    Pattern,
-    build_memory,
-    retrieve_batch,
-    synchronous_batch,
-)
+from .core import Memory, NetworkKind, Pattern, _lockstep, retrieve_batch
 from .dpnn import dpnn_build, dpnn_capacity, capacity_exponent, k_critical, map_binary, unmap_binary
 from .errors import NoFeasibleK, PnnError, UnknownPattern
 from .identifier import OpCounter, build_identifier, digit_count, identify
 from .noise import (
     NoiseSpec,
+    _qnary_arrays,
     apply_binary_noise,
     apply_qnary_noise,
     correlated_binary_patterns,
@@ -216,10 +211,13 @@ def _mean(values) -> float:
 # trial runner
 
 # Most trials one batch holds, and so one lockstep retrieval relaxes at once.
-# It bounds the (B, M) float64 overlaps of a batch and the (k, M) rows of
-# the moved states' overlap update (400 KB each at B=128, M=400).  Tuned
-# for an older kernel: on the README q sweep (200 trials, --jobs 1) 128
-# beat 32, 64 and one batch of 200, and 96 and 163 read the same as 128.
+# It bounds the (B, M) float64 overlaps of a batch, doubled in the first
+# sweep by the synchronous step's rows (800 KB at B=128, M=400), and the
+# (k, M) rows of the moved states' overlap update.  128 was measured on the
+# bincount kernel that preceded the matrix products (README q sweep, 200
+# trials, --jobs 1: it beat 32, 64 and one batch of 200); on the product
+# kernel one batch of 200 beat 128 + 72 in 6 of 8 runs, so it is due to be
+# sized by work instead.
 _BATCH_TRIALS = 128
 
 # (batch trial function, context) of the current point, set once in each
@@ -306,10 +304,9 @@ def _sweep_trials(ctx, batch: range) -> list[tuple]:
         idx = t % memory.n_patterns
         targets.append(Pattern(memory.pattern_signs[idx], memory.pattern_levels[idx]))
         inputs.append(apply_qnary_noise(targets[-1], memory.q, ctx.spec, rng))
+    results, syncs = _lockstep(memory, inputs, ctx.max_sweeps, step_rows=True)
     records = []
-    for target, sync, retrieval in zip(
-        targets, synchronous_batch(memory, inputs), retrieve_batch(memory, inputs, ctx.max_sweeps)
-    ):
+    for target, sync, retrieval in zip(targets, syncs, results):
         final = retrieval.final_state
         sign_flip = int(
             memory.kind is NetworkKind.PNN2 and final == target.sign_flipped()
@@ -357,9 +354,9 @@ def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, m
             raise ConfigError("q=1 has no level noise; set b=0")
 
         stream_base = point * _GEN_STREAM_STRIDE
-        patterns = random_qnary_patterns(m, N, q, kind, make_rng(seed, stream_base))
+        signs, levels = _qnary_arrays(m, N, q, kind, make_rng(seed, stream_base))
         ctx = SimpleNamespace(
-            memory=build_memory(patterns, kind, q), spec=NoiseSpec(a, b),
+            memory=Memory(kind, q, signs, levels), spec=NoiseSpec(a, b),
             seed=seed, stream_base=stream_base, max_sweeps=max_sweeps,
         )
         records = _run_trials(_sweep_trials, ctx, trials, jobs)

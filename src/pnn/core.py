@@ -29,11 +29,13 @@ comparisons bit-for-bit at any realistic size.
 Every kernel decides on one decision field (``_decision_field``), the
 scaled field over alpha shifted alike at every level, which the alignment
 rule cannot tell from the field itself; ``local_field`` builds the field
-from it.  The asynchronous visit bins its sums with ``bincount``.  The
-lockstep kernels, ``retrieve_batch`` and ``synchronous_batch``, decide a
-neuron in all B states with one argmax of an integer key (``_decide_keys``)
-on its sums m @ W_i, the (B, M) overlaps times its signed one-hot (M, q)
-matrix.  Sums and keys are integers in float64, exact below 2**53.
+from it.  The asynchronous visit and ``synchronous_batch`` bin their sums
+with ``bincount``; ``retrieve_batch`` takes them as m @ W_i, the (B, M)
+overlaps times neuron i's signed one-hot (M, q) matrix.  Both batched
+kernels decide a neuron in all B states with one argmax of an integer key
+(``_decide_keys``).  Sums and keys are integers in float64, exact below
+2**53.  The kernel of ``retrieve_batch`` can also take the synchronous step
+of its inputs in its first sweep, at their frozen overlaps.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -443,12 +445,6 @@ def _load_w(memory: Memory, i: int, flat_w: np.ndarray, offsets: np.ndarray) -> 
     return at
 
 
-# From B = 4 states on, synchronous_batch takes one m @ W_i product per neuron, not a bincount per
-# state.  ms per state at B = 3/4, bincount vs product, 3 runs, 2-core x86-64, numpy 2.4.6: N=200
-# M=400 q=4 0.58-0.82/0.58-0.79 vs 0.64-1.12/0.53-0.89; N=M=2000 q=16 27-29/25-28 vs 27-29/21-24.
-_SYNC_PRODUCT_STATES = 4
-
-
 def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
     """One parallel update of all neurons from fields on the input state:
     ``synchronous_batch(memory, [state])[0]``."""
@@ -460,28 +456,17 @@ def synchronous_batch(memory: Memory, states: Sequence[Pattern]) -> list[Pattern
     result r equals ``synchronous_step(memory, states[r])`` bit for bit.
 
     Neurons go in slabs of about 2**16 bins, so no (B, N, q) array is built.
-    A slab's sums come from ``_level_sums`` per state below ``_SYNC_PRODUCT_STATES``
-    states, else from one product m @ W_i per neuron; ``_decide_keys`` decides the slab."""
+    A slab's sums come from ``_level_sums``; ``_decide_keys`` decides it."""
     z, m, scale, own = _lockstep_inputs(memory, states)
     n, b, q, kind, s = memory.n_neurons, len(states), memory.q, memory.kind, scale.size // memory.q
     per = min(n, max(1, (1 << 16) // (b * q)))  # neurons per slab
     base = (s * q * np.arange(per * b) + np.arange(s)[:, None]).reshape(s, per, b)
-    if b >= _SYNC_PRODUCT_STATES:
-        w, bins = np.zeros((memory.n_patterns, q)), np.empty((per, b, q))
-        flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)
     new_z = np.empty_like(z)
     for lo in range(0, n, per):
         hi = min(n, lo + per)
-        if b < _SYNC_PRODUCT_STATES:
-            sums = [_level_sums(memory._levels[lo:hi], q, memory._signs[lo:hi], mr) for mr in m]
-            slab = np.stack(sums, axis=1)
-        else:
-            slab = bins[:hi - lo]
-            for i in range(lo, hi):
-                at = _load_w(memory, i, flat_w, offsets)
-                slab[i - lo] = m @ w
-                flat_w[at] = 0
+        sums = [_level_sums(memory._levels[lo:hi], q, memory._signs[lo:hi], mr) for mr in m]
         own_z = np.take_along_axis(own[lo:hi], z[lo:hi], axis=1)
+        slab = np.stack(sums, axis=1)
         new_z[lo:hi] = _decide_keys(kind, scale, slab, z[lo:hi], base[:, :hi - lo], own_z)
     return _patterns(memory, new_z)
 
@@ -562,6 +547,15 @@ def retrieve_batch(
     thread.  A sweep changes a neuron at most once, so its changes are the
     neurons that differ from its start.  An input drops out after the first
     sweep that changes nothing in it.  One input is faster serially."""
+    return _lockstep(memory, inputs, max_sweeps)[0]
+
+
+def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_rows: bool = False):
+    """``retrieve_batch(memory, inputs, max_sweeps)`` and, given ``step_rows``, also
+    ``synchronous_batch(memory, inputs)`` (else None) from one input pass.  The step rows are a
+    copy of the inputs after the live rows in sweep 1: each visit decides them with the same
+    product and key into their own z, and their overlaps never move, so sweep 1 is the
+    synchronous step at their frozen m.  They are dropped after it."""
     z, m, scale, own = _lockstep_inputs(memory, inputs)  # z and m: the active rows
     max_sweeps = _check_retrieval(max_sweeps)
     n, q, kind, s = memory.n_neurons, memory.q, memory.kind, scale.size // memory.q
@@ -575,14 +569,18 @@ def retrieve_batch(
     flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)
     per = max(1, (1 << 18) // w.size)  # rows per block of the overlap update
     results: list = [None] * len(inputs)
+    steps, live = None, len(inputs)  # live: the active rows; step rows follow them in sweep 1
+    if step_rows:
+        z, m = np.hstack([z, z]), np.vstack([m, m])
 
     for sweeps in range(1, max_sweeps + 1):
-        start = z.copy()
-        base = s * q * np.arange(len(index)) + np.arange(s)[:, None]
+        start = z[:, :live].copy()
+        base = s * q * np.arange(z.shape[1]) + np.arange(s)[:, None]
         for i in range(n):
             zi = z[i]
             at = _load_w(memory, i, flat_w, offsets)
             new = _decide_keys(kind, scale, m @ w, zi, base, own[i].take(zi))
+            zi[live:] = new[live:]  # the step rows take their update and so never move
             moved = (new != zi).nonzero()[0]
             if moved.size:
                 d = step[new[moved]] - step[zi[moved]]  # fancy indexing reads only k rows
@@ -590,16 +588,18 @@ def retrieve_batch(
                     m[moved[lo:lo + per]] += d[lo:lo + per] @ w.T
                 zi[moved] = new[moved]
             flat_w[at] = 0
-        changed = np.count_nonzero(z != start, axis=0)
+        if step_rows and sweeps == 1:
+            steps = _patterns(memory, z[:, live:])
+        changed = np.count_nonzero(z[:, :live] != start, axis=0)
         n_changed += changed
         done = (changed == 0) | (sweeps == max_sweeps)
-        for r, final in zip(np.flatnonzero(done), _patterns(memory, z[:, done])):
+        ends, keep = np.flatnonzero(done), np.flatnonzero(~done)  # below live: step rows go too
+        for r, final in zip(ends, _patterns(memory, z[:, ends])):
             results[index[r]] = RetrievalResult(final, not changed[r], sweeps, int(n_changed[r]))
-        keep = ~done
-        index, z, m, n_changed = index[keep], z[:, keep], m[keep], n_changed[keep]
-        if index.size == 0:
+        index, z, m, n_changed, live = index[keep], z[:, keep], m[keep], n_changed[keep], keep.size
+        if live == 0:
             break
-    return results
+    return results, steps
 
 
 def energy(memory: Memory, state: Pattern) -> float:

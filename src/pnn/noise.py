@@ -42,21 +42,38 @@ def random_qnary_patterns(
     PNN2 coordinates are uniform over 2q signed states, PNN3 over q unsigned
     states (all signs +1).
     """
+    return [Pattern(signs, levels) for signs, levels in _qnary_draws(m, n, q, kind, rng)]
+
+
+def _qnary_arrays(
+    m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The patterns of ``random_qnary_patterns`` as (M, N) int8 signs and levels in the
+    narrowest unsigned type that holds q, one row a pattern, with no Pattern built."""
+    draws = _qnary_draws(m, n, q, kind, rng)
+    signs, levels = np.empty((m, n), dtype=np.int8), np.empty((m, n), dtype=np.min_scalar_type(q))
+    for mu, (row_signs, row_levels) in enumerate(draws):
+        signs[mu], levels[mu] = row_signs, row_levels
+    return signs, levels
+
+
+def _qnary_draws(m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Generator):
+    """Check the arguments of ``random_qnary_patterns``; return an iterator over its M
+    patterns' (signs, levels), each drawn when reached: its levels, then (PNN2) its signs."""
     if m < 1 or n < 1 or q < 1:
         raise ValueError(f"need m, n, q >= 1, got m={m} n={n} q={q}")
     if q % 1 != 0:
         raise LevelOutOfRange(f"q must be a whole number, got {q}")
     if not isinstance(kind, NetworkKind):
         raise ValueError(f"kind must be a NetworkKind, got {kind!r}")
-    patterns = []
-    for _ in range(m):
-        levels = rng.integers(1, q + 1, size=n)
-        if kind is NetworkKind.PNN2:
-            signs = 2 * rng.integers(0, 2, size=n) - 1
-        else:
-            signs = np.ones(n, dtype=np.int8)
-        patterns.append(Pattern(signs, levels))
-    return patterns
+    signed, unsigned = kind is NetworkKind.PNN2, np.ones(n, dtype=np.int8)
+
+    def draws():
+        for _ in range(m):
+            levels = rng.integers(1, q + 1, size=n)
+            yield (2 * rng.integers(0, 2, size=n) - 1 if signed else unsigned), levels
+
+    return draws()
 
 
 def apply_qnary_noise(

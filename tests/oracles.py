@@ -217,6 +217,19 @@ class DenseVectorHopfield:
         return np.array(signs), np.array(levels), converged, sweeps
 
 
+def reference_qnary_patterns(m: int, n: int, q: int, kind: NetworkKind, rng) -> list[Pattern]:
+    """M random patterns drawn one at a time: its levels, then (PNN2) its signs."""
+    patterns = []
+    for _ in range(m):
+        levels = rng.integers(1, q + 1, size=n)
+        if kind is NetworkKind.PNN2:
+            signs = 2 * rng.integers(0, 2, size=n) - 1
+        else:
+            signs = np.ones(n, dtype=np.int8)
+        patterns.append(Pattern(signs, levels))
+    return patterns
+
+
 def reference_map_fragment(fragment) -> tuple[int, int]:
     """Read a +-1 fragment as (sign, level) by literal binary notation."""
     sign = int(fragment[0])

@@ -280,7 +280,7 @@ class TestBatchedTrials:
         ["dpnn-bench", "--N", "100", "--k", "1", "--M", "8", "--a", "0.1", "--overlap", "0.3"],
     ], ids=["sweep-pnn2", "sweep-pnn3", "dpnn-bench"])
     def test_csv_bytes_do_not_depend_on_the_batch_cap(self, capsys, monkeypatch, argv):
-        # a cap of 1 sends every synchronous update through the one-state path
+        # a cap of 1 relaxes every trial, and takes its synchronous step, alone
         trials = 23
         argv = argv + ["--trials", str(trials), "--seed", "13", "--jobs", "1"]
         _, want, _ = run_cli(capsys, *argv)
@@ -376,8 +376,34 @@ README_CSV_SHA256 += [
 ]
 
 
+# sweeps over other variables than q: M sets each point's own pattern count,
+# and a PNN3 sweep over b takes M from --load
+OTHER_SWEEPS_CSV_SHA256 = [
+    pytest.param(
+        ["sweep", "--sweep", "M", "--values", "60,120", "--N", "120", "--q", "4", "--b", "0.4",
+         "--trials", "24", "--seed", "2", "--jobs", jobs],
+        "649e22fdedf4c085aba5cca9e745346cdeca02de2925179051b11b377959f550",
+        id=f"sweep-M-jobs{jobs}")
+    for jobs in ("1", "2")
+] + [
+    pytest.param(
+        ["sweep", "--sweep", "b", "--values", "0.2,0.5", "--kind", "pnn3", "--N", "120", "--q", "4",
+         "--load", "0.75", "--trials", "24", "--seed", "3", "--jobs", jobs],
+        "c4debcd545562744728a53bfeece62fba81113dcb5536a8dad7f57ecc8b24ef0",
+        id=f"sweep-b-pnn3-jobs{jobs}")
+    for jobs in ("1", "2")
+]
+
+
 @pytest.mark.parametrize("argv, digest", README_CSV_SHA256)
 def test_readme_commands_keep_their_csv_bytes(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", OTHER_SWEEPS_CSV_SHA256)
+def test_other_sweeps_keep_their_csv_bytes(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -432,7 +458,7 @@ class TestArgumentHandling:
         def no_memory(*args):
             raise MemoryError
 
-        monkeypatch.setattr("pnn.cli.build_memory", no_memory)
+        monkeypatch.setattr("pnn.cli.Memory", no_memory)
         code, out, err = run_cli(
             capsys, "sweep", "--sweep", "q", "--values", "2", "--N", "20", "--M", "5",
             "--trials", "2",

@@ -7,16 +7,20 @@ import pytest
 
 from pnn import (
     LevelOutOfRange,
+    Memory,
     NetworkKind,
     NoiseSpec,
     Pattern,
     apply_binary_noise,
     apply_qnary_noise,
+    build_memory,
     correlated_binary_patterns,
     make_rng,
     random_binary_patterns,
     random_qnary_patterns,
 )
+from oracles import reference_qnary_patterns
+from pnn.noise import _qnary_arrays
 
 
 def three_sigma(p, n):
@@ -66,6 +70,30 @@ class TestQnaryGeneration:
             random_qnary_patterns(0, 10, 2, NetworkKind.PNN2, make_rng(0))
         with pytest.raises(ValueError):
             random_qnary_patterns(1, 0, 2, NetworkKind.PNN2, make_rng(0))
+
+    @pytest.mark.parametrize("args, error", [
+        ((0, 4, 2, NetworkKind.PNN2), ValueError), ((2, 0, 2, NetworkKind.PNN3), ValueError),
+        ((2, 4, 0, NetworkKind.PNN2), ValueError), ((2, 4, 2.5, NetworkKind.PNN3), LevelOutOfRange),
+        ((2, 4, 3, "pnn2"), ValueError),
+    ])
+    @pytest.mark.parametrize("draw", [random_qnary_patterns, _qnary_arrays])
+    def test_patterns_and_arrays_reject_the_same_arguments(self, draw, args, error):
+        with pytest.raises(error):
+            draw(*args, make_rng(0))
+
+    @pytest.mark.parametrize("kind, q", [
+        (NetworkKind.PNN2, 1), (NetworkKind.PNN2, 3), (NetworkKind.PNN2, 16),
+        (NetworkKind.PNN3, 3), (NetworkKind.PNN3, 16),
+    ])
+    def test_drawn_arrays_build_the_memory_of_the_drawn_patterns(self, kind, q):
+        # q = 1 draws no level words, and q = 3 rejects some of them
+        patterns = reference_qnary_patterns(30, 17, q, kind, make_rng(5, 2))
+        assert random_qnary_patterns(30, 17, q, kind, make_rng(5, 2)) == patterns
+        want = build_memory(patterns, kind, q)
+        got = Memory(kind, q, *_qnary_arrays(30, 17, q, kind, make_rng(5, 2)))
+        for name in ("_signs", "_levels", "_level_counts"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
     def test_fractional_q_rejected(self, kind):

@@ -9,13 +9,14 @@ asynchronous one in either visiting order, visit by visit) and the batched
 synchronous step against the naive decision rule on the naive field, the
 batched argmax key against the naive rule on small integer fields,
 batched retrieval and the batched step against their serial forms, the
+first sweep's one-step rows against the batched step, the
 binary mapping against its literal reference and the identifier's digits
 against the naive identifier field.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pnn import (
@@ -45,14 +46,14 @@ from oracles import (
     reference_unmap_binary,
     with_neuron,
 )
-from pnn.core import _decide_keys, _lockstep_inputs
+from pnn.core import _decide_keys, _lockstep, _lockstep_inputs
 
 
 @st.composite
-def memory_and_states(draw, count=st.just(1)):
+def memory_and_states(draw, count=st.just(1), kind=st.sampled_from(NetworkKind), q=None):
     """A memory and ``count`` states; later states may repeat earlier ones."""
-    kind = draw(st.sampled_from(NetworkKind))
-    q = draw(st.integers(2 if kind is NetworkKind.PNN3 else 1, 5))
+    kind = draw(kind)
+    q = draw(st.integers(2 if kind is NetworkKind.PNN3 else 1, 5) if q is None else q)
     m = draw(st.integers(1, 6))
     n = draw(st.integers(2, 7))
     used = draw(st.integers(1, q))
@@ -192,6 +193,35 @@ def test_batched_retrieval_equals_serial_retrieval(case, max_sweeps):
         assert (got.converged, got.sweeps_used, got.updates_changed) == (
             want.converged, want.sweeps_used, want.updates_changed
         )
+
+
+def outcome(result):
+    return result.final_state, result.converged, result.sweeps_used, result.updates_changed
+
+
+@pytest.mark.parametrize("kind, q", [
+    (NetworkKind.PNN2, st.just(1)), (NetworkKind.PNN2, st.integers(2, 5)),
+    (NetworkKind.PNN3, st.integers(2, 5)),
+], ids=["hopfield", "pnn2", "pnn3"])
+@pytest.mark.parametrize("count, sweeps", [
+    (st.just(1), st.just(1)), (st.integers(1, 5), st.integers(1, 4)),
+], ids=["one-input-one-sweep", "batch"])
+@given(data=st.data())
+def test_step_rows_are_the_synchronous_step_and_leave_retrieval_alone(kind, q, count, sweeps, data):
+    memory, inputs = data.draw(memory_and_states(count, st.just(kind), q))
+    max_sweeps = data.draw(sweeps)
+    fixed = data.draw(st.booleans())
+    if fixed:  # the inputs relaxed to fixed points, which neither kernel may move
+        relaxed = [asynchronous_retrieve(memory, state, 200) for state in inputs]
+        assume(all(r.converged for r in relaxed))
+        inputs = [r.final_state for r in relaxed]
+    results, steps = _lockstep(memory, inputs, max_sweeps, step_rows=True)
+    assert steps == synchronous_batch(memory, inputs)
+    want = retrieve_batch(memory, inputs, max_sweeps)
+    assert [outcome(r) for r in results] == [outcome(r) for r in want]
+    if fixed:
+        assert steps == inputs
+        assert [outcome(r) for r in results] == [(state, True, 1, 0) for state in inputs]
 
 
 @st.composite
