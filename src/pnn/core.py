@@ -29,10 +29,14 @@ comparisons bit-for-bit at any realistic size.
 Every kernel decides on one decision field (``_decision_field``), the
 scaled field over alpha shifted alike at every level, which the alignment
 rule cannot tell from the field itself; ``local_field`` builds the field
-from it.  The asynchronous visit and ``synchronous_batch`` bin their sums
-with ``bincount``; ``retrieve_batch`` takes them as m @ W_i, the (B, M)
-overlaps times neuron i's signed one-hot (M, q) matrix.  Both batched
-kernels decide a neuron in all B states with one argmax of an integer key
+from it.  The kernels hold the overlaps plus beta, so that neuron i's sums
+of sigma_i m by level already hold the field's beta term.  The
+asynchronous visit and ``synchronous_batch`` bin those sums with
+``bincount``; ``retrieve_batch`` takes them as m @ W_i, the (B, M)
+overlaps times neuron i's signed one-hot (M, q) matrix.  The asynchronous
+visit decides with one argmax and, on a change, moves m by sigma_i times a
+(q + 1)-entry table indexed by the stored levels; both batched kernels
+decide a neuron in all B states with one argmax of an integer key
 (``_decide_keys``).  Sums and keys are integers in float64, exact below
 2**53.  The kernel of ``retrieve_batch`` can also take the synchronous step
 of its inputs in its first sweep, at their frozen overlaps.
@@ -140,12 +144,20 @@ class Pattern:
         if signs.size == 0:
             raise DimensionMismatch("pattern must contain at least one neuron")
         _check_values(signs, levels)
-        signs = signs.astype(np.int8)
-        levels = levels.astype(np.int64)
-        signs.setflags(write=False)
-        levels.setflags(write=False)
-        self.signs = signs
-        self.levels = levels
+        self._freeze(signs, levels)
+
+    @classmethod
+    def _of(cls, signs: np.ndarray, levels: np.ndarray) -> "Pattern":
+        """The Pattern of a kernel's own valid state arrays, cast and frozen with no check."""
+        pattern = object.__new__(cls)
+        pattern._freeze(signs, levels)
+        return pattern
+
+    def _freeze(self, signs: np.ndarray, levels: np.ndarray) -> None:
+        # astype copies, so the caller's arrays stay its own
+        self.signs, self.levels = signs.astype(np.int8), levels.astype(np.int64)
+        self.signs.setflags(write=False)
+        self.levels.setflags(write=False)
 
     def __len__(self) -> int:
         return self.signs.size
@@ -312,38 +324,38 @@ def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarr
     sum over neurons of <w_j^mu, x_j>, with the +-1/0 products kept in int8."""
     agree = memory._signs * (memory._levels == levels.astype(memory._levels.dtype)[:, None])
     agree *= signs.astype(np.int8)[:, None]
-    return memory._alpha * agree.sum(axis=0, dtype=np.int64) - memory._beta * memory.n_neurons
+    # every partial column sum lies in [-N, N], so the narrowest type holding +-N sums exactly
+    sums = agree.sum(axis=0, dtype=np.min_scalar_type(-memory.n_neurons - 1)).astype(np.int64)
+    return memory._alpha * sums - memory._beta * memory.n_neurons
 
 
 def _stack_inputs(memory: Memory, inputs: Sequence[Pattern]):
     """Check B input states; their neuron-major (N, B) int64 signs and
-    levels, and their (B, M) float64 scaled overlaps."""
+    levels, and their (B, M) float64 scaled overlaps plus beta, so that the
+    sums of sigma_i m by level hold the decision field's beta C_i."""
     if len(inputs) == 0:
         raise DimensionMismatch("at least one input state is required")
     for state in inputs:
         _check_state(memory, state)
     signs = np.stack([p.signs for p in inputs], axis=1).astype(np.int64)
     levels = np.stack([p.levels for p in inputs], axis=1)
-    m = np.stack([_overlaps(memory, p.signs, p.levels) for p in inputs]).astype(np.float64)
-    return signs, levels, m
+    m = np.stack([_overlaps(memory, p.signs, p.levels) for p in inputs]) + memory._beta
+    return signs, levels, m.astype(np.float64)
 
 
 def _field_denominator(memory: Memory) -> float:
     return float(memory.n_neurons * memory._alpha ** 2)
 
 
-def _decision_field(memory: Memory, i: int, s: int, l: int, m: np.ndarray) -> np.ndarray:
-    """Scaled decision field D of neuron i in state (s, l) at overlaps m, float64:
-    a ``bincount`` of sigma_i m by level, less s alpha C_il at level l, plus
-    beta C_i (PNN3 signs are all +1).  The scaled field of ``local_field`` is
-    alpha D - beta sum(m) - s (beta^2 M - alpha beta C_il), the same shift at
+def _decision_field(memory: Memory, i: int, s: int, l: int, mb: np.ndarray) -> np.ndarray:
+    """Scaled decision field D of neuron i in state (s, l), float64, from the overlaps plus beta,
+    mb = m + beta (as ``_stack_inputs`` gives them): a ``bincount`` of sigma_i mb by level, which
+    holds beta C_i as PNN3 signs are all +1, less s alpha C_il at level l.  The scaled field of
+    ``local_field`` is alpha D - beta sum(m) - s (beta^2 M - alpha beta C_il), the same shift at
     every level, so the alignment rule picks the same state on D."""
-    counts = memory._level_counts
     # bin 0 stays empty, as levels start at 1
-    d = np.bincount(memory._levels[i], weights=memory._signs[i] * m, minlength=memory.q + 1)[1:]
-    d[l - 1] -= s * memory._alpha * counts[i, l - 1]
-    if memory._beta:
-        d += memory._beta * counts[i]
+    d = np.bincount(memory._levels[i], weights=memory._signs[i] * mb, minlength=memory.q + 1)[1:]
+    d[l - 1] -= s * memory._alpha * memory._level_counts[i, l - 1]
     return d
 
 
@@ -364,30 +376,11 @@ def local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
     m = _overlaps(memory, state.signs, state.levels)
     s, l = int(state.signs[i]), int(state.levels[i])
     c_l = int(memory._level_counts[i, l - 1])
-    h = a * _decision_field(memory, i, s, l, m)
+    h = a * _decision_field(memory, i, s, l, m + b)
     h -= b * int(m.sum()) + s * (b * b * memory.n_patterns - a * b * c_l)
     amplitudes = h / _field_denominator(memory)
     amplitudes.setflags(write=False)
     return amplitudes
-
-
-def _decide(kind: NetworkKind, amps: np.ndarray, cur_sign: int, cur_level: int):
-    """Apply the alignment rule to one neuron's amplitudes.
-
-    PNN2 aligns with the largest-modulus amplitude and takes its sign; PNN3
-    takes the (signed) largest amplitude.  Ties keep the current level if it
-    is among the maximizers, otherwise the lowest maximizing index wins; a
-    zero amplitude at the chosen level keeps the current sign (so an
-    all-zero field leaves the neuron untouched).
-    """
-    score = np.abs(amps) if kind is NetworkKind.PNN2 else amps
-    k = int(score.argmax())  # the lowest maximizing index
-    if score[cur_level - 1] == score[k]:
-        k = cur_level - 1
-    a = amps[k]
-    if kind is NetworkKind.PNN3 or a > 0:
-        return 1, k + 1
-    return (-1 if a < 0 else cur_sign), k + 1
 
 
 # (scale, the signs of a level's S states, tie) of the key of ``_decide_keys``
@@ -397,27 +390,27 @@ _KEY = {NetworkKind.PNN2: (4.0, np.array([1.0, -1.0]), 2.5),
 
 def _lockstep_inputs(memory: Memory, states: Sequence[Pattern]):
     """Check B states.  Return their (N, B) int64 state indices z, z = S (l - 1) + [s = -1] among
-    a neuron's Q = S q states (S = 2 for PNN2, 1 for PNN3); their (B, M) overlaps plus beta, so
-    that m @ W_i holds D's beta C_i; the key's (Q,) scale s' at each state z'; and the (N, Q)
+    a neuron's Q = S q states (S = 2 for PNN2, 1 for PNN3); their (B, M) overlaps plus beta
+    (``_stack_inputs``); the key's (Q,) scale s' at each state z'; and the (N, Q)
     table of s (1/2 - scale alpha C_il) at each z = (s, l), S floats per level count."""
     signs, levels, m = _stack_inputs(memory, states)
     scale, sign, _ = _KEY[memory.kind]
     signs_q = np.tile(sign, memory.q)
     own = (0.5 - scale * memory._alpha * memory._level_counts).repeat(len(sign), axis=1)
     own *= signs_q
-    return len(sign) * (levels - 1) + (signs < 0), m + memory._beta, scale * signs_q, own
+    return len(sign) * (levels - 1) + (signs < 0), m, scale * signs_q, own
 
 
 def _patterns(memory: Memory, z: np.ndarray) -> list[Pattern]:
     """The states of (N, B) state indices z, one Pattern a column."""
     shift = len(_KEY[memory.kind][1]) - 1  # S is 1 or 2, so z >> shift is l - 1
     signs, levels = 1 - 2 * (z & shift), (z >> shift) + 1
-    return [Pattern(signs[:, r], levels[:, r]) for r in range(z.shape[1])]
+    return [Pattern._of(signs[:, r], levels[:, r]) for r in range(z.shape[1])]
 
 
 def _decide_keys(kind: NetworkKind, scale, h: np.ndarray, z: np.ndarray, base, own):
     """The new state indices of one neuron in B states z, or of K neurons in B states each, from
-    their (B, q) or (K, B, q) sums h: the argmax of an integer key, ``_decide`` to the tie.
+    their (B, q) or (K, B, q) sums h: the argmax of an integer key, the alignment rule to the tie.
     ``scale`` and ``own`` (at z) are from ``_lockstep_inputs``; ``base``, shaped (S,) + z.shape,
     is Q times each state's position in z plus its sign slot.  At z = (s, l) the key of z' =
     (s', l') is 4 s' D_l' + 2 [l' = l] + [z' = z] for PNN2 and 2 D_l' + [z' = z] for PNN3, so
@@ -486,46 +479,54 @@ def asynchronous_retrieve(
 ) -> RetrievalResult:
     """Relax the input one neuron at a time until a sweep changes nothing.
 
-    Each visit decides on the decision field of ``_decision_field`` at the
-    current state.  On a change the float64 overlaps m move by
-    alpha sigma_i (s'[lev_i = l'] - s[lev_i = l]), so a visit costs O(M + q).
-    Energy never increases.  ``rng`` is required for the seeded
-    random-permutation order; ``retrieve_batch`` relaxes many inputs at
-    once in sequential order.
+    Each visit takes one argmax of |D| (PNN2) or D (PNN3) over the decision
+    field of ``_decision_field``, with 1/2 added at the current level so that
+    it wins ties, and the sign of D there; a zero D keeps the current sign.
+    On a change from (s, l) to (s', l') a (q + 1)-entry table holds alpha s'
+    at l' and -alpha s at l, and the overlaps move by sigma_i times the table
+    at lev_i, so a visit costs O(M + q).  Energy never increases.  ``rng`` is
+    required for the seeded random-permutation order; ``retrieve_batch``
+    relaxes many inputs at once in sequential order.
     """
     signs, levels, m = _stack_inputs(memory, [input_state])
-    signs, levels, m = signs[:, 0], levels[:, 0], m[0]
+    signs, levels, m = signs[:, 0].tolist(), levels[:, 0].tolist(), m[0]
     max_sweeps = _check_retrieval(max_sweeps)
     if not isinstance(order, UpdateOrder):
         raise ValueError(f"order must be an UpdateOrder, got {order!r}")
     if order is UpdateOrder.RANDOM_PERMUTATION and rng is None:
         raise ValueError("random-permutation order needs an rng")
 
-    n, a = memory.n_neurons, memory._alpha
+    n, a, pnn2 = memory.n_neurons, memory._alpha, memory.kind is NetworkKind.PNN2
+    step = np.zeros(memory.q + 1)  # the overlap step by stored level; zero between changes
     trace: list[Pattern] | None = [] if record_trace else None
 
     changed_total = 0
     for sweeps in range(1, max_sweeps + 1):
-        visit = range(n) if order is UpdateOrder.SEQUENTIAL else rng.permutation(n)
+        visit = range(n) if order is UpdateOrder.SEQUENTIAL else rng.permutation(n).tolist()
         changed_this_sweep = 0
         for i in visit:
-            i = int(i)
-            s, l = int(signs[i]), int(levels[i])
-            sign, level = _decide(memory.kind, _decision_field(memory, i, s, l, m), s, l)
+            s, l = signs[i], levels[i]
+            d = _decision_field(memory, i, s, l, m)
+            key = np.abs(d) if pnn2 else d  # PNN3 takes no sign from D, so may overwrite it
+            key[l - 1] += 0.5  # exact, as Memory's bound keeps the integer |D| below 2**52
+            level = int(key.argmax()) + 1
+            amp = d.item(level - 1) if pnn2 else 0.0  # PNN3 keeps its sign, +1
+            sign = 1 if amp > 0 else -1 if amp < 0 else s
             if sign != s or level != l:
-                signs[i] = sign
-                levels[i] = level
-                sigma, lev = memory._signs[i], memory._levels[i]
-                m += a * (sigma * ((lev == level) * sign - (lev == l) * s))  # no int8 a * sigma
+                signs[i], levels[i] = sign, level
+                step[l] = -a * s
+                step[level] += a * sign
+                m += memory._signs[i] * step.take(memory._levels[i])
+                step[l] = step[level] = 0.0
                 changed_this_sweep += 1
             if trace is not None:
-                trace.append(Pattern(signs, levels))
+                trace.append(Pattern._of(np.array(signs), np.array(levels)))
         changed_total += changed_this_sweep
         if changed_this_sweep == 0:
             break
 
     return RetrievalResult(
-        final_state=Pattern(signs, levels),
+        final_state=Pattern._of(np.array(signs), np.array(levels)),
         converged=changed_this_sweep == 0,
         sweeps_used=sweeps,
         updates_changed=changed_total,

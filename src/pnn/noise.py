@@ -13,6 +13,7 @@ All generators are pure functions of their arguments and the supplied
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -59,21 +60,19 @@ def _qnary_arrays(
 
 def _qnary_draws(m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Generator):
     """Check the arguments of ``random_qnary_patterns``; return an iterator over its M
-    patterns' (signs, levels), each drawn when reached: its levels, then (PNN2) its signs."""
+    patterns' (signs, levels).  A PNN2 pattern is drawn when reached: its levels, then its
+    signs.  PNN3 levels come from one (M, N) draw, which yields the values, and leaves the
+    generator in the state, of M draws of N."""
     if m < 1 or n < 1 or q < 1:
         raise ValueError(f"need m, n, q >= 1, got m={m} n={n} q={q}")
     if q % 1 != 0:
         raise LevelOutOfRange(f"q must be a whole number, got {q}")
     if not isinstance(kind, NetworkKind):
         raise ValueError(f"kind must be a NetworkKind, got {kind!r}")
-    signed, unsigned = kind is NetworkKind.PNN2, np.ones(n, dtype=np.int8)
-
-    def draws():
-        for _ in range(m):
-            levels = rng.integers(1, q + 1, size=n)
-            yield (2 * rng.integers(0, 2, size=n) - 1 if signed else unsigned), levels
-
-    return draws()
+    if kind is NetworkKind.PNN3:
+        return zip(repeat(np.ones(n, dtype=np.int8)), rng.integers(1, q + 1, size=(m, n)))
+    draws = (rng.integers(1, q + 1, size=n) for _ in range(m))
+    return ((2 * rng.integers(0, 2, size=n) - 1, levels) for levels in draws)  # levels, then signs
 
 
 def apply_qnary_noise(

@@ -25,7 +25,15 @@ from pnn import (
     synchronous_batch,
     synchronous_step,
 )
-from oracles import ScalarHopfield, naive_decide, naive_energy, naive_local_field, with_neuron
+from oracles import (
+    ScalarHopfield,
+    exact_local_field,
+    naive_decide,
+    naive_energy,
+    naive_local_field,
+    with_neuron,
+)
+from pnn.core import _overlaps
 
 
 def random_memory(rng, n, q, m, kind):
@@ -211,6 +219,17 @@ class TestLocalField:
             combined = local_field(mem_ab, state, i)
             split = local_field(mem_a, state, i) + local_field(mem_b, state, i)
             np.testing.assert_allclose(combined, split, atol=1e-12)
+
+
+    @pytest.mark.parametrize("n", [127, 128, 32767, 32768])
+    def test_overlaps_reach_plus_and_minus_n_at_the_accumulator_bounds(self, n):
+        # the column sums run in the narrowest type that holds +-N: int8 up to N = 127,
+        # int16 up to 32767, so each N here sits at one end of a type's range
+        ones = np.ones(n, dtype=np.int8)
+        mem = Memory(NetworkKind.PNN2, 1, np.stack([ones, -ones]), np.ones((2, n), dtype=np.int8))
+        for sign in (1, -1):
+            m = _overlaps(mem, sign * ones, ones)
+            assert m.dtype == np.int64 and m.tolist() == [sign * n, -sign * n]
 
 
 class TestNeuronUpdate:
@@ -422,6 +441,56 @@ class TestAsynchronousRetrieve:
         res = asynchronous_retrieve(mem, patterns[0], 3, record_trace=True)
         assert len(res.trace) == 8 * res.sweeps_used
         assert res.trace[-1] == res.final_state
+
+    P2, P3 = NetworkKind.PNN2, NetworkKind.PNN3
+    # name: (kind, q, stored signs, stored levels, input signs, input levels), then the visit
+    # that shows the case, with its state (s, l) and exact field h (scaled by N alpha^2)
+    VISIT_CASES = {
+        "pnn2 zero field at every level": (
+            (P2, 3, [[-1, -1, -1]], [[1, 2, 1]], [1, -1, -1], [3, 3, 2]), (1, (-1, 3), [0, 0, 0])),
+        "pnn2 tie with the current level": (
+            (P2, 2, [[-1, 1, -1], [1, -1, 1]], [[2, 2, 1], [2, 1, 1]], [1, 1, 1], [1, 2, 1]),
+            (1, (1, 2), [-2, -2])),
+        "pnn3 tie with the current level": (
+            (P3, 3, [[1, 1, 1]], [[1, 3, 1]], [1, 1, 1], [3, 1, 2]), (0, (1, 3), [-4, 2, 2])),
+        "pnn2 tie without the current level": (
+            (P2, 3, [[1, 1, 1], [1, -1, -1]], [[1, 3, 3], [3, 2, 1]], [-1, 1, -1], [2, 3, 1]),
+            (0, (-1, 2), [1, 0, 1])),
+        "pnn3 tie without the current level": (
+            (P3, 3, [[1, 1, 1]], [[2, 1, 2]], [1, 1, 1], [2, 2, 3]), (0, (1, 2), [2, -4, 2])),
+        # a zero at the new level itself cannot arise: the largest |h| is zero only when all
+        # are, and PNN3 amplitudes sum to zero; so the zero sits at the level that is left
+        "pnn2 zero at the current level, a new level's sign": (
+            (P2, 3, [[1, -1, 1]], [[3, 2, 2]], [1, 1, 1], [3, 3, 1]), (1, (1, 3), [0, -1, 0])),
+        "hopfield zero field keeps a negative sign": (
+            (P2, 1, [[-1, -1, 1]], [[1, 1, 1]], [-1, 1, 1], [1, 1, 1]), (0, (-1, 1), [0])),
+        "pnn2 sign flip at the current level": (
+            (P2, 3, [[-1, 1, 1], [1, -1, -1]], [[2, 3, 2], [1, 2, 1]], [-1, 1, -1], [1, 3, 2]),
+            (1, (1, 3), [0, 1, -1])),
+        "pnn2 a sign flip, then a level move": (
+            (P2, 2, [[-1, 1, -1], [-1, -1, 1]], [[1, 1, 2], [2, 1, 2]], [1, 1, -1], [1, 2, 2]),
+            (1, (1, 2), [3, 0])),
+        "pnn3 moves at two neurons": (
+            (P3, 3, [[1, 1, 1]], [[1, 3, 2]], [1, 1, 1], [3, 1, 2]), (1, (1, 1), [-4, -4, 8])),
+    }
+
+    @pytest.mark.parametrize("name", list(VISIT_CASES))
+    def test_one_traced_sweep_follows_the_naive_rule_at_each_visit(self, name):
+        arrays, (at, at_state, at_field) = self.VISIT_CASES[name]
+        kind, q, signs, levels, x_signs, x_levels = arrays
+        mem, state = Memory(kind, q, signs, levels), Pattern(x_signs, x_levels)
+        res = asynchronous_retrieve(mem, state, 1, record_trace=True)
+        changed = 0
+        for i, after in enumerate(res.trace):
+            h, _ = exact_local_field(mem, state, i)
+            old = int(state.signs[i]), int(state.levels[i])
+            if i == at:
+                assert (old, h) == (at_state, at_field)
+            new = naive_decide(kind, h, *old)
+            changed += new != old
+            state = with_neuron(state, i, *new)
+            assert after == state, (i, h)
+        assert res.final_state == state and res.updates_changed == changed
 
 
 class TestRetrieveBatch:

@@ -83,17 +83,21 @@ class TestQnaryGeneration:
 
     @pytest.mark.parametrize("kind, q", [
         (NetworkKind.PNN2, 1), (NetworkKind.PNN2, 3), (NetworkKind.PNN2, 16),
-        (NetworkKind.PNN3, 3), (NetworkKind.PNN3, 16),
+        (NetworkKind.PNN3, 3), (NetworkKind.PNN3, 16), (NetworkKind.PNN3, 1000),
     ])
     def test_drawn_arrays_build_the_memory_of_the_drawn_patterns(self, kind, q):
-        # q = 1 draws no level words, and q = 3 rejects some of them
-        patterns = reference_qnary_patterns(30, 17, q, kind, make_rng(5, 2))
-        assert random_qnary_patterns(30, 17, q, kind, make_rng(5, 2)) == patterns
+        # q = 1 draws no level words, and q = 3 rejects some of them; PNN3 draws its M
+        # patterns in one call, which must leave the generator where M calls of N leave it
+        rngs = [make_rng(5, 2) for _ in range(3)]
+        patterns = reference_qnary_patterns(30, 17, q, kind, rngs[0])
+        assert random_qnary_patterns(30, 17, q, kind, rngs[1]) == patterns
         want = build_memory(patterns, kind, q)
-        got = Memory(kind, q, *_qnary_arrays(30, 17, q, kind, make_rng(5, 2)))
+        got = Memory(kind, q, *_qnary_arrays(30, 17, q, kind, rngs[2]))
         for name in ("_signs", "_levels", "_level_counts"):
             assert getattr(got, name).dtype == getattr(want, name).dtype
             assert np.array_equal(getattr(got, name), getattr(want, name))
+        after = [rng.integers(0, 2**62, size=5).tolist() for rng in rngs]
+        assert after[1] == after[0] and after[2] == after[0]
 
     @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
     def test_fractional_q_rejected(self, kind):
