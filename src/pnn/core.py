@@ -31,15 +31,15 @@ scaled field over alpha shifted alike at every level, which the alignment
 rule cannot tell from the field itself; ``local_field`` builds the field
 from it.  The kernels hold the overlaps plus beta, so that neuron i's sums
 of sigma_i m by level already hold the field's beta term.  The
-asynchronous visit and ``synchronous_batch`` bin those sums with
-``bincount``; ``retrieve_batch`` takes them as m @ W_i, the (B, M)
-overlaps times neuron i's signed one-hot (M, q) matrix.  The asynchronous
-visit decides with one argmax and, on a change, moves m by sigma_i times a
-(q + 1)-entry table indexed by the stored levels; both batched kernels
-decide a neuron in all B states with one argmax of an integer key
-(``_decide_keys``).  Sums and keys are integers in float64, exact below
-2**53.  The kernel of ``retrieve_batch`` can also take the synchronous step
-of its inputs in its first sweep, at their frozen overlaps.
+asynchronous visit bins them with ``bincount``, and after a run of
+unchanged visits decides the next neurons as a block (``_decide_block``),
+kept up to the first that moves; a move shifts m by sigma_i times a
+(q + 1)-entry table at the stored levels.  A synchronous step is one block
+of all N neurons.  ``retrieve_batch`` takes the sums as m @ W_i, the
+(B, M) overlaps times neuron i's signed one-hot (M, q) matrix, and decides
+a neuron in all B states by one argmax of an integer key (``_decide_keys``).
+Sums and keys are integers in float64, exact below 2**53.  Its kernel can
+also take the synchronous step of its inputs in its first sweep.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -353,8 +353,9 @@ def _decision_field(memory: Memory, i: int, s: int, l: int, mb: np.ndarray) -> n
     holds beta C_i as PNN3 signs are all +1, less s alpha C_il at level l.  The scaled field of
     ``local_field`` is alpha D - beta sum(m) - s (beta^2 M - alpha beta C_il), the same shift at
     every level, so the alignment rule picks the same state on D."""
+    weights = memory._signs[i] * mb if memory._beta == 0 else mb  # PNN3 signs are all +1
     # bin 0 stays empty, as levels start at 1
-    d = np.bincount(memory._levels[i], weights=memory._signs[i] * mb, minlength=memory.q + 1)[1:]
+    d = np.bincount(memory._levels[i], weights=weights, minlength=memory.q + 1)[1:]
     d[l - 1] -= s * memory._alpha * memory._level_counts[i, l - 1]
     return d
 
@@ -381,6 +382,20 @@ def local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
     amplitudes = h / _field_denominator(memory)
     amplitudes.setflags(write=False)
     return amplitudes
+
+
+def _decide_block(memory: Memory, rows, s: np.ndarray, l: np.ndarray, mb: np.ndarray):
+    """The (signs, levels) that neurons ``rows`` (a slice or an index array) in states (s, l) take
+    at the overlaps plus beta mb, each by the rule of an ``asynchronous_retrieve`` visit."""
+    d = _level_sums(memory._levels[rows], memory.q, memory._signs[rows], mb)
+    at = np.arange(len(d)), l - 1
+    d[at] -= s * memory._alpha * memory._level_counts[rows][at]
+    pnn2 = memory.kind is NetworkKind.PNN2
+    key = np.abs(d) if pnn2 else d  # PNN3 takes no sign from D, so may overwrite it
+    key[at] += 0.5
+    level = key.argmax(axis=1)
+    amp = d[at[0], level] if pnn2 else 0  # PNN3 keeps its sign, +1
+    return np.where(amp > 0, 1, np.where(amp < 0, -1, s)), level + 1
 
 
 # (scale, the signs of a level's S states, tie) of the key of ``_decide_keys``
@@ -446,22 +461,11 @@ def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
 
 def synchronous_batch(memory: Memory, states: Sequence[Pattern]) -> list[Pattern]:
     """One parallel update of each state from its fixed initial overlaps m;
-    result r equals ``synchronous_step(memory, states[r])`` bit for bit.
-
-    Neurons go in slabs of about 2**16 bins, so no (B, N, q) array is built.
-    A slab's sums come from ``_level_sums``; ``_decide_keys`` decides it."""
-    z, m, scale, own = _lockstep_inputs(memory, states)
-    n, b, q, kind, s = memory.n_neurons, len(states), memory.q, memory.kind, scale.size // memory.q
-    per = min(n, max(1, (1 << 16) // (b * q)))  # neurons per slab
-    base = (s * q * np.arange(per * b) + np.arange(s)[:, None]).reshape(s, per, b)
-    new_z = np.empty_like(z)
-    for lo in range(0, n, per):
-        hi = min(n, lo + per)
-        sums = [_level_sums(memory._levels[lo:hi], q, memory._signs[lo:hi], mr) for mr in m]
-        own_z = np.take_along_axis(own[lo:hi], z[lo:hi], axis=1)
-        slab = np.stack(sums, axis=1)
-        new_z[lo:hi] = _decide_keys(kind, scale, slab, z[lo:hi], base[:, :hi - lo], own_z)
-    return _patterns(memory, new_z)
+    result r equals ``synchronous_step(memory, states[r])`` bit for bit and
+    is one ``_decide_block`` of all N neurons."""
+    signs, levels, m = _stack_inputs(memory, states)
+    return [Pattern._of(*_decide_block(memory, slice(None), signs[:, r], levels[:, r], m[r]))
+            for r in range(len(states))]
 
 
 def is_fixed_point(memory: Memory, state: Pattern) -> bool:
@@ -484,12 +488,15 @@ def asynchronous_retrieve(
     it wins ties, and the sign of D there; a zero D keeps the current sign.
     On a change from (s, l) to (s', l') a (q + 1)-entry table holds alpha s'
     at l' and -alpha s at l, and the overlaps move by sigma_i times the table
-    at lev_i, so a visit costs O(M + q).  Energy never increases.  ``rng`` is
-    required for the seeded random-permutation order; ``retrieve_batch``
+    at lev_i, so a visit costs O(M + q).  Energy never increases.  After k >= 8
+    unchanged visits in a row, across sweeps, the next k neurons of the sweep
+    (8 or more, cut at its end) are decided as one block (``_decide_block``)
+    and kept up to the first that moves, as nothing moves before it.  ``rng``
+    is required for the seeded random-permutation order; ``retrieve_batch``
     relaxes many inputs at once in sequential order.
     """
     signs, levels, m = _stack_inputs(memory, [input_state])
-    signs, levels, m = signs[:, 0].tolist(), levels[:, 0].tolist(), m[0]
+    signs, levels, m = signs[:, 0], levels[:, 0], m[0]
     max_sweeps = _check_retrieval(max_sweeps)
     if not isinstance(order, UpdateOrder):
         raise ValueError(f"order must be an UpdateOrder, got {order!r}")
@@ -500,33 +507,51 @@ def asynchronous_retrieve(
     step = np.zeros(memory.q + 1)  # the overlap step by stored level; zero between changes
     trace: list[Pattern] | None = [] if record_trace else None
 
-    changed_total = 0
+    changed_total = run = 0  # run: the unchanged visits since the last change
     for sweeps in range(1, max_sweeps + 1):
-        visit = range(n) if order is UpdateOrder.SEQUENTIAL else rng.permutation(n).tolist()
-        changed_this_sweep = 0
-        for i in visit:
-            s, l = signs[i], levels[i]
-            d = _decision_field(memory, i, s, l, m)
-            key = np.abs(d) if pnn2 else d  # PNN3 takes no sign from D, so may overwrite it
-            key[l - 1] += 0.5  # exact, as Memory's bound keeps the integer |D| below 2**52
-            level = int(key.argmax()) + 1
-            amp = d.item(level - 1) if pnn2 else 0.0  # PNN3 keeps its sign, +1
-            sign = 1 if amp > 0 else -1 if amp < 0 else s
-            if sign != s or level != l:
-                signs[i], levels[i] = sign, level
-                step[l] = -a * s
-                step[level] += a * sign
-                m += memory._signs[i] * step.take(memory._levels[i])
-                step[l] = step[level] = 0.0
-                changed_this_sweep += 1
+        perm = None if order is UpdateOrder.SEQUENTIAL else rng.permutation(n)
+        visit = range(n) if perm is None else perm.tolist()
+        changed_this_sweep = k = 0
+        while k < n:
+            if run >= 8 and n - k >= 8:  # run-ahead: the next run neurons of the sweep at once
+                rows = slice(k, k + run) if perm is None else perm[k:k + run]
+                s, l = signs[rows], levels[rows]
+                new_s, new_l = _decide_block(memory, rows, s, l, m)  # exact up to the first mover
+                moved = ((new_s != s) | (new_l != l)).nonzero()[0]
+                size, quiet = len(s), int(moved[0]) if moved.size else len(s)
+                if quiet < size:
+                    s, l, sign, level = s[quiet], l[quiet], new_s[quiet], new_l[quiet]
+            else:
+                s, l = signs.item(visit[k]), levels.item(visit[k])
+                d = _decision_field(memory, visit[k], s, l, m)
+                key = np.abs(d) if pnn2 else d  # PNN3 takes no sign from D, so may overwrite it
+                key[l - 1] += 0.5  # exact, as Memory's bound keeps the integer |D| below 2**52
+                level = int(key.argmax()) + 1
+                amp = d.item(level - 1) if pnn2 else 0.0  # PNN3 keeps its sign, +1
+                sign = 1 if amp > 0 else -1 if amp < 0 else s
+                size, quiet = 1, int(sign == s and level == l)
+            run, k = run + quiet, k + quiet
+            if trace is not None and quiet:
+                trace.extend([Pattern._of(signs, levels)] * quiet)
+            if quiet == size:
+                continue
+            i = visit[k]  # neuron i moves from (s, l) to (sign, level)
+            signs[i], levels[i] = sign, level
+            step[l] = -a * s
+            step[level] += a * sign
+            delta = step.take(memory._levels[i])
+            m += memory._signs[i] * delta if pnn2 else delta  # PNN3 signs are all +1
+            step[l] = step[level] = 0.0
+            changed_this_sweep += 1
+            run, k = 0, k + 1
             if trace is not None:
-                trace.append(Pattern._of(np.array(signs), np.array(levels)))
+                trace.append(Pattern._of(signs, levels))
         changed_total += changed_this_sweep
         if changed_this_sweep == 0:
             break
 
     return RetrievalResult(
-        final_state=Pattern._of(np.array(signs), np.array(levels)),
+        final_state=Pattern._of(signs, levels),
         converged=changed_this_sweep == 0,
         sweeps_used=sweeps,
         updates_changed=changed_total,

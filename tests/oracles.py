@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: explicit q-dimensional basis vectors,
 explicit N x N weight matrices, triple loops.  None of it shares code with
-the package internals.
+the package internals.  The one exception in kind is
+``reference_asynchronous_retrieve``: a copy of the package's earlier serial
+kernel, one visit at a time, written out from the public pattern arrays.
 """
 
 import numpy as np
 
-from pnn import IndexOutOfRange, Memory, NetworkKind, Pattern
+from pnn import IndexOutOfRange, Memory, NetworkKind, Pattern, RetrievalResult, UpdateOrder
 
 
 def unit_vector(level: int, q: int, sign: int = 1) -> np.ndarray:
@@ -103,6 +105,71 @@ def with_neuron(state: Pattern, i: int, sign: int, level: int) -> Pattern:
     signs, levels = state.signs.copy(), state.levels.copy()
     signs[i], levels[i] = sign, level
     return Pattern(signs, levels)
+
+
+def reference_asynchronous_retrieve(
+    memory: Memory,
+    input_state: Pattern,
+    max_sweeps: int,
+    order: UpdateOrder = UpdateOrder.SEQUENTIAL,
+    rng: np.random.Generator | None = None,
+    record_trace: bool = False,
+) -> RetrievalResult:
+    """Asynchronous retrieval one visit at a time, with no run-ahead blocks.
+
+    Each visit bins sigma_i (m + beta) by level, subtracts s alpha C_il at
+    the current level l to get the decision field D, and takes one argmax of
+    |D| (PNN2) or D (PNN3) with 1/2 added at l; the sign is D's at the
+    chosen level, a zero keeping the current sign.  A change moves the
+    float64 overlaps by sigma_i times a (q + 1)-entry step table at the
+    stored levels.  The overlaps m and the level counts C are built here
+    from ``pattern_signs`` and ``pattern_levels``.
+    """
+    n, q = memory.n_neurons, memory.q
+    a, b = (1, 0) if memory.kind is NetworkKind.PNN2 else (q, 1)
+    pnn2 = memory.kind is NetworkKind.PNN2
+    stored_signs = memory.pattern_signs.T.astype(np.int64)  # (N, M)
+    stored_levels = memory.pattern_levels.T.astype(np.int64)
+    counts = np.stack([np.count_nonzero(stored_levels == lv, axis=1) for lv in range(1, q + 1)], 1)
+    signs, levels = input_state.signs.astype(int).tolist(), input_state.levels.astype(int).tolist()
+    agree = stored_signs * (stored_levels == np.array(levels)[:, None]) * np.array(signs)[:, None]
+    m = (a * agree.sum(axis=0) - b * n + b).astype(np.float64)  # the overlaps plus beta
+    step = np.zeros(q + 1)
+    trace: list[Pattern] | None = [] if record_trace else None
+
+    changed_total = 0
+    for sweeps in range(1, max_sweeps + 1):
+        visit = range(n) if order is UpdateOrder.SEQUENTIAL else rng.permutation(n).tolist()
+        changed_this_sweep = 0
+        for i in visit:
+            s, l = signs[i], levels[i]
+            d = np.bincount(stored_levels[i], weights=stored_signs[i] * m, minlength=q + 1)[1:]
+            d[l - 1] -= s * a * counts[i, l - 1]
+            key = np.abs(d) if pnn2 else d
+            key[l - 1] += 0.5
+            level = int(key.argmax()) + 1
+            amp = d.item(level - 1) if pnn2 else 0.0
+            sign = 1 if amp > 0 else -1 if amp < 0 else s
+            if sign != s or level != l:
+                signs[i], levels[i] = sign, level
+                step[l] = -a * s
+                step[level] += a * sign
+                m += stored_signs[i] * step.take(stored_levels[i])
+                step[l] = step[level] = 0.0
+                changed_this_sweep += 1
+            if trace is not None:
+                trace.append(Pattern(signs, levels))
+        changed_total += changed_this_sweep
+        if changed_this_sweep == 0:
+            break
+
+    return RetrievalResult(
+        final_state=Pattern(signs, levels),
+        converged=changed_this_sweep == 0,
+        sweeps_used=sweeps,
+        updates_changed=changed_total,
+        trace=trace,
+    )
 
 
 def naive_energy(memory: Memory, state: Pattern) -> float:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pnn.core
 from pnn import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -31,6 +32,7 @@ from oracles import (
     naive_decide,
     naive_energy,
     naive_local_field,
+    reference_asynchronous_retrieve,
     with_neuron,
 )
 from pnn.core import _overlaps
@@ -307,9 +309,9 @@ class TestSynchronousStep:
         ]
 
     @pytest.mark.parametrize("kind", list(NetworkKind))
-    def test_many_slabs_follow_the_naive_rule(self, kind):
-        # slabs hold about 2**16 bins, so at q = 2**14 one state updates
-        # 4 neurons a slab and three states 1; levels spread over all of q
+    def test_large_q_follows_the_naive_rule(self, kind):
+        # at q = 2**14 each state's one block decision bins N q = 163,840
+        # level sums; levels spread over all of q
         n, q = 10, 2**14
         rng = make_rng(26)
         levels = rng.choice([1, 2, 5000, q - 1, q], size=(3, n))
@@ -335,7 +337,7 @@ class TestSynchronousStep:
         want = [naive_step(state) for state in states]
         assert [synchronous_step(mem, state) for state in states] == want
         assert synchronous_batch(mem, states) == want
-        # six states take the m @ W_i product path, still one neuron a slab
+        # six states, each decided on its own as one block of all N neurons
         assert synchronous_batch(mem, states * 2) == want * 2
 
     def test_batch_rejects_no_states_and_a_bad_state(self):
@@ -491,6 +493,74 @@ class TestAsynchronousRetrieve:
             state = with_neuron(state, i, *new)
             assert after == state, (i, h)
         assert res.final_state == state and res.updates_changed == changed
+
+    # name: (kind, q, the neurons moved off a stored pattern), then the blocks that the run-ahead
+    # of a 40-neuron sequential retrieval decides, as (first row, rows): after 8 unchanged visits
+    # a block of as many rows as the unchanged run, cut at the sweep's end
+    RUN_AHEAD_CASES = {
+        "first mover at block offset 0": (
+            (NetworkKind.PNN2, 3, [8]), [(8, 8), (17, 8), (25, 15), (0, 31), (31, 9)]),
+        "first mover mid-block": (
+            (NetworkKind.PNN2, 3, [20]), [(8, 8), (16, 16), (29, 8), (0, 19), (19, 21)]),
+        "first mover on a block's last row": (
+            (NetworkKind.PNN2, 3, [31]), [(8, 8), (16, 16), (0, 8), (8, 16), (24, 16)]),
+        "a block that ends the sweep moves its last row": (
+            (NetworkKind.PNN2, 3, [39]), [(8, 8), (16, 16), (32, 8), (8, 8), (16, 16), (32, 8)]),
+        "hopfield": ((NetworkKind.PNN2, 1, [12]), [(8, 8), (21, 8), (29, 11), (0, 27), (27, 13)]),
+        "pnn3 movers in two blocks": (
+            (NetworkKind.PNN3, 3, [8, 20]), [(8, 8), (17, 8), (29, 8), (0, 19), (19, 21)]),
+    }
+
+    @staticmethod
+    def spy_blocks(monkeypatch):
+        """The rows (a slice or an index array) and the size of every block decision of
+        asynchronous_retrieve, in call order."""
+        blocks = []
+        decide = pnn.core._decide_block
+
+        def spy(memory, rows, s, l, mb):
+            blocks.append((rows, len(s)))
+            return decide(memory, rows, s, l, mb)
+
+        monkeypatch.setattr(pnn.core, "_decide_block", spy)
+        return blocks
+
+    @pytest.mark.parametrize("name", list(RUN_AHEAD_CASES))
+    def test_run_ahead_blocks_keep_every_visit_of_the_reference(self, name, monkeypatch):
+        (kind, q, movers), want_blocks = self.RUN_AHEAD_CASES[name]
+        mem, patterns = random_memory(make_rng(41), 40, q, 3, kind)
+        state = patterns[0]
+        for i in movers:  # a flipped sign, or for PNN3 the next level
+            s, l = int(state.signs[i]), int(state.levels[i])
+            state = with_neuron(state, i, *((1, l % q + 1) if kind is NetworkKind.PNN3 else (-s, l)))
+        want = reference_asynchronous_retrieve(mem, state, 5, record_trace=True)
+        # the case as named: sweep 1 moves the given neurons back and nothing else, sweep 2 none
+        moved = [i for i, (a, b) in enumerate(zip([state] + want.trace, want.trace)) if a != b]
+        assert (moved, want.final_state, want.sweeps_used) == (movers, patterns[0], 2)
+        blocks = self.spy_blocks(monkeypatch)
+        got = asynchronous_retrieve(mem, state, 5, record_trace=True)
+        assert [(rows.start, size) for rows, size in blocks] == want_blocks
+        assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
+            want.final_state, want.converged, want.sweeps_used, want.updates_changed)
+        assert got.trace == want.trace
+
+    def test_run_ahead_blocks_take_their_rows_from_the_permutation(self, monkeypatch):
+        mem, patterns = random_memory(make_rng(42), 40, 3, 3, NetworkKind.PNN2)
+        state = with_neuron(patterns[0], 5, -int(patterns[0].signs[5]), int(patterns[0].levels[5]))
+        blocks = self.spy_blocks(monkeypatch)
+        order = UpdateOrder.RANDOM_PERMUTATION
+        got = asynchronous_retrieve(mem, state, 5, order, make_rng(43), record_trace=True)
+        want = reference_asynchronous_retrieve(mem, state, 5, order, make_rng(43), record_trace=True)
+        assert (got.final_state, got.sweeps_used, got.updates_changed) == (patterns[0], 2, 1)
+        assert (want.final_state, want.sweeps_used, want.updates_changed) == (patterns[0], 2, 1)
+        assert got.trace == want.trace
+        # neuron 5 comes 23rd in sweep 1, so the blocks are these stretches of the permutations
+        replay = make_rng(43)
+        perms = [replay.permutation(40) for _ in range(2)]
+        assert perms[0][22] == 5
+        want_blocks = [(0, 8, 8), (0, 16, 16), (0, 31, 8), (1, 0, 17), (1, 17, 23)]
+        assert [rows.tolist() for rows, _ in blocks] == [
+            perms[sweep][start:start + size].tolist() for sweep, start, size in want_blocks]
 
 
 class TestRetrieveBatch:

@@ -9,7 +9,9 @@ asynchronous one in either visiting order, visit by visit) and the batched
 synchronous step against the naive decision rule on the naive field, the
 batched argmax key against the naive rule on small integer fields,
 batched retrieval and the batched step against their serial forms, the
-first sweep's one-step rows against the batched step, the
+first sweep's one-step rows against the batched step, asynchronous
+retrieval with its run-ahead blocks against the visit-by-visit reference
+on wider memories (N in 16..60, so that blocks are taken), the
 binary mapping against its literal reference and the identifier's digits
 against the naive identifier field.
 """
@@ -42,6 +44,7 @@ from oracles import (
     naive_energy,
     naive_identifier_field,
     naive_local_field,
+    reference_asynchronous_retrieve,
     reference_map_binary,
     reference_unmap_binary,
     with_neuron,
@@ -197,6 +200,41 @@ def test_batched_retrieval_equals_serial_retrieval(case, max_sweeps):
 
 def outcome(result):
     return result.final_state, result.converged, result.sweeps_used, result.updates_changed
+
+
+@st.composite
+def wide_memory_and_state(draw):
+    """A memory of 16 to 60 neurons and an input that is random, a fixed point or one or two
+    neurons off a fixed point, so that runs of unchanged visits, and blocks, are common."""
+    kind = draw(st.sampled_from(NetworkKind))
+    q = draw(st.integers(2 if kind is NetworkKind.PNN3 else 1, 5))
+    n, m = draw(st.integers(16, 60)), draw(st.integers(1, 12))
+    sign = st.just(1) if kind is NetworkKind.PNN3 else st.sampled_from((-1, 1))
+    memory = Memory(kind, q, draw(arrays(np.int8, (m, n), elements=sign)),
+                    draw(arrays(np.int64, (m, n), elements=st.integers(1, q))))
+    state = Pattern(draw(arrays(np.int8, n, elements=sign)),
+                    draw(arrays(np.int64, n, elements=st.integers(1, q))))
+    start = draw(st.sampled_from(["random", "fixed point", "off a fixed point"]))
+    if start != "random":
+        relaxed = reference_asynchronous_retrieve(memory, state, 200)
+        assume(relaxed.converged)
+        state = relaxed.final_state
+    if start == "off a fixed point":
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            state = with_neuron(state, i, draw(sign), draw(st.integers(1, q)))
+    return memory, state
+
+
+@given(wide_memory_and_state(), st.sampled_from(UpdateOrder), st.integers(0, 2**32 - 1),
+       st.integers(1, 6))
+def test_run_ahead_retrieval_keeps_every_visit_of_the_reference(case, order, seed, max_sweeps):
+    memory, state = case
+    got, want = (
+        retrieve(memory, state, max_sweeps, order, np.random.default_rng(seed), record_trace=True)
+        for retrieve in (asynchronous_retrieve, reference_asynchronous_retrieve)
+    )
+    assert outcome(got) == outcome(want)
+    assert got.trace == want.trace
 
 
 @pytest.mark.parametrize("kind, q", [
