@@ -58,6 +58,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     LevelOutOfRange,
+    PnnError,
     SignNotAllowed,
 )
 
@@ -214,35 +215,38 @@ class Memory:
     __slots__ = ("kind", "n_neurons", "q", "_signs", "_levels", "_alpha", "_beta", "_level_counts")
 
     def __init__(self, kind: NetworkKind, q: int, pattern_signs, pattern_levels):
-        if not isinstance(kind, NetworkKind):
-            raise ValueError(f"kind must be a NetworkKind, got {kind!r}")
-        if not (q >= 1 and q % 1 == 0):
-            raise LevelOutOfRange(f"q must be a whole number >= 1, got {q}")
-        q = int(q)
-        if kind is NetworkKind.PNN3 and q < 2:
-            raise LevelOutOfRange("PNN3 requires q >= 2 (centering by e/q annihilates q=1 states)")
-        signs = np.asarray(pattern_signs)
-        levels = np.asarray(pattern_levels)
+        q = _network_q(kind, q)
+        signs, levels = np.asarray(pattern_signs), np.asarray(pattern_levels)
         if signs.ndim != 2 or signs.shape != levels.shape or signs.size == 0:
             raise DimensionMismatch("signs and levels must be non-empty (M, N) arrays of one shape")
-        if 4 * signs.size * q >= 2**53:  # the largest batched key, 4 M q N, must be exact
-            raise DimensionMismatch(f"4 M q N = {4 * signs.size * q} must stay below 2**53")
-        _check_values(signs, levels, q, unsigned=kind is NetworkKind.PNN3)
-        self.kind = kind
-        self.q = q
+        self._fill(kind, q, *signs.shape, lambda lo, hi: (signs[lo:hi], levels[lo:hi]))
+
+    def _fill(self, kind: NetworkKind, q: int, m: int, n: int, rows) -> "Memory":
+        """Store, and return, the (M, N) patterns whose rows lo:hi are ``rows(lo, hi)``: blocks of
+        max(1, 2**16 // N) patterns are checked at their own dtype, then written transposed."""
+        if 4 * m * n * q >= 2**53:  # the largest batched key, 4 M q N, must be exact
+            raise DimensionMismatch(f"4 M q N = {4 * m * n * q} must stay below 2**53")
+        unsigned = kind is NetworkKind.PNN3
+        signs, levels = np.empty((n, m), np.int8), np.empty((n, m), np.min_scalar_type(q))
+        per = max(1, (1 << 16) // n)
+        for lo in range(0, m, per):
+            block_signs, block_levels = rows(lo, lo + per)
+            try:
+                _check_values(block_signs, block_levels, q, unsigned)
+            except PnnError:  # raise the input's first fault, as one check of all M rows does
+                _check_values(*rows(0, m), q, unsigned)
+                raise
+            signs[:, lo:lo + per] = block_signs.T
+            # cast before transposing, so the transposing copy moves narrow elements
+            levels[:, lo:lo + per] = block_levels.astype(levels.dtype, copy=False).T
+        self.kind, self.q, self.n_neurons = kind, q, n
         # stored vector w = alpha * s * e_l - beta * e, in integers
-        self._alpha, self._beta = (1, 0) if kind is NetworkKind.PNN2 else (q, 1)
-        signs = signs.T.astype(np.int8, order="C")
-        # cast before transposing, so the transposing copy moves narrow elements
-        levels = levels.astype(np.min_scalar_type(q)).T.copy()
-        n = levels.shape[0]
+        self._alpha, self._beta = (q, 1) if unsigned else (1, 0)
         counts = _level_sums(levels, q)
         for arr in (signs, levels, counts):
             arr.setflags(write=False)
-        self._signs = signs
-        self._levels = levels
-        self._level_counts = counts
-        self.n_neurons = n
+        self._signs, self._levels, self._level_counts = signs, levels, counts
+        return self
 
     @property
     def pattern_signs(self) -> np.ndarray:
@@ -262,13 +266,6 @@ class Memory:
     def n_patterns(self) -> int:
         return self._signs.shape[1]
 
-    @property
-    def patterns(self) -> list[Pattern]:
-        return [
-            Pattern(self._signs[:, mu], self._levels[:, mu])
-            for mu in range(self.n_patterns)
-        ]
-
     def __repr__(self):
         return (
             f"Memory(kind={self.kind.value}, N={self.n_neurons}, "
@@ -276,15 +273,15 @@ class Memory:
         )
 
 
-def _stack_patterns(patterns: Sequence[Pattern]) -> tuple[np.ndarray, np.ndarray]:
-    """(M, N) sign and level arrays of a non-empty list of equally long patterns."""
-    if not patterns:
-        raise DimensionMismatch("at least one pattern is required")
-    n = len(patterns[0])
-    for p in patterns:
-        if len(p) != n:
-            raise DimensionMismatch(f"pattern lengths differ: {len(p)} vs {n}")
-    return np.stack([p.signs for p in patterns]), np.stack([p.levels for p in patterns])
+def _network_q(kind: NetworkKind, q) -> int:
+    """q as an int, checked to be a whole number >= 1 (>= 2 for PNN3) once kind is a NetworkKind."""
+    if not isinstance(kind, NetworkKind):
+        raise ValueError(f"kind must be a NetworkKind, got {kind!r}")
+    if not (q >= 1 and q % 1 == 0):
+        raise LevelOutOfRange(f"q must be a whole number >= 1, got {q}")
+    if kind is NetworkKind.PNN3 and q < 2:
+        raise LevelOutOfRange("PNN3 requires q >= 2 (centering by e/q annihilates q=1 states)")
+    return int(q)
 
 
 def build_memory(patterns: Sequence[Pattern], kind: NetworkKind, q: int) -> Memory:
@@ -295,7 +292,14 @@ def build_memory(patterns: Sequence[Pattern], kind: NetworkKind, q: int) -> Memo
     >= 1 (>= 2 for PNN3) or levels above q, SignNotAllowed when a PNN3
     network receives a signed state.
     """
-    return Memory(kind, q, *_stack_patterns(patterns))
+    if not patterns:
+        raise DimensionMismatch("at least one pattern is required")
+    n = len(patterns[0])
+    for p in patterns:
+        if len(p) != n:
+            raise DimensionMismatch(f"pattern lengths differ: {len(p)} vs {n}")
+    return object.__new__(Memory)._fill(kind, _network_q(kind, q), len(patterns), n, lambda i, j: (
+        np.stack([p.signs for p in patterns[i:j]]), np.stack([p.levels for p in patterns[i:j]])))
 
 
 def _check_state(memory: Memory, state: Pattern) -> None:
@@ -321,12 +325,17 @@ def _check_retrieval(max_sweeps) -> int:
 
 def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Scaled per-pattern overlaps m of the state (signs, levels), int64: the
-    sum over neurons of <w_j^mu, x_j>, with the +-1/0 products kept in int8."""
-    agree = memory._signs * (memory._levels == levels.astype(memory._levels.dtype)[:, None])
-    agree *= signs.astype(np.int8)[:, None]
+    sum over neurons of <w_j^mu, x_j>, with the +-1/0 products kept in int8,
+    a block of at most 2**20 (neuron x pattern) products at a time."""
+    n, per = memory.n_neurons, max(1, (1 << 20) // memory.n_patterns)
+    levels, signs = levels.astype(memory._levels.dtype)[:, None], signs.astype(np.int8)[:, None]
     # every partial column sum lies in [-N, N], so the narrowest type holding +-N sums exactly
-    sums = agree.sum(axis=0, dtype=np.min_scalar_type(-memory.n_neurons - 1)).astype(np.int64)
-    return memory._alpha * sums - memory._beta * memory.n_neurons
+    acc, sums = np.min_scalar_type(-n - 1), np.zeros(memory.n_patterns, dtype=np.int64)
+    for lo in range(0, n, per):
+        agree = memory._signs[lo:lo + per] * (memory._levels[lo:lo + per] == levels[lo:lo + per])
+        agree *= signs[lo:lo + per]
+        sums += agree.sum(axis=0, dtype=acc)
+    return memory._alpha * sums - memory._beta * n
 
 
 def _stack_inputs(memory: Memory, inputs: Sequence[Pattern]):

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: explicit q-dimensional basis vectors,
 explicit N x N weight matrices, triple loops.  None of it shares code with
-the package internals.  The one exception in kind is
-``reference_asynchronous_retrieve``: a copy of the package's earlier serial
-kernel, one visit at a time, written out from the public pattern arrays.
+the package internals.  The exceptions in kind are
+``reference_asynchronous_retrieve``, a copy of the package's earlier serial
+kernel, one visit at a time, written out from the public pattern arrays, and
+``reference_overlaps``, the package's earlier overlap sum over all N neurons
+at once.
 """
 
 import numpy as np
@@ -170,6 +172,16 @@ def reference_asynchronous_retrieve(
         updates_changed=changed_total,
         trace=trace,
     )
+
+
+def reference_overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The scaled per-pattern overlaps of the state (signs, levels), int64, from one (N, M)
+    array of the +-1/0 products sigma s [lev == l] summed over all neurons at once, in the
+    narrowest type that holds +-N."""
+    agree = memory._signs * (memory._levels == levels.astype(memory._levels.dtype)[:, None])
+    agree *= signs.astype(np.int8)[:, None]
+    sums = agree.sum(axis=0, dtype=np.min_scalar_type(-memory.n_neurons - 1)).astype(np.int64)
+    return memory._alpha * sums - memory._beta * memory.n_neurons
 
 
 def naive_energy(memory: Memory, state: Pattern) -> float:

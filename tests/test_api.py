@@ -1,4 +1,7 @@
-"""The package's public names, pinned so none appears or disappears unnoticed."""
+"""The package's public names, pinned so none appears or disappears unnoticed, and the
+README's library example, run as written."""
+
+from pathlib import Path
 
 import pnn
 
@@ -62,3 +65,9 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(pnn.__all__) == PUBLIC_NAMES
+
+
+def test_readme_library_example_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})

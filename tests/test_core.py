@@ -130,7 +130,48 @@ class TestConstruction:
 
     def test_whole_float_values_accepted(self):
         mem = Memory(NetworkKind.PNN2, 3, [[1.0, -1.0]], [[3.0, 1.0]])
-        assert mem.patterns == [Pattern([1, -1], [3, 1])]
+        assert np.array_equal(mem.pattern_signs, [[1, -1]])
+        assert np.array_equal(mem.pattern_levels, [[3, 1]])
+
+    # a fill block holds 2**16 // N = 4 patterns at N = 2**14: M = 9 spans three, the last partial
+    @pytest.mark.parametrize("kind, field, value, error", [
+        (NetworkKind.PNN2, "levels", 4, LevelOutOfRange),  # q + 1
+        (NetworkKind.PNN2, "signs", 0, SignNotAllowed),
+        (NetworkKind.PNN3, "signs", -1, SignNotAllowed),
+        (NetworkKind.PNN2, "levels", 2.5, LevelOutOfRange),  # no Pattern holds it
+        (NetworkKind.PNN2, "levels", np.nan, LevelOutOfRange),  # a cast before the check warns
+    ])
+    def test_bad_entry_in_the_last_fill_block_rejected(self, kind, field, value, error):
+        n, m, q = 2**14, 9, 3
+        rows = {"signs": np.ones((m, n)), "levels": np.full((m, n), 2.0)}
+        rows[field][m - 1, n - 1] = value
+        with pytest.raises(error) as from_arrays:
+            Memory(kind, q, rows["signs"], rows["levels"])
+        if value % 1 == 0:
+            # Pattern._of skips the checks of Pattern(...), so a zero sign reaches build_memory
+            patterns = [Pattern._of(s, l) for s, l in zip(rows["signs"], rows["levels"])]
+            with pytest.raises(error) as from_patterns:
+                build_memory(patterns, kind, q)
+            assert str(from_patterns.value) == str(from_arrays.value)
+
+    def test_faults_in_two_fill_blocks_reported_as_one_whole_input_check_does(self):
+        # the signed state in block 0 is checked after the level above q in block 2
+        n, m, q = 2**14, 9, 3
+        signs, levels = np.ones((m, n), dtype=np.int8), np.full((m, n), 2)
+        signs[0, 0], levels[m - 1, 0], levels[m - 1, 1] = -1, 4, 5
+        with pytest.raises(LevelOutOfRange, match="level 5 exceeds q=3"):
+            Memory(NetworkKind.PNN3, q, signs, levels)
+        with pytest.raises(LevelOutOfRange, match="level 5 exceeds q=3"):
+            build_memory([Pattern(s, l) for s, l in zip(signs, levels)], NetworkKind.PNN3, q)
+
+    @pytest.mark.parametrize("q", [255, 65535])
+    def test_level_that_the_narrow_type_would_wrap_rejected(self, q):
+        # 257 in uint8 and 65537 in uint16 would wrap to level 1
+        levels = np.array([1, q + 2], dtype=np.int64)
+        with pytest.raises(LevelOutOfRange, match=f"level {q + 2} exceeds q={q}"):
+            build_memory([Pattern([1, 1], levels)], NetworkKind.PNN2, q)
+        with pytest.raises(LevelOutOfRange, match=f"level {q + 2} exceeds q={q}"):
+            Memory(NetworkKind.PNN2, q, [[1, 1]], levels[None])
 
     def test_level_counts_match_naive_count_across_blocks(self):
         # M = 1000 counts 65 neurons per block: three blocks, the last partial
@@ -632,6 +673,30 @@ class TestRetrieveBatch:
                 want.converged, want.sweeps_used, want.updates_changed
             )
         assert steps == [synchronous_step(mem, x) for x in inputs * 2 + inputs[:1]]
+
+    def test_building_and_stepping_stage_no_whole_copy(self):
+        # a Memory keeps 2 bytes per coordinate; building one stages a block of patterns at a
+        # time, and an overlap sum a block of neurons, so no (M, N) copy is made on the way
+        n = m = 2000
+        patterns = random_qnary_patterns(m, n, 16, NetworkKind.PNN2, make_rng(40))
+        state = patterns[0].sign_flipped()
+
+        def traced(fn):
+            tracemalloc.start()
+            try:
+                return fn(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mem, built = traced(lambda: build_memory(patterns, NetworkKind.PNN2, 16))
+        copy, constructed = traced(
+            lambda: Memory(NetworkKind.PNN2, 16, mem.pattern_signs, mem.pattern_levels)
+        )
+        step, stepped = traced(lambda: synchronous_step(mem, state))
+        assert built <= 2.5 * n * m and constructed <= 2.5 * n * m
+        assert stepped < 4 * 2**20
+        assert np.array_equal(copy._signs, mem._signs) and np.array_equal(copy._levels, mem._levels)
+        assert step == state  # the flipped stored pattern is a fixed point, as the pattern is
 
     def test_empty_inputs_rejected(self):
         mem, _ = random_memory(make_rng(38), 10, 2, 2, NetworkKind.PNN2)

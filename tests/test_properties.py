@@ -11,14 +11,16 @@ batched argmax key against the naive rule on small integer fields,
 batched retrieval and the batched step against their serial forms, the
 first sweep's one-step rows against the batched step, asynchronous
 retrieval with its run-ahead blocks against the visit-by-visit reference
-on wider memories (N in 16..60, so that blocks are taken), the
+on wider memories (N in 16..60, so that blocks are taken), both Memory
+constructions against one whole-array transpose and the blocked overlap sum
+against the one-pass sum, each across several blocks, the
 binary mapping against its literal reference and the identifier's digits
 against the naive identifier field.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pnn import (
@@ -29,6 +31,7 @@ from pnn import (
     UnknownPattern,
     UpdateOrder,
     asynchronous_retrieve,
+    build_memory,
     energy,
     identify,
     local_field,
@@ -46,10 +49,11 @@ from oracles import (
     naive_local_field,
     reference_asynchronous_retrieve,
     reference_map_binary,
+    reference_overlaps,
     reference_unmap_binary,
     with_neuron,
 )
-from pnn.core import _decide_keys, _lockstep, _lockstep_inputs
+from pnn.core import _decide_keys, _lockstep, _lockstep_inputs, _overlaps
 
 
 @st.composite
@@ -260,6 +264,66 @@ def test_step_rows_are_the_synchronous_step_and_leave_retrieval_alone(kind, q, c
     if fixed:
         assert steps == inputs
         assert [outcome(r) for r in results] == [(state, True, 1, 0) for state in inputs]
+
+
+@st.composite
+def stored_rows(draw):
+    """A kind, a q on either side of the uint8 bound and (M, N) int64 signs and levels, with M
+    up to one more than three of the fill's blocks of 2**16 // N patterns (N from 330, so that
+    a block holds at most 198 patterns)."""
+    kind = draw(st.sampled_from(NetworkKind))
+    q = draw(st.sampled_from([2, 5, 255, 256] if kind is NetworkKind.PNN3 else [1, 2, 5, 255, 256]))
+    n = draw(st.integers(330, 6000))
+    m = draw(st.integers(1, 3 * ((1 << 16) // n) + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.integers(1, q + 1, size=(m, n))
+    signs = np.ones_like(levels) if kind is NetworkKind.PNN3 else 1 - 2 * rng.integers(0, 2, (m, n))
+    return kind, q, signs, levels
+
+
+@given(stored_rows(), st.sampled_from([np.int8, np.float64]),
+       st.sampled_from([np.uint16, np.int64, np.float64]))
+def test_both_constructions_store_the_whole_array_transpose(case, sign_type, level_type):
+    kind, q, signs, levels = case
+    n = signs.shape[1]
+    want_levels = levels.astype(np.min_scalar_type(q)).T
+    want_counts = np.zeros((n, q), dtype=np.int64)
+    np.add.at(want_counts, (np.arange(n), levels - 1), 1)
+    patterns = [Pattern(s, l) for s, l in zip(signs, levels)]
+    for memory in (
+        build_memory(patterns, kind, q),
+        Memory(kind, q, signs.astype(sign_type), levels.astype(level_type)),
+    ):
+        assert memory._signs.dtype == np.int8 and np.array_equal(memory._signs, signs.T)
+        assert memory._levels.dtype == want_levels.dtype
+        assert np.array_equal(memory._levels, want_levels)
+        assert np.array_equal(memory._level_counts, want_counts)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(NetworkKind), st.integers(1, 5),
+       st.sampled_from([(127, 40), (128, 40), (127, 8300), (128, 8300), (2500, 1000)]),
+       st.sampled_from(["stored", "flipped", "random"]), st.integers(0, 2**32 - 1))
+def test_blocked_overlaps_equal_the_one_pass_sum(kind, q, shape, state, seed):
+    """At N = 127 and 128 the sums widen from int8 to int16; above 2**20 (neuron x pattern)
+    entries they run in blocks of neurons (2 blocks at M = 8300, 3 at N = 2500).  A stored
+    state puts some overlap at +-N."""
+    q = max(q, 2) if kind is NetworkKind.PNN3 else q
+    (n, m), rng = shape, np.random.default_rng(seed)
+    levels = rng.integers(1, q + 1, size=(m, n), dtype=np.uint8)
+    signs = np.ones((m, n), dtype=np.int8)
+    if kind is NetworkKind.PNN2:
+        signs -= 2 * rng.integers(0, 2, size=(m, n), dtype=np.int8)
+    memory = Memory(kind, q, signs, levels)
+    mu = int(rng.integers(m))
+    s, l = signs[mu], levels[mu]
+    if state == "flipped" and kind is NetworkKind.PNN2:
+        s = -s
+    elif state == "random":
+        l = rng.integers(1, q + 1, size=n)
+        s = s if kind is NetworkKind.PNN3 else 1 - 2 * rng.integers(0, 2, size=n)
+    got, want = _overlaps(memory, s, l), reference_overlaps(memory, s, l)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 @st.composite
