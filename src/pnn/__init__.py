@@ -14,7 +14,6 @@ from .core import (
     is_fixed_point,
     local_field,
     retrieve_batch,
-    synchronous_batch,
     synchronous_step,
 )
 from .dpnn import (

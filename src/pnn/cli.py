@@ -46,14 +46,13 @@ import numpy as np
 from .core import Memory, NetworkKind, Pattern, _lockstep, retrieve_batch
 from .dpnn import dpnn_build, dpnn_capacity, capacity_exponent, k_critical, map_binary, unmap_binary
 from .errors import NoFeasibleK, PnnError, UnknownPattern
-from .identifier import OpCounter, build_identifier, digit_count, identify
+from .identifier import IdentifierNet, OpCounter, digit_count, identify
 from .noise import (
     NoiseSpec,
     _qnary_arrays,
     apply_binary_noise,
     apply_qnary_noise,
     correlated_binary_patterns,
-    random_qnary_patterns,
 )
 from .rng import make_rng
 from .theory import capacity_pnn2, capacity_pnn3, perr_pnn2, perr_pnn3
@@ -260,10 +259,10 @@ _GEN_STREAM_STRIDE = 1 << 32  # per-sweep-point stream block; trial t uses base 
 
 
 def _theory_bound(kind: NetworkKind, n, m, q, a, b):
-    """(value, flag) for the one-step bound, empty cells when undefined."""
+    """(value, flag) for the one-step bound, empty cells when undefined or beyond float64."""
     try:
         bound = perr_pnn2(n, m, q, a, b) if kind is NetworkKind.PNN2 else perr_pnn3(n, m, q, b)
-    except ValueError:
+    except (ValueError, OverflowError):
         return "", ""
     return bound.value, int(bound.vacuous)
 
@@ -520,8 +519,9 @@ def cmd_identify_bench(*, seed, trials, jobs, N, q, M, load, b) -> list:
     if not 0 <= b <= 1:
         raise ConfigError(f"level noise b must be in [0, 1], got {b}")
 
-    patterns = random_qnary_patterns(m, N, q, NetworkKind.PNN3, make_rng(seed, 0))
-    ctx = SimpleNamespace(net=build_identifier(patterns, q), spec=NoiseSpec(0.0, b), seed=seed)
+    signs, levels = _qnary_arrays(m, N, q, NetworkKind.PNN3, make_rng(seed, 0))
+    net = IdentifierNet(Memory(NetworkKind.PNN3, q, signs, levels))
+    ctx = SimpleNamespace(net=net, spec=NoiseSpec(0.0, b), seed=seed)
     records = _run_trials(_identify_trials, ctx, trials, jobs)
     digit_errs, misses, evals, elapsed = zip(*records)
 
@@ -559,10 +559,10 @@ THEORY_EXTRAS = [
 
 
 def _or_empty(fn, *args):
-    """fn(*args), or an empty cell where the formula is undefined."""
+    """fn(*args), or an empty cell where the formula is undefined or overflows float64."""
     try:
         return fn(*args)
-    except (ValueError, PnnError):
+    except (ValueError, OverflowError, PnnError):
         return ""
 
 

@@ -34,7 +34,7 @@ of sigma_i m by level already hold the field's beta term.  The
 asynchronous visit bins them with ``bincount``, and after a run of
 unchanged visits decides the next neurons as a block (``_decide_block``),
 kept up to the first that moves; a move shifts m by sigma_i times a
-(q + 1)-entry table at the stored levels.  A synchronous step is one block
+(q + 1)-entry table at the stored levels.  ``synchronous_step`` is one block
 of all N neurons.  ``retrieve_batch`` takes the sums as m @ W_i, the
 (B, M) overlaps times neuron i's signed one-hot (M, q) matrix, and decides
 a neuron in all B states by one argmax of an integer key (``_decide_keys``).
@@ -448,33 +448,12 @@ def _decide_keys(kind: NetworkKind, scale, h: np.ndarray, z: np.ndarray, base, o
     return key.argmax(axis=-1)
 
 
-def _load_w(memory: Memory, i: int, flat_w: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Scatter neuron i's signed one-hot (M, q) matrix W_i[mu, lev_i^mu - 1] =
-    sigma_i^mu into the caller's all-zero float64 scratch (passed flattened)
-    at offsets + lev_i, offsets = arange(-1, M*q - 1, q); return the positions.
-
-    The (B, M) overlaps m then give neuron i's Hebbian sums
-    sum_mu sigma_i^mu m[b, mu] e_{lev_i^mu} as m @ W_i, with no W kept for
-    every neuron.  The products and the keys of ``_decide_keys`` are integers, exact in any
-    summation order below 2**53, as ``Memory`` requires 4 M q N < 2**53."""
-    at = memory._levels[i] + offsets
-    flat_w[at] = memory._signs[i].astype(np.float64)  # a same-type scatter is the faster one
-    return at
-
-
 def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
-    """One parallel update of all neurons from fields on the input state:
-    ``synchronous_batch(memory, [state])[0]``."""
-    return synchronous_batch(memory, [state])[0]
-
-
-def synchronous_batch(memory: Memory, states: Sequence[Pattern]) -> list[Pattern]:
-    """One parallel update of each state from its fixed initial overlaps m;
-    result r equals ``synchronous_step(memory, states[r])`` bit for bit and
-    is one ``_decide_block`` of all N neurons."""
-    signs, levels, m = _stack_inputs(memory, states)
-    return [Pattern._of(*_decide_block(memory, slice(None), signs[:, r], levels[:, r], m[r]))
-            for r in range(len(states))]
+    """One parallel update of all neurons from fields on the input state: one
+    ``_decide_block`` of all N neurons at the state's fixed overlaps, each by
+    the rule of an ``asynchronous_retrieve`` visit."""
+    signs, levels, m = _stack_inputs(memory, [state])
+    return Pattern._of(*_decide_block(memory, slice(None), signs[:, 0], levels[:, 0], m[0]))
 
 
 def is_fixed_point(memory: Memory, state: Pattern) -> bool:
@@ -574,9 +553,9 @@ def retrieve_batch(
     """Relax several inputs in lockstep, visiting neurons in sequential order.
 
     Result r equals ``asynchronous_retrieve(memory, inputs[r], max_sweeps)``
-    bit for bit.  A visit to neuron i loads its signed one-hot (M, q) matrix
-    W_i (``_load_w``) and decides every still-active input from its sums
-    m @ W_i (``_decide_keys``).  The k inputs that moved from z to z' add
+    bit for bit.  A visit to neuron i scatters its signed one-hot (M, q) matrix
+    W_i into a zeroed scratch and decides every still-active input from its
+    sums m @ W_i (``_decide_keys``).  The k inputs that moved from z to z' add
     (step[z'] - step[z]) @ W_i^T to their overlaps, step[z] = alpha s e_l,
     in products of at most 2**18 multiply-adds, which OpenBLAS keeps on one
     thread.  A sweep changes a neuron at most once, so its changes are the
@@ -586,11 +565,13 @@ def retrieve_batch(
 
 
 def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_rows: bool = False):
-    """``retrieve_batch(memory, inputs, max_sweeps)`` and, given ``step_rows``, also
-    ``synchronous_batch(memory, inputs)`` (else None) from one input pass.  The step rows are a
-    copy of the inputs after the live rows in sweep 1: each visit decides them with the same
-    product and key into their own z, and their overlaps never move, so sweep 1 is the
-    synchronous step at their frozen m.  They are dropped after it."""
+    """``retrieve_batch(memory, inputs, max_sweeps)`` and, given ``step_rows``, also the list of
+    ``synchronous_step(memory, x)`` for x in inputs (else None) from one input pass.  The step
+    rows are a copy of the inputs after the live rows in sweep 1: each visit decides them with the
+    same product and key into their own z, and their overlaps never move, so sweep 1 is the
+    synchronous step at their frozen m.  They are dropped after it.  W_i[mu, lev_i^mu - 1] =
+    sigma_i^mu sits in the scratch w for its visit only; the products and keys are integers,
+    exact in any summation order below 2**53, as ``Memory`` requires 4 M q N < 2**53."""
     z, m, scale, own = _lockstep_inputs(memory, inputs)  # z and m: the active rows
     max_sweeps = _check_retrieval(max_sweeps)
     n, q, kind, s = memory.n_neurons, memory.q, memory.kind, scale.size // memory.q
@@ -601,7 +582,7 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     index = np.arange(len(inputs))  # input of each active row
     n_changed = np.zeros(len(inputs), dtype=np.int64)
     w = np.zeros((memory.n_patterns, q))
-    flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)
+    flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)  # W_i[mu] at offsets + lev_i
     per = max(1, (1 << 18) // w.size)  # rows per block of the overlap update
     results: list = [None] * len(inputs)
     steps, live = None, len(inputs)  # live: the active rows; step rows follow them in sweep 1
@@ -613,7 +594,8 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
         base = s * q * np.arange(z.shape[1]) + np.arange(s)[:, None]
         for i in range(n):
             zi = z[i]
-            at = _load_w(memory, i, flat_w, offsets)
+            at = memory._levels[i] + offsets
+            flat_w[at] = memory._signs[i].astype(np.float64)  # same-type scatter: the faster
             new = _decide_keys(kind, scale, m @ w, zi, base, own[i].take(zi))
             zi[live:] = new[live:]  # the step rows take their update and so never move
             moved = (new != zi).nonzero()[0]

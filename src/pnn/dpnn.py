@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Memory, NetworkKind, Pattern, asynchronous_retrieve, build_memory
-from .errors import LengthNotDivisible, NoFeasibleK
+from .errors import LengthNotDivisible, LevelOutOfRange, NoFeasibleK
 from .theory import capacity_pnn2
 
 MIN_VECTOR_NEURONS = 100
@@ -47,6 +47,8 @@ class MappingParams:
     def for_length(cls, n_bits: int, k: int) -> "MappingParams":
         if k < 0:
             raise ValueError(f"mapping parameter k must be >= 0, got {k}")
+        if k > 62:
+            raise LevelOutOfRange(f"mapping parameter k={k} > 62: levels up to 2^k overflow int64")
         if n_bits < 1 or n_bits % (k + 1) != 0:
             raise LengthNotDivisible(
                 f"binary length {n_bits} is not a positive multiple of k+1={k + 1}"
@@ -94,9 +96,7 @@ def map_binary(y, k: int) -> Pattern:
 
 def unmap_binary(image: Pattern, k: int) -> np.ndarray:
     """Invert ``map_binary``; exact on every valid internal image."""
-    if k < 0:
-        raise ValueError(f"mapping parameter k must be >= 0, got {k}")
-    q = 2**k
+    q = MappingParams.for_length(len(image) * (k + 1), k).q  # checks k
     if image.levels.max() > q:
         raise LengthNotDivisible(
             f"image level {int(image.levels.max())} exceeds 2^k={q}"

@@ -57,7 +57,6 @@ PUBLIC_NAMES = [
     "random_binary_patterns",
     "random_qnary_patterns",
     "retrieve_batch",
-    "synchronous_batch",
     "synchronous_step",
     "unmap_binary",
 ]

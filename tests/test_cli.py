@@ -175,6 +175,13 @@ class TestDpnnBench:
         assert code == 2
         assert "divide" in err
 
+    def test_k_beyond_int64_levels_is_exit_2_naming_k(self, capsys):
+        code, _, err = run_cli(
+            capsys, "dpnn-bench", "--N", "7100", "--k", "70", "--M", "2", "--trials", "1",
+        )
+        assert code == 2
+        assert "k=70" in err
+
     def test_infeasible_parameters_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys, "dpnn-bench", "--N", "80", "--k", "0", "--M", "10",
@@ -347,6 +354,17 @@ class TestTheoryTable:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0]["perr_pnn3"] == "" and rows[0]["capacity_pnn3"] == ""
+
+    @pytest.mark.parametrize("args, blank", [
+        (["--N", "1000", "--k", "600"], ["dpnn_capacity"]),  # (2 (1 - a))**(2 k)
+        (["--q", "1" + "0" * 200], ["theory_perr", "vacuous_flag", "capacity_pnn2"]),  # float(q)
+    ], ids=["dpnn-capacity", "huge-q"])
+    def test_a_formula_beyond_float64_leaves_its_cell_empty(self, capsys, args, blank):
+        code, out, err = run_cli(capsys, "theory-table", *args)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [rows[0][column] for column in blank] == [""] * len(blank)
+        assert rows[0]["dpnn_exponent"] != ""  # the other cells are still filled
 
 
 # the README's four commands at reduced trial counts and the sha256 of the CSV

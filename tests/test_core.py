@@ -23,7 +23,6 @@ from pnn import (
     make_rng,
     random_qnary_patterns,
     retrieve_batch,
-    synchronous_batch,
     synchronous_step,
 )
 from oracles import (
@@ -339,19 +338,18 @@ class TestSynchronousStep:
         with pytest.raises(DimensionMismatch):
             synchronous_step(mem, Pattern(np.ones(9), np.ones(9)))
 
-    def test_batch_at_q1_by_hand(self):
+    def test_step_at_q1_by_hand(self):
         # Hopfield couplings of [1, 1, 1] and [1, -1, -1]: J_01 = J_02 = 0 and
         # J_12 = 2, so neuron 0 sees a zero field and keeps its sign, while
         # neurons 1 and 2 copy each other's sign
         mem = Memory(NetworkKind.PNN2, 1, [[1, 1, 1], [1, -1, -1]], np.ones((2, 3)))
         a, b = Pattern([-1, 1, -1], [1, 1, 1]), Pattern([1, 1, 1], [1, 1, 1])
-        assert synchronous_batch(mem, [a, b, a]) == [
-            Pattern([-1, -1, 1], [1, 1, 1]), b, Pattern([-1, -1, 1], [1, 1, 1])
-        ]
+        assert synchronous_step(mem, a) == Pattern([-1, -1, 1], [1, 1, 1])
+        assert synchronous_step(mem, b) == b
 
     @pytest.mark.parametrize("kind", list(NetworkKind))
     def test_large_q_follows_the_naive_rule(self, kind):
-        # at q = 2**14 each state's one block decision bins N q = 163,840
+        # at q = 2**14 each step's one block decision bins N q = 163,840
         # level sums; levels spread over all of q
         n, q = 10, 2**14
         rng = make_rng(26)
@@ -375,19 +373,14 @@ class TestSynchronousStep:
                     for i, h in enumerate(fields)]
             return Pattern(*zip(*rule))
 
-        want = [naive_step(state) for state in states]
-        assert [synchronous_step(mem, state) for state in states] == want
-        assert synchronous_batch(mem, states) == want
-        # six states, each decided on its own as one block of all N neurons
-        assert synchronous_batch(mem, states * 2) == want * 2
+        assert [synchronous_step(mem, state) for state in states] == [
+            naive_step(state) for state in states
+        ]
 
-    def test_batch_rejects_no_states_and_a_bad_state(self):
+    def test_step_rejects_a_bad_state(self):
         mem, _ = random_memory(make_rng(25), 10, 2, 2, NetworkKind.PNN2)
-        with pytest.raises(DimensionMismatch):
-            synchronous_batch(mem, [])
-        good, bad = Pattern(np.ones(10), np.ones(10)), Pattern(np.ones(10), np.full(10, 3))
         with pytest.raises(LevelOutOfRange):
-            synchronous_batch(mem, [good, bad])
+            synchronous_step(mem, Pattern(np.ones(10), np.full(10, 3)))
 
 
 class TestAsynchronousRetrieve:
@@ -661,7 +654,7 @@ class TestRetrieveBatch:
         tracemalloc.start()
         try:
             batch = retrieve_batch(mem, inputs, 3)
-            steps = synchronous_batch(mem, inputs * 2) + synchronous_batch(mem, inputs[:1])
+            steps = [synchronous_step(mem, x) for x in inputs]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -672,7 +665,8 @@ class TestRetrieveBatch:
             assert (got.converged, got.sweeps_used, got.updates_changed) == (
                 want.converged, want.sweeps_used, want.updates_changed
             )
-        assert steps == [synchronous_step(mem, x) for x in inputs * 2 + inputs[:1]]
+        # the lockstep kernel's step rows decide the same steps by their integer key
+        assert steps == pnn.core._lockstep(mem, inputs, 1, step_rows=True)[1]
 
     def test_building_and_stepping_stage_no_whole_copy(self):
         # a Memory keeps 2 bytes per coordinate; building one stages a block of patterns at a

@@ -8,6 +8,7 @@ import pytest
 from pnn import (
     BindingConstraint,
     LengthNotDivisible,
+    LevelOutOfRange,
     MappingParams,
     NoFeasibleK,
     Pattern,
@@ -106,6 +107,20 @@ class TestMapping:
         assert (p.n, p.q) == (100, 512)
         with pytest.raises(LengthNotDivisible):
             MappingParams.for_length(1000, 6)
+
+    def test_levels_up_to_2_to_the_62_fit_and_larger_k_is_rejected(self):
+        # levels reach 2^k, which int64 holds up to k = 62
+        y = np.ones(63, dtype=np.int8)
+        img = map_binary(y, 62)
+        assert img.levels[0] == 2**62
+        assert np.array_equal(unmap_binary(img, 62), y)
+        for k in (63, 65):
+            with pytest.raises(LevelOutOfRange, match=f"k={k}"):
+                MappingParams.for_length(k + 1, k)
+            with pytest.raises(LevelOutOfRange, match=f"k={k}"):
+                map_binary(np.ones(k + 1, dtype=np.int8), k)
+            with pytest.raises(LevelOutOfRange, match=f"k={k}"):
+                unmap_binary(Pattern([1], [1]), k)
 
 
 class TestKCritical:

@@ -5,11 +5,11 @@ from [1, used] for a random used <= q, so that levels no pattern uses (a
 zero level count at a neuron) come up often, and states over all of [1, q].
 Fields are checked against the naive sums and, to the bit, against the
 exact integer field, energy against the naive sum, both dynamics (the
-asynchronous one in either visiting order, visit by visit) and the batched
+asynchronous one in either visiting order, visit by visit) and the
 synchronous step against the naive decision rule on the naive field, the
 batched argmax key against the naive rule on small integer fields,
-batched retrieval and the batched step against their serial forms, the
-first sweep's one-step rows against the batched step, asynchronous
+batched retrieval against its serial form, the first sweep's one-step
+rows against the synchronous step of each input, asynchronous
 retrieval with its run-ahead blocks against the visit-by-visit reference
 on wider memories (N in 16..60, so that blocks are taken), both Memory
 constructions against one whole-array transpose and the blocked overlap sum
@@ -37,7 +37,6 @@ from pnn import (
     local_field,
     map_binary,
     retrieve_batch,
-    synchronous_batch,
     synchronous_step,
     unmap_binary,
 )
@@ -125,17 +124,6 @@ def test_synchronous_step_applies_the_rule_to_every_naive_field(case):
     memory, state = case
     signs, levels = zip(*(naive_update(memory, state, i) for i in range(memory.n_neurons)))
     assert synchronous_step(memory, state) == Pattern(signs, levels)
-
-
-@given(memory_and_states(count=st.integers(1, 5)))
-def test_batched_synchronous_step_equals_serial_step_and_naive_rule(case):
-    memory, states = case
-    batch = synchronous_batch(memory, states)
-    assert len(batch) == len(states)
-    for state, got in zip(states, batch):
-        assert got == synchronous_step(memory, state)
-        signs, levels = zip(*(naive_update(memory, state, i) for i in range(memory.n_neurons)))
-        assert got == Pattern(signs, levels)
 
 
 @given(memory_and_state(), st.data())
@@ -258,7 +246,7 @@ def test_step_rows_are_the_synchronous_step_and_leave_retrieval_alone(kind, q, c
         assume(all(r.converged for r in relaxed))
         inputs = [r.final_state for r in relaxed]
     results, steps = _lockstep(memory, inputs, max_sweeps, step_rows=True)
-    assert steps == synchronous_batch(memory, inputs)
+    assert steps == [synchronous_step(memory, state) for state in inputs]
     want = retrieve_batch(memory, inputs, max_sweeps)
     assert [outcome(r) for r in results] == [outcome(r) for r in want]
     if fixed:
