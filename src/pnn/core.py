@@ -149,7 +149,8 @@ class Pattern:
 
     @classmethod
     def _of(cls, signs: np.ndarray, levels: np.ndarray) -> "Pattern":
-        """The Pattern of a kernel's own valid state arrays, cast and frozen with no check."""
+        """The Pattern of state arrays the library made from checked or drawn values, cast and
+        frozen with no second check; public inputs go through ``__init__``."""
         pattern = object.__new__(cls)
         pattern._freeze(signs, levels)
         return pattern
@@ -176,7 +177,7 @@ class Pattern:
 
     def sign_flipped(self) -> "Pattern":
         """The pattern with every sign inverted (levels unchanged)."""
-        return Pattern(-self.signs, self.levels)
+        return Pattern._of(-self.signs, self.levels)
 
     def __repr__(self):
         return f"Pattern(N={len(self)})"
@@ -325,12 +326,21 @@ def _check_retrieval(max_sweeps) -> int:
 
 def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Scaled per-pattern overlaps m of the state (signs, levels), int64: the
-    sum over neurons of <w_j^mu, x_j>, with the +-1/0 products kept in int8,
-    a block of at most 2**20 (neuron x pattern) products at a time."""
+    sum over neurons of <w_j^mu, x_j>, a block of at most 2**20 (neuron x
+    pattern) terms at a time.  PNN2 keeps its +-1/0 products in int8; PNN3,
+    whose stored and checked input signs are all +1, counts level matches,
+    each block of at most 127 neurons in int8, which holds its count exactly."""
     n, per = memory.n_neurons, max(1, (1 << 20) // memory.n_patterns)
-    levels, signs = levels.astype(memory._levels.dtype)[:, None], signs.astype(np.int8)[:, None]
+    levels = levels.astype(memory._levels.dtype)[:, None]
+    sums = np.zeros(memory.n_patterns, dtype=np.int64)
+    if memory._beta:
+        per = min(per, 127)
+        for lo in range(0, n, per):
+            match = memory._levels[lo:lo + per] == levels[lo:lo + per]
+            sums += match.view(np.int8).sum(axis=0, dtype=np.int8)
+        return memory._alpha * sums - memory._beta * n
     # every partial column sum lies in [-N, N], so the narrowest type holding +-N sums exactly
-    acc, sums = np.min_scalar_type(-n - 1), np.zeros(memory.n_patterns, dtype=np.int64)
+    signs, acc = signs.astype(np.int8)[:, None], np.min_scalar_type(-n - 1)
     for lo in range(0, n, per):
         agree = memory._signs[lo:lo + per] * (memory._levels[lo:lo + per] == levels[lo:lo + per])
         agree *= signs[lo:lo + per]

@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Memory, NetworkKind, Pattern, asynchronous_retrieve, build_memory
-from .errors import LengthNotDivisible, LevelOutOfRange, NoFeasibleK
+from .core import Memory, NetworkKind, Pattern, asynchronous_retrieve
+from .errors import DimensionMismatch, LengthNotDivisible, LevelOutOfRange, NoFeasibleK
 from .theory import capacity_pnn2
 
 MIN_VECTOR_NEURONS = 100
@@ -82,16 +82,21 @@ def _as_signs(y) -> np.ndarray:
 def map_binary(y, k: int) -> Pattern:
     """Map a +-1 vector into its internal image (one neuron per fragment)."""
     y = _as_signs(y)
-    params = MappingParams.for_length(y.size, k)
-    frames = y.reshape(params.n, k + 1)
-    signs = frames[:, 0]
-    if k == 0:
-        levels = np.ones(params.n, dtype=np.int64)
-    else:
-        bits = (frames[:, 1:] + 1) // 2
-        weights = 2 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        levels = 1 + bits @ weights
-    return Pattern(signs, levels)
+    MappingParams.for_length(y.size, k)
+    return Pattern._of(*_map_rows(y, k))
+
+
+def _map_rows(y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and levels of the images of the checked +-1 rows y (..., N), N a multiple of k+1:
+    fragment f of a row has the sign of its first element and, as level, 1 plus its other k
+    elements read as binary digits (+1 is 1), in the narrowest unsigned type that holds 2^k."""
+    frames = y.reshape(*y.shape[:-1], -1, k + 1)
+    levels = np.zeros(frames.shape[:-1], dtype=np.min_scalar_type(2**k))
+    for pos in range(1, k + 1):
+        levels <<= 1
+        levels |= frames[..., pos] > 0
+    levels += 1
+    return frames[..., 0], levels
 
 
 def unmap_binary(image: Pattern, k: int) -> np.ndarray:
@@ -181,15 +186,19 @@ def k_critical_asymptotic(n_bits: int, a: float) -> int:
     networks must still use ``k_critical``.
     """
     _check_k_inputs(n_bits, a)
-    best = None
-    for d in range(1, n_bits // MIN_VECTOR_NEURONS + 1):
-        if _constraint_intact(n_bits, a, d):
-            best = d - 1
-    if best is None:
+    # (N/d)(1-a)^d falls as d grows, so the feasible d are 1..d*; bisect with d* in [lo, hi]
+    lo, hi = 0, n_bits // MIN_VECTOR_NEURONS
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _constraint_intact(n_bits, a, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo == 0:
         raise NoFeasibleK(
             f"no fragment size satisfies both restrictions for N={n_bits}, a={a}"
         )
-    return best
+    return lo - 1
 
 
 def dpnn_capacity(n_bits: int, a: float, k: int) -> float:
@@ -219,11 +228,25 @@ def capacity_exponent(n_bits: int, a: float) -> float:
 
 
 def dpnn_build(binary_patterns, k: int) -> Memory:
-    """Map a binary pattern set and store the images in a signed memory."""
+    """Map a binary pattern set and store the images in a signed memory.
+
+    Each pattern is checked as ``map_binary`` checks it and staged in one (M, N) int8 array,
+    mapped in one pass; raises DimensionMismatch when the lengths differ.
+    """
     if not len(binary_patterns):
         raise LengthNotDivisible("at least one binary pattern is required")
-    images = [map_binary(y, k) for y in binary_patterns]
-    return build_memory(images, NetworkKind.PNN2, max(1, 2**k))
+    y, sizes = None, set()
+    for mu, row in enumerate(binary_patterns):
+        row = _as_signs(row)
+        MappingParams.for_length(row.size, k)
+        if y is None:
+            y = np.empty((len(binary_patterns), row.size), dtype=np.int8)
+        sizes.add(row.size)
+        if row.size == y.shape[1]:
+            y[mu] = row
+    if len(sizes) > 1:
+        raise DimensionMismatch(f"binary pattern lengths differ: {sorted(sizes)}")
+    return Memory(NetworkKind.PNN2, 2**k, *_map_rows(y, k))
 
 
 def dpnn_retrieve(memory: Memory, noisy_y, k: int, max_sweeps: int) -> np.ndarray:

@@ -43,7 +43,7 @@ def random_qnary_patterns(
     PNN2 coordinates are uniform over 2q signed states, PNN3 over q unsigned
     states (all signs +1).
     """
-    return [Pattern(signs, levels) for signs, levels in _qnary_draws(m, n, q, kind, rng)]
+    return [Pattern._of(signs, levels) for signs, levels in _qnary_draws(m, n, q, kind, rng)]
 
 
 def _qnary_arrays(
@@ -97,7 +97,7 @@ def apply_qnary_noise(
         offsets = rng.integers(1, q, size=n)
         shifted = (levels - 1 + offsets) % q + 1
         levels[hit] = shifted[hit]
-    return Pattern(signs, levels)
+    return Pattern._of(signs, levels)
 
 
 def random_binary_patterns(m: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -333,6 +333,16 @@ def reference_unmap_binary(signs, levels, k: int) -> np.ndarray:
     return np.array(bits, dtype=np.int8)
 
 
+def reference_k_critical_asymptotic(n_bits: int, a: float) -> int | None:
+    """The largest k whose fragment size d = k+1 has d <= N/100 and (N/d)(1-a)^d >= 2, by
+    trying every d in turn; None when no d qualifies."""
+    best = None
+    for d in range(1, n_bits // 100 + 1):
+        if (n_bits / d) * (1 - a) ** d >= 2.0:
+            best = d - 1
+    return best
+
+
 def naive_identifier_field(net, state: Pattern, j: int) -> np.ndarray:
     """Cross-coupling field at enumerated coordinate j, from basis vectors."""
     q = net.memory.q

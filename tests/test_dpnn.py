@@ -1,12 +1,14 @@
 """Binary-to-vector mapping, critical mapping parameter, capacity, pipeline."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from pnn import (
     BindingConstraint,
+    DimensionMismatch,
     LengthNotDivisible,
     LevelOutOfRange,
     MappingParams,
@@ -28,6 +30,7 @@ from pnn import (
     random_binary_patterns,
     unmap_binary,
 )
+from pnn import dpnn
 from oracles import (
     DenseVectorHopfield,
     ScalarHopfield,
@@ -163,6 +166,20 @@ class TestKCritical:
         assert k_critical_asymptotic(10000, 0.1) == 43
         assert k_critical(10000, 0.1) == 39
 
+    def test_asymptotic_variant_bisects_at_n_1e14(self, monkeypatch):
+        """The feasible fragment sizes are a prefix, so about log2 N restriction checks find the
+        largest; a scan of every size up to N/100 would make 10^12 of them."""
+        n, calls, intact = 10**14, [], dpnn._constraint_intact
+        monkeypatch.setattr(
+            dpnn, "_constraint_intact", lambda *args: calls.append(args) or intact(*args)
+        )
+        for a in (0.0, 0.1, 0.49):
+            calls.clear()
+            k = k_critical_asymptotic(n, a)
+            assert 0 < len(calls) <= 2 * math.log2(n)
+            assert intact(n, a, k + 1) and (k + 2 > n // 100 or not intact(n, a, k + 2))
+        assert k_critical_asymptotic(n, 0.0) == n // 100 - 1
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             k_critical(1000, 0.5)
@@ -265,6 +282,14 @@ class TestPipeline:
             dpnn_build([], 2)
         with pytest.raises(LengthNotDivisible):
             dpnn_build([np.ones(7, dtype=np.int8)], 1)
+        with pytest.raises(DimensionMismatch):
+            dpnn_build([np.ones(8, dtype=np.int8), np.ones(6, dtype=np.int8)], 1)
+        with pytest.raises(LengthNotDivisible):  # each length is checked before any is compared
+            dpnn_build([np.ones(8, dtype=np.int8), np.ones(7, dtype=np.int8)], 1)
+        with pytest.raises(ValueError, match="only -1 and \\+1"):
+            dpnn_build([np.ones(8, dtype=np.int8), np.zeros(8, dtype=np.int8)], 1)
+        with pytest.raises(LevelOutOfRange):
+            dpnn_build([np.ones(64, dtype=np.int8)], 63)
 
 
 class TestDecorrelation:

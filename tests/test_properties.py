@@ -13,9 +13,11 @@ rows against the synchronous step of each input, asynchronous
 retrieval with its run-ahead blocks against the visit-by-visit reference
 on wider memories (N in 16..60, so that blocks are taken), both Memory
 constructions against one whole-array transpose and the blocked overlap sum
-against the one-pass sum, each across several blocks, the
-binary mapping against its literal reference and the identifier's digits
-against the naive identifier field.
+against the one-pass sum, each across several blocks, the patterns the
+library freezes unchecked against the checked Pattern, the one-pass DPNN
+build against the images stored one by one, the bisected critical mapping
+parameter against the linear scan, the binary mapping against its literal
+reference and the identifier's digits against the naive identifier field.
 """
 
 import numpy as np
@@ -27,15 +29,21 @@ from pnn import (
     IdentifierNet,
     Memory,
     NetworkKind,
+    NoFeasibleK,
+    NoiseSpec,
     Pattern,
     UnknownPattern,
     UpdateOrder,
+    apply_qnary_noise,
     asynchronous_retrieve,
     build_memory,
+    dpnn_build,
     energy,
     identify,
+    k_critical_asymptotic,
     local_field,
     map_binary,
+    random_qnary_patterns,
     retrieve_batch,
     synchronous_step,
     unmap_binary,
@@ -47,6 +55,7 @@ from oracles import (
     naive_identifier_field,
     naive_local_field,
     reference_asynchronous_retrieve,
+    reference_k_critical_asymptotic,
     reference_map_binary,
     reference_overlaps,
     reference_unmap_binary,
@@ -290,12 +299,15 @@ def test_both_constructions_store_the_whole_array_transpose(case, sign_type, lev
 
 @settings(max_examples=40)
 @given(st.sampled_from(NetworkKind), st.integers(1, 5),
-       st.sampled_from([(127, 40), (128, 40), (127, 8300), (128, 8300), (2500, 1000)]),
+       st.sampled_from([(127, 40), (128, 40), (254, 40), (255, 40), (127, 8300), (128, 8300),
+                        (2500, 1000)]),
        st.sampled_from(["stored", "flipped", "random"]), st.integers(0, 2**32 - 1))
 def test_blocked_overlaps_equal_the_one_pass_sum(kind, q, shape, state, seed):
-    """At N = 127 and 128 the sums widen from int8 to int16; above 2**20 (neuron x pattern)
-    entries they run in blocks of neurons (2 blocks at M = 8300, 3 at N = 2500).  A stored
-    state puts some overlap at +-N."""
+    """At N = 127 and 128 PNN2's sums widen from int8 to int16; above 2**20 (neuron x pattern)
+    entries they run in blocks of neurons (2 blocks at M = 8300, 3 at N = 2500).  PNN3 counts
+    level matches in int8 blocks of at most 127 neurons (2 at N = 254, 3 at N = 255 and 20 at
+    N = 2500).  A stored state puts some overlap at +-N, and fills each full PNN3 block of its
+    pattern to exactly +127."""
     q = max(q, 2) if kind is NetworkKind.PNN3 else q
     (n, m), rng = shape, np.random.default_rng(seed)
     levels = rng.integers(1, q + 1, size=(m, n), dtype=np.uint8)
@@ -312,6 +324,53 @@ def test_blocked_overlaps_equal_the_one_pass_sum(kind, q, shape, state, seed):
         s = s if kind is NetworkKind.PNN3 else 1 - 2 * rng.integers(0, 2, size=n)
     got, want = _overlaps(memory, s, l), reference_overlaps(memory, s, l)
     assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(NetworkKind), st.integers(1, 4), st.integers(1, 12),
+       st.one_of(st.integers(1, 8), st.integers(256, 2**20)), st.floats(0, 1), st.floats(0, 1),
+       st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_patterns_the_library_makes_equal_their_checked_pattern(kind, m, n, q, a, b, k, seed):
+    """Patterns frozen unchecked (drawn, distorted, sign-flipped and binary images) hold
+    int8 signs and int64 levels in [1, q], and equal the Pattern that checks their arrays."""
+    q = max(q, 2) if kind is NetworkKind.PNN3 else q
+    rng = np.random.default_rng(seed)
+    made = random_qnary_patterns(m, n, q, kind, rng)
+    made += [apply_qnary_noise(p, q, NoiseSpec(a, b), rng) for p in made]
+    made += [p.sign_flipped() for p in made]
+    image = map_binary(1 - 2 * rng.integers(0, 2, size=n * (k + 1)), k)
+    assert image.levels.max() <= 2**k
+    for p in made + [image]:
+        assert p.signs.dtype == np.int8 and p.levels.dtype == np.int64
+        assert not (p.signs.flags.writeable or p.levels.flags.writeable)
+        assert p == Pattern(p.signs, p.levels)
+    assert all(1 <= p.levels.min() and p.levels.max() <= q for p in made)
+
+
+@given(st.integers(0, 4), st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_dpnn_build_stores_the_image_of_every_pattern(k, m, fragments, seed):
+    """One pass over the staged (M, N) ensemble stores what ``build_memory`` stores from the
+    ``map_binary`` image of each pattern."""
+    rng = np.random.default_rng(seed)
+    ensemble = [(1 - 2 * rng.integers(0, 2, size=fragments * (k + 1))).astype(np.int8)
+                for _ in range(m)]
+    got = dpnn_build(ensemble, k)
+    want = build_memory([map_binary(y, k) for y in ensemble], NetworkKind.PNN2, 2**k)
+    assert (got.kind, got.q, got.n_neurons, got.n_patterns) == (
+        want.kind, want.q, want.n_neurons, want.n_patterns)
+    for name in ("_signs", "_levels", "_level_counts"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@given(st.integers(2, 10**5), st.floats(0.0, 0.5, exclude_max=True))
+def test_k_critical_asymptotic_bisection_equals_the_linear_scan(n_bits, a):
+    want = reference_k_critical_asymptotic(n_bits, a)
+    if want is None:
+        with pytest.raises(NoFeasibleK):
+            k_critical_asymptotic(n_bits, a)
+    else:
+        assert k_critical_asymptotic(n_bits, a) == want
 
 
 @st.composite
