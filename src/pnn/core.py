@@ -88,7 +88,7 @@ def _check_levels(levels: np.ndarray, q: int | None = None) -> None:
             raise LevelOutOfRange("levels must be whole numbers")
         if levels.max() >= 2.0**63:
             raise LevelOutOfRange(f"level {levels.max()} does not fit in int64")
-    elif levels.dtype.kind == "u" and levels.max() >= 2**63:
+    elif levels.dtype == np.uint64 and levels.max() >= 2**63:  # no other unsigned type reaches it
         raise LevelOutOfRange(f"level {levels.max()} does not fit in int64")
     if levels.min() < 1:
         raise LevelOutOfRange("levels must be >= 1")
@@ -131,8 +131,11 @@ class Pattern:
     """A length-N sequence of neuron states, stored as sign/level arrays.
 
     The arrays are read-only after construction; build a new Pattern to
-    modify.  The owning network's q bounds the levels and is checked when
-    the pattern meets a Memory.
+    modify.  ``signs`` are int8.  ``levels`` are in the narrowest unsigned
+    integer type that holds the highest level (uint8 up to 255), a function
+    of the values, so equal Patterns hold equal bytes; cast before
+    subtracting levels.  The owning network's q bounds the levels and is
+    checked when the pattern meets a Memory.
     """
 
     __slots__ = ("signs", "levels")
@@ -156,8 +159,10 @@ class Pattern:
         return pattern
 
     def _freeze(self, signs: np.ndarray, levels: np.ndarray) -> None:
-        # astype copies, so the caller's arrays stay its own
-        self.signs, self.levels = signs.astype(np.int8), levels.astype(np.int64)
+        # astype copies, so the caller's arrays stay its own; a 1-byte type holds no level above
+        # 255, so its levels need no max to narrow
+        narrow = np.uint8 if levels.itemsize == 1 else np.min_scalar_type(int(levels.max()))
+        self.signs, self.levels = signs.astype(np.int8), levels.astype(narrow)
         self.signs.setflags(write=False)
         self.levels.setflags(write=False)
 
@@ -331,7 +336,7 @@ def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarr
     whose stored and checked input signs are all +1, counts level matches,
     each block of at most 127 neurons in int8, which holds its count exactly."""
     n, per = memory.n_neurons, max(1, (1 << 20) // memory.n_patterns)
-    levels = levels.astype(memory._levels.dtype)[:, None]
+    levels = levels.astype(memory._levels.dtype, copy=False)[:, None]
     sums = np.zeros(memory.n_patterns, dtype=np.int64)
     if memory._beta:
         per = min(per, 127)
@@ -356,8 +361,9 @@ def _stack_inputs(memory: Memory, inputs: Sequence[Pattern]):
         raise DimensionMismatch("at least one input state is required")
     for state in inputs:
         _check_state(memory, state)
-    signs = np.stack([p.signs for p in inputs], axis=1).astype(np.int64)
-    levels = np.stack([p.levels for p in inputs], axis=1)
+    # int64 working copies: narrow levels would wrap in the kernels' index arithmetic
+    signs = np.stack([p.signs for p in inputs], axis=1, dtype=np.int64)
+    levels = np.stack([p.levels for p in inputs], axis=1, dtype=np.int64)
     m = np.stack([_overlaps(memory, p.signs, p.levels) for p in inputs]) + memory._beta
     return signs, levels, m.astype(np.float64)
 
@@ -438,7 +444,9 @@ def _lockstep_inputs(memory: Memory, states: Sequence[Pattern]):
 def _patterns(memory: Memory, z: np.ndarray) -> list[Pattern]:
     """The states of (N, B) state indices z, one Pattern a column."""
     shift = len(_KEY[memory.kind][1]) - 1  # S is 1 or 2, so z >> shift is l - 1
-    signs, levels = 1 - 2 * (z & shift), (z >> shift) + 1
+    # cast once, to the types that hold every sign and every level up to q
+    signs = (1 - 2 * (z & shift)).astype(np.int8)
+    levels = ((z >> shift) + 1).astype(memory._levels.dtype)
     return [Pattern._of(signs[:, r], levels[:, r]) for r in range(z.shape[1])]
 
 

@@ -71,12 +71,13 @@ class KCriticalResult:
 
 
 def _as_signs(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.int64)
+    """y as an int8 array, checked before the cast, so a fractional entry is not truncated."""
+    y = np.asarray(y)
     if y.ndim != 1 or y.size == 0:
         raise LengthNotDivisible("binary vector must be a non-empty 1-d array")
-    if not np.all(np.abs(y) == 1):
+    if y.dtype.kind not in "biuf" or not np.all(np.abs(y) == 1):
         raise ValueError("binary vectors must contain only -1 and +1")
-    return y
+    return y.astype(np.int8)
 
 
 def map_binary(y, k: int) -> Pattern:
@@ -110,7 +111,7 @@ def unmap_binary(image: Pattern, k: int) -> np.ndarray:
     frames = np.empty((n, k + 1), dtype=np.int8)
     frames[:, 0] = image.signs
     if k > 0:
-        value = image.levels - 1
+        value = image.levels.astype(np.int64) - 1  # signed, so 2 * bit - 1 cannot wrap
         for pos in range(k):
             shift = k - 1 - pos
             frames[:, 1 + pos] = 2 * ((value >> shift) & 1) - 1

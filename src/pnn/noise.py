@@ -13,7 +13,7 @@ All generators are pure functions of their arguments and the supplied
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -43,7 +43,10 @@ def random_qnary_patterns(
     PNN2 coordinates are uniform over 2q signed states, PNN3 over q unsigned
     states (all signs +1).
     """
-    return [Pattern._of(signs, levels) for signs, levels in _qnary_draws(m, n, q, kind, rng)]
+    draws = _qnary_draws(m, n, q, kind, rng)
+    # rows in this type freeze with no max for q <= 255 (PNN3 rows are drawn in it)
+    narrow = np.min_scalar_type(int(q))
+    return [Pattern._of(signs, levels.astype(narrow, copy=False)) for signs, levels in draws]
 
 
 def _qnary_arrays(
@@ -60,9 +63,10 @@ def _qnary_arrays(
 
 def _qnary_draws(m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Generator):
     """Check the arguments of ``random_qnary_patterns``; return an iterator over its M
-    patterns' (signs, levels).  A PNN2 pattern is drawn when reached: its levels, then its
-    signs.  PNN3 levels come from one (M, N) draw, which yields the values, and leaves the
-    generator in the state, of M draws of N."""
+    patterns' (signs, levels).  A PNN2 pattern is drawn when reached: its levels (int64), then
+    its signs.  PNN3 levels come from (k, N) draws of about 2**16 levels, which yield the values,
+    and leave the generator in the state, of k draws of N; each is cast, as drawn, to the
+    narrowest type holding q, so no int64 copy of all M patterns is made."""
     if m < 1 or n < 1 or q < 1:
         raise ValueError(f"need m, n, q >= 1, got m={m} n={n} q={q}")
     if q % 1 != 0:
@@ -70,7 +74,10 @@ def _qnary_draws(m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Gener
     if not isinstance(kind, NetworkKind):
         raise ValueError(f"kind must be a NetworkKind, got {kind!r}")
     if kind is NetworkKind.PNN3:
-        return zip(repeat(np.ones(n, dtype=np.int8)), rng.integers(1, q + 1, size=(m, n)))
+        per, narrow = max(1, (1 << 16) // n), np.min_scalar_type(int(q))
+        blocks = (rng.integers(1, q + 1, size=(min(per, m - lo), n)).astype(narrow)
+                  for lo in range(0, m, per))
+        return zip(repeat(np.ones(n, dtype=np.int8)), chain.from_iterable(blocks))
     draws = (rng.integers(1, q + 1, size=n) for _ in range(m))
     return ((2 * rng.integers(0, 2, size=n) - 1, levels) for levels in draws)  # levels, then signs
 
@@ -86,8 +93,7 @@ def apply_qnary_noise(
     """
     if not (q % 1 == 0 and q >= pattern.levels.max()):
         raise LevelOutOfRange(f"q must be a whole number >= every level, got {q}")
-    signs = pattern.signs.copy()
-    levels = pattern.levels.copy()
+    signs, levels = pattern.signs.copy(), pattern.levels
     n = len(pattern)
     if spec.a > 0:
         flip = rng.random(n) < spec.a
@@ -95,6 +101,7 @@ def apply_qnary_noise(
     if spec.b > 0 and q > 1:
         hit = rng.random(n) < spec.b
         offsets = rng.integers(1, q, size=n)
+        levels = levels.astype(np.int64)  # a copy that holds every level up to q
         shifted = (levels - 1 + offsets) % q + 1
         levels[hit] = shifted[hit]
     return Pattern._of(signs, levels)

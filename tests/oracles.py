@@ -104,7 +104,7 @@ def naive_decide(kind: NetworkKind, amplitudes, sign: int, level: int) -> tuple[
 
 def with_neuron(state: Pattern, i: int, sign: int, level: int) -> Pattern:
     """``state`` with neuron i set to (sign, level)."""
-    signs, levels = state.signs.copy(), state.levels.copy()
+    signs, levels = state.signs.copy(), state.levels.astype(np.int64)  # holds any new level
     signs[i], levels[i] = sign, level
     return Pattern(signs, levels)
 
@@ -307,6 +307,21 @@ def reference_qnary_patterns(m: int, n: int, q: int, kind: NetworkKind, rng) -> 
             signs = np.ones(n, dtype=np.int8)
         patterns.append(Pattern(signs, levels))
     return patterns
+
+
+def reference_qnary_noise(pattern: Pattern, q: int, a: float, b: float, rng):
+    """The (signs, levels) of ``apply_qnary_noise`` in int64 arrays, drawn in its order: sign
+    flips (when a > 0), then level hits and offsets (when b > 0 and q > 1); a hit level l
+    becomes (l - 1 + offset) mod q + 1."""
+    signs, levels = pattern.signs.astype(np.int64), pattern.levels.astype(np.int64)
+    n = signs.size
+    if a > 0:
+        signs[rng.random(n) < a] *= -1
+    if b > 0 and q > 1:
+        hit = rng.random(n) < b
+        offsets = rng.integers(1, q, size=n)
+        levels[hit] = (levels[hit] - 1 + offsets[hit]) % q + 1
+    return signs, levels
 
 
 def reference_map_fragment(fragment) -> tuple[int, int]:

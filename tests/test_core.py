@@ -51,6 +51,17 @@ def random_state(rng, n, q, kind):
     return Pattern(signs, levels)
 
 
+def naive_step(mem, state):
+    """The synchronous step by the naive rule on every naive field.  The field is an integer
+    over N alpha^2, which divides N q^2; rounding the float oracle to that grid keeps exact
+    ties tied."""
+    scale = mem.n_neurons * mem.q * mem.q
+    fields = [np.round(naive_local_field(mem, state, i) * scale) for i in range(mem.n_neurons)]
+    rule = [naive_decide(mem.kind, h, int(state.signs[i]), int(state.levels[i]))
+            for i, h in enumerate(fields)]
+    return Pattern(*zip(*rule))
+
+
 class TestConstruction:
     def test_single_pattern_memory_is_stable(self):
         p = Pattern([1, -1], [1, 2])
@@ -364,17 +375,8 @@ class TestSynchronousStep:
             lv[:2] = rng.integers(1, q + 1, size=2)
             s = np.ones(n) if kind is NetworkKind.PNN3 else rng.choice([-1, 1], size=n)
             states.append(Pattern(s, lv))
-
-        def naive_step(state):
-            # the field is an integer over N q^2; rounding the float oracle
-            # to that grid keeps exact ties tied
-            fields = [np.round(naive_local_field(mem, state, i) * n * q * q) for i in range(n)]
-            rule = [naive_decide(kind, h, int(state.signs[i]), int(state.levels[i]))
-                    for i, h in enumerate(fields)]
-            return Pattern(*zip(*rule))
-
         assert [synchronous_step(mem, state) for state in states] == [
-            naive_step(state) for state in states
+            naive_step(mem, state) for state in states
         ]
 
     def test_step_rejects_a_bad_state(self):
@@ -692,6 +694,21 @@ class TestRetrieveBatch:
         assert np.array_equal(copy._signs, mem._signs) and np.array_equal(copy._levels, mem._levels)
         assert step == state  # the flipped stored pattern is a fixed point, as the pattern is
 
+    @pytest.mark.parametrize("kind", list(NetworkKind))
+    def test_drawn_patterns_keep_two_bytes_per_coordinate(self, kind):
+        # a drawn Pattern holds int8 signs and, for q <= 255, uint8 levels: M patterns of N
+        # retain about 2 bytes per coordinate, where int64 levels took 9, and no int64 draw
+        # of all M patterns is staged on the way
+        n = m = 2000
+        tracemalloc.start()
+        try:
+            patterns = random_qnary_patterns(m, n, 16, kind, make_rng(41))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= peak <= 2.5 * n * m
+        assert len(patterns) == m and patterns[0].levels.dtype == np.uint8
+
     def test_empty_inputs_rejected(self):
         mem, _ = random_memory(make_rng(38), 10, 2, 2, NetworkKind.PNN2)
         with pytest.raises(DimensionMismatch):
@@ -709,6 +726,54 @@ class TestRetrieveBatch:
             retrieve_batch(mem, [patterns[0], Pattern(np.ones(10), np.full(10, 3))], 5)
         with pytest.raises(SignNotAllowed):
             retrieve_batch(mem, [patterns[0], patterns[1].sign_flipped()], 5)
+
+
+class TestNarrowLevels:
+    """A Pattern whose levels are all <= 255 holds them in uint8.  In a network with q > 255,
+    retrieval from such inputs must reach the higher levels, with no level wrapping in uint8."""
+
+    @staticmethod
+    def memory_and_inputs(kind, q):
+        # every other neuron of each stored pattern sits above level 255; each input is a
+        # stored pattern with those neurons moved to levels of at most 255
+        rng, n, m = make_rng(70), 24, 3
+        levels = rng.integers(1, 256, size=(m, n))
+        levels[:, ::2] = rng.integers(256, q + 1, size=(m, n // 2))
+        signs = np.ones((m, n)) if kind is NetworkKind.PNN3 else rng.choice([-1, 1], size=(m, n))
+        inputs = [Pattern(s, np.where(lv > 255, rng.integers(1, 256, size=n), lv))
+                  for s, lv in zip(signs, levels)]
+        assert all(x.levels.dtype == np.uint8 for x in inputs)
+        return Memory(kind, q, signs, levels), inputs
+
+    @staticmethod
+    def assert_hashes_as_int64(patterns):
+        for p in patterns:
+            assert hash(p) == hash(Pattern(p.signs, p.levels.astype(np.int64)))
+
+    @pytest.mark.parametrize("kind", list(NetworkKind))
+    @pytest.mark.parametrize("q", [256, 300, 2**14])
+    def test_retrieval_reaches_levels_above_255_as_the_oracle_does(self, kind, q):
+        mem, inputs = self.memory_and_inputs(kind, q)
+        batch = retrieve_batch(mem, inputs, 5)
+        for x, lockstep in zip(inputs, batch):
+            want = reference_asynchronous_retrieve(mem, x, 5, record_trace=True)
+            serial = asynchronous_retrieve(mem, x, 5, record_trace=True)
+            assert want.final_state.levels.max() > 255
+            for got in (serial, lockstep):
+                assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
+                    want.final_state, want.converged, want.sweeps_used, want.updates_changed)
+            assert serial.trace == want.trace
+            self.assert_hashes_as_int64([serial.final_state, lockstep.final_state, *serial.trace])
+
+    @pytest.mark.parametrize("kind", list(NetworkKind))
+    @pytest.mark.parametrize("q", [256, 300, 2**14])
+    def test_synchronous_step_reaches_levels_above_255_as_the_naive_rule_does(self, kind, q):
+        mem, inputs = self.memory_and_inputs(kind, q)
+        steps = [synchronous_step(mem, x) for x in inputs]
+        assert steps == [naive_step(mem, x) for x in inputs]
+        assert steps == pnn.core._lockstep(mem, inputs, 1, step_rows=True)[1]
+        assert all(p.levels.max() > 255 for p in steps)
+        self.assert_hashes_as_int64(steps)
 
 
 class TestEnergy:

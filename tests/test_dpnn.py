@@ -277,6 +277,18 @@ class TestPipeline:
                 reference_unmap_binary(o_signs, o_levels, k),
             )
 
+    @pytest.mark.parametrize("bad", [[1.5, -1.7], [-1.0, 1.2], [1, -1, 0.5, 1]])
+    def test_fractional_entries_rejected_and_whole_floats_accepted(self, bad):
+        # checked before any cast to integers, which would truncate 1.5 to 1
+        for call in (lambda: map_binary(bad, 0), lambda: dpnn_build([bad], 0),
+                     lambda: dpnn_retrieve(dpnn_build([[1, -1] * (len(bad) // 2)], 0), bad, 0, 3)):
+            with pytest.raises(ValueError, match="only -1 and \\+1"):
+                call()
+        assert map_binary([1.0, -1.0], 0) == map_binary([1, -1], 0)
+        memory = dpnn_build([[1.0, -1.0]], 0)
+        assert np.array_equal(memory.pattern_signs, [[1, -1]])
+        assert np.array_equal(dpnn_retrieve(memory, [1.0, -1.0], 0, 3), [1, -1])
+
     def test_build_validates(self):
         with pytest.raises(LengthNotDivisible):
             dpnn_build([], 2)

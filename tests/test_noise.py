@@ -19,7 +19,7 @@ from pnn import (
     random_binary_patterns,
     random_qnary_patterns,
 )
-from oracles import reference_qnary_patterns
+from oracles import reference_qnary_noise, reference_qnary_patterns
 from pnn.noise import _qnary_arrays
 
 
@@ -163,6 +163,19 @@ class TestQnaryNoise:
         p = Pattern(np.ones(3, dtype=np.int8), [1, 3, 2])
         out = apply_qnary_noise(p, 4.0, NoiseSpec(0, 1), make_rng(20))
         assert np.all(out.levels != p.levels) and out.levels.max() <= 4
+
+    @pytest.mark.parametrize("q", [256, 300, 2**14])
+    def test_narrow_levels_take_new_levels_above_255(self, q):
+        # levels all <= 255 are held in uint8; a new level up to q must not wrap in that type
+        rng = make_rng(60)
+        p = Pattern(1 - 2 * rng.integers(0, 2, size=500), rng.integers(1, 256, size=500))
+        assert p.levels.dtype == np.uint8
+        for a, b in [(0.3, 0.9), (0.0, 1.0), (0.5, 0.0)]:
+            got = apply_qnary_noise(p, q, NoiseSpec(a, b), make_rng(61))
+            signs, levels = reference_qnary_noise(p, q, a, b, make_rng(61))
+            assert np.array_equal(got.signs, signs) and np.array_equal(got.levels, levels)
+            assert hash(got) == hash(Pattern(got.signs, got.levels.astype(np.int64)))
+            assert (got.levels.max() > 255) == (b > 0)
 
 
 class TestBinary:

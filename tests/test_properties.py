@@ -332,7 +332,8 @@ def test_blocked_overlaps_equal_the_one_pass_sum(kind, q, shape, state, seed):
        st.integers(0, 5), st.integers(0, 2**32 - 1))
 def test_patterns_the_library_makes_equal_their_checked_pattern(kind, m, n, q, a, b, k, seed):
     """Patterns frozen unchecked (drawn, distorted, sign-flipped and binary images) hold
-    int8 signs and int64 levels in [1, q], and equal the Pattern that checks their arrays."""
+    int8 signs and levels in [1, q] in the narrowest unsigned type that holds their highest
+    level, and equal, and hash as, the Pattern that checks their arrays, at any level dtype."""
     q = max(q, 2) if kind is NetworkKind.PNN3 else q
     rng = np.random.default_rng(seed)
     made = random_qnary_patterns(m, n, q, kind, rng)
@@ -341,9 +342,11 @@ def test_patterns_the_library_makes_equal_their_checked_pattern(kind, m, n, q, a
     image = map_binary(1 - 2 * rng.integers(0, 2, size=n * (k + 1)), k)
     assert image.levels.max() <= 2**k
     for p in made + [image]:
-        assert p.signs.dtype == np.int8 and p.levels.dtype == np.int64
+        assert p.signs.dtype == np.int8
+        assert p.levels.dtype == np.min_scalar_type(int(p.levels.max()))
         assert not (p.signs.flags.writeable or p.levels.flags.writeable)
         assert p == Pattern(p.signs, p.levels)
+        assert hash(p) == hash(Pattern(p.signs, p.levels.astype(np.int64)))
     assert all(1 <= p.levels.min() and p.levels.max() <= q for p in made)
 
 
