@@ -31,6 +31,7 @@ Exit codes: 0 success, 2 configuration error or out of memory, 3 infeasible para
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import math
@@ -43,16 +44,17 @@ from typing import Callable, NamedTuple, Sequence, get_args, get_origin
 
 import numpy as np
 
-from .core import Memory, NetworkKind, Pattern, _lockstep, retrieve_batch
-from .dpnn import dpnn_build, dpnn_capacity, capacity_exponent, k_critical, map_binary, unmap_binary
+from .core import (
+    Memory, NetworkKind, Pattern, _check_retrieval, _lockstep, _network_q, retrieve_batch,
+)
+from .dpnn import (
+    MappingParams, capacity_exponent, dpnn_build, dpnn_capacity, k_critical, map_binary,
+    unmap_binary,
+)
 from .errors import NoFeasibleK, PnnError, UnknownPattern
-from .identifier import IdentifierNet, OpCounter, digit_count, identify
+from .identifier import IdentifierNet, OpCounter, identify
 from .noise import (
-    NoiseSpec,
-    _qnary_arrays,
-    apply_binary_noise,
-    apply_qnary_noise,
-    correlated_binary_patterns,
+    NoiseSpec, _qnary_arrays, apply_binary_noise, apply_qnary_noise, correlated_binary_patterns,
 )
 from .rng import make_rng
 from .theory import capacity_pnn2, capacity_pnn3, perr_pnn2, perr_pnn3
@@ -153,13 +155,6 @@ def _resolve(options: Sequence[Option], args: argparse.Namespace, config: dict) 
     return values
 
 
-def _parse_kind(text: str) -> NetworkKind:
-    try:
-        return NetworkKind(text.lower())
-    except ValueError:
-        raise ConfigError(f"kind must be 'pnn2' or 'pnn3', got {text!r}") from None
-
-
 def _positive(value: int, what: str) -> int:
     if value < 1:
         raise ConfigError(f"{what} must be >= 1, got {value}")
@@ -201,11 +196,6 @@ def _write_csv(fh, header: Sequence[str], rows: list) -> None:
         writer.writerow([_fmt(cell) for cell in row])
 
 
-def _mean(values) -> float:
-    values = list(values)
-    return math.fsum(values) / len(values) if values else float("nan")
-
-
 # ----------------------------------------------------------------------
 # trial runner
 
@@ -229,30 +219,31 @@ def _init_worker(trials_fn: Callable, ctx) -> None:
     _worker_task = (trials_fn, ctx)
 
 
-def _run_batch(batch: range) -> list:
+def _run_batch(batch: range) -> tuple:
     trials_fn, ctx = _worker_task
     return trials_fn(ctx, batch)
 
 
-def _run_trials(trials_fn: Callable, ctx, trials: int, jobs: int) -> list:
-    """The records of trials 0..trials-1, in order, in up to ``jobs`` processes.
+def _run_trials(trials_fn: Callable, ctx, trials: int, jobs: int) -> tuple:
+    """The column sums of the records of trials 0..trials-1, in up to ``jobs`` processes.
 
-    ``trials_fn(ctx, batch)`` returns the records of one contiguous range
-    of trial indices.  Batches are as large as the cap allows with one per
-    worker, and the pool never has more workers than batches or CPUs.  Each
-    record depends only on (ctx, t), so neither the worker count nor the
-    batch size can change the result.
+    ``trials_fn(ctx, batch)`` returns the column sums of the records of one
+    contiguous range of trial indices.  Batches are as large as the cap
+    allows with one per worker, and the pool never has more workers than
+    batches or CPUs.  Each record depends only on (ctx, t) and integer
+    columns sum exactly, so neither the worker count nor the batch size can
+    change an integer total.
     """
     workers = min(jobs, trials, os.cpu_count() or 1)
     per = min(_BATCH_TRIALS, math.ceil(trials / workers))
     batches = [range(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
     workers = min(workers, len(batches))
     if workers <= 1:
-        return [record for batch in batches for record in trials_fn(ctx, batch)]
+        return tuple(map(sum, zip(*(trials_fn(ctx, batch) for batch in batches))))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(trials_fn, ctx)
     ) as pool:
-        return [record for batch in pool.map(_run_batch, batches) for record in batch]
+        return tuple(map(sum, zip(*pool.map(_run_batch, batches))))
 
 
 _GEN_STREAM_STRIDE = 1 << 32  # per-sweep-point stream block; trial t uses base + 1 + t
@@ -295,7 +286,7 @@ def _coord_errors(result: Pattern, target: Pattern) -> int:
     )
 
 
-def _sweep_trials(ctx, batch: range) -> list[tuple]:
+def _sweep_trials(ctx, batch: range) -> tuple:
     memory = ctx.memory
     targets, inputs = [], []
     for t in batch:
@@ -318,12 +309,12 @@ def _sweep_trials(ctx, batch: range) -> list[tuple]:
             sign_flip,
             retrieval.sweeps_used,
         ))
-    return records
+    return tuple(map(sum, zip(*records)))
 
 
 def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, max_sweeps) -> list:
     _positive(jobs, "jobs")
-    kind = _parse_kind(kind)
+    kind = NetworkKind(kind.lower())
     points = _parse_list(values, int if sweep in ("q", "M") else float, "values")
     if sweep == "M" and (M is not None or load is not None):
         raise ConfigError("--sweep M takes the pattern counts from --values; drop --M and --load")
@@ -334,38 +325,34 @@ def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, m
     if not points:
         raise ConfigError("sweep needs a non-empty --values list")
     _positive(trials, "trials")
-    _positive(N, "N")
-    _positive(max_sweeps, "max_sweeps")
+    _check_retrieval(max_sweeps)
 
     rows = []
     for point, value in enumerate(points):
         setting = {**base, sweep: value}
         q, m, a, b = setting["q"], setting["M"], setting["a"], setting["b"]
-        _positive(q, "q")
-        _positive(m, "M")
-        if not 0 <= a <= 1 or not 0 <= b <= 1:
-            raise ConfigError(f"noise rates must be in [0, 1], got a={a} b={b}")
+        # this point's a, b and q, checked before its patterns are drawn (the draw checks M, N)
+        spec = NoiseSpec(a, b)
         if kind is NetworkKind.PNN3 and a > 0:
             raise ConfigError("PNN3 states carry no sign; sign noise a must be 0")
-        if kind is NetworkKind.PNN3 and q < 2:
-            raise ConfigError("PNN3 requires q >= 2")
+        _network_q(kind, q)
         if q == 1 and b > 0:
             raise ConfigError("q=1 has no level noise; set b=0")
 
         stream_base = point * _GEN_STREAM_STRIDE
         signs, levels = _qnary_arrays(m, N, q, kind, make_rng(seed, stream_base))
         ctx = SimpleNamespace(
-            memory=Memory(kind, q, signs, levels), spec=NoiseSpec(a, b),
+            memory=Memory(kind, q, signs, levels), spec=spec,
             seed=seed, stream_base=stream_base, max_sweeps=max_sweeps,
         )
-        records = _run_trials(_sweep_trials, ctx, trials, jobs)
-
-        sync_coord, sync_pat, coord, pat, flips, sweeps = zip(*records)
+        sync_coord, sync_pat, coord, pat, flips, sweeps = _run_trials(
+            _sweep_trials, ctx, trials, jobs
+        )
         theory, vacuous = _theory_bound(kind, N, m, q, a, b)
         rows.append([
             f"sweep-{sweep}", N, q, m, a, b, "", trials, seed,
-            _mean(coord) / N, _mean(pat), _mean(sweeps), theory, vacuous,
-            _mean(sync_coord) / N, _mean(sync_pat), _mean(flips),
+            coord / trials / N, pat / trials, sweeps / trials, theory, vacuous,
+            sync_coord / trials / N, sync_pat / trials, flips / trials,
         ])
     return rows
 
@@ -389,7 +376,7 @@ DPNN_EXTRAS = [
 ]
 
 
-def _dpnn_trials(ctx, batch: range) -> list[tuple]:
+def _dpnn_trials(ctx, batch: range) -> tuple:
     targets = [ctx.ensemble[t % len(ctx.ensemble)] for t in batch]
     inputs = [
         apply_binary_noise(target, ctx.a, make_rng(ctx.seed, 1 + t))
@@ -412,25 +399,17 @@ def _dpnn_trials(ctx, batch: range) -> list[tuple]:
             int(np.count_nonzero(hop_recovered != target)),
             int(not np.array_equal(hop_recovered, target)),
         ))
-    return records
+    return tuple(map(sum, zip(*records)))
 
 
 def cmd_dpnn_bench(*, seed, trials, jobs, N, k, M, load, a, overlap, max_sweeps) -> list:
     _positive(jobs, "jobs")
     m = _pattern_count(M, load, N)
     _positive(trials, "trials")
-    _positive(N, "N")
-    _positive(max_sweeps, "max_sweeps")
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
-    if N % (k + 1) != 0:
-        raise ConfigError(f"k+1={k + 1} must divide N={N}")
-    if not 0 <= a < 0.5:
-        raise ConfigError(f"binary noise a must be in [0, 0.5), got {a}")
-    if not 0 <= overlap < 1:
-        raise ConfigError(f"overlap must be in [0, 1), got {overlap}")
-
-    k_c = k_critical(N, a)  # NoFeasibleK propagates (exit 3)
+    _check_retrieval(max_sweeps)
+    params = MappingParams.for_length(N, k)
+    k_c = k_critical(N, a)  # checks N >= 2 and a; NoFeasibleK propagates (exit 3)
+    ensemble = correlated_binary_patterns(m, N, overlap, make_rng(seed, 0))
     note = ""
     if k > k_c:
         note = "k>k_critical"
@@ -439,23 +418,18 @@ def cmd_dpnn_bench(*, seed, trials, jobs, N, k, M, load, a, overlap, max_sweeps)
             file=sys.stderr,
         )
 
-    ensemble = correlated_binary_patterns(m, N, overlap, make_rng(seed, 0))
     ctx = SimpleNamespace(
         dpnn_memory=dpnn_build(ensemble, k), hopfield_memory=dpnn_build(ensemble, 0),
         ensemble=ensemble, k=k, a=a, seed=seed, max_sweeps=max_sweeps,
     )
-    records = _run_trials(_dpnn_trials, ctx, trials, jobs)
-    coord, pat, sweeps, hop_coord, hop_pat = zip(*records)
+    coord, pat, sweeps, hop_coord, hop_pat = _run_trials(_dpnn_trials, ctx, trials, jobs)
 
-    n_fragments = N // (k + 1)
     image_level_noise = 1.0 - (1.0 - a) ** k
-    theory, vacuous = _theory_bound(
-        NetworkKind.PNN2, n_fragments, m, max(1, 2**k), a, image_level_noise
-    )
+    theory, vacuous = _theory_bound(NetworkKind.PNN2, params.n, m, params.q, a, image_level_noise)
     return [[
-        "dpnn-bench", N, max(1, 2**k), m, a, "", k, trials, seed,
-        _mean(coord) / N, _mean(pat), _mean(sweeps), theory, vacuous,
-        _mean(hop_coord) / N, _mean(hop_pat),
+        "dpnn-bench", N, params.q, m, a, "", k, trials, seed,
+        coord / trials / N, pat / trials, sweeps / trials, theory, vacuous,
+        hop_coord / trials / N, hop_pat / trials,
         k_c, dpnn_capacity(N, a, k), note,
     ]]
 
@@ -475,8 +449,8 @@ IDENTIFY_OPTIONS = (
 IDENTIFY_EXTRAS = ["n_digits", "field_evals_per_query"]
 
 
-def _identify_trials(ctx, batch: range) -> list[tuple]:
-    return [_identify_trial(ctx, t) for t in batch]
+def _identify_trials(ctx, batch: range) -> tuple:
+    return tuple(map(sum, zip(*(_identify_trial(ctx, t) for t in batch))))
 
 
 def _identify_trial(ctx, t: int) -> tuple:
@@ -513,29 +487,25 @@ def cmd_identify_bench(*, seed, trials, jobs, N, q, M, load, b) -> list:
     _positive(jobs, "jobs")
     m = _pattern_count(M, load, N)
     _positive(trials, "trials")
-    _positive(N, "N")
-    if q < 2:
-        raise ConfigError("identifier needs q >= 2")
-    if not 0 <= b <= 1:
-        raise ConfigError(f"level noise b must be in [0, 1], got {b}")
+    # q and b, checked before the patterns are drawn (the draw checks M, N)
+    _network_q(NetworkKind.PNN3, q)
+    spec = NoiseSpec(0.0, b)
 
     signs, levels = _qnary_arrays(m, N, q, NetworkKind.PNN3, make_rng(seed, 0))
     net = IdentifierNet(Memory(NetworkKind.PNN3, q, signs, levels))
-    ctx = SimpleNamespace(net=net, spec=NoiseSpec(0.0, b), seed=seed)
-    records = _run_trials(_identify_trials, ctx, trials, jobs)
-    digit_errs, misses, evals, elapsed = zip(*records)
+    ctx = SimpleNamespace(net=net, spec=spec, seed=seed)
+    digit_errs, misses, evals, elapsed = _run_trials(_identify_trials, ctx, trials, jobs)
 
     # wall time varies run to run; keep it out of the deterministic CSV
     print(
-        f"identify-bench: mean {1e6 * _mean(elapsed):.1f} us/query over {trials} trials",
+        f"identify-bench: mean {1e6 * elapsed / trials:.1f} us/query over {trials} trials",
         file=sys.stderr,
     )
     theory, vacuous = _theory_bound(NetworkKind.PNN3, N, m, q, 0.0, b)
-    n_digits = digit_count(m, q)
     return [[
         "identify-bench", N, q, m, 0.0, b, "", trials, seed,
-        _mean(digit_errs) / n_digits, _mean(misses), 1.0, theory, vacuous,
-        n_digits, _mean(evals),
+        digit_errs / trials / net.n_digits, misses / trials, 1.0, theory, vacuous,
+        net.n_digits, evals / trials,
     ]]
 
 
@@ -640,17 +610,15 @@ def _dispatch(args: argparse.Namespace) -> int:
     config = _read_config_file(args.config, command.options) if args.config else {}
     values = _resolve(command.options, args, config)
     out = values.pop("out")
-    header = PREFIX_COLUMNS + command.extras
     if out is None or out == "-":
-        _write_csv(sys.stdout, header, command.run(**values))
-        return 0
-    # opened before any trial runs, so an unwritable path fails at once
-    try:
-        fh = open(out, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
-    with fh:
-        _write_csv(fh, header, command.run(**values))
+        sink = contextlib.nullcontext(sys.stdout)
+    else:  # opened before any trial runs, so an unwritable path fails at once
+        try:
+            sink = open(out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+    with sink as fh:
+        _write_csv(fh, PREFIX_COLUMNS + command.extras, command.run(**values))
     return 0
 
 

@@ -51,7 +51,7 @@ class MappingParams:
             raise LevelOutOfRange(f"mapping parameter k={k} > 62: levels up to 2^k overflow int64")
         if n_bits < 1 or n_bits % (k + 1) != 0:
             raise LengthNotDivisible(
-                f"binary length {n_bits} is not a positive multiple of k+1={k + 1}"
+                f"k+1={k + 1} must divide the binary length N >= 1, got N={n_bits}"
             )
         return cls(k=k, n=n_bits // (k + 1), n_bits=n_bits, q=2**k)
 
@@ -118,21 +118,36 @@ def unmap_binary(image: Pattern, k: int) -> np.ndarray:
     return frames.reshape(-1)
 
 
-def _constraint_fragment_count(n_bits: int, d: int) -> bool:
-    return d * MIN_VECTOR_NEURONS <= n_bits
-
-
 def _constraint_intact(n_bits: int, a: float, d: int) -> bool:
     return (n_bits / d) * (1 - a) ** d >= MIN_INTACT_FRAGMENTS
 
 
-def _divisors(n: int) -> list[int]:
-    out = set()
-    for i in range(1, int(math.isqrt(n)) + 1):
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-    return sorted(out)
+def _intact_limit(n_bits: int, a: float, hi: int) -> int:
+    """The largest d <= hi with (N/d)(1-a)^d >= 2, 0 when there is none.  That product falls as
+    d grows, so the feasible d are 1..d*; bisect with d* in [lo, hi]."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _constraint_intact(n_bits, a, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _largest_divisor_at_most(n: int, x: int) -> int:
+    """The largest divisor of n that is <= x, 0 when x < 1.  A divisor d >= sqrt(n) is n / c for
+    a co-divisor c <= sqrt(n), and the smallest c >= n / x gives the largest such d <= x; so the
+    co-divisors are walked up from ceil(n / x) to sqrt(n), then the divisors down from sqrt(n)."""
+    if x < 1:
+        return 0
+    if x >= n:
+        return n
+    root = math.isqrt(n)
+    for c in range(-(-n // x), root + 1):
+        if n % c == 0:
+            return n // c
+    return next(d for d in range(min(x, root), 0, -1) if n % d == 0)
 
 
 def _check_k_inputs(n_bits: int, a: float) -> None:
@@ -153,28 +168,30 @@ def k_critical_detail(n_bits: int, a: float) -> KCriticalResult:
     A restriction is binding when dropping it (alone) would admit a larger
     k.  When neither inequality is binding but some non-divisor fragment
     size would be feasible, divisibility is reported.
+
+    Each restriction admits the fragment sizes d up to a limit (N // 100,
+    and the bisected intact limit), so the answer is found from the largest
+    divisor of N under each limit.  That search is quick when N has a
+    divisor near the limit, as N with small factors do, but takes O(sqrt N)
+    steps for N with no small factor, such as 10^18 + 9.
     """
     _check_k_inputs(n_bits, a)
-    divisors = _divisors(n_bits)
-    feasible = [
-        d
-        for d in divisors
-        if _constraint_fragment_count(n_bits, d) and _constraint_intact(n_bits, a, d)
-    ]
-    if not feasible:
+    count_limit = n_bits // MIN_VECTOR_NEURONS  # d * 100 <= N
+    intact_limit = _intact_limit(n_bits, a, n_bits)
+    by_count = _largest_divisor_at_most(n_bits, count_limit)
+    by_intact = _largest_divisor_at_most(n_bits, intact_limit)
+    best = min(by_count, by_intact)  # the largest divisor under both limits
+    if best < 1:
         raise NoFeasibleK(
             f"no fragment size satisfies both restrictions for N={n_bits}, a={a}"
         )
-    best = max(feasible)
 
     binding = set()
-    without_count = [d for d in divisors if _constraint_intact(n_bits, a, d)]
-    if without_count and max(without_count) > best:
+    if by_intact > best:
         binding.add(BindingConstraint.FRAGMENT_COUNT)
-    without_intact = [d for d in divisors if _constraint_fragment_count(n_bits, d)]
-    if without_intact and max(without_intact) > best:
+    if by_count > best:
         binding.add(BindingConstraint.INTACT_FRAGMENTS)
-    if not binding and k_critical_asymptotic(n_bits, a) > best - 1:
+    if not binding and min(count_limit, intact_limit) > best:
         binding.add(BindingConstraint.DIVISIBILITY)
     return KCriticalResult(k=best - 1, binding=frozenset(binding))
 
@@ -187,19 +204,12 @@ def k_critical_asymptotic(n_bits: int, a: float) -> int:
     networks must still use ``k_critical``.
     """
     _check_k_inputs(n_bits, a)
-    # (N/d)(1-a)^d falls as d grows, so the feasible d are 1..d*; bisect with d* in [lo, hi]
-    lo, hi = 0, n_bits // MIN_VECTOR_NEURONS
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _constraint_intact(n_bits, a, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    if lo == 0:
+    limit = _intact_limit(n_bits, a, n_bits // MIN_VECTOR_NEURONS)
+    if limit == 0:
         raise NoFeasibleK(
             f"no fragment size satisfies both restrictions for N={n_bits}, a={a}"
         )
-    return lo - 1
+    return limit - 1
 
 
 def dpnn_capacity(n_bits: int, a: float, k: int) -> float:

@@ -4,14 +4,26 @@ Everything here is deliberately naive: explicit q-dimensional basis vectors,
 explicit N x N weight matrices, triple loops.  None of it shares code with
 the package internals.  The exceptions in kind are
 ``reference_asynchronous_retrieve``, a copy of the package's earlier serial
-kernel, one visit at a time, written out from the public pattern arrays, and
+kernel, one visit at a time, written out from the public pattern arrays,
 ``reference_overlaps``, the package's earlier overlap sum over all N neurons
-at once.
+at once, and ``reference_k_critical_detail``, the package's earlier search of
+the list of all divisors of N.
 """
+
+import math
 
 import numpy as np
 
-from pnn import IndexOutOfRange, Memory, NetworkKind, Pattern, RetrievalResult, UpdateOrder
+from pnn import (
+    BindingConstraint,
+    IndexOutOfRange,
+    KCriticalResult,
+    Memory,
+    NetworkKind,
+    Pattern,
+    RetrievalResult,
+    UpdateOrder,
+)
 
 
 def unit_vector(level: int, q: int, sign: int = 1) -> np.ndarray:
@@ -356,6 +368,42 @@ def reference_k_critical_asymptotic(n_bits: int, a: float) -> int | None:
         if (n_bits / d) * (1 - a) ** d >= 2.0:
             best = d - 1
     return best
+
+
+def _divisors(n: int) -> list[int]:
+    out = set()
+    for i in range(1, int(math.isqrt(n)) + 1):
+        if n % i == 0:
+            out.add(i)
+            out.add(n // i)
+    return sorted(out)
+
+
+def reference_k_critical_detail(n_bits: int, a: float) -> KCriticalResult | None:
+    """``k_critical_detail`` by listing every divisor d = k+1 of N and testing each restriction
+    on each; None when no divisor meets both."""
+
+    def count(d):
+        return d * 100 <= n_bits
+
+    def intact(d):
+        return (n_bits / d) * (1 - a) ** d >= 2.0
+
+    divisors = _divisors(n_bits)
+    feasible = [d for d in divisors if count(d) and intact(d)]
+    if not feasible:
+        return None
+    best = max(feasible)
+    binding = set()
+    without_count = [d for d in divisors if intact(d)]
+    if without_count and max(without_count) > best:
+        binding.add(BindingConstraint.FRAGMENT_COUNT)
+    without_intact = [d for d in divisors if count(d)]
+    if without_intact and max(without_intact) > best:
+        binding.add(BindingConstraint.INTACT_FRAGMENTS)
+    if not binding and reference_k_critical_asymptotic(n_bits, a) > best - 1:
+        binding.add(BindingConstraint.DIVISIBILITY)
+    return KCriticalResult(k=best - 1, binding=frozenset(binding))
 
 
 def naive_identifier_field(net, state: Pattern, j: int) -> np.ndarray:

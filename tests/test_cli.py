@@ -23,6 +23,7 @@ from pnn import (
     synchronous_step,
     unmap_binary,
 )
+from pnn import cli
 from pnn.cli import _BATCH_TRIALS, COMMANDS, PREFIX_COLUMNS, _fmt, main
 
 
@@ -471,6 +472,47 @@ class TestArgumentHandling:
         assert code == 2
         assert out == ""
         assert "--sweep M" in err
+
+    @pytest.mark.parametrize("argv, needle, draws", [
+        (["sweep", "--sweep", "q", "--values", "4,0", "--N", "20", "--M", "5"], "got 0", 1),
+        (["sweep", "--sweep", "b", "--values", "0.1", "--N", "0", "--q", "4", "--M", "5"],
+         "n=0", 0),
+        (["sweep", "--sweep", "b", "--values", "1.5", "--N", "20", "--q", "4", "--M", "5"],
+         "got 1.5", 0),
+        (["sweep", "--sweep", "q", "--values", "4", "--N", "20", "--M", "5", "--max-sweeps", "0"],
+         "max_sweeps must be a whole number >= 1, got 0", 0),
+        (["sweep", "--sweep", "q", "--values", "4", "--N", "20", "--M", "5", "--max-sweeps", "0",
+          "--jobs", "2"], "max_sweeps must be a whole number >= 1, got 0", 0),
+        (["sweep", "--sweep", "q", "--values", "1", "--kind", "pnn3", "--N", "20", "--M", "5"],
+         "q=1", 0),
+        (["dpnn-bench", "--N", "800", "--k", "-1", "--M", "10"], "got -1", 0),
+        (["dpnn-bench", "--N", "800", "--k", "-1", "--M", "10", "--jobs", "2"], "got -1", 0),
+        (["dpnn-bench", "--N", "800", "--k", "1", "--M", "10", "--a", "0.7"], "got 0.7", 0),
+        (["dpnn-bench", "--N", "800", "--k", "1", "--M", "10", "--overlap", "1"], "got 1.0", 0),
+        (["dpnn-bench", "--N", "1", "--k", "0", "--M", "10"], "got 1", 0),
+        (["identify-bench", "--N", "20", "--q", "1", "--M", "5"], "q=1", 0),
+        (["identify-bench", "--N", "20", "--q", "4", "--M", "5", "--b", "2"], "got 2.0", 0),
+    ])
+    def test_library_rejects_before_drawing_patterns(
+        self, capsys, monkeypatch, argv, needle, draws
+    ):
+        """Inputs the library's validators reject exit 2 with the library's message, and no
+        pattern set is drawn for the point that holds them."""
+        drawn = []
+
+        def recording(draw):
+            def wrapper(*args):
+                patterns = draw(*args)
+                drawn.append(args)
+                return patterns
+            return wrapper
+
+        for name in ("_qnary_arrays", "correlated_binary_patterns"):
+            monkeypatch.setattr(f"pnn.cli.{name}", recording(getattr(cli, name)))
+        code, out, err = run_cli(capsys, *argv, "--trials", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and needle in err and "Traceback" not in err
+        assert len(drawn) == draws
 
     def test_out_of_memory_is_exit_2_naming_the_sizes(self, capsys, monkeypatch):
         def no_memory(*args):

@@ -16,8 +16,10 @@ constructions against one whole-array transpose and the blocked overlap sum
 against the one-pass sum, each across several blocks, the patterns the
 library freezes unchecked against the checked Pattern, the one-pass DPNN
 build against the images stored one by one, the bisected critical mapping
-parameter against the linear scan, the binary mapping against its literal
-reference and the identifier's digits against the naive identifier field.
+parameter against the linear scan, the critical mapping parameter and its
+binding restrictions against the search of the list of all divisors, the
+binary mapping against its literal reference and the identifier's digits
+against the naive identifier field.
 """
 
 import numpy as np
@@ -41,6 +43,7 @@ from pnn import (
     energy,
     identify,
     k_critical_asymptotic,
+    k_critical_detail,
     local_field,
     map_binary,
     random_qnary_patterns,
@@ -56,6 +59,7 @@ from oracles import (
     naive_local_field,
     reference_asynchronous_retrieve,
     reference_k_critical_asymptotic,
+    reference_k_critical_detail,
     reference_map_binary,
     reference_overlaps,
     reference_unmap_binary,
@@ -374,6 +378,20 @@ def test_k_critical_asymptotic_bisection_equals_the_linear_scan(n_bits, a):
             k_critical_asymptotic(n_bits, a)
     else:
         assert k_critical_asymptotic(n_bits, a) == want
+
+
+@given(
+    st.one_of(st.integers(2, 3000), st.integers(2, 10**6)),
+    st.one_of(st.sampled_from((0.0, 0.01, 0.1, 0.3, 0.45, 0.49)),
+              st.floats(0.0, 0.5, exclude_max=True)),
+)
+def test_k_critical_detail_equals_the_divisor_list_search(n_bits, a):
+    want = reference_k_critical_detail(n_bits, a)
+    if want is None:
+        with pytest.raises(NoFeasibleK):
+            k_critical_detail(n_bits, a)
+    else:
+        assert k_critical_detail(n_bits, a) == want
 
 
 @st.composite
