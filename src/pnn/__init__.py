@@ -7,7 +7,6 @@ from .core import (
     NetworkKind,
     Pattern,
     RetrievalResult,
-    UpdateOrder,
     asynchronous_retrieve,
     build_memory,
     energy,

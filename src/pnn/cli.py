@@ -25,7 +25,8 @@ counts as a pattern error unless the final state matches the target exactly;
 for signed networks an exact global sign flip is still an error but is also
 reported in ``sign_flip``.
 
-Exit codes: 0 success, 2 configuration error or out of memory, 3 infeasible parameters.
+Exit codes: 0 success, 1 output pipe closed by its reader, 2 configuration error or out of
+memory, 3 infeasible parameters.
 """
 
 from __future__ import annotations
@@ -312,6 +313,19 @@ def _sweep_trials(ctx, batch: range) -> tuple:
     return tuple(map(sum, zip(*records)))
 
 
+def _point_noise(kind: NetworkKind, sweep: str, *, q, M, a, b) -> NoiseSpec:
+    """A sweep point's noise, once its a, b, q and a swept M are checked (the draw checks N)."""
+    spec = NoiseSpec(a, b)
+    if kind is NetworkKind.PNN3 and a > 0:
+        raise ConfigError("PNN3 states carry no sign; sign noise a must be 0")
+    _network_q(kind, q)
+    if q == 1 and b > 0:
+        raise ConfigError("q=1 has no level noise; set b=0")
+    if sweep == "M":
+        _positive(M, "M")
+    return spec
+
+
 def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, max_sweeps) -> list:
     _positive(jobs, "jobs")
     kind = NetworkKind(kind.lower())
@@ -327,18 +341,12 @@ def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, m
     _positive(trials, "trials")
     _check_retrieval(max_sweeps)
 
-    rows = []
-    for point, value in enumerate(points):
-        setting = {**base, sweep: value}
-        q, m, a, b = setting["q"], setting["M"], setting["a"], setting["b"]
-        # this point's a, b and q, checked before its patterns are drawn (the draw checks M, N)
-        spec = NoiseSpec(a, b)
-        if kind is NetworkKind.PNN3 and a > 0:
-            raise ConfigError("PNN3 states carry no sign; sign noise a must be 0")
-        _network_q(kind, q)
-        if q == 1 and b > 0:
-            raise ConfigError("q=1 has no level noise; set b=0")
+    settings = [{**base, sweep: value} for value in points]
+    specs = [_point_noise(kind, sweep, **setting) for setting in settings]  # before any draw
 
+    rows = []
+    for point, (setting, spec) in enumerate(zip(settings, specs)):
+        q, m, a, b = setting["q"], setting["M"], setting["a"], setting["b"]
         stream_base = point * _GEN_STREAM_STRIDE
         signs, levels = _qnary_arrays(m, N, q, kind, make_rng(seed, stream_base))
         ctx = SimpleNamespace(
@@ -536,21 +544,16 @@ def _or_empty(fn, *args):
         return ""
 
 
-def _pnn3_cells(n, m, q, b) -> tuple:
-    bound = perr_pnn3(n, m, q, b)
-    return bound.value, int(bound.vacuous), capacity_pnn3(n, q, b)
-
-
 def cmd_theory_table(*, seed, **grids) -> list:
     rows = []
     # grids arrive in table order: N, q, M, a, b, k
     for n, q, m, a, b, k in itertools.product(*grids.values()):
         theory, vacuous = _theory_bound(NetworkKind.PNN2, n, m, q, a, b)
-        perr3, vac3, cap3 = _or_empty(_pnn3_cells, n, m, q, b) or ("", "", "")
+        perr3, vac3 = _theory_bound(NetworkKind.PNN3, n, m, q, 0.0, b)
         rows.append([
             "theory", n, q, m, a, b, k, "", seed,
             "", "", "", theory, vacuous,
-            _or_empty(capacity_pnn2, n, q, a, b), perr3, vac3, cap3,
+            _or_empty(capacity_pnn2, n, q, a, b), perr3, vac3, _or_empty(capacity_pnn3, n, q, b),
             _or_empty(dpnn_capacity, n, a, k), _or_empty(capacity_exponent, n, a),
             _or_empty(k_critical, n, a),
         ])
@@ -642,6 +645,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         sizes = f"{', '.join(sizes[:-1])} or {sizes[-1]}"
         print(f"error: out of memory; lower {sizes}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the output: send what stdout still buffers to devnull, so that the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -70,13 +70,6 @@ class NetworkKind(Enum):
     PNN3 = "pnn3"
 
 
-class UpdateOrder(Enum):
-    """Neuron visiting order for asynchronous retrieval."""
-
-    SEQUENTIAL = "sequential"
-    RANDOM_PERMUTATION = "random-permutation"
-
-
 def _check_levels(levels: np.ndarray, q: int | None = None) -> None:
     """Raise LevelOutOfRange unless every level is a whole number in [1, q].
 
@@ -483,7 +476,6 @@ def asynchronous_retrieve(
     memory: Memory,
     input_state: Pattern,
     max_sweeps: int,
-    order: UpdateOrder = UpdateOrder.SEQUENTIAL,
     rng: np.random.Generator | None = None,
     record_trace: bool = False,
 ) -> RetrievalResult:
@@ -497,17 +489,14 @@ def asynchronous_retrieve(
     at lev_i, so a visit costs O(M + q).  Energy never increases.  After k >= 8
     unchanged visits in a row, across sweeps, the next k neurons of the sweep
     (8 or more, cut at its end) are decided as one block (``_decide_block``)
-    and kept up to the first that moves, as nothing moves before it.  ``rng``
-    is required for the seeded random-permutation order; ``retrieve_batch``
-    relaxes many inputs at once in sequential order.
+    and kept up to the first that moves, as nothing moves before it.  Neurons
+    are visited in sequential order, or, given ``rng``, in a fresh
+    ``rng.permutation(N)`` each sweep; ``retrieve_batch`` relaxes many inputs
+    at once in sequential order.
     """
     signs, levels, m = _stack_inputs(memory, [input_state])
     signs, levels, m = signs[:, 0], levels[:, 0], m[0]
     max_sweeps = _check_retrieval(max_sweeps)
-    if not isinstance(order, UpdateOrder):
-        raise ValueError(f"order must be an UpdateOrder, got {order!r}")
-    if order is UpdateOrder.RANDOM_PERMUTATION and rng is None:
-        raise ValueError("random-permutation order needs an rng")
 
     n, a, pnn2 = memory.n_neurons, memory._alpha, memory.kind is NetworkKind.PNN2
     step = np.zeros(memory.q + 1)  # the overlap step by stored level; zero between changes
@@ -515,7 +504,7 @@ def asynchronous_retrieve(
 
     changed_total = run = 0  # run: the unchanged visits since the last change
     for sweeps in range(1, max_sweeps + 1):
-        perm = None if order is UpdateOrder.SEQUENTIAL else rng.permutation(n)
+        perm = None if rng is None else rng.permutation(n)
         visit = range(n) if perm is None else perm.tolist()
         changed_this_sweep = k = 0
         while k < n:

@@ -241,23 +241,15 @@ def capacity_exponent(n_bits: int, a: float) -> float:
 def dpnn_build(binary_patterns, k: int) -> Memory:
     """Map a binary pattern set and store the images in a signed memory.
 
-    Each pattern is checked as ``map_binary`` checks it and staged in one (M, N) int8 array,
-    mapped in one pass; raises DimensionMismatch when the lengths differ.
+    Each pattern is checked as ``map_binary`` checks it, then the set is cast once to an (M, N)
+    int8 array and mapped in one pass; raises DimensionMismatch when the lengths differ.
     """
     if not len(binary_patterns):
         raise LengthNotDivisible("at least one binary pattern is required")
-    y, sizes = None, set()
-    for mu, row in enumerate(binary_patterns):
-        row = _as_signs(row)
-        MappingParams.for_length(row.size, k)
-        if y is None:
-            y = np.empty((len(binary_patterns), row.size), dtype=np.int8)
-        sizes.add(row.size)
-        if row.size == y.shape[1]:
-            y[mu] = row
+    sizes = {MappingParams.for_length(_as_signs(row).size, k).n_bits for row in binary_patterns}
     if len(sizes) > 1:
         raise DimensionMismatch(f"binary pattern lengths differ: {sorted(sizes)}")
-    return Memory(NetworkKind.PNN2, 2**k, *_map_rows(y, k))
+    return Memory(NetworkKind.PNN2, 2**k, *_map_rows(np.asarray(binary_patterns, dtype=np.int8), k))
 
 
 def dpnn_retrieve(memory: Memory, noisy_y, k: int, max_sweeps: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from pnn import (
     NetworkKind,
     Pattern,
     RetrievalResult,
-    UpdateOrder,
 )
 
 
@@ -125,7 +124,6 @@ def reference_asynchronous_retrieve(
     memory: Memory,
     input_state: Pattern,
     max_sweeps: int,
-    order: UpdateOrder = UpdateOrder.SEQUENTIAL,
     rng: np.random.Generator | None = None,
     record_trace: bool = False,
 ) -> RetrievalResult:
@@ -153,7 +151,7 @@ def reference_asynchronous_retrieve(
 
     changed_total = 0
     for sweeps in range(1, max_sweeps + 1):
-        visit = range(n) if order is UpdateOrder.SEQUENTIAL else rng.permutation(n).tolist()
+        visit = range(n) if rng is None else rng.permutation(n).tolist()
         changed_this_sweep = 0
         for i in visit:
             s, l = signs[i], levels[i]

@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "RetrievalResult",
     "SignNotAllowed",
     "UnknownPattern",
-    "UpdateOrder",
     "apply_binary_noise",
     "apply_qnary_noise",
     "asymptotic_digit_estimate",

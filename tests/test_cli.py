@@ -4,6 +4,10 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +19,14 @@ from pnn import (
     apply_qnary_noise,
     asynchronous_retrieve,
     build_memory,
+    capacity_pnn2,
+    capacity_pnn3,
     correlated_binary_patterns,
     dpnn_build,
     make_rng,
     map_binary,
+    perr_pnn2,
+    perr_pnn3,
     random_qnary_patterns,
     synchronous_step,
     unmap_binary,
@@ -356,6 +364,20 @@ class TestTheoryTable:
         _, rows = parse_csv(out)
         assert rows[0]["perr_pnn3"] == "" and rows[0]["capacity_pnn3"] == ""
 
+    def test_each_closed_form_cell_comes_from_its_own_formula(self, capsys):
+        """At N = 1 only the capacities (ln N = 0) are undefined; both error bounds are filled."""
+        code, out, err = run_cli(capsys, "theory-table", "--N", "1,2", "--q", "4", "--M", "1")
+        assert (code, err) == (0, "")
+        _, (one, two) = parse_csv(out)
+        for row, n in ((one, 1), (two, 2)):
+            assert float(row["theory_perr"]) == pytest.approx(perr_pnn2(n, 1, 4).value)
+            assert float(row["perr_pnn3"]) == pytest.approx(perr_pnn3(n, 1, 4).value)
+            assert row["perr_pnn3_vacuous"] == str(int(perr_pnn3(n, 1, 4).vacuous))
+        assert float(one["perr_pnn3"]) == pytest.approx(0.0498, abs=1e-4)
+        assert one["capacity_pnn2"] == one["capacity_pnn3"] == ""
+        assert float(two["capacity_pnn2"]) == pytest.approx(capacity_pnn2(2, 4))
+        assert float(two["capacity_pnn3"]) == pytest.approx(capacity_pnn3(2, 4))
+
     @pytest.mark.parametrize("args, blank", [
         (["--N", "1000", "--k", "600"], ["dpnn_capacity"]),  # (2 (1 - a))**(2 k)
         (["--q", "1" + "0" * 200], ["theory_perr", "vacuous_flag", "capacity_pnn2"]),  # float(q)
@@ -474,7 +496,8 @@ class TestArgumentHandling:
         assert "--sweep M" in err
 
     @pytest.mark.parametrize("argv, needle, draws", [
-        (["sweep", "--sweep", "q", "--values", "4,0", "--N", "20", "--M", "5"], "got 0", 1),
+        (["sweep", "--sweep", "q", "--values", "4,0", "--N", "20", "--M", "5"], "got 0", 0),
+        (["sweep", "--sweep", "M", "--values", "5,0", "--N", "20", "--q", "4"], "got 0", 0),
         (["sweep", "--sweep", "b", "--values", "0.1", "--N", "0", "--q", "4", "--M", "5"],
          "n=0", 0),
         (["sweep", "--sweep", "b", "--values", "1.5", "--N", "20", "--q", "4", "--M", "5"],
@@ -497,7 +520,7 @@ class TestArgumentHandling:
         self, capsys, monkeypatch, argv, needle, draws
     ):
         """Inputs the library's validators reject exit 2 with the library's message, and no
-        pattern set is drawn for the point that holds them."""
+        pattern set is drawn."""
         drawn = []
 
         def recording(draw):
@@ -513,6 +536,20 @@ class TestArgumentHandling:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and needle in err and "Traceback" not in err
         assert len(drawn) == draws
+
+    def test_closed_output_pipe_exits_1_quietly(self):
+        """A reader that stops after one line: exit 1 and an empty stderr.  The handler points
+        file descriptor 1 at devnull, so it runs in its own process."""
+        argv = ["theory-table", "--N", "1000", "--q", "16", "--M", ",".join(map(str, range(1, 2001)))]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-m", "pnn", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"experiment,N,q,M")
+        proc.stdout.close()  # 2,000 rows overflow the pipe, so the writer meets the closed end
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
     def test_out_of_memory_is_exit_2_naming_the_sizes(self, capsys, monkeypatch):
         def no_memory(*args):

@@ -14,7 +14,6 @@ from pnn import (
     NetworkKind,
     Pattern,
     SignNotAllowed,
-    UpdateOrder,
     asynchronous_retrieve,
     build_memory,
     energy,
@@ -454,25 +453,13 @@ class TestAsynchronousRetrieve:
             assert res.converged
             assert is_fixed_point(mem, res.final_state)
 
-    def test_random_permutation_order_needs_rng_and_is_seeded(self):
+    def test_random_permutation_order_is_seeded(self):
         rng = make_rng(35)
         mem, _ = random_memory(rng, 20, 3, 5, NetworkKind.PNN2)
         state = random_state(rng, 20, 3, NetworkKind.PNN2)
-        with pytest.raises(ValueError):
-            asynchronous_retrieve(mem, state, 5, order=UpdateOrder.RANDOM_PERMUTATION)
-        a = asynchronous_retrieve(
-            mem, state, 5, order=UpdateOrder.RANDOM_PERMUTATION, rng=make_rng(77)
-        )
-        b = asynchronous_retrieve(
-            mem, state, 5, order=UpdateOrder.RANDOM_PERMUTATION, rng=make_rng(77)
-        )
+        a = asynchronous_retrieve(mem, state, 5, rng=make_rng(77))
+        b = asynchronous_retrieve(mem, state, 5, rng=make_rng(77))
         assert a.final_state == b.final_state and a.sweeps_used == b.sweeps_used
-
-    @pytest.mark.parametrize("order", ["sequential", None])
-    def test_order_not_an_update_order_rejected(self, order):
-        mem, patterns = random_memory(make_rng(35), 10, 2, 2, NetworkKind.PNN2)
-        with pytest.raises(ValueError, match="UpdateOrder"):
-            asynchronous_retrieve(mem, patterns[0], 5, order=order, rng=make_rng(77))
 
     def test_trace_records_every_visit(self):
         mem, patterns = random_memory(make_rng(36), 8, 2, 2, NetworkKind.PNN2)
@@ -584,9 +571,8 @@ class TestAsynchronousRetrieve:
         mem, patterns = random_memory(make_rng(42), 40, 3, 3, NetworkKind.PNN2)
         state = with_neuron(patterns[0], 5, -int(patterns[0].signs[5]), int(patterns[0].levels[5]))
         blocks = self.spy_blocks(monkeypatch)
-        order = UpdateOrder.RANDOM_PERMUTATION
-        got = asynchronous_retrieve(mem, state, 5, order, make_rng(43), record_trace=True)
-        want = reference_asynchronous_retrieve(mem, state, 5, order, make_rng(43), record_trace=True)
+        got = asynchronous_retrieve(mem, state, 5, rng=make_rng(43), record_trace=True)
+        want = reference_asynchronous_retrieve(mem, state, 5, rng=make_rng(43), record_trace=True)
         assert (got.final_state, got.sweeps_used, got.updates_changed) == (patterns[0], 2, 1)
         assert (want.final_state, want.sweeps_used, want.updates_changed) == (patterns[0], 2, 1)
         assert got.trace == want.trace

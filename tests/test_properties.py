@@ -35,7 +35,6 @@ from pnn import (
     NoiseSpec,
     Pattern,
     UnknownPattern,
-    UpdateOrder,
     apply_qnary_noise,
     asynchronous_retrieve,
     build_memory,
@@ -167,18 +166,17 @@ def test_batched_key_decides_small_integer_fields_like_the_naive_rule(case, data
             assert states[column[i, z_now]] == states[one[z_now]] == want
 
 
-@given(memory_and_state(), st.sampled_from(UpdateOrder), st.integers(0, 2**32 - 1))
-def test_every_visit_follows_the_naive_field_and_changes_lower_energy(case, order, seed):
+@given(memory_and_state(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_every_visit_follows_the_naive_field_and_changes_lower_energy(case, permuted, seed):
     memory, state = case
     n = memory.n_neurons
-    result = asynchronous_retrieve(
-        memory, state, max_sweeps=4, order=order, rng=np.random.default_rng(seed), record_trace=True
-    )
+    rng = np.random.default_rng(seed) if permuted else None
+    result = asynchronous_retrieve(memory, state, max_sweeps=4, rng=rng, record_trace=True)
     # the visiting order rebuilt from the same seed: one permutation per sweep
     replay = np.random.default_rng(seed)
     visits = [
         int(i) for _ in range(result.sweeps_used)
-        for i in (range(n) if order is UpdateOrder.SEQUENTIAL else replay.permutation(n))
+        for i in (replay.permutation(n) if permuted else range(n))
     ]
     prev, prev_energy = state, naive_energy(memory, state)
     for i, snapshot in zip(visits, result.trace, strict=True):
@@ -230,12 +228,12 @@ def wide_memory_and_state(draw):
     return memory, state
 
 
-@given(wide_memory_and_state(), st.sampled_from(UpdateOrder), st.integers(0, 2**32 - 1),
-       st.integers(1, 6))
-def test_run_ahead_retrieval_keeps_every_visit_of_the_reference(case, order, seed, max_sweeps):
+@given(wide_memory_and_state(), st.booleans(), st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_run_ahead_retrieval_keeps_every_visit_of_the_reference(case, permuted, seed, max_sweeps):
     memory, state = case
     got, want = (
-        retrieve(memory, state, max_sweeps, order, np.random.default_rng(seed), record_trace=True)
+        retrieve(memory, state, max_sweeps, np.random.default_rng(seed) if permuted else None,
+                 record_trace=True)
         for retrieve in (asynchronous_retrieve, reference_asynchronous_retrieve)
     )
     assert outcome(got) == outcome(want)
