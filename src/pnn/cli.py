@@ -293,7 +293,7 @@ def _sweep_trials(ctx, batch: range) -> tuple:
     for t in batch:
         rng = make_rng(ctx.seed, ctx.stream_base + 1 + t)
         idx = t % memory.n_patterns
-        targets.append(Pattern._of(memory.pattern_signs[idx], memory.pattern_levels[idx]))
+        targets.append(memory._pattern(idx))
         inputs.append(apply_qnary_noise(targets[-1], memory.q, ctx.spec, rng))
     results, syncs = _lockstep(memory, inputs, ctx.max_sweeps, step_rows=True)
     records = []
@@ -466,7 +466,7 @@ def _identify_trial(ctx, t: int) -> tuple:
     q, m_count = memory.q, memory.n_patterns
     rng = make_rng(ctx.seed, 1 + t)
     idx = t % m_count
-    target = Pattern._of(memory.pattern_signs[idx], memory.pattern_levels[idx])
+    target = memory._pattern(idx)
     noisy = apply_qnary_noise(target, q, ctx.spec, rng)
     seeds = rng.integers(1, q + 1, size=net.n_digits)
     counter = OpCounter()

@@ -26,20 +26,24 @@ once the overlaps are known.  Overlaps and fields are exact integers scaled
 by N * alpha^2; the single final division reproduces the integer
 comparisons bit-for-bit at any realistic size.
 
-Every kernel decides on one decision field (``_decision_field``), the
-scaled field over alpha shifted alike at every level, which the alignment
-rule cannot tell from the field itself; ``local_field`` builds the field
-from it.  The kernels hold the overlaps plus beta, so that neuron i's sums
-of sigma_i m by level already hold the field's beta term.  The
-asynchronous visit bins them with ``bincount``, and after a run of
-unchanged visits decides the next neurons as a block (``_decide_block``),
-kept up to the first that moves; a move shifts m by sigma_i times a
-(q + 1)-entry table at the stored levels.  ``synchronous_step`` is one block
-of all N neurons.  ``retrieve_batch`` takes the sums as m @ W_i, the
-(B, M) overlaps times neuron i's signed one-hot (M, q) matrix, and decides
-a neuron in all B states by one argmax of an integer key (``_decide_keys``).
-Sums and keys are integers in float64, exact below 2**53.  Its kernel can
-also take the synchronous step of its inputs in its first sweep.
+A Memory stores each coordinate as one code, the index c = S (lev - 1) +
+[sigma = -1] of the stored state among a neuron's S q states (S = 2 for
+PNN2, 1 for PNN3), as ``_lockstep`` indexes its inputs.  Every kernel
+decides on one decision field (``_decision_field``), the scaled field over
+alpha shifted alike at every level, which the alignment rule cannot tell
+from the field itself; ``local_field`` builds the field from it.  The
+kernels hold the overlaps plus beta, so that neuron i's sums of sigma_i m by
+level already hold the field's beta term.  The asynchronous visit bins m by
+stored code with ``bincount``, with no sign product: a PNN2 level's sum is
+its + bin less its - bin.  After a run of unchanged visits it decides the
+next neurons as a block (``_decide_block``), kept up to the first that
+moves; a move shifts m by an (S q)-entry table at the stored codes.
+``synchronous_step`` is one block of all N neurons.  ``retrieve_batch``
+takes the sums as m @ W_i, the (B, M) overlaps times neuron i's signed
+one-hot (M, q) matrix, and decides a neuron in all B states by one argmax
+of an integer key (``_decide_keys``).  Sums and keys are integers in
+float64, exact below 2**53.  Its kernel can also take the synchronous step
+of its inputs in its first sweep.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -61,6 +65,14 @@ from .errors import (
     PnnError,
     SignNotAllowed,
 )
+
+
+# about this many patterns x neurons make one block of ``Memory._fill``.  Measured at
+# N = M = 2000, q = 16 (2-core x86-64, numpy 2.4, medians of 31 interleaved rounds): the
+# block's transposed writes are per-row bound at 2**16 (32 patterns, 2,000 rows of 32 bytes),
+# and building from (M, N) arrays took 41.8 ms at 2**18 against 47.1 ms at 2**16; at 2**19 the
+# staged blocks lift the build's peak from 2.3 to 2.7 bytes per coordinate.
+_FILL_BLOCK = 1 << 18
 
 
 class NetworkKind(Enum):
@@ -98,25 +110,40 @@ def _check_values(signs, levels, q: int | None = None, unsigned: bool = False) -
         raise SignNotAllowed("PNN3 states carry no sign; all signs must be +1")
 
 
-def _level_sums(levels: np.ndarray, q: int, signs=None, m=None) -> np.ndarray:
-    """(N, q) table of sums over each row i of (N, M) levels, binned by level.
+def _codes_of(signs, levels, shift: int, dtype) -> np.ndarray:
+    """The state codes ((l - 1) << shift) + [s = -1] of checked (signs, levels), with the sign
+    bit for shift = 1 (PNN2) only, in the unsigned ``dtype`` that holds them.  l - 1 is cast,
+    as l itself may not fit (PNN3 at q = 256)."""
+    codes = (levels - 1).astype(dtype, copy=False)
+    if shift:
+        codes <<= 1
+        codes |= signs < 0
+    return codes
 
-    Bin (i, l - 1) counts the entries of row i at level l (int64), or, given
-    (N, M) signs and an (M,) vector m, sums signs[i, mu] * m[mu] over them
-    (float64).  Summed about 2**16 entries a block, so each block's bincount
-    index and weights stay in cache and no (N, M) temporary is allocated;
-    every bin belongs to one row, hence one block, so no sum changes.
+
+def _code_sums(codes: np.ndarray, width: int, m=None, shift: int = 0) -> np.ndarray:
+    """(N, width) table of sums over each row i of (N, M) codes, binned by code >> shift.
+
+    Bin (i, c) counts the entries of row i whose code >> shift is c (int64),
+    or, given an (M,) vector m, sums m[mu] over them (float64).  So a shift of
+    ``Memory._shift`` bins by level - 1.  Summed about 2**16
+    entries a block, so each block's bincount index and weights (m tiled
+    over the block's rows) stay in cache and no (N, M) temporary is
+    allocated; every bin belongs to one row, hence one block, so no sum
+    changes.
     """
-    n, count = levels.shape
+    n, count = codes.shape
     per = min(n, max(1, (1 << 16) // count))
-    sums = np.empty((n, q), dtype=np.int64 if m is None else np.float64)
-    offsets = np.arange(-1, per * q - 1, q)[:, None]  # row r's level l goes to bin r*q + l - 1
+    sums = np.empty((n, width), dtype=np.int64 if m is None else np.float64)
+    offsets = np.arange(0, per * width, width)[:, None]  # row r's code c goes to bin r*width + c
+    weights = None if m is None else np.tile(m, per)
     for lo in range(0, n, per):
-        block = levels[lo:lo + per]
-        weights = None if m is None else (signs[lo:lo + per] * m).ravel()
+        block = codes[lo:lo + per] >> shift if shift else codes[lo:lo + per]
         sums[lo:lo + per] = np.bincount(
-            (block + offsets[:len(block)]).ravel(), weights=weights, minlength=len(block) * q
-        ).reshape(-1, q)
+            (block + offsets[:len(block)]).ravel(),
+            weights=None if m is None else weights[:block.size],
+            minlength=len(block) * width,
+        ).reshape(-1, width)
     return sums
 
 
@@ -203,15 +230,22 @@ class Memory:
     Weights are implicit; every field evaluation works from the stored
     pattern arrays and the (N, q) table ``_level_counts`` of how many
     patterns have level l at neuron i.  The patterns are stored
-    neuron-major: row i of ``_signs`` (int8) and ``_levels`` (the narrowest
-    unsigned type holding q) is neuron i of every pattern, contiguous, which
-    is what one neuron visit reads.  ``pattern_signs`` and
-    ``pattern_levels`` are read-only (M, N) views of them.  Instances are
-    safe to share across threads/processes.  The constructor rejects
-    invalid arrays with the same typed errors as ``build_memory``.
+    neuron-major: row i of ``_signs`` (int8) and ``_codes`` is neuron i of
+    every pattern, contiguous, which is what one neuron visit reads.  A code
+    is the stored state's index c = S (lev - 1) + [sigma = -1] among the
+    neuron's S q states, S = 2 for PNN2 and 1 for PNN3 (``_shift`` is
+    log2 S), in the narrowest unsigned type holding S q - 1.  So a Memory
+    keeps 2 bytes per coordinate for PNN2 up to q = 128 and PNN3 up to
+    q = 256, and 3 for PNN2 with 129 <= q <= 255.  ``pattern_signs`` is a
+    read-only (M, N) view of the signs, ``pattern_levels`` a read-only
+    (M, N) array derived from the codes.  Instances are safe to share
+    across threads/processes.  The constructor rejects invalid arrays with
+    the same typed errors as ``build_memory``.
     """
 
-    __slots__ = ("kind", "n_neurons", "q", "_signs", "_levels", "_alpha", "_beta", "_level_counts")
+    __slots__ = (
+        "kind", "n_neurons", "q", "_signs", "_codes", "_shift", "_alpha", "_beta", "_level_counts"
+    )
 
     def __init__(self, kind: NetworkKind, q: int, pattern_signs, pattern_levels):
         q = _network_q(kind, q)
@@ -222,12 +256,15 @@ class Memory:
 
     def _fill(self, kind: NetworkKind, q: int, m: int, n: int, rows) -> "Memory":
         """Store, and return, the (M, N) patterns whose rows lo:hi are ``rows(lo, hi)``: blocks of
-        max(1, 2**16 // N) patterns are checked at their own dtype, then written transposed."""
+        max(1, _FILL_BLOCK // N) patterns are checked at their own dtype, coded, then written
+        transposed."""
         if 4 * m * n * q >= 2**53:  # the largest batched key, 4 M q N, must be exact
             raise DimensionMismatch(f"4 M q N = {4 * m * n * q} must stay below 2**53")
         unsigned = kind is NetworkKind.PNN3
-        signs, levels = np.empty((n, m), np.int8), np.empty((n, m), np.min_scalar_type(q))
-        per = max(1, (1 << 16) // n)
+        shift = 0 if unsigned else 1
+        signs = np.empty((n, m), np.int8)
+        codes = np.empty((n, m), np.min_scalar_type((q << shift) - 1))
+        per = max(1, _FILL_BLOCK // n)
         for lo in range(0, m, per):
             block_signs, block_levels = rows(lo, lo + per)
             try:
@@ -236,15 +273,15 @@ class Memory:
                 _check_values(*rows(0, m), q, unsigned)
                 raise
             signs[:, lo:lo + per] = block_signs.T
-            # cast before transposing, so the transposing copy moves narrow elements
-            levels[:, lo:lo + per] = block_levels.astype(levels.dtype, copy=False).T
-        self.kind, self.q, self.n_neurons = kind, q, n
+            # coded before the transposing copy, so that it moves narrow elements
+            codes[:, lo:lo + per] = _codes_of(block_signs, block_levels, shift, codes.dtype).T
+        self.kind, self.q, self.n_neurons, self._shift = kind, q, n, shift
         # stored vector w = alpha * s * e_l - beta * e, in integers
         self._alpha, self._beta = (q, 1) if unsigned else (1, 0)
-        counts = _level_sums(levels, q)
-        for arr in (signs, levels, counts):
+        counts = _code_sums(codes, q, shift=shift)
+        for arr in (signs, codes, counts):
             arr.setflags(write=False)
-        self._signs, self._levels, self._level_counts = signs, levels, counts
+        self._signs, self._codes, self._level_counts = signs, codes, counts
         return self
 
     @property
@@ -254,12 +291,26 @@ class Memory:
 
     @property
     def pattern_levels(self) -> np.ndarray:
-        """(M, N) read-only view of the stored levels.
+        """(M, N) read-only array of the stored levels, derived from the codes on each call.
 
         Its dtype is the narrowest unsigned integer type that holds q (uint8
         up to q = 255), so cast before subtracting levels.
         """
-        return self._levels.T
+        levels = self._stored_levels(slice(None)).T
+        levels.setflags(write=False)
+        return levels
+
+    def _stored_levels(self, cols) -> np.ndarray:
+        """The levels at every neuron of the stored patterns ``cols`` (an index or a slice), in
+        the narrowest unsigned type that holds q."""
+        levels = self._codes[:, cols] >> self._shift if self._shift else self._codes[:, cols]
+        levels = levels.astype(np.min_scalar_type(self.q))  # a copy, so the += leaves codes alone
+        levels += 1
+        return levels
+
+    def _pattern(self, mu: int) -> Pattern:
+        """Stored pattern mu, read from one column of the stored arrays."""
+        return Pattern._of(self._signs[:, mu], self._stored_levels(mu))
 
     @property
     def n_patterns(self) -> int:
@@ -325,25 +376,29 @@ def _check_retrieval(max_sweeps) -> int:
 def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Scaled per-pattern overlaps m of the state (signs, levels), int64: the
     sum over neurons of <w_j^mu, x_j>, a block of at most 2**20 (neuron x
-    pattern) terms at a time.  PNN2 keeps its +-1/0 products in int8; PNN3,
-    whose stored and checked input signs are all +1, counts level matches,
-    each block of at most 127 neurons in int8, which holds its count exactly."""
-    n, per = memory.n_neurons, max(1, (1 << 20) // memory.n_patterns)
-    levels = levels.astype(memory._levels.dtype, copy=False)[:, None]
+    pattern) terms at a time, from the stored codes and the state's code x
+    at each neuron.  PNN3, whose stored and checked input signs are all +1,
+    counts code matches, each block of at most 127 neurons in int8, which
+    holds its count exactly.  PNN2's product sigma s [lev == l] is
+    [c == x] - [c == x ^ 1], as x ^ 1 is x's level with the other sign; it
+    is kept in int8."""
+    n, per, codes = memory.n_neurons, max(1, (1 << 20) // memory.n_patterns), memory._codes
+    x = _codes_of(signs, levels, memory._shift, codes.dtype)[:, None]
     sums = np.zeros(memory.n_patterns, dtype=np.int64)
     if memory._beta:
         per = min(per, 127)
         for lo in range(0, n, per):
-            match = memory._levels[lo:lo + per] == levels[lo:lo + per]
+            match = codes[lo:lo + per] == x[lo:lo + per]
             sums += match.view(np.int8).sum(axis=0, dtype=np.int8)
         return memory._alpha * sums - memory._beta * n
     # every partial column sum lies in [-N, N], so the narrowest type holding +-N sums exactly
-    signs, acc = signs.astype(np.int8)[:, None], np.min_scalar_type(-n - 1)
+    flipped, acc = x ^ 1, np.min_scalar_type(-n - 1)
     for lo in range(0, n, per):
-        agree = memory._signs[lo:lo + per] * (memory._levels[lo:lo + per] == levels[lo:lo + per])
-        agree *= signs[lo:lo + per]
+        block = codes[lo:lo + per]
+        agree = (block == x[lo:lo + per]).view(np.int8)
+        agree -= (block == flipped[lo:lo + per]).view(np.int8)
         sums += agree.sum(axis=0, dtype=acc)
-    return memory._alpha * sums - memory._beta * n
+    return memory._alpha * sums
 
 
 def _stack_inputs(memory: Memory, inputs: Sequence[Pattern]):
@@ -367,13 +422,14 @@ def _field_denominator(memory: Memory) -> float:
 
 def _decision_field(memory: Memory, i: int, s: int, l: int, mb: np.ndarray) -> np.ndarray:
     """Scaled decision field D of neuron i in state (s, l), float64, from the overlaps plus beta,
-    mb = m + beta (as ``_stack_inputs`` gives them): a ``bincount`` of sigma_i mb by level, which
-    holds beta C_i as PNN3 signs are all +1, less s alpha C_il at level l.  The scaled field of
+    mb = m + beta (as ``_stack_inputs`` gives them): the sums of sigma_i mb by level, which hold
+    beta C_i as PNN3 signs are all +1, less s alpha C_il at level l.  The sums are a ``bincount``
+    of mb by stored code, a PNN2 level's + bin less its - bin.  The scaled field of
     ``local_field`` is alpha D - beta sum(m) - s (beta^2 M - alpha beta C_il), the same shift at
     every level, so the alignment rule picks the same state on D."""
-    weights = memory._signs[i] * mb if memory._beta == 0 else mb  # PNN3 signs are all +1
-    # bin 0 stays empty, as levels start at 1
-    d = np.bincount(memory._levels[i], weights=weights, minlength=memory.q + 1)[1:]
+    d = np.bincount(memory._codes[i], weights=mb, minlength=memory.q << memory._shift)
+    if memory._shift:
+        d = d[::2] - d[1::2]
     d[l - 1] -= s * memory._alpha * memory._level_counts[i, l - 1]
     return d
 
@@ -404,8 +460,11 @@ def local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
 
 def _decide_block(memory: Memory, rows, s: np.ndarray, l: np.ndarray, mb: np.ndarray):
     """The (signs, levels) that neurons ``rows`` (a slice or an index array) in states (s, l) take
-    at the overlaps plus beta mb, each by the rule of an ``asynchronous_retrieve`` visit."""
-    d = _level_sums(memory._levels[rows], memory.q, memory._signs[rows], mb)
+    at the overlaps plus beta mb, each by the rule of an ``asynchronous_retrieve`` visit, the
+    levels in the narrowest unsigned type that holds q.  D is binned as in ``_decision_field``."""
+    d = _code_sums(memory._codes[rows], memory.q << memory._shift, mb)
+    if memory._shift:
+        d = d[:, ::2] - d[:, 1::2]
     at = np.arange(len(d)), l - 1
     d[at] -= s * memory._alpha * memory._level_counts[rows][at]
     pnn2 = memory.kind is NetworkKind.PNN2
@@ -413,7 +472,13 @@ def _decide_block(memory: Memory, rows, s: np.ndarray, l: np.ndarray, mb: np.nda
     key[at] += 0.5
     level = key.argmax(axis=1)
     amp = d[at[0], level] if pnn2 else 0  # PNN3 keeps its sign, +1
-    return np.where(amp > 0, 1, np.where(amp < 0, -1, s)), level + 1
+    return np.where(amp > 0, 1, np.where(amp < 0, -1, s)), _as_levels(memory, level + 1)
+
+
+def _as_levels(memory: Memory, levels: np.ndarray) -> np.ndarray:
+    """Levels in the narrowest unsigned type that holds q, in which a Pattern freezes them with
+    no max for q <= 255."""
+    return levels.astype(np.min_scalar_type(memory.q))
 
 
 # (scale, the signs of a level's S states, tie) of the key of ``_decide_keys``
@@ -436,10 +501,10 @@ def _lockstep_inputs(memory: Memory, states: Sequence[Pattern]):
 
 def _patterns(memory: Memory, z: np.ndarray) -> list[Pattern]:
     """The states of (N, B) state indices z, one Pattern a column."""
-    shift = len(_KEY[memory.kind][1]) - 1  # S is 1 or 2, so z >> shift is l - 1
+    shift = memory._shift  # z >> shift is l - 1
     # cast once, to the types that hold every sign and every level up to q
     signs = (1 - 2 * (z & shift)).astype(np.int8)
-    levels = ((z >> shift) + 1).astype(memory._levels.dtype)
+    levels = _as_levels(memory, (z >> shift) + 1)
     return [Pattern._of(signs[:, r], levels[:, r]) for r in range(z.shape[1])]
 
 
@@ -484,22 +549,27 @@ def asynchronous_retrieve(
     Each visit takes one argmax of |D| (PNN2) or D (PNN3) over the decision
     field of ``_decision_field``, with 1/2 added at the current level so that
     it wins ties, and the sign of D there; a zero D keeps the current sign.
-    On a change from (s, l) to (s', l') a (q + 1)-entry table holds alpha s'
-    at l' and -alpha s at l, and the overlaps move by sigma_i times the table
-    at lev_i, so a visit costs O(M + q).  Energy never increases.  After k >= 8
+    On a change from (s, l) to (s', l') an (S q)-entry table by stored code
+    holds alpha s' sigma at each code of level l' and -alpha s sigma at each
+    code of level l, and the overlaps move by the table at neuron i's stored
+    codes, so a visit costs O(M + q).  Energy never increases.  After k >= 8
     unchanged visits in a row, across sweeps, the next k neurons of the sweep
     (8 or more, cut at its end) are decided as one block (``_decide_block``)
     and kept up to the first that moves, as nothing moves before it.  Neurons
     are visited in sequential order, or, given ``rng``, in a fresh
     ``rng.permutation(N)`` each sweep; ``retrieve_batch`` relaxes many inputs
-    at once in sequential order.
+    at once in sequential order.  Raises ValueError for an ``rng`` that is
+    neither None nor a ``np.random.Generator``.
     """
+    if not (rng is None or isinstance(rng, np.random.Generator)):
+        raise ValueError(f"rng must be None or a numpy Generator, got {rng!r}")
     signs, levels, m = _stack_inputs(memory, [input_state])
-    signs, levels, m = signs[:, 0], levels[:, 0], m[0]
+    signs, levels, m = signs[:, 0], _as_levels(memory, levels[:, 0]), m[0]
     max_sweeps = _check_retrieval(max_sweeps)
 
-    n, a, pnn2 = memory.n_neurons, memory._alpha, memory.kind is NetworkKind.PNN2
-    step = np.zeros(memory.q + 1)  # the overlap step by stored level; zero between changes
+    n, a, shift = memory.n_neurons, memory._alpha, memory._shift
+    pnn2 = memory.kind is NetworkKind.PNN2
+    step = np.zeros(memory.q << shift)  # the overlap step by stored code; zero between changes
     trace: list[Pattern] | None = [] if record_trace else None
 
     changed_total = run = 0  # run: the unchanged visits since the last change
@@ -514,8 +584,8 @@ def asynchronous_retrieve(
                 new_s, new_l = _decide_block(memory, rows, s, l, m)  # exact up to the first mover
                 moved = ((new_s != s) | (new_l != l)).nonzero()[0]
                 size, quiet = len(s), int(moved[0]) if moved.size else len(s)
-                if quiet < size:
-                    s, l, sign, level = s[quiet], l[quiet], new_s[quiet], new_l[quiet]
+                if quiet < size:  # Python ints, which a narrow level's code arithmetic needs
+                    s, l, sign, level = (int(v[quiet]) for v in (s, l, new_s, new_l))
             else:
                 s, l = signs.item(visit[k]), levels.item(visit[k])
                 d = _decision_field(memory, visit[k], s, l, m)
@@ -532,11 +602,13 @@ def asynchronous_retrieve(
                 continue
             i = visit[k]  # neuron i moves from (s, l) to (sign, level)
             signs[i], levels[i] = sign, level
-            step[l] = -a * s
-            step[level] += a * sign
-            delta = step.take(memory._levels[i])
-            m += memory._signs[i] * delta if pnn2 else delta  # PNN3 signs are all +1
-            step[l] = step[level] = 0.0
+            old, new = (l - 1) << shift, (level - 1) << shift  # the + code of each level
+            step[old] = -a * s
+            step[new] += a * sign
+            if shift:  # PNN2: a level's - code steps against its + code
+                step[old + 1], step[new + 1] = -step[old], -step[new]
+            m += step.take(memory._codes[i])
+            step[old:old + 1 + shift] = step[new:new + 1 + shift] = 0.0
             changed_this_sweep += 1
             run, k = 0, k + 1
             if trace is not None:
@@ -589,8 +661,9 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     index = np.arange(len(inputs))  # input of each active row
     n_changed = np.zeros(len(inputs), dtype=np.int64)
     w = np.zeros((memory.n_patterns, q))
-    flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)  # W_i[mu] at offsets + lev_i
+    flat_w, offsets = w.reshape(-1), np.arange(0, w.size, q)  # W_i[mu] at offsets + lev_i - 1
     per = max(1, (1 << 18) // w.size)  # rows per block of the overlap update
+    neurons = max(1, (1 << 16) // memory.n_patterns)  # neurons per block of derived level rows
     results: list = [None] * len(inputs)
     steps, live = None, len(inputs)  # live: the active rows; step rows follow them in sweep 1
     if step_rows:
@@ -599,19 +672,21 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     for sweeps in range(1, max_sweeps + 1):
         start = z[:, :live].copy()
         base = s * q * np.arange(z.shape[1]) + np.arange(s)[:, None]
-        for i in range(n):
-            zi = z[i]
-            at = memory._levels[i] + offsets
-            flat_w[at] = memory._signs[i].astype(np.float64)  # same-type scatter: the faster
-            new = _decide_keys(kind, scale, m @ w, zi, base, own[i].take(zi))
-            zi[live:] = new[live:]  # the step rows take their update and so never move
-            moved = (new != zi).nonzero()[0]
-            if moved.size:
-                d = step[new[moved]] - step[zi[moved]]  # fancy indexing reads only k rows
-                for lo in range(0, moved.size, per):
-                    m[moved[lo:lo + per]] += d[lo:lo + per] @ w.T
-                zi[moved] = new[moved]
-            flat_w[at] = 0
+        for block in range(0, n, neurons):
+            # lev_i - 1 of every stored pattern, one shift for a block of neurons
+            for i, lev in enumerate(memory._codes[block:block + neurons] >> memory._shift, block):
+                zi = z[i]
+                at = lev + offsets
+                flat_w[at] = memory._signs[i].astype(np.float64)  # same-type scatter: the faster
+                new = _decide_keys(kind, scale, m @ w, zi, base, own[i].take(zi))
+                zi[live:] = new[live:]  # the step rows take their update and so never move
+                moved = (new != zi).nonzero()[0]
+                if moved.size:
+                    d = step[new[moved]] - step[zi[moved]]  # fancy indexing reads only k rows
+                    for lo in range(0, moved.size, per):
+                        m[moved[lo:lo + per]] += d[lo:lo + per] @ w.T
+                    zi[moved] = new[moved]
+                flat_w[at] = 0
         if step_rows and sweeps == 1:
             steps = _patterns(memory, z[:, live:])
         changed = np.count_nonzero(z[:, :live] != start, axis=0)

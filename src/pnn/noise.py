@@ -100,11 +100,11 @@ def apply_qnary_noise(
         signs[flip] = -signs[flip]
     if spec.b > 0 and q > 1:
         hit = rng.random(n) < spec.b
-        offsets = rng.integers(1, q, size=n)
-        levels = levels.astype(np.int64)  # a copy that holds every level up to q
-        shifted = (levels - 1 + offsets) % q + 1
-        levels[hit] = shifted[hit]
-    return Pattern._of(signs, levels)
+        shifted = levels + rng.integers(1, q, size=n)  # int64, in [2, 2q - 1]
+        shifted[shifted > q] -= int(q)
+        levels = np.where(hit, shifted, levels)
+    # a type that holds q, so that a Pattern freezes the levels with no max for q <= 255
+    return Pattern._of(signs, levels.astype(np.min_scalar_type(int(q)), copy=False))
 
 
 def random_binary_patterns(m: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -37,14 +37,13 @@ def centered_vector(level: int, q: int) -> np.ndarray:
     return v - np.full(q, 1.0 / q)
 
 
-def stored_vector(memory: Memory, mu: int, j: int) -> np.ndarray:
-    """The coupling vector w_j^mu: the pattern state, centered for PNN3."""
-    q = memory.q
-    sign = int(memory.pattern_signs[mu, j])
-    level = int(memory.pattern_levels[mu, j])
+def stored_vectors(memory: Memory) -> list[list[np.ndarray]]:
+    """The coupling vectors w_j^mu, indexed [mu][j]: the pattern states, centered for PNN3."""
+    q, signs, levels = memory.q, memory.pattern_signs.tolist(), memory.pattern_levels.tolist()
     if memory.kind is NetworkKind.PNN3:
-        return centered_vector(level, q)
-    return unit_vector(level, q, sign)
+        return [[centered_vector(level, q) for level in row] for row in levels]
+    return [[unit_vector(level, q, sign) for sign, level in zip(*rows)]
+            for rows in zip(signs, levels)]
 
 
 def state_vector(memory: Memory, state: Pattern, j: int) -> np.ndarray:
@@ -53,14 +52,14 @@ def state_vector(memory: Memory, state: Pattern, j: int) -> np.ndarray:
 
 def naive_local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
     """The double sum over patterns and the other N-1 neurons, in floats."""
-    q, n = memory.q, memory.n_neurons
+    q, n, w = memory.q, memory.n_neurons, stored_vectors(memory)
     h = np.zeros(q)
     for mu in range(memory.n_patterns):
-        w_i = stored_vector(memory, mu, i)
+        w_i = w[mu][i]
         for j in range(n):
             if j == i:
                 continue
-            w_j = stored_vector(memory, mu, j)
+            w_j = w[mu][j]
             x_j = state_vector(memory, state, j)
             h += w_i * float(w_j @ x_j)
     return h / n
@@ -77,8 +76,10 @@ def exact_local_field(memory: Memory, state: Pattern, i: int) -> tuple[list[int]
     q, n = memory.q, memory.n_neurons
     alpha, beta = (1, 0) if memory.kind is NetworkKind.PNN2 else (q, 1)
 
+    signs, levels = memory.pattern_signs.tolist(), memory.pattern_levels.tolist()
+
     def stored(mu, j):
-        sign, level = int(memory.pattern_signs[mu, j]), int(memory.pattern_levels[mu, j])
+        sign, level = signs[mu][j], levels[mu][j]
         return [alpha * sign * (lv == level) - beta for lv in range(1, q + 1)]
 
     def current(j):
@@ -187,11 +188,13 @@ def reference_asynchronous_retrieve(
 def reference_overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """The scaled per-pattern overlaps of the state (signs, levels), int64, from one (N, M)
     array of the +-1/0 products sigma s [lev == l] summed over all neurons at once, in the
-    narrowest type that holds +-N."""
-    agree = memory._signs * (memory._levels == levels.astype(memory._levels.dtype)[:, None])
+    narrowest type that holds +-N, read from ``pattern_signs`` and ``pattern_levels``."""
+    alpha, beta = (1, 0) if memory.kind is NetworkKind.PNN2 else (memory.q, 1)
+    stored_levels = memory.pattern_levels.T
+    agree = memory.pattern_signs.T * (stored_levels == levels.astype(stored_levels.dtype)[:, None])
     agree *= signs.astype(np.int8)[:, None]
     sums = agree.sum(axis=0, dtype=np.min_scalar_type(-memory.n_neurons - 1)).astype(np.int64)
-    return memory._alpha * sums - memory._beta * memory.n_neurons
+    return alpha * sums - beta * memory.n_neurons
 
 
 def naive_energy(memory: Memory, state: Pattern) -> float:
@@ -407,12 +410,12 @@ def reference_k_critical_detail(n_bits: int, a: float) -> KCriticalResult | None
 def naive_identifier_field(net, state: Pattern, j: int) -> np.ndarray:
     """Cross-coupling field at enumerated coordinate j, from basis vectors."""
     q = net.memory.q
-    h = np.zeros(q)
+    h, stored_levels = np.zeros(q), net.memory.pattern_levels
     for mu in range(net.memory.n_patterns):
         y = centered_vector(int(net.digit_codes[mu, j]) + 1, q)
         acc = 0.0
         for i in range(net.memory.n_neurons):
-            w = centered_vector(int(net.memory.pattern_levels[mu, i]), q)
+            w = centered_vector(int(stored_levels[mu, i]), q)
             x = unit_vector(int(state.levels[i]), q)
             acc += float(w @ x)
         h += y * acc

@@ -142,7 +142,8 @@ class TestConstruction:
         assert np.array_equal(mem.pattern_signs, [[1, -1]])
         assert np.array_equal(mem.pattern_levels, [[3, 1]])
 
-    # a fill block holds 2**16 // N = 4 patterns at N = 2**14: M = 9 spans three, the last partial
+    # a fill block holds _FILL_BLOCK // N patterns at N = 2**14: M = 2 blocks + 1 spans three,
+    # the last partial
     @pytest.mark.parametrize("kind, field, value, error", [
         (NetworkKind.PNN2, "levels", 4, LevelOutOfRange),  # q + 1
         (NetworkKind.PNN2, "signs", 0, SignNotAllowed),
@@ -151,7 +152,8 @@ class TestConstruction:
         (NetworkKind.PNN2, "levels", np.nan, LevelOutOfRange),  # a cast before the check warns
     ])
     def test_bad_entry_in_the_last_fill_block_rejected(self, kind, field, value, error):
-        n, m, q = 2**14, 9, 3
+        n, q = 2**14, 3
+        m = 2 * (pnn.core._FILL_BLOCK // n) + 1
         rows = {"signs": np.ones((m, n)), "levels": np.full((m, n), 2.0)}
         rows[field][m - 1, n - 1] = value
         with pytest.raises(error) as from_arrays:
@@ -165,7 +167,8 @@ class TestConstruction:
 
     def test_faults_in_two_fill_blocks_reported_as_one_whole_input_check_does(self):
         # the signed state in block 0 is checked after the level above q in block 2
-        n, m, q = 2**14, 9, 3
+        n, q = 2**14, 3
+        m = 2 * (pnn.core._FILL_BLOCK // n) + 1
         signs, levels = np.ones((m, n), dtype=np.int8), np.full((m, n), 2)
         signs[0, 0], levels[m - 1, 0], levels[m - 1, 1] = -1, 4, 5
         with pytest.raises(LevelOutOfRange, match="level 5 exceeds q=3"):
@@ -191,10 +194,10 @@ class TestConstruction:
 
     def test_exactness_premise_checked_before_the_count_table(self, monkeypatch):
         # the batched keys reach 4 M q N, exact in float64 only below 2**53
-        def count_table(*args):
+        def count_table(*args, **kwargs):
             raise AssertionError("count table allocated")
 
-        monkeypatch.setattr("pnn.core._level_sums", count_table)
+        monkeypatch.setattr("pnn.core._code_sums", count_table)
         with pytest.raises(DimensionMismatch, match="2\\*\\*53"):
             Memory(NetworkKind.PNN2, 2**51, [[1]], [[1]])
         with pytest.raises(AssertionError, match="count table"):  # 4 M q N = 2**53 - 4
@@ -431,6 +434,17 @@ class TestAsynchronousRetrieve:
         with pytest.raises(ValueError, match="max_sweeps must be a whole number >= 1"):
             retrieve_batch(mem, patterns, max_sweeps)
 
+    @pytest.mark.parametrize("rng", [7, np.random.RandomState(0), "seed"])
+    def test_rng_that_is_not_a_generator_rejected_at_the_call(self, rng, monkeypatch):
+        mem, patterns = random_memory(make_rng(32), 10, 2, 2, NetworkKind.PNN2)
+
+        def no_work(*args):
+            raise AssertionError("retrieval started")
+
+        monkeypatch.setattr(pnn.core, "_stack_inputs", no_work)
+        with pytest.raises(ValueError, match="rng must be None or a numpy Generator"):
+            asynchronous_retrieve(mem, patterns[0], 5, rng)
+
     def test_unconverged_flagged(self):
         # overloaded q=1 network: one sweep from a random state rarely settles
         rng = make_rng(33)
@@ -567,6 +581,26 @@ class TestAsynchronousRetrieve:
             want.final_state, want.converged, want.sweeps_used, want.updates_changed)
         assert got.trace == want.trace
 
+    @pytest.mark.parametrize("kind, q", [
+        (NetworkKind.PNN2, 129), (NetworkKind.PNN2, 255), (NetworkKind.PNN3, 257)])
+    def test_run_ahead_mover_whose_code_exceeds_255(self, kind, q, monkeypatch):
+        # every stored level is q, and neuron 20 is moved down to q - 1, so the block of rows
+        # 16..31 decides it back to q: codes of level q reach S (q - 1) >= 256
+        n, m = 40, 3
+        signs = 1 - 2 * make_rng(44).integers(0, 2, size=(m, n))
+        if kind is NetworkKind.PNN3:
+            signs[:] = 1
+        mem = Memory(kind, q, signs, np.full((m, n), q))
+        stored = Pattern(signs[0], np.full(n, q))
+        state = with_neuron(stored, 20, int(signs[0, 20]), q - 1)
+        want = reference_asynchronous_retrieve(mem, state, 5, record_trace=True)
+        assert (want.final_state, want.sweeps_used, want.updates_changed) == (stored, 2, 1)
+        blocks = self.spy_blocks(monkeypatch)
+        got = asynchronous_retrieve(mem, state, 5, record_trace=True)
+        assert [(rows.start, size) for rows, size in blocks][:2] == [(8, 8), (16, 16)]
+        assert (got.final_state, got.sweeps_used, got.updates_changed) == (stored, 2, 1)
+        assert got.trace == want.trace
+
     def test_run_ahead_blocks_take_their_rows_from_the_permutation(self, monkeypatch):
         mem, patterns = random_memory(make_rng(42), 40, 3, 3, NetworkKind.PNN2)
         state = with_neuron(patterns[0], 5, -int(patterns[0].signs[5]), int(patterns[0].levels[5]))
@@ -671,13 +705,12 @@ class TestRetrieveBatch:
                 tracemalloc.stop()
 
         mem, built = traced(lambda: build_memory(patterns, NetworkKind.PNN2, 16))
-        copy, constructed = traced(
-            lambda: Memory(NetworkKind.PNN2, 16, mem.pattern_signs, mem.pattern_levels)
-        )
+        levels = mem.pattern_levels  # derived from the codes, so before the constructor's trace
+        copy, constructed = traced(lambda: Memory(NetworkKind.PNN2, 16, mem.pattern_signs, levels))
         step, stepped = traced(lambda: synchronous_step(mem, state))
         assert built <= 2.5 * n * m and constructed <= 2.5 * n * m
         assert stepped < 4 * 2**20
-        assert np.array_equal(copy._signs, mem._signs) and np.array_equal(copy._levels, mem._levels)
+        assert np.array_equal(copy._signs, mem._signs) and np.array_equal(copy._codes, mem._codes)
         assert step == state  # the flipped stored pattern is a fixed point, as the pattern is
 
     @pytest.mark.parametrize("kind", list(NetworkKind))

@@ -18,8 +18,10 @@ library freezes unchecked against the checked Pattern, the one-pass DPNN
 build against the images stored one by one, the bisected critical mapping
 parameter against the linear scan, the critical mapping parameter and its
 binding restrictions against the search of the list of all divisors, the
-binary mapping against its literal reference and the identifier's digits
-against the naive identifier field.
+binary mapping against its literal reference, the identifier's digits
+against the naive identifier field, level noise against its modular
+reference, and every kernel against its oracle at the q where the stored
+codes or levels outgrow uint8.
 """
 
 import numpy as np
@@ -61,15 +63,18 @@ from oracles import (
     reference_k_critical_detail,
     reference_map_binary,
     reference_overlaps,
+    reference_qnary_noise,
     reference_unmap_binary,
     with_neuron,
 )
-from pnn.core import _decide_keys, _lockstep, _lockstep_inputs, _overlaps
+from pnn.core import _FILL_BLOCK, _decide_keys, _lockstep, _lockstep_inputs, _overlaps
 
 
 @st.composite
-def memory_and_states(draw, count=st.just(1), kind=st.sampled_from(NetworkKind), q=None):
-    """A memory and ``count`` states; later states may repeat earlier ones."""
+def memory_and_states(draw, count=st.just(1), kind=st.sampled_from(NetworkKind), q=None,
+                      level=None):
+    """A memory and ``count`` states; later states may repeat earlier ones.  Stored and state
+    levels are drawn from ``level(q)`` when given."""
     kind = draw(kind)
     q = draw(st.integers(2 if kind is NetworkKind.PNN3 else 1, 5) if q is None else q)
     m = draw(st.integers(1, 6))
@@ -83,13 +88,15 @@ def memory_and_states(draw, count=st.just(1), kind=st.sampled_from(NetworkKind),
     def rows(element):
         return draw(st.lists(row(element), min_size=m, max_size=m))
 
-    memory = Memory(kind, q, rows(sign), rows(st.integers(1, used)))
+    stored_level, state_level = (st.integers(1, used), st.integers(1, q)) if level is None else (
+        level(q), level(q))
+    memory = Memory(kind, q, rows(sign), rows(stored_level))
     states = []
     for _ in range(draw(count)):
         if states and draw(st.booleans()):
             states.append(draw(st.sampled_from(states)))
         else:
-            states.append(Pattern(draw(row(sign)), draw(row(st.integers(1, q)))))
+            states.append(Pattern(draw(row(sign)), draw(row(state_level))))
     return memory, states
 
 
@@ -206,17 +213,19 @@ def outcome(result):
 
 
 @st.composite
-def wide_memory_and_state(draw):
+def wide_memory_and_state(draw, kind=st.sampled_from(NetworkKind), q=None, level=None):
     """A memory of 16 to 60 neurons and an input that is random, a fixed point or one or two
-    neurons off a fixed point, so that runs of unchanged visits, and blocks, are common."""
-    kind = draw(st.sampled_from(NetworkKind))
-    q = draw(st.integers(2 if kind is NetworkKind.PNN3 else 1, 5))
+    neurons off a fixed point, so that runs of unchanged visits, and blocks, are common.
+    Levels are drawn from ``level(q)`` when given."""
+    kind = draw(kind)
+    q = draw(st.integers(2 if kind is NetworkKind.PNN3 else 1, 5) if q is None else q)
+    level = st.integers(1, q) if level is None else level(q)
     n, m = draw(st.integers(16, 60)), draw(st.integers(1, 12))
     sign = st.just(1) if kind is NetworkKind.PNN3 else st.sampled_from((-1, 1))
     memory = Memory(kind, q, draw(arrays(np.int8, (m, n), elements=sign)),
-                    draw(arrays(np.int64, (m, n), elements=st.integers(1, q))))
+                    draw(arrays(np.int64, (m, n), elements=level)))
     state = Pattern(draw(arrays(np.int8, n, elements=sign)),
-                    draw(arrays(np.int64, n, elements=st.integers(1, q))))
+                    draw(arrays(np.int64, n, elements=level)))
     start = draw(st.sampled_from(["random", "fixed point", "off a fixed point"]))
     if start != "random":
         relaxed = reference_asynchronous_retrieve(memory, state, 200)
@@ -224,7 +233,7 @@ def wide_memory_and_state(draw):
         state = relaxed.final_state
     if start == "off a fixed point":
         for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
-            state = with_neuron(state, i, draw(sign), draw(st.integers(1, q)))
+            state = with_neuron(state, i, draw(sign), draw(level))
     return memory, state
 
 
@@ -265,15 +274,71 @@ def test_step_rows_are_the_synchronous_step_and_leave_retrieval_alone(kind, q, c
         assert [outcome(r) for r in results] == [(state, True, 1, 0) for state in inputs]
 
 
+# q at either side of the code type's uint8 bound, S q - 1 = 255 (S = 2 for PNN2, 1 for PNN3),
+# and of the level type's, q = 255
+CODE_WIDTH_EDGES = [(NetworkKind.PNN2, q) for q in (1, 2, 128, 129, 255, 256, 300)] + [
+    (NetworkKind.PNN3, q) for q in (2, 256, 257, 300)]
+
+
+def top_levels(q):
+    """Levels of [1, q], half of them among the top three, whose codes reach S q - 1."""
+    return st.one_of(st.integers(max(1, q - 2), q), st.integers(1, q))
+
+
+@pytest.mark.parametrize("kind, q", CODE_WIDTH_EDGES, ids=lambda v: getattr(v, "value", v))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_kernels_equal_the_oracles_at_the_code_width_edges(kind, q, data):
+    memory, states = data.draw(
+        memory_and_states(st.integers(1, 3), st.just(kind), st.just(q), top_levels))
+    state, n = states[0], memory.n_neurons
+    i = data.draw(st.integers(0, n - 1))
+    field, scale = exact_local_field(memory, state, i)
+    assert local_field(memory, state, i).tolist() == [h / scale for h in field]
+    assert energy(memory, state) == pytest.approx(naive_energy(memory, state), rel=1e-12, abs=1e-12)
+    signs, levels = zip(*(naive_update(memory, state, j) for j in range(n)))
+    assert synchronous_step(memory, state) == Pattern(signs, levels)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    for rng in (None, seed):
+        got, want = (
+            retrieve(memory, state, 4, None if rng is None else np.random.default_rng(rng),
+                     record_trace=True)
+            for retrieve in (asynchronous_retrieve, reference_asynchronous_retrieve)
+        )
+        assert outcome(got) == outcome(want) and got.trace == want.trace
+    want = [outcome(reference_asynchronous_retrieve(memory, x, 4)) for x in states]
+    assert [outcome(r) for r in retrieve_batch(memory, states, 4)] == want
+    if kind is NetworkKind.PNN3:
+        assert_identify_decodes_the_naive_identifier_field(IdentifierNet(memory), state)
+
+
+@pytest.mark.parametrize("kind, q", CODE_WIDTH_EDGES, ids=lambda v: getattr(v, "value", v))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_run_ahead_retrieval_keeps_every_visit_of_the_reference_at_the_code_width_edges(
+        kind, q, data):
+    memory, state = data.draw(wide_memory_and_state(st.just(kind), st.just(q), top_levels))
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    got, want = (
+        retrieve(memory, state, 3, None if seed is None else np.random.default_rng(seed),
+                 record_trace=True)
+        for retrieve in (asynchronous_retrieve, reference_asynchronous_retrieve)
+    )
+    assert outcome(got) == outcome(want)
+    assert got.trace == want.trace
+
+
 @st.composite
 def stored_rows(draw):
-    """A kind, a q on either side of the uint8 bound and (M, N) int64 signs and levels, with M
-    up to one more than three of the fill's blocks of 2**16 // N patterns (N from 330, so that
-    a block holds at most 198 patterns)."""
+    """A kind, a q on either side of the uint8 bound of the levels and of the codes (S q - 1,
+    S = 2 for PNN2, 1 for PNN3) and (M, N) int64 signs and levels, with M up to one more than
+    three of the fill's blocks of _FILL_BLOCK // N patterns (N from 1324, so that a block holds
+    at most 198 patterns)."""
     kind = draw(st.sampled_from(NetworkKind))
-    q = draw(st.sampled_from([2, 5, 255, 256] if kind is NetworkKind.PNN3 else [1, 2, 5, 255, 256]))
-    n = draw(st.integers(330, 6000))
-    m = draw(st.integers(1, 3 * ((1 << 16) // n) + 1))
+    pnn3 = kind is NetworkKind.PNN3
+    q = draw(st.sampled_from([2, 5, 255, 256, 257] if pnn3 else [1, 2, 5, 128, 129, 255, 256]))
+    n = draw(st.integers(1324, 24000))
+    m = draw(st.integers(1, 3 * (_FILL_BLOCK // n) + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = rng.integers(1, q + 1, size=(m, n))
     signs = np.ones_like(levels) if kind is NetworkKind.PNN3 else 1 - 2 * rng.integers(0, 2, (m, n))
@@ -285,7 +350,9 @@ def stored_rows(draw):
 def test_both_constructions_store_the_whole_array_transpose(case, sign_type, level_type):
     kind, q, signs, levels = case
     n = signs.shape[1]
-    want_levels = levels.astype(np.min_scalar_type(q)).T
+    per_level = 2 if kind is NetworkKind.PNN2 else 1
+    want_codes = per_level * (levels - 1) + (signs < 0)
+    want_codes = want_codes.astype(np.min_scalar_type(per_level * q - 1)).T
     want_counts = np.zeros((n, q), dtype=np.int64)
     np.add.at(want_counts, (np.arange(n), levels - 1), 1)
     patterns = [Pattern(s, l) for s, l in zip(signs, levels)]
@@ -294,8 +361,8 @@ def test_both_constructions_store_the_whole_array_transpose(case, sign_type, lev
         Memory(kind, q, signs.astype(sign_type), levels.astype(level_type)),
     ):
         assert memory._signs.dtype == np.int8 and np.array_equal(memory._signs, signs.T)
-        assert memory._levels.dtype == want_levels.dtype
-        assert np.array_equal(memory._levels, want_levels)
+        assert memory._codes.dtype == want_codes.dtype
+        assert np.array_equal(memory._codes, want_codes)
         assert np.array_equal(memory._level_counts, want_counts)
 
 
@@ -352,6 +419,19 @@ def test_patterns_the_library_makes_equal_their_checked_pattern(kind, m, n, q, a
     assert all(1 <= p.levels.min() and p.levels.max() <= q for p in made)
 
 
+@given(st.one_of(st.integers(1, 8), st.integers(250, 2**16)), st.integers(1, 40),
+       st.floats(0, 1), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_noise_draws_the_levels_of_the_modular_reference(q, n, a, b, seed):
+    """Subtracting q where l + offset exceeds q gives the reference's (l - 1 + offset) mod q + 1
+    from the same draws, in the narrowest type holding the highest level."""
+    rng = np.random.default_rng(seed)
+    pattern = Pattern(1 - 2 * rng.integers(0, 2, size=n), rng.integers(1, q + 1, size=n))
+    got = apply_qnary_noise(pattern, q, NoiseSpec(a, b), np.random.default_rng(seed))
+    signs, levels = reference_qnary_noise(pattern, q, a, b, np.random.default_rng(seed))
+    assert np.array_equal(got.signs, signs) and np.array_equal(got.levels, levels)
+    assert got.levels.dtype == np.min_scalar_type(int(levels.max()))
+
+
 @given(st.integers(0, 4), st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_dpnn_build_stores_the_image_of_every_pattern(k, m, fragments, seed):
     """One pass over the staged (M, N) ensemble stores what ``build_memory`` stores from the
@@ -363,7 +443,7 @@ def test_dpnn_build_stores_the_image_of_every_pattern(k, m, fragments, seed):
     want = build_memory([map_binary(y, k) for y in ensemble], NetworkKind.PNN2, 2**k)
     assert (got.kind, got.q, got.n_neurons, got.n_patterns) == (
         want.kind, want.q, want.n_neurons, want.n_patterns)
-    for name in ("_signs", "_levels", "_level_counts"):
+    for name in ("_signs", "_codes", "_level_counts"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
@@ -438,10 +518,13 @@ def identifier_and_input(draw):
 
 @given(identifier_and_input())
 def test_identify_decodes_the_naive_identifier_field(case):
+    assert_identify_decodes_the_naive_identifier_field(*case)
+
+
+def assert_identify_decodes_the_naive_identifier_field(net, state):
     """Digit j is the lowest maximizer of the naive field at enumerated
     coordinate j, rounded so exact ties stay ties (distinct amplitudes differ
-    by at least 1/(N q^2) >= 1/150 here), most significant digit first."""
-    net, state = case
+    by at least 1/(N q^2) >= 1/(7 * 300^2) here), most significant digit first."""
     want = 0
     for j in range(net.n_digits):
         field = np.round(naive_identifier_field(net, state, j), 9)
