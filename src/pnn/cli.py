@@ -32,10 +32,13 @@ memory, 3 infeasible parameters.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
+import functools
 import itertools
 import math
+import operator
 import os
 import sys
 import time
@@ -231,20 +234,41 @@ def _run_trials(trials_fn: Callable, ctx, trials: int, jobs: int) -> tuple:
     ``trials_fn(ctx, batch)`` returns the column sums of the records of one
     contiguous range of trial indices.  Batches are as large as the cap
     allows with one per worker, and the pool never has more workers than
-    batches or CPUs.  Each record depends only on (ctx, t) and integer
-    columns sum exactly, so neither the worker count nor the batch size can
-    change an integer total.
+    batches or CPUs.  Batches are made as they are submitted, at most one
+    per worker in flight, and their sums are added in batch order.  Each
+    record depends only on (ctx, t) and integer columns sum exactly, so
+    neither the worker count nor the batch size can change an integer total.
     """
     workers = min(jobs, trials, os.cpu_count() or 1)
     per = min(_BATCH_TRIALS, math.ceil(trials / workers))
-    batches = [range(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
-    workers = min(workers, len(batches))
+    starts = range(0, trials, per)
+    batches = (range(lo, min(lo + per, trials)) for lo in starts)
+    workers = min(workers, len(starts))
     if workers <= 1:
-        return tuple(map(sum, zip(*(trials_fn(ctx, batch) for batch in batches))))
+        return _column_sums(trials_fn(ctx, batch) for batch in batches)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(trials_fn, ctx)
     ) as pool:
-        return tuple(map(sum, zip(*pool.map(_run_batch, batches))))
+        return _column_sums(_in_flight(pool, batches, workers))
+
+
+def _in_flight(pool, batches, limit: int):
+    """The results of ``_run_batch`` over ``batches``, in order, with at most ``limit`` batches
+    submitted to ``pool`` and not yet collected."""
+    pending = collections.deque()
+    for batch in batches:
+        if len(pending) == limit:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_run_batch, batch))
+    while pending:
+        yield pending.popleft().result()
+
+
+def _column_sums(records) -> tuple:
+    """The column sums of equal-length tuples, added in order as ``sum`` adds a column."""
+    return functools.reduce(
+        lambda totals, record: tuple(map(operator.add, totals, record)), records
+    )
 
 
 _GEN_STREAM_STRIDE = 1 << 32  # per-sweep-point stream block; trial t uses base + 1 + t

@@ -26,9 +26,10 @@ once the overlaps are known.  Overlaps and fields are exact integers scaled
 by N * alpha^2; the single final division reproduces the integer
 comparisons bit-for-bit at any realistic size.
 
-A Memory stores each coordinate as one code, the index c = S (lev - 1) +
-[sigma = -1] of the stored state among a neuron's S q states (S = 2 for
-PNN2, 1 for PNN3), as ``_lockstep`` indexes its inputs.  Every kernel
+A Memory stores each coordinate as one code and nothing else: the index c =
+S (lev - 1) + [sigma = -1] of the stored state among a neuron's S q states
+(S = 2 for PNN2, 1 for PNN3), as ``_lockstep`` indexes its inputs.
+``_codes_of`` codes states and ``_states`` decodes them.  Every kernel
 decides on one decision field (``_decision_field``), the scaled field over
 alpha shifted alike at every level, which the alignment rule cannot tell
 from the field itself; ``local_field`` builds the field from it.  The
@@ -119,6 +120,15 @@ def _codes_of(signs, levels, shift: int, dtype) -> np.ndarray:
         codes <<= 1
         codes |= signs < 0
     return codes
+
+
+def _states(memory: Memory, codes: np.ndarray):
+    """The states of ``memory``'s state codes, the inverse of ``_codes_of``: their int8 signs,
+    and their levels in the narrowest unsigned type that holds q."""
+    signs = 1 - 2 * (codes & memory._shift).astype(np.int8)
+    levels = _as_levels(memory, codes >> memory._shift)  # l - 1, widened before the + 1
+    levels += 1
+    return signs, levels
 
 
 def _code_sums(codes: np.ndarray, width: int, m=None, shift: int = 0) -> np.ndarray:
@@ -228,24 +238,21 @@ class Memory:
     """An immutable trained network: kind, dimensions and stored patterns.
 
     Weights are implicit; every field evaluation works from the stored
-    pattern arrays and the (N, q) table ``_level_counts`` of how many
-    patterns have level l at neuron i.  The patterns are stored
-    neuron-major: row i of ``_signs`` (int8) and ``_codes`` is neuron i of
-    every pattern, contiguous, which is what one neuron visit reads.  A code
-    is the stored state's index c = S (lev - 1) + [sigma = -1] among the
-    neuron's S q states, S = 2 for PNN2 and 1 for PNN3 (``_shift`` is
-    log2 S), in the narrowest unsigned type holding S q - 1.  So a Memory
-    keeps 2 bytes per coordinate for PNN2 up to q = 128 and PNN3 up to
-    q = 256, and 3 for PNN2 with 129 <= q <= 255.  ``pattern_signs`` is a
-    read-only (M, N) view of the signs, ``pattern_levels`` a read-only
-    (M, N) array derived from the codes.  Instances are safe to share
-    across threads/processes.  The constructor rejects invalid arrays with
-    the same typed errors as ``build_memory``.
+    state codes and the (N, q) table ``_level_counts`` of how many patterns
+    have level l at neuron i.  The codes are stored neuron-major: row i of
+    ``_codes`` is neuron i of every pattern, contiguous, which is what one
+    neuron visit reads.  A code is the stored state's index c = S (lev - 1)
+    + [sigma = -1] among the neuron's S q states, S = 2 for PNN2 and 1 for
+    PNN3 (``_shift`` is log2 S), in the narrowest unsigned type holding
+    S q - 1.  So a Memory keeps 1 byte per coordinate for PNN2 up to
+    q = 128 and PNN3 up to q = 256, and 2 bytes above.  ``pattern_signs``
+    and ``pattern_levels`` are read-only (M, N) arrays derived from the
+    codes on each call, so read them once, not per element.  Instances are
+    safe to share across threads/processes.  The constructor rejects
+    invalid arrays with the same typed errors as ``build_memory``.
     """
 
-    __slots__ = (
-        "kind", "n_neurons", "q", "_signs", "_codes", "_shift", "_alpha", "_beta", "_level_counts"
-    )
+    __slots__ = ("kind", "n_neurons", "q", "_codes", "_shift", "_alpha", "_beta", "_level_counts")
 
     def __init__(self, kind: NetworkKind, q: int, pattern_signs, pattern_levels):
         q = _network_q(kind, q)
@@ -262,7 +269,6 @@ class Memory:
             raise DimensionMismatch(f"4 M q N = {4 * m * n * q} must stay below 2**53")
         unsigned = kind is NetworkKind.PNN3
         shift = 0 if unsigned else 1
-        signs = np.empty((n, m), np.int8)
         codes = np.empty((n, m), np.min_scalar_type((q << shift) - 1))
         per = max(1, _FILL_BLOCK // n)
         for lo in range(0, m, per):
@@ -272,22 +278,23 @@ class Memory:
             except PnnError:  # raise the input's first fault, as one check of all M rows does
                 _check_values(*rows(0, m), q, unsigned)
                 raise
-            signs[:, lo:lo + per] = block_signs.T
             # coded before the transposing copy, so that it moves narrow elements
             codes[:, lo:lo + per] = _codes_of(block_signs, block_levels, shift, codes.dtype).T
         self.kind, self.q, self.n_neurons, self._shift = kind, q, n, shift
         # stored vector w = alpha * s * e_l - beta * e, in integers
         self._alpha, self._beta = (q, 1) if unsigned else (1, 0)
         counts = _code_sums(codes, q, shift=shift)
-        for arr in (signs, codes, counts):
+        for arr in (codes, counts):
             arr.setflags(write=False)
-        self._signs, self._codes, self._level_counts = signs, codes, counts
+        self._codes, self._level_counts = codes, counts
         return self
 
     @property
     def pattern_signs(self) -> np.ndarray:
-        """(M, N) read-only view of the stored signs."""
-        return self._signs.T
+        """(M, N) read-only int8 array of the stored signs, derived from the codes on each call."""
+        signs = _states(self, self._codes)[0].T
+        signs.setflags(write=False)
+        return signs
 
     @property
     def pattern_levels(self) -> np.ndarray:
@@ -296,25 +303,17 @@ class Memory:
         Its dtype is the narrowest unsigned integer type that holds q (uint8
         up to q = 255), so cast before subtracting levels.
         """
-        levels = self._stored_levels(slice(None)).T
+        levels = _states(self, self._codes)[1].T
         levels.setflags(write=False)
         return levels
 
-    def _stored_levels(self, cols) -> np.ndarray:
-        """The levels at every neuron of the stored patterns ``cols`` (an index or a slice), in
-        the narrowest unsigned type that holds q."""
-        levels = self._codes[:, cols] >> self._shift if self._shift else self._codes[:, cols]
-        levels = levels.astype(np.min_scalar_type(self.q))  # a copy, so the += leaves codes alone
-        levels += 1
-        return levels
-
     def _pattern(self, mu: int) -> Pattern:
-        """Stored pattern mu, read from one column of the stored arrays."""
-        return Pattern._of(self._signs[:, mu], self._stored_levels(mu))
+        """Stored pattern mu, decoded from one column of the codes."""
+        return Pattern._of(*_states(self, self._codes[:, mu]))
 
     @property
     def n_patterns(self) -> int:
-        return self._signs.shape[1]
+        return self._codes.shape[1]
 
     def __repr__(self):
         return (
@@ -496,15 +495,12 @@ def _lockstep_inputs(memory: Memory, states: Sequence[Pattern]):
     signs_q = np.tile(sign, memory.q)
     own = (0.5 - scale * memory._alpha * memory._level_counts).repeat(len(sign), axis=1)
     own *= signs_q
-    return len(sign) * (levels - 1) + (signs < 0), m, scale * signs_q, own
+    return _codes_of(signs, levels, memory._shift, np.int64), m, scale * signs_q, own
 
 
 def _patterns(memory: Memory, z: np.ndarray) -> list[Pattern]:
     """The states of (N, B) state indices z, one Pattern a column."""
-    shift = memory._shift  # z >> shift is l - 1
-    # cast once, to the types that hold every sign and every level up to q
-    signs = (1 - 2 * (z & shift)).astype(np.int8)
-    levels = _as_levels(memory, (z >> shift) + 1)
+    signs, levels = _states(memory, z)
     return [Pattern._of(signs[:, r], levels[:, r]) for r in range(z.shape[1])]
 
 
@@ -661,9 +657,9 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     index = np.arange(len(inputs))  # input of each active row
     n_changed = np.zeros(len(inputs), dtype=np.int64)
     w = np.zeros((memory.n_patterns, q))
-    flat_w, offsets = w.reshape(-1), np.arange(0, w.size, q)  # W_i[mu] at offsets + lev_i - 1
+    flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)  # W_i[mu] at offsets + lev_i
     per = max(1, (1 << 18) // w.size)  # rows per block of the overlap update
-    neurons = max(1, (1 << 16) // memory.n_patterns)  # neurons per block of derived level rows
+    neurons = max(1, (1 << 16) // memory.n_patterns)  # neurons per block of decoded stored rows
     results: list = [None] * len(inputs)
     steps, live = None, len(inputs)  # live: the active rows; step rows follow them in sweep 1
     if step_rows:
@@ -673,11 +669,12 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
         start = z[:, :live].copy()
         base = s * q * np.arange(z.shape[1]) + np.arange(s)[:, None]
         for block in range(0, n, neurons):
-            # lev_i - 1 of every stored pattern, one shift for a block of neurons
-            for i, lev in enumerate(memory._codes[block:block + neurons] >> memory._shift, block):
+            # sigma_i and lev_i of every stored pattern, decoded once for a block of neurons
+            signs, levels = _states(memory, memory._codes[block:block + neurons])
+            for i, lev, sign in zip(range(block, n), levels, signs.astype(np.float64)):
                 zi = z[i]
                 at = lev + offsets
-                flat_w[at] = memory._signs[i].astype(np.float64)  # same-type scatter: the faster
+                flat_w[at] = sign  # same-type scatter: the faster
                 new = _decide_keys(kind, scale, m @ w, zi, base, own[i].take(zi))
                 zi[live:] = new[live:]  # the step rows take their update and so never move
                 moved = (new != zi).nonzero()[0]

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,6 +60,43 @@ CONFIG_SETTINGS = {
         "k": "1,2", "seed": "3",
     },
 }
+
+
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Puts in-process stand-ins for the process pool, which start no process, and returns the
+    list of those made.  A stand-in runs a submitted batch when its result is collected, and
+    records its size and the most batches it held uncollected at once."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.size, self.held, self.most = max_workers, 0, 0
+            initializer(*initargs)
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.held += 1
+            self.most = max(self.most, self.held)
+            return SimpleNamespace(result=lambda: self._collect(fn, *args))
+
+        def map(self, fn, items):  # as ``Executor.map`` does it: every item submitted first
+            futures = [self.submit(fn, item) for item in items]
+            return (future.result() for future in futures)
+
+        def _collect(self, fn, *args):
+            self.held -= 1
+            return fn(*args)
+
+    monkeypatch.setattr("pnn.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("pnn.cli._worker_task", None)
+    return pools
 
 
 def parse_csv(text):
@@ -640,35 +678,46 @@ class TestArgumentHandling:
         assert len(from_file.splitlines()) > 1
         assert from_file == with_flags
 
-    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Stands in for the process pool: records its size, runs in-process."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("pnn.cli.ProcessPoolExecutor", SerialPool)
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch, serial_pools):
         monkeypatch.setattr("pnn.cli.os.cpu_count", lambda: 3)
-        monkeypatch.setattr("pnn.cli._worker_task", None)
         args = [
             "sweep", "--sweep", "q", "--values", "2", "--N", "30", "--M", "20",
             "--b", "0.2", "--trials", "12", "--seed", "1",
         ]
         code, capped, _ = run_cli(capsys, *args, "--jobs", "100000")
         assert code == 0
-        assert sizes == [3]  # 3 CPUs, so 3 batches of 4 trials
+        assert [pool.size for pool in serial_pools] == [3]  # 3 CPUs, so 3 batches of 4 trials
         code, serial, _ = run_cli(capsys, *args)
         assert code == 0
         assert capped == serial
+
+    def test_at_most_one_batch_per_worker_is_in_flight(self, monkeypatch, serial_pools):
+        monkeypatch.setattr("pnn.cli.os.cpu_count", lambda: 3)
+        batches = []
+
+        def trials_fn(ctx, batch):
+            batches.append(batch)
+            return len(batch), sum(batch), 0.5
+
+        trials = 3000 * _BATCH_TRIALS + 7
+        totals = cli._run_trials(trials_fn, None, trials, 3)
+        assert [(pool.size, pool.most) for pool in serial_pools] == [(3, 3)]
+        assert batches == [range(lo, min(lo + _BATCH_TRIALS, trials))
+                           for lo in range(0, trials, _BATCH_TRIALS)]
+        assert totals == (trials, trials * (trials - 1) // 2, 0.5 * len(batches))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_batch_stops_a_huge_run_at_once(self, monkeypatch, serial_pools, jobs):
+        # 10**12 trials make about 7.8e9 batches, none of which may be made ahead of its turn
+        monkeypatch.setattr("pnn.cli.os.cpu_count", lambda: 2)
+        calls = []
+
+        def trials_fn(ctx, batch):
+            calls.append(batch)
+            if len(calls) == 3:
+                raise RuntimeError("third batch")
+            return (len(batch),)
+
+        with pytest.raises(RuntimeError, match="third batch"):
+            cli._run_trials(trials_fn, None, 10**12, jobs)
+        assert len(calls) == 3 and len(serial_pools) == jobs - 1

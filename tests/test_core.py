@@ -1,5 +1,6 @@
 """Network construction, fields, updates, dynamics and energy."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from oracles import (
     with_neuron,
 )
 from pnn.core import _overlaps
+from pnn.noise import _qnary_arrays
 
 
 def random_memory(rng, n, q, m, kind):
@@ -691,8 +693,9 @@ class TestRetrieveBatch:
         assert steps == pnn.core._lockstep(mem, inputs, 1, step_rows=True)[1]
 
     def test_building_and_stepping_stage_no_whole_copy(self):
-        # a Memory keeps 2 bytes per coordinate; building one stages a block of patterns at a
-        # time, and an overlap sum a block of neurons, so no (M, N) copy is made on the way
+        # a Memory keeps 1 byte per coordinate, its state codes; building one stages a block of
+        # patterns at a time, and an overlap sum a block of neurons, so no (M, N) copy is made on
+        # the way
         n = m = 2000
         patterns = random_qnary_patterns(m, n, 16, NetworkKind.PNN2, make_rng(40))
         state = patterns[0].sign_flipped()
@@ -705,13 +708,21 @@ class TestRetrieveBatch:
                 tracemalloc.stop()
 
         mem, built = traced(lambda: build_memory(patterns, NetworkKind.PNN2, 16))
-        levels = mem.pattern_levels  # derived from the codes, so before the constructor's trace
-        copy, constructed = traced(lambda: Memory(NetworkKind.PNN2, 16, mem.pattern_signs, levels))
+        # both are derived from the codes, so read before the constructor's trace
+        signs, levels = mem.pattern_signs, mem.pattern_levels
+        copy, constructed = traced(lambda: Memory(NetworkKind.PNN2, 16, signs, levels))
         step, stepped = traced(lambda: synchronous_step(mem, state))
-        assert built <= 2.5 * n * m and constructed <= 2.5 * n * m
+        assert built <= 1.5 * n * m and constructed <= 1.5 * n * m
         assert stepped < 4 * 2**20
-        assert np.array_equal(copy._signs, mem._signs) and np.array_equal(copy._codes, mem._codes)
+        assert np.array_equal(copy._codes, mem._codes)
         assert step == state  # the flipped stored pattern is a fixed point, as the pattern is
+
+    def test_pickled_memory_keeps_one_byte_per_coordinate(self):
+        # the payload that ``--jobs`` ships to each worker: the codes plus the (N, q) count table
+        n = m = 2000
+        mem = Memory(NetworkKind.PNN2, 16, *_qnary_arrays(m, n, 16, NetworkKind.PNN2, make_rng(42)))
+        assert len(pickle.dumps(mem)) <= 1.1 * n * m
+        assert pickle.loads(pickle.dumps(mem))._pattern(3) == mem._pattern(3)
 
     @pytest.mark.parametrize("kind", list(NetworkKind))
     def test_drawn_patterns_keep_two_bytes_per_coordinate(self, kind):

@@ -93,7 +93,7 @@ class TestQnaryGeneration:
         assert random_qnary_patterns(30, 17, q, kind, rngs[1]) == patterns
         want = build_memory(patterns, kind, q)
         got = Memory(kind, q, *_qnary_arrays(30, 17, q, kind, rngs[2]))
-        for name in ("_signs", "_codes", "_level_counts"):
+        for name in ("_codes", "_level_counts"):
             assert getattr(got, name).dtype == getattr(want, name).dtype
             assert np.array_equal(getattr(got, name), getattr(want, name))
         after = [rng.integers(0, 2**62, size=5).tolist() for rng in rngs]

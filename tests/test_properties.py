@@ -67,7 +67,9 @@ from oracles import (
     reference_unmap_binary,
     with_neuron,
 )
-from pnn.core import _FILL_BLOCK, _decide_keys, _lockstep, _lockstep_inputs, _overlaps
+from pnn.core import (
+    _FILL_BLOCK, _codes_of, _decide_keys, _lockstep, _lockstep_inputs, _overlaps, _states,
+)
 
 
 @st.composite
@@ -328,6 +330,26 @@ def test_run_ahead_retrieval_keeps_every_visit_of_the_reference_at_the_code_widt
     assert got.trace == want.trace
 
 
+@pytest.mark.parametrize("kind, q", CODE_WIDTH_EDGES, ids=lambda v: getattr(v, "value", v))
+@settings(max_examples=15)
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_states_decode_the_codes_of_every_state_at_the_code_width_edges(kind, q, m, n, seed):
+    """``_states`` inverts ``_codes_of`` at the stored codes' type and at the lockstep's int64,
+    and a Memory's derived arrays are its constructor's inputs."""
+    rng = np.random.default_rng(seed)
+    top = rng.integers(max(1, q - 2), q + 1, (m, n))  # codes up to S q - 1
+    levels = np.where(rng.integers(0, 2, (m, n)), top, rng.integers(1, q + 1, (m, n)))
+    signs = np.ones_like(levels) if kind is NetworkKind.PNN3 else 1 - 2 * rng.integers(0, 2, (m, n))
+    memory, level_type = Memory(kind, q, signs, levels), np.min_scalar_type(q)
+    for dtype in (memory._codes.dtype, np.int64):
+        got_signs, got_levels = _states(memory, _codes_of(signs, levels, memory._shift, dtype))
+        assert got_signs.dtype == np.int8 and got_levels.dtype == level_type
+        assert np.array_equal(got_signs, signs) and np.array_equal(got_levels, levels)
+    for got, want, dtype in ((memory.pattern_signs, signs, np.int8),
+                             (memory.pattern_levels, levels, level_type)):
+        assert got.dtype == dtype and not got.flags.writeable and np.array_equal(got, want)
+
+
 @st.composite
 def stored_rows(draw):
     """A kind, a q on either side of the uint8 bound of the levels and of the codes (S q - 1,
@@ -360,7 +382,8 @@ def test_both_constructions_store_the_whole_array_transpose(case, sign_type, lev
         build_memory(patterns, kind, q),
         Memory(kind, q, signs.astype(sign_type), levels.astype(level_type)),
     ):
-        assert memory._signs.dtype == np.int8 and np.array_equal(memory._signs, signs.T)
+        assert memory.pattern_signs.dtype == np.int8
+        assert np.array_equal(memory.pattern_signs, signs)
         assert memory._codes.dtype == want_codes.dtype
         assert np.array_equal(memory._codes, want_codes)
         assert np.array_equal(memory._level_counts, want_counts)
@@ -443,7 +466,7 @@ def test_dpnn_build_stores_the_image_of_every_pattern(k, m, fragments, seed):
     want = build_memory([map_binary(y, k) for y in ensemble], NetworkKind.PNN2, 2**k)
     assert (got.kind, got.q, got.n_neurons, got.n_patterns) == (
         want.kind, want.q, want.n_neurons, want.n_patterns)
-    for name in ("_signs", "_codes", "_level_counts"):
+    for name in ("_codes", "_level_counts"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
