@@ -29,22 +29,27 @@ comparisons bit-for-bit at any realistic size.
 A Memory stores each coordinate as one code and nothing else: the index c =
 S (lev - 1) + [sigma = -1] of the stored state among a neuron's S q states
 (S = 2 for PNN2, 1 for PNN3), as ``_lockstep`` indexes its inputs.
-``_codes_of`` codes states and ``_states`` decodes them.  Every kernel
+``_codes_of`` codes states; ``_code_signs`` and ``_code_levels`` decode
+their signs and levels, and ``_states`` both.  Every kernel
 decides on one decision field (``_decision_field``), the scaled field over
 alpha shifted alike at every level, which the alignment rule cannot tell
 from the field itself; ``local_field`` builds the field from it.  The
 kernels hold the overlaps plus beta, so that neuron i's sums of sigma_i m by
 level already hold the field's beta term.  The asynchronous visit bins m by
 stored code with ``bincount``, with no sign product: a PNN2 level's sum is
-its + bin less its - bin.  After a run of unchanged visits it decides the
-next neurons as a block (``_decide_block``), kept up to the first that
-moves; a move shifts m by an (S q)-entry table at the stored codes.
-``synchronous_step`` is one block of all N neurons.  ``retrieve_batch``
-takes the sums as m @ W_i, the (B, M) overlaps times neuron i's signed
-one-hot (M, q) matrix, and decides a neuron in all B states by one argmax
-of an integer key (``_decide_keys``).  Sums and keys are integers in
-float64, exact below 2**53.  Its kernel can also take the synchronous step
-of its inputs in its first sweep.
+its + bin less its - bin, and decides by one scalar rule (``_visit_rule``).
+After a run of unchanged visits it bins the D of the next neurons as one
+block, through buffers made once per retrieval, and keeps them up to the
+first that fails the quiet test (``_quiet_prefix``, ``_keeps``): D is
+integral, so a visit keeps (s, l) exactly when s D_l >= max |D| (PNN2) or
+D_l >= max D (PNN3).  That first mover's new state comes from its D row by
+the same scalar rule; a move shifts m by an (S q)-entry table at the stored
+codes.  ``synchronous_step`` decides all N neurons by the rule's vector form
+(``_decide_block``).  ``retrieve_batch`` takes the sums as m @ W_i, the
+(B, M) overlaps times neuron i's signed one-hot (M, q) matrix, and decides
+a neuron in all B states by one argmax of an integer key (``_decide_keys``).
+Sums and keys are integers in float64, exact below 2**53.  Its kernel can
+also take the synchronous step of its inputs in its first sweep.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -74,6 +79,10 @@ from .errors import (
 # and building from (M, N) arrays took 41.8 ms at 2**18 against 47.1 ms at 2**16; at 2**19 the
 # staged blocks lift the build's peak from 2.3 to 2.7 bytes per coordinate.
 _FILL_BLOCK = 1 << 18
+
+# about this many codes make one chunk of a ``_code_sums`` binning, so that its intp index and
+# float64 weights buffers (256 KB each) stay in cache and are allocated once per retrieval
+_BIN_CHUNK = 1 << 15
 
 
 class NetworkKind(Enum):
@@ -122,38 +131,69 @@ def _codes_of(signs, levels, shift: int, dtype) -> np.ndarray:
     return codes
 
 
-def _states(memory: Memory, codes: np.ndarray):
-    """The states of ``memory``'s state codes, the inverse of ``_codes_of``: their int8 signs,
-    and their levels in the narrowest unsigned type that holds q."""
-    signs = 1 - 2 * (codes & memory._shift).astype(np.int8)
-    levels = _as_levels(memory, codes >> memory._shift)  # l - 1, widened before the + 1
+def _code_signs(memory: Memory, codes: np.ndarray) -> np.ndarray:
+    """The int8 signs of ``memory``'s state codes: the sign bit of a PNN2 code (S = 2), else +1."""
+    signs = (codes & memory._shift).astype(np.int8)
+    signs *= -2
+    signs += 1
+    return signs
+
+
+def _code_levels(memory: Memory, codes: np.ndarray) -> np.ndarray:
+    """The levels of ``memory``'s state codes, in the narrowest unsigned type that holds q."""
+    # l - 1, widened before the + 1; the shifted codes are a fresh array, so need no second copy
+    levels = (codes >> memory._shift).astype(np.min_scalar_type(memory.q), copy=False)
     levels += 1
-    return signs, levels
+    return levels
 
 
-def _code_sums(codes: np.ndarray, width: int, m=None, shift: int = 0) -> np.ndarray:
+def _states(memory: Memory, codes: np.ndarray):
+    """The states of ``memory``'s state codes, the inverse of ``_codes_of``: their signs and
+    levels, each decoded alone by ``_code_signs`` and ``_code_levels``."""
+    return _code_signs(memory, codes), _code_levels(memory, codes)
+
+
+def _bins(rows: int, count: int, width: int, weighted: bool = True):
+    """Scratch for ``_code_sums`` of up to ``rows`` rows of ``count`` codes into ``width`` bins
+    each, reusable across calls: an intp index buffer and (when ``weighted``, else None) a float64
+    weights buffer of min(rows, max(1, _BIN_CHUNK // count)) rows, one binning chunk, and the
+    offsets r * width at which chunk row r's bins start."""
+    per = min(rows, max(1, _BIN_CHUNK // count))
+    return (np.empty((per, count), np.intp), np.empty((per, count)) if weighted else None,
+            np.arange(0, per * width, width)[:, None])
+
+
+def _code_sums(codes: np.ndarray, width: int, m=None, shift: int = 0, bins=None) -> np.ndarray:
     """(N, width) table of sums over each row i of (N, M) codes, binned by code >> shift.
 
     Bin (i, c) counts the entries of row i whose code >> shift is c (int64),
     or, given an (M,) vector m, sums m[mu] over them (float64).  So a shift of
-    ``Memory._shift`` bins by level - 1.  Summed about 2**16
-    entries a block, so each block's bincount index and weights (m tiled
-    over the block's rows) stay in cache and no (N, M) temporary is
-    allocated; every bin belongs to one row, hence one block, so no sum
-    changes.
+    ``Memory._shift`` bins by level - 1.  Binned one chunk of rows of the
+    ``_bins`` scratch at a time (``bins``, else allocated here): the chunk's
+    bincount index is written into the index buffer, and its weights are the
+    rows of the weights buffer, each a copy of m made once per call, so no
+    (N, M) temporary is allocated.  Every bin belongs to one row, hence one
+    chunk, so no sum changes.
     """
     n, count = codes.shape
-    per = min(n, max(1, (1 << 16) // count))
-    sums = np.empty((n, width), dtype=np.int64 if m is None else np.float64)
-    offsets = np.arange(0, per * width, width)[:, None]  # row r's code c goes to bin r*width + c
-    weights = None if m is None else np.tile(m, per)
+    index, weights, offsets = _bins(n, count, width, m is not None) if bins is None else bins
+    per = len(index)
+    if m is not None:
+        weights[:min(n, per)] = m
+    sums = None if n <= per else np.empty((n, width), dtype=np.int64 if m is None else np.float64)
     for lo in range(0, n, per):
-        block = codes[lo:lo + per] >> shift if shift else codes[lo:lo + per]
-        sums[lo:lo + per] = np.bincount(
-            (block + offsets[:len(block)]).ravel(),
-            weights=None if m is None else weights[:block.size],
-            minlength=len(block) * width,
-        ).reshape(-1, width)
+        block = codes[lo:lo + per]
+        at = index[:len(block)]
+        if shift:
+            np.right_shift(block, shift, out=at)
+            at += offsets[:len(block)]
+        else:
+            np.add(block, offsets[:len(block)], out=at)
+        part = np.bincount(at.ravel(), weights=None if m is None else weights[:len(block)].ravel(),
+                           minlength=len(block) * width).reshape(-1, width)
+        if sums is None:
+            return part
+        sums[lo:lo + per] = part
     return sums
 
 
@@ -292,7 +332,7 @@ class Memory:
     @property
     def pattern_signs(self) -> np.ndarray:
         """(M, N) read-only int8 array of the stored signs, derived from the codes on each call."""
-        signs = _states(self, self._codes)[0].T
+        signs = _code_signs(self, self._codes).T
         signs.setflags(write=False)
         return signs
 
@@ -303,13 +343,13 @@ class Memory:
         Its dtype is the narrowest unsigned integer type that holds q (uint8
         up to q = 255), so cast before subtracting levels.
         """
-        levels = _states(self, self._codes)[1].T
+        levels = _code_levels(self, self._codes).T
         levels.setflags(write=False)
         return levels
 
     def _pattern(self, mu: int) -> Pattern:
-        """Stored pattern mu, decoded from one column of the codes."""
-        return Pattern._of(*_states(self, self._codes[:, mu]))
+        """Stored pattern mu, decoded from one column of the codes, copied once to be read twice."""
+        return Pattern._of(*_states(self, np.ascontiguousarray(self._codes[:, mu])))
 
     @property
     def n_patterns(self) -> int:
@@ -457,20 +497,29 @@ def local_field(memory: Memory, state: Pattern, i: int) -> np.ndarray:
     return amplitudes
 
 
-def _decide_block(memory: Memory, rows, s: np.ndarray, l: np.ndarray, mb: np.ndarray):
-    """The (signs, levels) that neurons ``rows`` (a slice or an index array) in states (s, l) take
-    at the overlaps plus beta mb, each by the rule of an ``asynchronous_retrieve`` visit, the
-    levels in the narrowest unsigned type that holds q.  D is binned as in ``_decision_field``."""
-    d = _code_sums(memory._codes[rows], memory.q << memory._shift, mb)
+def _block_field(memory: Memory, rows, s: np.ndarray, l: np.ndarray, mb: np.ndarray, bins=None):
+    """The (r, q) decision fields D of neurons ``rows`` (a slice or an index array) in states
+    (s, l) at the overlaps plus beta mb, binned as in ``_decision_field`` (through the ``_bins``
+    scratch ``bins``, if given), and the index r q + l - 1 of each row's D_l in the flat D."""
+    q = memory.q
+    d = _code_sums(memory._codes[rows], q << memory._shift, mb, bins=bins)
     if memory._shift:
         d = d[:, ::2] - d[:, 1::2]
-    at = np.arange(len(d)), l - 1
-    d[at] -= s * memory._alpha * memory._level_counts[rows][at]
+    at = np.arange(-1, len(s) * q - 1, q) + l
+    d.reshape(-1)[at] -= memory._level_counts[rows].reshape(-1).take(at) * (memory._alpha * s)
+    return d, at
+
+
+def _decide_block(memory: Memory, s: np.ndarray, l: np.ndarray, mb: np.ndarray):
+    """The (signs, levels) that all N neurons in states (s, l) take at the overlaps plus beta
+    mb, each by the rule of an ``asynchronous_retrieve`` visit, the levels in the narrowest
+    unsigned type that holds q."""
+    d, at = _block_field(memory, slice(None), s, l, mb)
     pnn2 = memory.kind is NetworkKind.PNN2
     key = np.abs(d) if pnn2 else d  # PNN3 takes no sign from D, so may overwrite it
-    key[at] += 0.5
+    key.reshape(-1)[at] += 0.5
     level = key.argmax(axis=1)
-    amp = d[at[0], level] if pnn2 else 0  # PNN3 keeps its sign, +1
+    amp = d[np.arange(len(d)), level] if pnn2 else 0  # PNN3 keeps its sign, +1
     return np.where(amp > 0, 1, np.where(amp < 0, -1, s)), _as_levels(memory, level + 1)
 
 
@@ -478,6 +527,37 @@ def _as_levels(memory: Memory, levels: np.ndarray) -> np.ndarray:
     """Levels in the narrowest unsigned type that holds q, in which a Pattern freezes them with
     no max for q <= 255."""
     return levels.astype(np.min_scalar_type(memory.q))
+
+
+def _visit_rule(d: np.ndarray, s: int, l: int, pnn2: bool):
+    """The (sign, level) that a neuron in state (s, l) takes at its (q,) decision field D, as
+    Python ints: the argmax of |D| (PNN2) or D (PNN3) with 1/2 added at level l, and D's sign
+    there, a zero keeping s.  May overwrite a PNN3 D."""
+    key = np.abs(d) if pnn2 else d  # PNN3 takes no sign from D, so may overwrite it
+    key[l - 1] += 0.5  # exact, as Memory's bound keeps the integer |D| below 2**52
+    level = int(key.argmax()) + 1
+    amp = d.item(level - 1) if pnn2 else 0.0  # PNN3 keeps its sign, +1
+    return (1 if amp > 0 else -1 if amp < 0 else s), level
+
+
+def _keeps(d: np.ndarray, own: np.ndarray, s: np.ndarray, pnn2: bool) -> np.ndarray:
+    """Whether ``_visit_rule`` keeps each row's state (s, l), from the rows' (r, q) decision
+    fields D and own = D_l.  D is integral, so the 1/2 at level l turns the argmax into >=: a
+    PNN2 row stays when s D_l >= max |D| (which also makes D_l's sign s, or D_l zero), a PNN3
+    row when D_l >= max D."""
+    if pnn2:
+        return s * own >= np.abs(d).max(axis=1)
+    return own >= d.max(axis=1)
+
+
+def _quiet_prefix(memory: Memory, rows, s: np.ndarray, l: np.ndarray, mb: np.ndarray, bins):
+    """How many of the neurons ``rows`` (a slice or an index array) in states (s, l) keep their
+    state at the overlaps plus beta mb, before the first that moves, and that neuron's (q,)
+    decision field D (None if none moves), binned through the ``_bins`` scratch ``bins``."""
+    d, at = _block_field(memory, rows, s, l, mb, bins)
+    quiet = _keeps(d, d.reshape(-1).take(at), s, memory.kind is NetworkKind.PNN2)
+    first = int(quiet.argmin())
+    return (len(s), None) if quiet[first] else (first, d[first])
 
 
 # (scale, the signs of a level's S states, tie) of the key of ``_decide_keys``
@@ -525,7 +605,7 @@ def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
     ``_decide_block`` of all N neurons at the state's fixed overlaps, each by
     the rule of an ``asynchronous_retrieve`` visit."""
     signs, levels, m = _stack_inputs(memory, [state])
-    return Pattern._of(*_decide_block(memory, slice(None), signs[:, 0], levels[:, 0], m[0]))
+    return Pattern._of(*_decide_block(memory, signs[:, 0], levels[:, 0], m[0]))
 
 
 def is_fixed_point(memory: Memory, state: Pattern) -> bool:
@@ -549,9 +629,14 @@ def asynchronous_retrieve(
     holds alpha s' sigma at each code of level l' and -alpha s sigma at each
     code of level l, and the overlaps move by the table at neuron i's stored
     codes, so a visit costs O(M + q).  Energy never increases.  After k >= 8
-    unchanged visits in a row, across sweeps, the next k neurons of the sweep
-    (8 or more, cut at its end) are decided as one block (``_decide_block``)
-    and kept up to the first that moves, as nothing moves before it.  Neurons
+    unchanged visits in a row, across sweeps, the D of the next k neurons of
+    the sweep (8 or more, cut at its end) are binned as one block at the
+    current overlaps, through buffers made once per call, and the neurons are
+    kept up to the first that a visit would move, as nothing moves before it.
+    D is integral, so the 1/2 makes the rule keep (s, l) exactly when
+    s D_l >= max |D| (PNN2) or D_l >= max D (PNN3); that one comparison a row
+    finds the first mover, whose new state its D row gives by the same scalar
+    rule as a single visit's.  Neurons
     are visited in sequential order, or, given ``rng``, in a fresh
     ``rng.permutation(N)`` each sweep; ``retrieve_batch`` relaxes many inputs
     at once in sequential order.  Raises ValueError for an ``rng`` that is
@@ -566,6 +651,7 @@ def asynchronous_retrieve(
     n, a, shift = memory.n_neurons, memory._alpha, memory._shift
     pnn2 = memory.kind is NetworkKind.PNN2
     step = np.zeros(memory.q << shift)  # the overlap step by stored code; zero between changes
+    bins = None  # the run-ahead's scratch, made at its first block
     trace: list[Pattern] | None = [] if record_trace else None
 
     changed_total = run = 0  # run: the unchanged visits since the last change
@@ -575,21 +661,17 @@ def asynchronous_retrieve(
         changed_this_sweep = k = 0
         while k < n:
             if run >= 8 and n - k >= 8:  # run-ahead: the next run neurons of the sweep at once
+                if bins is None:
+                    bins = _bins(n, memory.n_patterns, memory.q << shift)
                 rows = slice(k, k + run) if perm is None else perm[k:k + run]
                 s, l = signs[rows], levels[rows]
-                new_s, new_l = _decide_block(memory, rows, s, l, m)  # exact up to the first mover
-                moved = ((new_s != s) | (new_l != l)).nonzero()[0]
-                size, quiet = len(s), int(moved[0]) if moved.size else len(s)
+                size, (quiet, d) = len(s), _quiet_prefix(memory, rows, s, l, m, bins)
                 if quiet < size:  # Python ints, which a narrow level's code arithmetic needs
-                    s, l, sign, level = (int(v[quiet]) for v in (s, l, new_s, new_l))
+                    s, l = int(s[quiet]), int(l[quiet])
+                    sign, level = _visit_rule(d, s, l, pnn2)
             else:
                 s, l = signs.item(visit[k]), levels.item(visit[k])
-                d = _decision_field(memory, visit[k], s, l, m)
-                key = np.abs(d) if pnn2 else d  # PNN3 takes no sign from D, so may overwrite it
-                key[l - 1] += 0.5  # exact, as Memory's bound keeps the integer |D| below 2**52
-                level = int(key.argmax()) + 1
-                amp = d.item(level - 1) if pnn2 else 0.0  # PNN3 keeps its sign, +1
-                sign = 1 if amp > 0 else -1 if amp < 0 else s
+                sign, level = _visit_rule(_decision_field(memory, visit[k], s, l, m), s, l, pnn2)
                 size, quiet = 1, int(sign == s and level == l)
             run, k = run + quiet, k + quiet
             if trace is not None and quiet:
@@ -659,7 +741,7 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     w = np.zeros((memory.n_patterns, q))
     flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)  # W_i[mu] at offsets + lev_i
     per = max(1, (1 << 18) // w.size)  # rows per block of the overlap update
-    neurons = max(1, (1 << 16) // memory.n_patterns)  # neurons per block of decoded stored rows
+    neurons = max(1, _BIN_CHUNK // memory.n_patterns)  # neurons per block of decoded stored rows
     results: list = [None] * len(inputs)
     steps, live = None, len(inputs)  # live: the active rows; step rows follow them in sweep 1
     if step_rows:

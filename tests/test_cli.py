@@ -29,6 +29,7 @@ from pnn import (
     perr_pnn2,
     perr_pnn3,
     random_qnary_patterns,
+    retrieve_batch,
     synchronous_step,
     unmap_binary,
 )
@@ -325,6 +326,21 @@ class TestBatchedTrials:
         }
         _, rows = parse_csv(out)
         assert {col: rows[0][col] for col in want} == {col: _fmt(v) for col, v in want.items()}
+
+    def test_serial_walk_equals_the_lockstep_at_the_sweep_small_q4_point(self):
+        # the inputs of `pnn sweep --sweep q --values 4,... --N 200 --M 400 --b 0.5 --trials 30
+        # --seed 1`, which take many sweeps with a few changes each, so the serial walk's
+        # run-ahead blocks keep short prefixes; four inputs reach the 20-sweep cap
+        n, m, q, seed = 200, 400, 4, 1
+        patterns = random_qnary_patterns(m, n, q, NetworkKind.PNN2, make_rng(seed, 0))
+        memory = build_memory(patterns, NetworkKind.PNN2, q)
+        inputs = [apply_qnary_noise(patterns[t % m], q, NoiseSpec(0.0, 0.5), make_rng(seed, 1 + t))
+                  for t in range(30)]
+        serial = [asynchronous_retrieve(memory, x, 20) for x in inputs]
+        assert sum(not r.converged and r.sweeps_used == 20 for r in serial) == 4
+        for got, want in zip(retrieve_batch(memory, inputs, 20), serial, strict=True):
+            assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
+                want.final_state, want.converged, want.sweeps_used, want.updates_changed)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--sweep", "q", "--values", "3", "--kind", "pnn2", "--N", "24", "--M", "12",

@@ -552,16 +552,16 @@ class TestAsynchronousRetrieve:
 
     @staticmethod
     def spy_blocks(monkeypatch):
-        """The rows (a slice or an index array) and the size of every block decision of
+        """The rows (a slice or an index array) and the size of every run-ahead block of
         asynchronous_retrieve, in call order."""
         blocks = []
-        decide = pnn.core._decide_block
+        quiet_prefix = pnn.core._quiet_prefix
 
-        def spy(memory, rows, s, l, mb):
+        def spy(memory, rows, s, l, mb, bins):
             blocks.append((rows, len(s)))
-            return decide(memory, rows, s, l, mb)
+            return quiet_prefix(memory, rows, s, l, mb, bins)
 
-        monkeypatch.setattr(pnn.core, "_decide_block", spy)
+        monkeypatch.setattr(pnn.core, "_quiet_prefix", spy)
         return blocks
 
     @pytest.mark.parametrize("name", list(RUN_AHEAD_CASES))
@@ -619,6 +619,49 @@ class TestAsynchronousRetrieve:
         want_blocks = [(0, 8, 8), (0, 16, 16), (0, 31, 8), (1, 0, 17), (1, 17, 23)]
         assert [rows.tolist() for rows, _ in blocks] == [
             perms[sweep][start:start + size].tolist() for sweep, start, size in want_blocks]
+
+    @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
+    @pytest.mark.parametrize("ordered", [True, False], ids=["sequential", "permuted"])
+    def test_run_ahead_block_over_four_chunks_moves_in_its_last(self, kind, ordered, monkeypatch):
+        # at M = 3 a chunk of _BIN_CHUNK // M binned rows holds 4 rows, so the block of visits
+        # 16..31 is binned in four chunks, and the neuron visited 31st is the last chunk's last row
+        monkeypatch.setattr(pnn.core, "_BIN_CHUNK", 12)
+        q, seed = 3, 45
+        mem, patterns = random_memory(make_rng(41), 40, q, 3, kind)
+        assert pnn.core._BIN_CHUNK // mem.n_patterns == 4
+        i = 31 if ordered else int(make_rng(seed).permutation(40)[31])
+        s, l = int(patterns[0].signs[i]), int(patterns[0].levels[i])
+        moved = (1, l % q + 1) if kind is NetworkKind.PNN3 else (-s, l)
+        state = with_neuron(patterns[0], i, *moved)
+        blocks = self.spy_blocks(monkeypatch)
+        got = asynchronous_retrieve(
+            mem, state, 5, rng=None if ordered else make_rng(seed), record_trace=True)
+        want = reference_asynchronous_retrieve(
+            mem, state, 5, rng=None if ordered else make_rng(seed), record_trace=True)
+        assert (want.final_state, want.sweeps_used, want.updates_changed) == (patterns[0], 2, 1)
+        assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
+            want.final_state, want.converged, want.sweeps_used, want.updates_changed)
+        assert got.trace == want.trace
+        rows, size = blocks[1]
+        assert size == 16 and (rows.start == 16 if ordered else i == rows[-1])
+
+    def test_run_ahead_and_step_stage_no_whole_copy_of_the_codes(self):
+        # the run-ahead and the step bin through one index and one weights buffer of
+        # _BIN_CHUNK entries each (256 KB apiece), allocated once per call
+        rng = make_rng(46)
+        mem, patterns = random_memory(rng, 200, 4, 400, NetworkKind.PNN2)
+        noisy = [random_state(rng, 200, 4, NetworkKind.PNN2) for _ in range(2)]
+        noisy.append(patterns[0])
+        for state in noisy:
+            for call in (lambda: asynchronous_retrieve(mem, state, 20),
+                         lambda: synchronous_step(mem, state)):
+                tracemalloc.start()
+                try:
+                    call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 800 * 1024
 
 
 class TestRetrieveBatch:

@@ -68,7 +68,8 @@ from oracles import (
     with_neuron,
 )
 from pnn.core import (
-    _FILL_BLOCK, _codes_of, _decide_keys, _lockstep, _lockstep_inputs, _overlaps, _states,
+    _FILL_BLOCK, _codes_of, _decide_keys, _keeps, _lockstep, _lockstep_inputs, _overlaps, _states,
+    _visit_rule,
 )
 
 
@@ -173,6 +174,27 @@ def test_batched_key_decides_small_integer_fields_like_the_naive_rule(case, data
         for z_now, (s, l) in enumerate(states):
             want = naive_decide(kind, fields[i, z_now], s, l)
             assert states[column[i, z_now]] == states[one[z_now]] == want
+
+
+@pytest.mark.parametrize("kind, q", [
+    (NetworkKind.PNN2, 1), (NetworkKind.PNN2, None), (NetworkKind.PNN3, None)],
+    ids=["hopfield", "pnn2", "pnn3"])
+@given(data=st.data())
+def test_quiet_test_and_visit_rule_decide_integer_fields_like_the_naive_rule(kind, q, data):
+    # decision fields in -2..2 make ties and zeros common; the wide ones reach the 2**52 bound
+    q = q or data.draw(st.integers(2, 5))
+    rows = data.draw(st.integers(1, 12))
+    value = st.one_of(st.integers(-2, 2), st.integers(-(2**52 - 1), 2**52 - 1))
+    d = data.draw(arrays(np.int64, (rows, q), elements=value)).astype(np.float64)
+    levels = data.draw(arrays(np.int64, rows, elements=st.integers(1, q)))
+    sign = st.just(1) if kind is NetworkKind.PNN3 else st.sampled_from((-1, 1))
+    signs = data.draw(arrays(np.int64, rows, elements=sign))
+    pnn2 = kind is NetworkKind.PNN2
+    keeps = _keeps(d, d[np.arange(rows), levels - 1], signs, pnn2)
+    for row, s, l, kept in zip(d, signs.tolist(), levels.tolist(), keeps.tolist()):
+        want = naive_decide(kind, row, s, l)
+        assert kept == (want == (s, l))
+        assert _visit_rule(row.copy(), s, l, pnn2) == want
 
 
 @given(memory_and_state(), st.booleans(), st.integers(0, 2**32 - 1))
