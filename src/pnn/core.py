@@ -28,7 +28,10 @@ comparisons bit-for-bit at any realistic size.
 
 A Memory stores each coordinate as one code and nothing else: the index c =
 S (lev - 1) + [sigma = -1] of the stored state among a neuron's S q states
-(S = 2 for PNN2, 1 for PNN3), as ``_lockstep`` indexes its inputs.
+(S = 2 for PNN2, 1 for PNN3), as ``_lockstep`` indexes its inputs.  The
+kernels read the kind only through S and (alpha, beta): past validation,
+the kinds differ in the sign bit alone, and in the alignment rule, which
+takes |D| and D's sign (PNN2) or D (PNN3) in each of its four forms.
 ``_codes_of`` codes states; ``_code_signs`` and ``_code_levels`` decode
 their signs and levels, and ``_states`` both.  Every kernel
 decides on one decision field (``_decision_field``), the scaled field over
@@ -83,6 +86,13 @@ _FILL_BLOCK = 1 << 18
 # about this many codes make one chunk of a ``_code_sums`` binning, so that its intp index and
 # float64 weights buffers (256 KB each) stay in cache and are allocated once per retrieval
 _BIN_CHUNK = 1 << 15
+
+# from this many patterns on, ``_overlaps`` sums int8 slabs of 127 neurons, below it one block of
+# up to 2**20 codes.  Measured per call (2-core x86-64, numpy 2.4, medians of 11 interleaved
+# rounds, slabs against one block): PNN2 q = 16 at N = M = 2000 1.64 against 2.48 ms, PNN3
+# q = 32 at 200 x 1000 67 against 86 us; at 200 x 400 PNN2 q = 16 78 against 74 us and PNN3
+# q = 16 48 against 50 us, and Hopfield at 800 x 200 216 against 135 us.
+_SLAB_PATTERNS = 1000
 
 
 class NetworkKind(Enum):
@@ -163,17 +173,16 @@ def _bins(rows: int, count: int, width: int, weighted: bool = True):
             np.arange(0, per * width, width)[:, None])
 
 
-def _code_sums(codes: np.ndarray, width: int, m=None, shift: int = 0, bins=None) -> np.ndarray:
-    """(N, width) table of sums over each row i of (N, M) codes, binned by code >> shift.
+def _code_sums(codes: np.ndarray, width: int, m=None, bins=None) -> np.ndarray:
+    """(N, width) table of sums over each row i of (N, M) codes, binned by code.
 
-    Bin (i, c) counts the entries of row i whose code >> shift is c (int64),
-    or, given an (M,) vector m, sums m[mu] over them (float64).  So a shift of
-    ``Memory._shift`` bins by level - 1.  Binned one chunk of rows of the
-    ``_bins`` scratch at a time (``bins``, else allocated here): the chunk's
-    bincount index is written into the index buffer, and its weights are the
-    rows of the weights buffer, each a copy of m made once per call, so no
-    (N, M) temporary is allocated.  Every bin belongs to one row, hence one
-    chunk, so no sum changes.
+    Bin (i, c) counts the entries of row i whose code is c (int64), or,
+    given an (M,) vector m, sums m[mu] over them (float64).  Binned one
+    chunk of rows of the ``_bins`` scratch at a time (``bins``, else
+    allocated here): the chunk's bincount index is written into the index
+    buffer, and its weights are the rows of the weights buffer, each a copy
+    of m made once per call, so no (N, M) temporary is allocated.  Every bin
+    belongs to one row, hence one chunk, so no sum changes.
     """
     n, count = codes.shape
     index, weights, offsets = _bins(n, count, width, m is not None) if bins is None else bins
@@ -184,11 +193,7 @@ def _code_sums(codes: np.ndarray, width: int, m=None, shift: int = 0, bins=None)
     for lo in range(0, n, per):
         block = codes[lo:lo + per]
         at = index[:len(block)]
-        if shift:
-            np.right_shift(block, shift, out=at)
-            at += offsets[:len(block)]
-        else:
-            np.add(block, offsets[:len(block)], out=at)
+        np.add(block, offsets[:len(block)], out=at)
         part = np.bincount(at.ravel(), weights=None if m is None else weights[:len(block)].ravel(),
                            minlength=len(block) * width).reshape(-1, width)
         if sums is None:
@@ -323,7 +328,9 @@ class Memory:
         self.kind, self.q, self.n_neurons, self._shift = kind, q, n, shift
         # stored vector w = alpha * s * e_l - beta * e, in integers
         self._alpha, self._beta = (q, 1) if unsigned else (1, 0)
-        counts = _code_sums(codes, q, shift=shift)
+        counts = _code_sums(codes, q << shift)
+        if shift:  # a level's count is the sum of its + and - code bins
+            counts = counts[:, ::2] + counts[:, 1::2]
         for arr in (codes, counts):
             arr.setflags(write=False)
         self._codes, self._level_counts = codes, counts
@@ -414,30 +421,31 @@ def _check_retrieval(max_sweeps) -> int:
 
 def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Scaled per-pattern overlaps m of the state (signs, levels), int64: the
-    sum over neurons of <w_j^mu, x_j>, a block of at most 2**20 (neuron x
-    pattern) terms at a time, from the stored codes and the state's code x
-    at each neuron.  PNN3, whose stored and checked input signs are all +1,
-    counts code matches, each block of at most 127 neurons in int8, which
-    holds its count exactly.  PNN2's product sigma s [lev == l] is
-    [c == x] - [c == x ^ 1], as x ^ 1 is x's level with the other sign; it
-    is kept in int8."""
-    n, per, codes = memory.n_neurons, max(1, (1 << 20) // memory.n_patterns), memory._codes
-    x = _codes_of(signs, levels, memory._shift, codes.dtype)[:, None]
-    sums = np.zeros(memory.n_patterns, dtype=np.int64)
-    if memory._beta:
+    sum over neurons of <w_j^mu, x_j> = alpha sigma s [lev == l] - beta,
+    from the stored codes and the state's code x at each neuron.  sigma s
+    [lev == l] is [c == x], less [c == x ^ 1] for PNN2 (x ^ 1 is x's level
+    with the other sign), as PNN3's stored and checked input signs are all
+    +1.  It is kept in int8 and summed a block of neurons at a time, at most
+    2**20 (neuron x pattern) terms, in the narrowest type that holds
+    +-(block size), which no partial column sum leaves.  From M =
+    _SLAB_PATTERNS on, a block is a slab of at most 127 neurons, summed in
+    int8."""
+    n, count, codes, shift = memory.n_neurons, memory.n_patterns, memory._codes, memory._shift
+    per = max(1, (1 << 20) // count)
+    if count >= _SLAB_PATTERNS:
         per = min(per, 127)
-        for lo in range(0, n, per):
-            match = codes[lo:lo + per] == x[lo:lo + per]
-            sums += match.view(np.int8).sum(axis=0, dtype=np.int8)
-        return memory._alpha * sums - memory._beta * n
-    # every partial column sum lies in [-N, N], so the narrowest type holding +-N sums exactly
-    flipped, acc = x ^ 1, np.min_scalar_type(-n - 1)
+    acc = np.min_scalar_type(-min(n, per) - 1)
+    x = _codes_of(signs, levels, shift, codes.dtype)[:, None]
+    sums = np.zeros(count, dtype=np.int64)
     for lo in range(0, n, per):
-        block = codes[lo:lo + per]
-        agree = (block == x[lo:lo + per]).view(np.int8)
-        agree -= (block == flipped[lo:lo + per]).view(np.int8)
+        block, at = codes[lo:lo + per], x[lo:lo + per]
+        agree = (block == at).view(np.int8)
+        if shift:
+            agree -= (block == at ^ 1).view(np.int8)
         sums += agree.sum(axis=0, dtype=acc)
-    return memory._alpha * sums
+    sums *= memory._alpha
+    sums -= memory._beta * n
+    return sums
 
 
 def _stack_inputs(memory: Memory, inputs: Sequence[Pattern]):
@@ -515,11 +523,10 @@ def _decide_block(memory: Memory, s: np.ndarray, l: np.ndarray, mb: np.ndarray):
     mb, each by the rule of an ``asynchronous_retrieve`` visit, the levels in the narrowest
     unsigned type that holds q."""
     d, at = _block_field(memory, slice(None), s, l, mb)
-    pnn2 = memory.kind is NetworkKind.PNN2
-    key = np.abs(d) if pnn2 else d  # PNN3 takes no sign from D, so may overwrite it
+    key = np.abs(d) if memory._shift else d  # PNN3 takes no sign from D, so may overwrite it
     key.reshape(-1)[at] += 0.5
     level = key.argmax(axis=1)
-    amp = d[np.arange(len(d)), level] if pnn2 else 0  # PNN3 keeps its sign, +1
+    amp = d[np.arange(len(d)), level] if memory._shift else 0  # PNN3 keeps its sign, +1
     return np.where(amp > 0, 1, np.where(amp < 0, -1, s)), _as_levels(memory, level + 1)
 
 
@@ -555,27 +562,26 @@ def _quiet_prefix(memory: Memory, rows, s: np.ndarray, l: np.ndarray, mb: np.nda
     state at the overlaps plus beta mb, before the first that moves, and that neuron's (q,)
     decision field D (None if none moves), binned through the ``_bins`` scratch ``bins``."""
     d, at = _block_field(memory, rows, s, l, mb, bins)
-    quiet = _keeps(d, d.reshape(-1).take(at), s, memory.kind is NetworkKind.PNN2)
+    quiet = _keeps(d, d.reshape(-1).take(at), s, memory._shift)
     first = int(quiet.argmin())
     return (len(s), None) if quiet[first] else (first, d[first])
 
 
-# (scale, the signs of a level's S states, tie) of the key of ``_decide_keys``
-_KEY = {NetworkKind.PNN2: (4.0, np.array([1.0, -1.0]), 2.5),
-        NetworkKind.PNN3: (2.0, np.ones(1), 0.5)}
+# the signs of a level's S states, in code order: (+1, -1)[:S]
+_SIGNS = np.array([1.0, -1.0])
 
 
 def _lockstep_inputs(memory: Memory, states: Sequence[Pattern]):
     """Check B states.  Return their (N, B) int64 state indices z, z = S (l - 1) + [s = -1] among
     a neuron's Q = S q states (S = 2 for PNN2, 1 for PNN3); their (B, M) overlaps plus beta
-    (``_stack_inputs``); the key's (Q,) scale s' at each state z'; and the (N, Q)
-    table of s (1/2 - scale alpha C_il) at each z = (s, l), S floats per level count."""
+    (``_stack_inputs``); the key's (Q,) scale 4 s' at each state z'; and the (N, Q)
+    table of s (1/2 - 4 alpha C_il) at each z = (s, l), S floats per level count."""
     signs, levels, m = _stack_inputs(memory, states)
-    scale, sign, _ = _KEY[memory.kind]
+    sign = _SIGNS[:1 << memory._shift]
     signs_q = np.tile(sign, memory.q)
-    own = (0.5 - scale * memory._alpha * memory._level_counts).repeat(len(sign), axis=1)
+    own = (0.5 - 4 * memory._alpha * memory._level_counts).repeat(len(sign), axis=1)
     own *= signs_q
-    return _codes_of(signs, levels, memory._shift, np.int64), m, scale * signs_q, own
+    return _codes_of(signs, levels, memory._shift, np.int64), m, 4 * signs_q, own
 
 
 def _patterns(memory: Memory, z: np.ndarray) -> list[Pattern]:
@@ -584,19 +590,20 @@ def _patterns(memory: Memory, z: np.ndarray) -> list[Pattern]:
     return [Pattern._of(signs[:, r], levels[:, r]) for r in range(z.shape[1])]
 
 
-def _decide_keys(kind: NetworkKind, scale, h: np.ndarray, z: np.ndarray, base, own):
+def _decide_keys(scale, h: np.ndarray, z: np.ndarray, base, own):
     """The new state indices of one neuron in B states z, or of K neurons in B states each, from
     their (B, q) or (K, B, q) sums h: the argmax of an integer key, the alignment rule to the tie.
     ``scale`` and ``own`` (at z) are from ``_lockstep_inputs``; ``base``, shaped (S,) + z.shape,
     is Q times each state's position in z plus its sign slot.  At z = (s, l) the key of z' =
-    (s', l') is 4 s' D_l' + 2 [l' = l] + [z' = z] for PNN2 and 2 D_l' + [z' = z] for PNN3, so
-    scale s' h_l' plus tie + s' s (1/2 - scale alpha C_il) at level l, with D_l's -s alpha C_il.
-    The scale keeps distinct D apart; the bonuses prefer the current level, then the current
-    sign, so a zero D keeps it, then the lowest level."""
-    _, sign, tie = _KEY[kind]
+    (s', l') is 4 s' D_l' + 2 [l' = l] + [z' = z] for both kinds (a PNN3 state is its level, so
+    its own key gets + 3), so 4 s' h_l' plus 5/2 + s' s (1/2 - 4 alpha C_il) at level l, with
+    D_l's -s alpha C_il.  The scale keeps distinct D apart; the bonuses prefer the current level,
+    then the current sign, so a zero D keeps it, then the lowest level.  The largest key, 4 M q
+    N, is exact, as ``Memory`` keeps it below 2**53."""
+    sign = _SIGNS[:len(base)]
     key = h.repeat(len(sign), axis=-1)  # state z' at [..., z']
     key *= scale
-    key.reshape(-1)[base + (z & -len(sign))] += np.multiply.outer(sign, own) + tie  # z's level
+    key.reshape(-1)[base + (z & -len(sign))] += np.multiply.outer(sign, own) + 2.5  # z's level
     return key.argmax(axis=-1)
 
 
@@ -649,7 +656,6 @@ def asynchronous_retrieve(
     max_sweeps = _check_retrieval(max_sweeps)
 
     n, a, shift = memory.n_neurons, memory._alpha, memory._shift
-    pnn2 = memory.kind is NetworkKind.PNN2
     step = np.zeros(memory.q << shift)  # the overlap step by stored code; zero between changes
     bins = None  # the run-ahead's scratch, made at its first block
     trace: list[Pattern] | None = [] if record_trace else None
@@ -668,10 +674,10 @@ def asynchronous_retrieve(
                 size, (quiet, d) = len(s), _quiet_prefix(memory, rows, s, l, m, bins)
                 if quiet < size:  # Python ints, which a narrow level's code arithmetic needs
                     s, l = int(s[quiet]), int(l[quiet])
-                    sign, level = _visit_rule(d, s, l, pnn2)
+                    sign, level = _visit_rule(d, s, l, shift)
             else:
                 s, l = signs.item(visit[k]), levels.item(visit[k])
-                sign, level = _visit_rule(_decision_field(memory, visit[k], s, l, m), s, l, pnn2)
+                sign, level = _visit_rule(_decision_field(memory, visit[k], s, l, m), s, l, shift)
                 size, quiet = 1, int(sign == s and level == l)
             run, k = run + quiet, k + quiet
             if trace is not None and quiet:
@@ -731,8 +737,8 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     exact in any summation order below 2**53, as ``Memory`` requires 4 M q N < 2**53."""
     z, m, scale, own = _lockstep_inputs(memory, inputs)  # z and m: the active rows
     max_sweeps = _check_retrieval(max_sweeps)
-    n, q, kind, s = memory.n_neurons, memory.q, memory.kind, scale.size // memory.q
-    buf = np.pad(memory._alpha * _KEY[kind][1], s * q - s)  # S (q - 1) zeros each side
+    n, q, s = memory.n_neurons, memory.q, 1 << memory._shift
+    buf = np.pad(memory._alpha * _SIGNS[:s], s * q - s)  # S (q - 1) zeros each side
     # step[z] = alpha s e_l for z = S (l - 1) + t with no (Q, q) table: row z starts z floats into
     # buf[S (q - 1):] and steps S back a column, so only column l - 1 meets alpha sign[t]
     step = as_strided(buf[s * q - s:], (s * q, q), (8, -8 * s), writeable=False)
@@ -757,7 +763,7 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
                 zi = z[i]
                 at = lev + offsets
                 flat_w[at] = sign  # same-type scatter: the faster
-                new = _decide_keys(kind, scale, m @ w, zi, base, own[i].take(zi))
+                new = _decide_keys(scale, m @ w, zi, base, own[i].take(zi))
                 zi[live:] = new[live:]  # the step rows take their update and so never move
                 moved = (new != zi).nonzero()[0]
                 if moved.size:

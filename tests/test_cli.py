@@ -472,7 +472,8 @@ README_CSV_SHA256 += [
 
 
 # sweeps over other variables than q: M sets each point's own pattern count,
-# and a PNN3 sweep over b takes M from --load
+# and a PNN3 sweep over b takes M from --load; then sweeps over b whose
+# networks store wide codes or levels, or sum their overlaps in slabs
 OTHER_SWEEPS_CSV_SHA256 = [
     pytest.param(
         ["sweep", "--sweep", "M", "--values", "60,120", "--N", "120", "--q", "4", "--b", "0.4",
@@ -486,6 +487,32 @@ OTHER_SWEEPS_CSV_SHA256 = [
          "--load", "0.75", "--trials", "24", "--seed", "3", "--jobs", jobs],
         "c4debcd545562744728a53bfeece62fba81113dcb5536a8dad7f57ecc8b24ef0",
         id=f"sweep-b-pnn3-jobs{jobs}")
+    for jobs in ("1", "2")
+] + [
+    # a q > 255 network end to end: levels above 255 must not wrap in a narrow type
+    pytest.param(
+        ["sweep", "--sweep", "b", "--values", "0.3", "--kind", "pnn3", "--q", "300", "--N", "60",
+         "--M", "20", "--trials", "4", "--seed", "1"],
+        "cdd90f363156ec596be5019835d9e822ecc0fda9ed14c842814b878d8a9363fb", id="sweep-b-pnn3-q300"),
+    # a PNN2 network at q = 200 stores uint16 codes while its levels fit uint8
+    pytest.param(
+        ["sweep", "--sweep", "b", "--values", "0.3", "--kind", "pnn2", "--q", "200", "--N", "60",
+         "--M", "20", "--trials", "4", "--seed", "1"],
+        "43857414cd2a60702179049d6fa8f64d51b78faeb2c2b90c552158cb0ec00104", id="sweep-b-pnn2-q200"),
+    # PNN2 at q = 129 stores uint16 codes while its levels fit uint8, and --jobs 2 pickles the
+    # Memory, codes alone, into the pool
+    pytest.param(
+        ["sweep", "--sweep", "b", "--values", "0.3", "--kind", "pnn2", "--q", "129", "--N", "60",
+         "--M", "20", "--trials", "6", "--jobs", "2", "--seed", "1"],
+        "fae2b375e2ffb42f1f24db79a69de1e88e3bae1f21887c38de56ce5e42094ca2",
+        id="sweep-b-pnn2-q129-jobs2"),
+] + [
+    # a PNN2 network at M = 1000, whose overlaps are summed in int8 slabs of 127 neurons
+    pytest.param(
+        ["sweep", "--sweep", "b", "--values", "0.3", "--kind", "pnn2", "--q", "16", "--N", "300",
+         "--M", "1000", "--trials", "6", "--seed", "1", "--jobs", jobs],
+        "dc112bf0c5e0307a577b7f5c6f16caf072acfce30d1a737a1ef290c706dd24ad",
+        id=f"sweep-b-pnn2-slabs-jobs{jobs}")
     for jobs in ("1", "2")
 ]
 

@@ -34,7 +34,7 @@ from oracles import (
     reference_asynchronous_retrieve,
     with_neuron,
 )
-from pnn.core import _overlaps
+from pnn.core import _SLAB_PATTERNS, _overlaps
 from pnn.noise import _qnary_arrays
 
 
@@ -278,15 +278,23 @@ class TestLocalField:
             np.testing.assert_allclose(combined, split, atol=1e-12)
 
 
-    @pytest.mark.parametrize("n", [127, 128, 32767, 32768])
-    def test_overlaps_reach_plus_and_minus_n_at_the_accumulator_bounds(self, n):
-        # the column sums run in the narrowest type that holds +-N: int8 up to N = 127,
-        # int16 up to 32767, so each N here sits at one end of a type's range
-        ones = np.ones(n, dtype=np.int8)
-        mem = Memory(NetworkKind.PNN2, 1, np.stack([ones, -ones]), np.ones((2, n), dtype=np.int8))
-        for sign in (1, -1):
-            m = _overlaps(mem, sign * ones, ones)
-            assert m.dtype == np.int64 and m.tolist() == [sign * n, -sign * n]
+    @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
+    @pytest.mark.parametrize("n, m", [(127, 2), (128, 2), (32767, 2), (32768, 2)] + [
+        (n, _SLAB_PATTERNS) for n in (127, 128, 254, 255)])
+    def test_overlaps_reach_plus_and_minus_n_at_the_accumulator_bounds(self, kind, n, m):
+        # below _SLAB_PATTERNS patterns the column sums run in the narrowest type that holds +-N:
+        # int8 up to N = 127, int16 up to 32767, so each N here sits at one end of a type's range;
+        # from it on they run in int8 slabs of 127 neurons, full at N = 127 and 254, one neuron
+        # over at 128 and 255.  Pattern mu stores state t = mu % 2 at every neuron: (+1, 1) at
+        # t = 0, and (-1, 1) for Hopfield or (+1, 2) for PNN3 at q = 2, whose overlaps are +-N too
+        t = (np.arange(m) % 2)[:, None]
+        ones = np.ones((m, n), dtype=np.int8)
+        pnn2 = kind is NetworkKind.PNN2
+        signs, levels = (ones - 2 * t, ones) if pnn2 else (ones, ones + t)
+        mem = Memory(kind, 1 if pnn2 else 2, signs, levels)
+        for state in (0, 1):
+            got = _overlaps(mem, signs[state], levels[state])
+            assert got.dtype == np.int64 and np.array_equal(got, np.where(t[:, 0] == state, n, -n))
 
 
 class TestNeuronUpdate:

@@ -68,8 +68,8 @@ from oracles import (
     with_neuron,
 )
 from pnn.core import (
-    _FILL_BLOCK, _codes_of, _decide_keys, _keeps, _lockstep, _lockstep_inputs, _overlaps, _states,
-    _visit_rule,
+    _FILL_BLOCK, _SLAB_PATTERNS, _codes_of, _decide_keys, _keeps, _lockstep, _lockstep_inputs,
+    _overlaps, _states, _visit_rule,
 )
 
 
@@ -148,29 +148,38 @@ def test_synchronous_step_applies_the_rule_to_every_naive_field(case):
     assert synchronous_step(memory, state) == Pattern(signs, levels)
 
 
-@given(memory_and_state(), st.data())
-def test_batched_key_decides_small_integer_fields_like_the_naive_rule(case, data):
-    # decision fields in -2..2 make ties and zeros common; every neuron is
-    # put in every one of its states, by the state index z = S (l - 1) +
-    # [s = -1] (S = 2 for PNN2, 1 for PNN3), in both call shapes
-    memory, _ = case
-    kind, q, n = memory.kind, memory.q, memory.n_neurons
+@pytest.mark.parametrize("kind, q", [
+    (NetworkKind.PNN2, 1), (NetworkKind.PNN2, None), (NetworkKind.PNN3, None)],
+    ids=["hopfield", "pnn2", "pnn3"])
+@given(data=st.data())
+def test_batched_key_decides_integer_fields_like_the_naive_rule(kind, q, data):
+    # decision fields in -2..2 make ties and zeros common, also after a shift of each row to
+    # just inside the key's exactness edge, 4 |D| + 3 < 2**53, where a key of 5 |D| would round
+    # a step of 1 into a tie.  Every
+    # neuron is put in every one of its states, by the state index z = S (l - 1) + [s = -1]
+    # (S = 2 for PNN2, 1 for PNN3), in both call shapes
+    q = st.integers(2, 5) if q is None else st.just(q)
+    memory, inputs = data.draw(memory_and_states(kind=st.just(kind), q=q))
+    q, n = memory.q, memory.n_neurons
     per_level, alpha = (2, 1) if kind is NetworkKind.PNN2 else (1, q)
     states = [(1 - 2 * (z % per_level), z // per_level + 1) for z in range(per_level * q)]
     fields = data.draw(arrays(np.int64, (n, len(states), q), elements=st.integers(-2, 2)))
+    edge = st.integers(2**51 - 64, 2**51 - 3)
+    wide = st.just(0) | edge | edge.map(lambda e: -e)
+    fields += data.draw(arrays(np.int64, (n, len(states), 1), elements=wide))
     # the sums the key is built from: the field with the self-coupling
     # term s alpha C_il put back at the current level l
     sums = fields.astype(np.float64)
     for i in range(n):
         for z, (s, l) in enumerate(states):
             sums[i, z, l - 1] += s * alpha * np.count_nonzero(memory.pattern_levels[:, i] == l)
-    _, _, scale, own = _lockstep_inputs(memory, [case[1]])  # own: (n, Q), one entry a state
+    _, _, scale, own = _lockstep_inputs(memory, inputs)  # own: (n, Q), one entry a state
     base = len(states) * np.arange(n * len(states)).reshape(n, len(states))
     base = base + np.arange(per_level).reshape(-1, 1, 1)
     z = np.tile(np.arange(len(states)), (n, 1))
-    column = _decide_keys(kind, scale, sums, z, base, own)
+    column = _decide_keys(scale, sums, z, base, own)
     for i in range(n):
-        one = _decide_keys(kind, scale, sums[i], z[i], base[:, 0], own[i])
+        one = _decide_keys(scale, sums[i], z[i], base[:, 0], own[i])
         for z_now, (s, l) in enumerate(states):
             want = naive_decide(kind, fields[i, z_now], s, l)
             assert states[column[i, z_now]] == states[one[z_now]] == want
@@ -413,15 +422,18 @@ def test_both_constructions_store_the_whole_array_transpose(case, sign_type, lev
 
 @settings(max_examples=40)
 @given(st.sampled_from(NetworkKind), st.integers(1, 5),
-       st.sampled_from([(127, 40), (128, 40), (254, 40), (255, 40), (127, 8300), (128, 8300),
-                        (2500, 1000)]),
+       st.sampled_from([(127, 40), (128, 40), (254, 40), (255, 40), (1100, _SLAB_PATTERNS - 1),
+                        (255, _SLAB_PATTERNS - 1), (255, _SLAB_PATTERNS), (127, 8300),
+                        (128, 8300), (2500, 1000)]),
        st.sampled_from(["stored", "flipped", "random"]), st.integers(0, 2**32 - 1))
 def test_blocked_overlaps_equal_the_one_pass_sum(kind, q, shape, state, seed):
-    """At N = 127 and 128 PNN2's sums widen from int8 to int16; above 2**20 (neuron x pattern)
-    entries they run in blocks of neurons (2 blocks at M = 8300, 3 at N = 2500).  PNN3 counts
-    level matches in int8 blocks of at most 127 neurons (2 at N = 254, 3 at N = 255 and 20 at
-    N = 2500).  A stored state puts some overlap at +-N, and fills each full PNN3 block of its
-    pattern to exactly +127."""
+    """Both kinds take one path, whose blocks follow M.  Below _SLAB_PATTERNS patterns a block
+    holds up to 2**20 (neuron x pattern) entries, summed in the narrowest type that holds its
+    +-(neurons): one int8 block at N = 127, one int16 block at N = 128 to 255, and 2 blocks at
+    N = 1100, M = 999.  From _SLAB_PATTERNS on, a block is an int8 slab of at most 127 neurons:
+    3 at N = 255 and 20 at N = 2500, and 2 of at most 126 at M = 8300.  A stored state puts some
+    overlap at +-N, and fills each full slab of its pattern to exactly +127, or -127 when PNN2's
+    state is flipped."""
     q = max(q, 2) if kind is NetworkKind.PNN3 else q
     (n, m), rng = shape, np.random.default_rng(seed)
     levels = rng.integers(1, q + 1, size=(m, n), dtype=np.uint8)
