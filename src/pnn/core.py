@@ -51,8 +51,12 @@ codes.  ``synchronous_step`` decides all N neurons by the rule's vector form
 (``_decide_block``).  ``retrieve_batch`` takes the sums as m @ W_i, the
 (B, M) overlaps times neuron i's signed one-hot (M, q) matrix, and decides
 a neuron in all B states by one argmax of an integer key (``_decide_keys``).
-Sums and keys are integers in float64, exact below 2**53.  Its kernel can
-also take the synchronous step of its inputs in its first sweep.
+It has the same run-ahead: after ``_RUN_AHEAD`` visits in a row that moved
+no live state, one stacked product of the next neurons' W_i gives their
+sums at the current m, and the states are kept up to the first neuron that
+moves one (``_lockstep_prefix``).  Sums and keys are integers in float64,
+exact below 2**53.  Its kernel can also take the synchronous step of its
+inputs in its first sweep.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -84,8 +88,13 @@ from .errors import (
 _FILL_BLOCK = 1 << 18
 
 # about this many codes make one chunk of a ``_code_sums`` binning, so that its intp index and
-# float64 weights buffers (256 KB each) stay in cache and are allocated once per retrieval
+# float64 weights buffers (256 KB each) stay in cache and are allocated once per retrieval; a
+# lockstep run-ahead block's W stack holds at most this many floats
 _BIN_CHUNK = 1 << 15
+
+# after this many visits in a row that moved nothing, both retrieval engines decide the next
+# neurons as one run-ahead block
+_RUN_AHEAD = 8
 
 # from this many patterns on, ``_overlaps`` sums int8 slabs of 127 neurons, below it one block of
 # up to 2**20 codes.  Measured per call (2-core x86-64, numpy 2.4, medians of 11 interleaved
@@ -607,6 +616,20 @@ def _decide_keys(scale, h: np.ndarray, z: np.ndarray, base, own):
     return key.argmax(axis=-1)
 
 
+def _lockstep_prefix(scale, m: np.ndarray, w: np.ndarray, z: np.ndarray, i: int, base, own, live):
+    """How many of the K neurons i, i + 1, ... come before the first that moves one of the first
+    ``live`` of the B states z (N, B) at the overlaps plus beta m (K if none does), and the new
+    state indices (K, B) of them all, from their (K, M, q) stack w of W_i and by
+    ``_decide_keys``, whose ``scale``, ``base`` and ``own`` table ``_lockstep`` passes on.  Each
+    neuron's sums are one (B, M) @ (M, q) product, as a single visit's are."""
+    zk, ks = z[i:i + len(w)], own.shape[1] * np.arange(len(w))[:, None]  # ks: Q per neuron
+    new = _decide_keys(scale, np.matmul(m, w), zk, base[:, None] + ks * len(m),
+                       own[i:i + len(w)].reshape(-1).take(zk + ks))
+    moves = (new[:, :live] != zk[:, :live]).any(axis=1)
+    first = int(moves.argmax())
+    return (first if moves[first] else len(w)), new
+
+
 def synchronous_step(memory: Memory, state: Pattern) -> Pattern:
     """One parallel update of all neurons from fields on the input state: one
     ``_decide_block`` of all N neurons at the state's fixed overlaps, each by
@@ -666,7 +689,7 @@ def asynchronous_retrieve(
         visit = range(n) if perm is None else perm.tolist()
         changed_this_sweep = k = 0
         while k < n:
-            if run >= 8 and n - k >= 8:  # run-ahead: the next run neurons of the sweep at once
+            if run >= _RUN_AHEAD and n - k >= _RUN_AHEAD:  # run-ahead: the next run neurons at once
                 if bins is None:
                     bins = _bins(n, memory.n_patterns, memory.q << shift)
                 rows = slice(k, k + run) if perm is None else perm[k:k + run]
@@ -723,7 +746,12 @@ def retrieve_batch(
     in products of at most 2**18 multiply-adds, which OpenBLAS keeps on one
     thread.  A sweep changes a neuron at most once, so its changes are the
     neurons that differ from its start.  An input drops out after the first
-    sweep that changes nothing in it.  One input is faster serially."""
+    sweep that changes nothing in it.  After a quiet stretch it decides the
+    next neurons at once (see ``_lockstep``).  One input is faster serially:
+    alone, an input took 2.1-4.0 times as long here as in
+    ``asynchronous_retrieve`` (2-core x86-64, numpy 2.4; PNN2 q = 4 and 16
+    and PNN3 q = 16 at N = 200, M = 400, Hopfield at 800 x 200, and PNN2
+    q = 16 at N = M = 2000)."""
     return _lockstep(memory, inputs, max_sweeps)[0]
 
 
@@ -734,7 +762,19 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     same product and key into their own z, and their overlaps never move, so sweep 1 is the
     synchronous step at their frozen m.  They are dropped after it.  W_i[mu, lev_i^mu - 1] =
     sigma_i^mu sits in the scratch w for its visit only; the products and keys are integers,
-    exact in any summation order below 2**53, as ``Memory`` requires 4 M q N < 2**53."""
+    exact in any summation order below 2**53, as ``Memory`` requires 4 M q N < 2**53.
+
+    Run-ahead: once ``_RUN_AHEAD`` visits in a row have moved no live row, the next neurons, as
+    many as that run, are decided at once at the current m by ``_lockstep_prefix``.  A block is
+    cut at the end of the chunk of decoded stored rows and at _BIN_CHUNK // (M max(q, 4))
+    neurons, so that its W stack, made at the first block, holds at most ``_BIN_CHUNK`` floats
+    and its scatter index a quarter of that.  A block of one is a visit, so from M max(q, 4) >
+    _BIN_CHUNK / 2 on (N = M = 2000, q = 16, say) there are only visits.  Each neuron's sums
+    are its own (B, M) @ (M, q) product, as in a visit: one wide product would wake OpenBLAS's
+    helper thread.  Before the first neuron that moves a live row no live m moves, so each
+    decision before it is its visit's: the live rows keep their states and the step rows take
+    their update.  The first mover, decided at the m of its own visit, is moved as a visit moves
+    it, and the walk goes on after it."""
     z, m, scale, own = _lockstep_inputs(memory, inputs)  # z and m: the active rows
     max_sweeps = _check_retrieval(max_sweeps)
     n, q, s = memory.n_neurons, memory.q, 1 << memory._shift
@@ -747,31 +787,57 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     w = np.zeros((memory.n_patterns, q))
     flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)  # W_i[mu] at offsets + lev_i
     per = max(1, (1 << 18) // w.size)  # rows per block of the overlap update
-    neurons = max(1, _BIN_CHUNK // memory.n_patterns)  # neurons per block of decoded stored rows
+    neurons = max(1, _BIN_CHUNK // memory.n_patterns)  # neurons per chunk of decoded stored rows
+    cap = _BIN_CHUNK // (memory.n_patterns * max(q, 4))  # neurons per run-ahead block
+    stack = None  # the run-ahead's (cap, M, q) W stack, made at its first block
     results: list = [None] * len(inputs)
     steps, live = None, len(inputs)  # live: the active rows; step rows follow them in sweep 1
     if step_rows:
         z, m = np.hstack([z, z]), np.vstack([m, m])
 
+    run = 0  # the visits since the last that moved a live row
     for sweeps in range(1, max_sweeps + 1):
         start = z[:, :live].copy()
         base = s * q * np.arange(z.shape[1]) + np.arange(s)[:, None]
-        for block in range(0, n, neurons):
-            # sigma_i and lev_i of every stored pattern, decoded once for a block of neurons
-            signs, levels = _states(memory, memory._codes[block:block + neurons])
-            for i, lev, sign in zip(range(block, n), levels, signs.astype(np.float64)):
-                zi = z[i]
-                at = lev + offsets
-                flat_w[at] = sign  # same-type scatter: the faster
-                new = _decide_keys(scale, m @ w, zi, base, own[i].take(zi))
+        for chunk in range(0, n, neurons):
+            # sigma_i and lev_i of every stored pattern, decoded once for a chunk of neurons
+            signs, levels = _states(memory, memory._codes[chunk:chunk + neurons])
+            signs = signs.astype(np.float64)
+            i, end = chunk, chunk + len(levels)
+            while i < end:
+                if run >= _RUN_AHEAD and (size := min(run, end - i, cap)) > 1:
+                    # run-ahead: the next neurons of the chunk decided at once at the current m
+                    if stack is None:  # each block's W_i at stack[i - first], and their offsets
+                        stack = np.zeros((cap,) + w.shape)
+                        flat_stack = stack.reshape(-1)
+                        stack_offsets = offsets + w.size * np.arange(cap)[:, None]
+                    rows = slice(i - chunk, i - chunk + size)
+                    at = levels[rows] + stack_offsets[:size]
+                    flat_stack[at] = signs[rows]
+                    quiet, new = _lockstep_prefix(scale, m, stack[:size], z, i, base, own, live)
+                    z[i:i + quiet, live:] = new[:quiet, live:]  # the step rows' updates
+                    if quiet == size:
+                        flat_stack[at] = 0
+                        run, i = run + size, i + size
+                        continue
+                    # the first mover, decided at the m of its own visit, is moved as one
+                    i, new, wi, flat = i + quiet, new[quiet], stack[quiet], flat_stack
+                    zi = z[i]
+                else:
+                    zi, wi, flat = z[i], w, flat_w
+                    at = levels[i - chunk] + offsets
+                    flat_w[at] = signs[i - chunk]  # same-type scatter: the faster
+                    new = _decide_keys(scale, m @ w, zi, base, own[i].take(zi))
                 zi[live:] = new[live:]  # the step rows take their update and so never move
                 moved = (new != zi).nonzero()[0]
                 if moved.size:
                     d = step[new[moved]] - step[zi[moved]]  # fancy indexing reads only k rows
                     for lo in range(0, moved.size, per):
-                        m[moved[lo:lo + per]] += d[lo:lo + per] @ w.T
+                        m[moved[lo:lo + per]] += d[lo:lo + per] @ wi.T
                     zi[moved] = new[moved]
-                flat_w[at] = 0
+                flat[at] = 0
+                run = 0 if moved.size else run + 1
+                i += 1
         if step_rows and sweeps == 1:
             steps = _patterns(memory, z[:, live:])
         changed = np.count_nonzero(z[:, :live] != start, axis=0)

@@ -63,6 +63,30 @@ def naive_step(mem, state):
     return Pattern(*zip(*rule))
 
 
+def moved_off(state, neurons, kind, q):
+    """``state`` with each of ``neurons`` moved off its state: a flipped sign, or for PNN3 the
+    next level."""
+    for i in neurons:
+        s, l = int(state.signs[i]), int(state.levels[i])
+        state = with_neuron(state, i, *((1, l % q + 1) if kind is NetworkKind.PNN3 else (-s, l)))
+    return state
+
+
+def spy_lockstep_blocks(monkeypatch):
+    """The (first neuron, size, neurons before the first mover) of every run-ahead block of
+    ``_lockstep``, in call order."""
+    blocks = []
+    prefix = pnn.core._lockstep_prefix
+
+    def spy(scale, m, w, z, i, base, own, live):
+        quiet, new = prefix(scale, m, w, z, i, base, own, live)
+        blocks.append((i, len(w), quiet))
+        return quiet, new
+
+    monkeypatch.setattr(pnn.core, "_lockstep_prefix", spy)
+    return blocks
+
+
 class TestConstruction:
     def test_single_pattern_memory_is_stable(self):
         p = Pattern([1, -1], [1, 2])
@@ -576,10 +600,7 @@ class TestAsynchronousRetrieve:
     def test_run_ahead_blocks_keep_every_visit_of_the_reference(self, name, monkeypatch):
         (kind, q, movers), want_blocks = self.RUN_AHEAD_CASES[name]
         mem, patterns = random_memory(make_rng(41), 40, q, 3, kind)
-        state = patterns[0]
-        for i in movers:  # a flipped sign, or for PNN3 the next level
-            s, l = int(state.signs[i]), int(state.levels[i])
-            state = with_neuron(state, i, *((1, l % q + 1) if kind is NetworkKind.PNN3 else (-s, l)))
+        state = moved_off(patterns[0], movers, kind, q)
         want = reference_asynchronous_retrieve(mem, state, 5, record_trace=True)
         # the case as named: sweep 1 moves the given neurons back and nothing else, sweep 2 none
         moved = [i for i, (a, b) in enumerate(zip([state] + want.trace, want.trace)) if a != b]
@@ -767,6 +788,88 @@ class TestRetrieveBatch:
         assert stepped < 4 * 2**20
         assert np.array_equal(copy._codes, mem._codes)
         assert step == state  # the flipped stored pattern is a fixed point, as the pattern is
+
+    # name: (kind, q, the neurons moved off a stored pattern, _BIN_CHUNK), then the blocks that the
+    # lockstep run-ahead decides for that one input and its step row (N = 40, M = 3), as (first
+    # neuron, size, neurons before the first mover): after 8 visits in a row that moved no live
+    # row, a block of as many neurons as that run, cut at the end of the decoded chunk of
+    # _BIN_CHUNK // M neurons and at _BIN_CHUNK // (M max(q, 4)) neurons, and never of one
+    LOCKSTEP_RUN_AHEAD_CASES = {
+        "first mover at block offset 0": (
+            (NetworkKind.PNN2, 3, [8], None),
+            [(8, 8, 0), (17, 8, 8), (25, 15, 15), (0, 31, 31), (31, 9, 9)]),
+        "first mover mid-block": (
+            (NetworkKind.PNN2, 3, [20], None),
+            [(8, 8, 8), (16, 16, 4), (29, 8, 8), (37, 3, 3), (0, 19, 19), (19, 21, 21)]),
+        "first mover on a block's last row": (
+            (NetworkKind.PNN2, 3, [31], None),
+            [(8, 8, 8), (16, 16, 15), (0, 8, 8), (8, 16, 16), (24, 16, 16)]),
+        "hopfield": (
+            (NetworkKind.PNN2, 1, [12], None),
+            [(8, 8, 4), (21, 8, 8), (29, 11, 11), (0, 27, 27), (27, 13, 13)]),
+        "pnn3 movers in two blocks": (
+            (NetworkKind.PNN3, 3, [8, 20], None),
+            [(8, 8, 0), (17, 8, 3), (29, 8, 8), (37, 3, 3), (0, 19, 19), (19, 21, 21)]),
+        # chunks of 32 neurons and blocks of at most 96 // (3 max(q, 4)) neurons, 8 at q = 3 and
+        # 4 at q = 8: (29, 3) ends at the chunk's end
+        "blocks cut at the chunk end and at the cap": (
+            (NetworkKind.PNN2, 3, [4], 96),
+            [(13, 8, 8), (21, 8, 8), (29, 3, 3), (32, 8, 8)]
+            + [(i, 8, 8) for i in range(0, 40, 8)]),
+        "pnn3 blocks cut at the chunk end and at a cap of 96 // (3 q)": (
+            (NetworkKind.PNN3, 8, [4], 96),
+            [(13, 4, 4), (17, 4, 4), (21, 4, 4), (25, 4, 4), (29, 3, 3), (32, 4, 4), (36, 4, 4)]
+            + [(i, 4, 4) for i in range(0, 40, 4)]),
+    }
+
+    @pytest.mark.parametrize("name", list(LOCKSTEP_RUN_AHEAD_CASES))
+    def test_lockstep_run_ahead_blocks_keep_every_visit_of_the_reference(self, name, monkeypatch):
+        (kind, q, movers, chunk), want_blocks = self.LOCKSTEP_RUN_AHEAD_CASES[name]
+        if chunk is not None:
+            monkeypatch.setattr(pnn.core, "_BIN_CHUNK", chunk)
+        mem, patterns = random_memory(make_rng(41), 40, q, 3, kind)
+        state = moved_off(patterns[0], movers, kind, q)
+        want = reference_asynchronous_retrieve(mem, state, 5, record_trace=True)
+        # the case as named: sweep 1 moves the given neurons back and nothing else, sweep 2 none
+        moved = [i for i, (a, b) in enumerate(zip([state] + want.trace, want.trace)) if a != b]
+        assert (moved, want.final_state, want.sweeps_used) == (movers, patterns[0], 2)
+        blocks = spy_lockstep_blocks(monkeypatch)
+        (got,), steps = pnn.core._lockstep(mem, [state], 5, step_rows=True)
+        assert blocks == want_blocks
+        assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
+            want.final_state, want.converged, want.sweeps_used, want.updates_changed)
+        assert steps == [synchronous_step(mem, state)]
+
+    # name: (kind, q, M, pattern seed, the neurons moved off stored pattern 0) at N = 48.  Sweep 1
+    # moves them back, then runs quiet; the synchronous step, at the noisy input's overlaps, also
+    # moves a later neuron that no visit moves, so only a step row changes there
+    LOCKSTEP_STEP_ROW_CASES = {
+        "hopfield": (NetworkKind.PNN2, 1, 6, 2, [0, 1, 2]),
+        "pnn2": (NetworkKind.PNN2, 3, 10, 29, [0, 1, 2, 3]),
+        "pnn3": (NetworkKind.PNN3, 3, 10, 3, [0, 1]),
+    }
+
+    @pytest.mark.parametrize("name", list(LOCKSTEP_STEP_ROW_CASES))
+    def test_lockstep_run_ahead_keeps_step_row_updates_inside_quiet_blocks(self, name, monkeypatch):
+        kind, q, m, seed, movers = self.LOCKSTEP_STEP_ROW_CASES[name]
+        n = 48
+        mem, patterns = random_memory(make_rng(seed), n, q, m, kind)
+        state = moved_off(patterns[0], movers, kind, q)
+        want = reference_asynchronous_retrieve(mem, state, 20, record_trace=True)
+        sweep1 = [state] + want.trace[:n]
+        moved = [i for i in range(n) if sweep1[i] != sweep1[i + 1]]
+        step = synchronous_step(mem, state)
+        stepped = np.flatnonzero((step.signs != state.signs) | (step.levels != state.levels))
+        only_step = sorted(set(stepped.tolist()) - set(moved))
+        assert moved == movers and only_step  # the case as named
+        blocks = spy_lockstep_blocks(monkeypatch)
+        results, steps = pnn.core._lockstep(mem, [state], 20, step_rows=True)
+        # each such neuron lies in a block's quiet prefix, and its step row's move cut no block
+        assert all(any(i <= j < i + quiet for i, _, quiet in blocks) for j in only_step)
+        assert steps == [step]
+        (got,) = results
+        assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
+            want.final_state, want.converged, want.sweeps_used, want.updates_changed)
 
     def test_pickled_memory_keeps_one_byte_per_coordinate(self):
         # the payload that ``--jobs`` ships to each worker: the codes plus the (N, q) count table
