@@ -17,10 +17,11 @@ Every CSV starts with the same column prefix
     experiment,N,q,M,a,b,k,trials,seed,coord_err,pattern_err,avg_sweeps,
     theory_perr,vacuous_flag
 
-followed by command-specific columns (documented per command below); cells
-that do not apply are left empty.  Output bytes are a pure function of the
-configuration and seed: trials draw from counter-based streams keyed by
-trial index, so ``--jobs`` parallelism cannot change the result.  A trial
+followed by command-specific columns (documented per command below).  Each
+command returns its rows as ``{column: value}``; a column a row does not name
+is left empty.  Output bytes are a pure function of the configuration and
+seed: trials draw from counter-based streams keyed by trial index, so
+``--jobs`` parallelism cannot change the result.  A trial
 counts as a pattern error unless the final state matches the target exactly;
 for signed networks an exact global sign flip is still an error but is also
 reported in ``sign_flip``.
@@ -38,7 +39,6 @@ import csv
 import functools
 import itertools
 import math
-import operator
 import os
 import sys
 import time
@@ -182,10 +182,8 @@ def _pattern_count(m: int | None, load: float | None, n: int) -> int:
 # output helpers
 
 def _fmt(x) -> str:
-    if x is None or x == "":
+    if x is None:
         return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
@@ -193,11 +191,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(fh, header: Sequence[str], rows: list) -> None:
+def _write_csv(fh, header: Sequence[str], rows: list[dict]) -> None:
+    """The header, then each row's cells in header order.  A row that names a column the header
+    lacks is a fault of the command that made it, so it raises KeyError and is not exit 2."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+        unknown = row.keys() - set(header)
+        if unknown:
+            raise KeyError(f"columns not in the header: {sorted(unknown)}")
+        writer.writerow([_fmt(row.get(column)) for column in header])
 
 
 # ----------------------------------------------------------------------
@@ -223,21 +226,22 @@ def _init_worker(trials_fn: Callable, ctx) -> None:
     _worker_task = (trials_fn, ctx)
 
 
-def _run_batch(batch: range) -> tuple:
+def _run_batch(batch: range) -> dict:
     trials_fn, ctx = _worker_task
     return trials_fn(ctx, batch)
 
 
-def _run_trials(trials_fn: Callable, ctx, trials: int, jobs: int) -> tuple:
+def _run_trials(trials_fn: Callable, ctx, trials: int, jobs: int) -> dict:
     """The column sums of the records of trials 0..trials-1, in up to ``jobs`` processes.
 
     ``trials_fn(ctx, batch)`` returns the column sums of the records of one
-    contiguous range of trial indices.  Batches are as large as the cap
-    allows with one per worker, and the pool never has more workers than
-    batches or CPUs.  Batches are made as they are submitted, at most one
-    per worker in flight, and their sums are added in batch order.  Each
-    record depends only on (ctx, t) and integer columns sum exactly, so
-    neither the worker count nor the batch size can change an integer total.
+    contiguous range of trial indices, keyed by the CSV column each sum
+    feeds.  Batches are as large as the cap allows with one per worker, and
+    the pool never has more workers than batches or CPUs.  Batches are made
+    as they are submitted, at most one per worker in flight, and their sums
+    are added in batch order.  Each record depends only on (ctx, t) and
+    integer columns sum exactly, so neither the worker count nor the batch
+    size can change an integer total.
     """
     workers = min(jobs, trials, os.cpu_count() or 1)
     per = min(_BATCH_TRIALS, math.ceil(trials / workers))
@@ -264,23 +268,40 @@ def _in_flight(pool, batches, limit: int):
         yield pending.popleft().result()
 
 
-def _column_sums(records) -> tuple:
-    """The column sums of equal-length tuples, added in order as ``sum`` adds a column."""
+def _column_sums(records) -> dict:
+    """The sums of records that share their keys, added key by key in record order."""
     return functools.reduce(
-        lambda totals, record: tuple(map(operator.add, totals, record)), records
+        lambda totals, record: {key: totals[key] + record[key] for key in totals}, records
     )
+
+
+def _cells(sums: dict, trials: int, per_coord: int) -> dict:
+    """Each sum as its cell: a mean per trial, and a ``*coord_err`` mean per coordinate too."""
+    return {
+        column: total / trials / per_coord if column.endswith("coord_err") else total / trials
+        for column, total in sums.items()
+    }
 
 
 _GEN_STREAM_STRIDE = 1 << 32  # per-sweep-point stream block; trial t uses base + 1 + t
 
 
-def _theory_bound(kind: NetworkKind, n, m, q, a, b):
-    """(value, flag) for the one-step bound, empty cells when undefined or beyond float64."""
+def _or_empty(fn, *args):
+    """fn(*args), or an empty cell where the formula is undefined or overflows float64."""
     try:
-        bound = perr_pnn2(n, m, q, a, b) if kind is NetworkKind.PNN2 else perr_pnn3(n, m, q, b)
-    except (ValueError, OverflowError):
-        return "", ""
-    return bound.value, int(bound.vacuous)
+        return fn(*args)
+    except (ValueError, OverflowError, PnnError):
+        return None
+
+
+def _theory_bound(kind: NetworkKind, n, m, q, a, b, columns=("theory_perr", "vacuous_flag")):
+    """The cells of the one-step bound and its vacuous flag, none when the bound is undefined or
+    beyond float64."""
+    if kind is NetworkKind.PNN2:
+        bound = _or_empty(perr_pnn2, n, m, q, a, b)
+    else:
+        bound = _or_empty(perr_pnn3, n, m, q, b)
+    return {} if bound is None else dict(zip(columns, (bound.value, int(bound.vacuous))))
 
 
 # ----------------------------------------------------------------------
@@ -304,14 +325,16 @@ SWEEP_EXTRAS = ["sync_coord_err", "sync_pattern_err", "sign_flip"]
 
 
 def _coord_errors(result: Pattern, target: Pattern) -> int:
-    return int(
-        np.count_nonzero(
-            (result.signs != target.signs) | (result.levels != target.levels)
-        )
-    )
+    return np.count_nonzero((result.signs != target.signs) | (result.levels != target.levels))
 
 
-def _sweep_trials(ctx, batch: range) -> tuple:
+def _errors(prefix: str, errs: int) -> dict:
+    """A trial's ``{prefix}coord_err`` and ``{prefix}pattern_err`` tallies from its count of
+    wrong coordinates."""
+    return {prefix + "coord_err": int(errs), prefix + "pattern_err": int(errs > 0)}
+
+
+def _sweep_trials(ctx, batch: range) -> dict:
     memory = ctx.memory
     targets, inputs = [], []
     for t in batch:
@@ -323,18 +346,13 @@ def _sweep_trials(ctx, batch: range) -> tuple:
     records = []
     for target, sync, retrieval in zip(targets, syncs, results):
         final = retrieval.final_state
-        sign_flip = int(
-            memory.kind is NetworkKind.PNN2 and final == target.sign_flipped()
-        )
-        records.append((
-            _coord_errors(sync, target),
-            int(sync != target),
-            _coord_errors(final, target),
-            int(final != target),
-            sign_flip,
-            retrieval.sweeps_used,
-        ))
-    return tuple(map(sum, zip(*records)))
+        records.append({
+            **_errors("sync_", _coord_errors(sync, target)),
+            **_errors("", _coord_errors(final, target)),
+            "sign_flip": int(memory.kind is NetworkKind.PNN2 and final == target.sign_flipped()),
+            "avg_sweeps": retrieval.sweeps_used,
+        })
+    return _column_sums(records)
 
 
 def _point_noise(kind: NetworkKind, sweep: str, *, q, M, a, b) -> NoiseSpec:
@@ -377,15 +395,11 @@ def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, m
             memory=Memory(kind, q, signs, levels), spec=spec,
             seed=seed, stream_base=stream_base, max_sweeps=max_sweeps,
         )
-        sync_coord, sync_pat, coord, pat, flips, sweeps = _run_trials(
-            _sweep_trials, ctx, trials, jobs
-        )
-        theory, vacuous = _theory_bound(kind, N, m, q, a, b)
-        rows.append([
-            f"sweep-{sweep}", N, q, m, a, b, "", trials, seed,
-            coord / trials / N, pat / trials, sweeps / trials, theory, vacuous,
-            sync_coord / trials / N, sync_pat / trials, flips / trials,
-        ])
+        rows.append(dict(
+            experiment=f"sweep-{sweep}", N=N, q=q, M=m, a=a, b=b, trials=trials, seed=seed,
+            **_theory_bound(kind, N, m, q, a, b),
+            **_cells(_run_trials(_sweep_trials, ctx, trials, jobs), trials, N),
+        ))
     return rows
 
 
@@ -408,7 +422,7 @@ DPNN_EXTRAS = [
 ]
 
 
-def _dpnn_trials(ctx, batch: range) -> tuple:
+def _dpnn_trials(ctx, batch: range) -> dict:
     targets = [ctx.ensemble[t % len(ctx.ensemble)] for t in batch]
     inputs = [
         apply_binary_noise(target, ctx.a, make_rng(ctx.seed, 1 + t))
@@ -422,16 +436,13 @@ def _dpnn_trials(ctx, batch: range) -> tuple:
     )
     records = []
     for target, retrieval, hop_retrieval in zip(targets, pipeline, hopfield):
-        recovered = unmap_binary(retrieval.final_state, ctx.k)
-        hop_recovered = unmap_binary(hop_retrieval.final_state, 0)
-        records.append((
-            int(np.count_nonzero(recovered != target)),
-            int(not np.array_equal(recovered, target)),
-            retrieval.sweeps_used,
-            int(np.count_nonzero(hop_recovered != target)),
-            int(not np.array_equal(hop_recovered, target)),
-        ))
-    return tuple(map(sum, zip(*records)))
+        errs = np.count_nonzero(unmap_binary(retrieval.final_state, ctx.k) != target)
+        hop_errs = np.count_nonzero(unmap_binary(hop_retrieval.final_state, 0) != target)
+        records.append({
+            **_errors("", errs), **_errors("hopfield_", hop_errs),
+            "avg_sweeps": retrieval.sweeps_used,
+        })
+    return _column_sums(records)
 
 
 def cmd_dpnn_bench(*, seed, trials, jobs, N, k, M, load, a, overlap, max_sweeps) -> list:
@@ -454,16 +465,15 @@ def cmd_dpnn_bench(*, seed, trials, jobs, N, k, M, load, a, overlap, max_sweeps)
         dpnn_memory=dpnn_build(ensemble, k), hopfield_memory=dpnn_build(ensemble, 0),
         ensemble=ensemble, k=k, a=a, seed=seed, max_sweeps=max_sweeps,
     )
-    coord, pat, sweeps, hop_coord, hop_pat = _run_trials(_dpnn_trials, ctx, trials, jobs)
+    sums = _run_trials(_dpnn_trials, ctx, trials, jobs)
 
     image_level_noise = 1.0 - (1.0 - a) ** k
-    theory, vacuous = _theory_bound(NetworkKind.PNN2, params.n, m, params.q, a, image_level_noise)
-    return [[
-        "dpnn-bench", N, params.q, m, a, "", k, trials, seed,
-        coord / trials / N, pat / trials, sweeps / trials, theory, vacuous,
-        hop_coord / trials / N, hop_pat / trials,
-        k_c, dpnn_capacity(N, a, k), note,
-    ]]
+    return [dict(
+        experiment="dpnn-bench", N=N, q=params.q, M=m, a=a, k=k, trials=trials, seed=seed,
+        **_theory_bound(NetworkKind.PNN2, params.n, m, params.q, a, image_level_noise),
+        **_cells(sums, trials, N),
+        k_critical=k_c, capacity=dpnn_capacity(N, a, k), note=note,
+    )]
 
 
 # ----------------------------------------------------------------------
@@ -481,38 +491,30 @@ IDENTIFY_OPTIONS = (
 IDENTIFY_EXTRAS = ["n_digits", "field_evals_per_query"]
 
 
-def _identify_trials(ctx, batch: range) -> tuple:
-    return tuple(map(sum, zip(*(_identify_trial(ctx, t) for t in batch))))
-
-
-def _identify_trial(ctx, t: int) -> tuple:
+def _identify_trials(ctx, batch: range) -> dict:
     net, memory = ctx.net, ctx.net.memory
     q, m_count = memory.q, memory.n_patterns
-    rng = make_rng(ctx.seed, 1 + t)
-    idx = t % m_count
-    target = memory._pattern(idx)
-    noisy = apply_qnary_noise(target, q, ctx.spec, rng)
-    seeds = rng.integers(1, q + 1, size=net.n_digits)
-    counter = OpCounter()
-    start = time.perf_counter()
-    try:
-        got = identify(net, noisy, enumerated_init=seeds, counter=counter)
-    except UnknownPattern as exc:
-        got = exc.decoded_index
-    elapsed = time.perf_counter() - start
-
-    digit_errs = 0
-    want, have = idx, got
-    for _ in range(net.n_digits):
-        digit_errs += int(want % q != have % q)
-        want //= q
-        have //= q
-    return (
-        digit_errs,
-        int(got != idx or got >= m_count),
-        counter.enumerated_field_evals,
-        elapsed,
-    )
+    records = []
+    for t in batch:
+        rng = make_rng(ctx.seed, 1 + t)
+        idx = t % m_count
+        noisy = apply_qnary_noise(memory._pattern(idx), q, ctx.spec, rng)
+        seeds = rng.integers(1, q + 1, size=net.n_digits)
+        counter = OpCounter()
+        start = time.perf_counter_ns()
+        try:
+            got = identify(net, noisy, enumerated_init=seeds, counter=counter)
+        except UnknownPattern as exc:
+            got = exc.decoded_index
+        elapsed_ns = time.perf_counter_ns() - start
+        # got and idx have n_digits base-q digits, so a wrong got, an index >= M included,
+        # differs from idx in at least one of them
+        digit_errs = sum((idx // q**j) % q != (got // q**j) % q for j in range(net.n_digits))
+        records.append({
+            **_errors("", digit_errs), "field_evals_per_query": counter.enumerated_field_evals,
+            "elapsed_ns": elapsed_ns,  # not a column: the wall time goes to stderr
+        })
+    return _column_sums(records)
 
 
 def cmd_identify_bench(*, seed, trials, jobs, N, q, M, load, b) -> list:
@@ -526,19 +528,19 @@ def cmd_identify_bench(*, seed, trials, jobs, N, q, M, load, b) -> list:
     signs, levels = _qnary_arrays(m, N, q, NetworkKind.PNN3, make_rng(seed, 0))
     net = IdentifierNet(Memory(NetworkKind.PNN3, q, signs, levels))
     ctx = SimpleNamespace(net=net, spec=spec, seed=seed)
-    digit_errs, misses, evals, elapsed = _run_trials(_identify_trials, ctx, trials, jobs)
+    sums = _run_trials(_identify_trials, ctx, trials, jobs)
+    elapsed_ns = sums.pop("elapsed_ns")
 
     # wall time varies run to run; keep it out of the deterministic CSV
     print(
-        f"identify-bench: mean {1e6 * elapsed / trials:.1f} us/query over {trials} trials",
+        f"identify-bench: mean {elapsed_ns / 1e3 / trials:.1f} us/query over {trials} trials",
         file=sys.stderr,
     )
-    theory, vacuous = _theory_bound(NetworkKind.PNN3, N, m, q, 0.0, b)
-    return [[
-        "identify-bench", N, q, m, 0.0, b, "", trials, seed,
-        digit_errs / trials / net.n_digits, misses / trials, 1.0, theory, vacuous,
-        net.n_digits, evals / trials,
-    ]]
+    return [dict(
+        experiment="identify-bench", N=N, q=q, M=m, a=0.0, b=b, trials=trials, seed=seed,
+        avg_sweeps=1.0, **_theory_bound(NetworkKind.PNN3, N, m, q, 0.0, b),
+        **_cells(sums, trials, net.n_digits), n_digits=net.n_digits,
+    )]
 
 
 # ----------------------------------------------------------------------
@@ -560,27 +562,20 @@ THEORY_EXTRAS = [
 ]
 
 
-def _or_empty(fn, *args):
-    """fn(*args), or an empty cell where the formula is undefined or overflows float64."""
-    try:
-        return fn(*args)
-    except (ValueError, OverflowError, PnnError):
-        return ""
-
-
 def cmd_theory_table(*, seed, **grids) -> list:
     rows = []
     # grids arrive in table order: N, q, M, a, b, k
     for n, q, m, a, b, k in itertools.product(*grids.values()):
-        theory, vacuous = _theory_bound(NetworkKind.PNN2, n, m, q, a, b)
-        perr3, vac3 = _theory_bound(NetworkKind.PNN3, n, m, q, 0.0, b)
-        rows.append([
-            "theory", n, q, m, a, b, k, "", seed,
-            "", "", "", theory, vacuous,
-            _or_empty(capacity_pnn2, n, q, a, b), perr3, vac3, _or_empty(capacity_pnn3, n, q, b),
-            _or_empty(dpnn_capacity, n, a, k), _or_empty(capacity_exponent, n, a),
-            _or_empty(k_critical, n, a),
-        ])
+        rows.append(dict(
+            experiment="theory", N=n, q=q, M=m, a=a, b=b, k=k, seed=seed,
+            **_theory_bound(NetworkKind.PNN2, n, m, q, a, b),
+            **_theory_bound(NetworkKind.PNN3, n, m, q, 0.0, b, ("perr_pnn3", "perr_pnn3_vacuous")),
+            capacity_pnn2=_or_empty(capacity_pnn2, n, q, a, b),
+            capacity_pnn3=_or_empty(capacity_pnn3, n, q, b),
+            dpnn_capacity=_or_empty(dpnn_capacity, n, a, k),
+            dpnn_exponent=_or_empty(capacity_exponent, n, a),
+            k_critical=_or_empty(k_critical, n, a),
+        ))
     return rows
 
 
@@ -590,7 +585,7 @@ def cmd_theory_table(*, seed, **grids) -> list:
 class Command(NamedTuple):
     help: str
     options: tuple
-    run: Callable[..., list]
+    run: Callable[..., list[dict]]
     extras: list
 
 

@@ -348,7 +348,8 @@ class TestBatchedTrials:
         ["sweep", "--sweep", "q", "--values", "4", "--kind", "pnn3", "--N", "24", "--M", "12",
          "--b", "0.3"],
         ["dpnn-bench", "--N", "100", "--k", "1", "--M", "8", "--a", "0.1", "--overlap", "0.3"],
-    ], ids=["sweep-pnn2", "sweep-pnn3", "dpnn-bench"])
+        ["identify-bench", "--N", "60", "--q", "8", "--M", "100", "--b", "0.3"],
+    ], ids=["sweep-pnn2", "sweep-pnn3", "dpnn-bench", "identify-bench"])
     def test_csv_bytes_do_not_depend_on_the_batch_cap(self, capsys, monkeypatch, argv):
         # a cap of 1 relaxes every trial, and takes its synchronous step, alone
         trials = 23
@@ -618,6 +619,32 @@ class TestArgumentHandling:
         assert err.startswith("error: ") and needle in err and "Traceback" not in err
         assert len(drawn) == draws
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["sweep", "--config", "{tmp}/no-equals.cfg"], "no-equals.cfg:2: expected key=value"),
+        (["sweep", "--config", "{tmp}/missing.cfg"], "cannot read config file {tmp}/missing.cfg"),
+        (["theory-table", "--N", "1,x"], "bad N list '1,x'"),
+        (["sweep", "--sweep", "q", "--values", "2", "--N", "20", "--M", "5"], "--trials is required"),
+        (["sweep", "--sweep", "q", "--values", "2", "--N", "20", "--trials", "2"],
+         "pattern count required: --M or --load"),
+        (["sweep", "--sweep", "a", "--values", "0.1", "--N", "20", "--M", "5", "--q", "1",
+          "--b", "0.3", "--trials", "2"], "q=1 has no level noise; set b=0"),
+    ], ids=["config-line-without-equals", "unreadable-config", "bad-list", "no-trials",
+            "no-pattern-count", "level-noise-at-q1"])
+    def test_configuration_error_is_exit_2_with_its_message(self, capsys, tmp_path, argv, needle):
+        (tmp_path / "no-equals.cfg").write_text("N = 40\ntrials 5\n")
+        code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and needle.format(tmp=tmp_path) in err
+
+    def test_a_row_naming_a_column_its_header_lacks_raises(self, capsys, monkeypatch):
+        # a command that names a column its header lacks is at fault itself: not exit 2
+        def typo(**values):
+            return [{"experiment": "theory", "N": 1000, "capacity_pnn": 1.0}]
+
+        monkeypatch.setitem(COMMANDS, "theory-table", COMMANDS["theory-table"]._replace(run=typo))
+        with pytest.raises(KeyError, match="capacity_pnn"):
+            main(["theory-table"])
+
     def test_closed_output_pipe_exits_1_quietly(self):
         """A reader that stops after one line: exit 1 and an empty stderr.  The handler points
         file descriptor 1 at devnull, so it runs in its own process."""
@@ -740,14 +767,16 @@ class TestArgumentHandling:
 
         def trials_fn(ctx, batch):
             batches.append(batch)
-            return len(batch), sum(batch), 0.5
+            return {"trials": len(batch), "indices": sum(batch), "halves": 0.5}
 
         trials = 3000 * _BATCH_TRIALS + 7
         totals = cli._run_trials(trials_fn, None, trials, 3)
         assert [(pool.size, pool.most) for pool in serial_pools] == [(3, 3)]
         assert batches == [range(lo, min(lo + _BATCH_TRIALS, trials))
                            for lo in range(0, trials, _BATCH_TRIALS)]
-        assert totals == (trials, trials * (trials - 1) // 2, 0.5 * len(batches))
+        assert totals == {
+            "trials": trials, "indices": trials * (trials - 1) // 2, "halves": 0.5 * len(batches),
+        }
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_failing_batch_stops_a_huge_run_at_once(self, monkeypatch, serial_pools, jobs):
@@ -759,7 +788,7 @@ class TestArgumentHandling:
             calls.append(batch)
             if len(calls) == 3:
                 raise RuntimeError("third batch")
-            return (len(batch),)
+            return {"trials": len(batch)}
 
         with pytest.raises(RuntimeError, match="third batch"):
             cli._run_trials(trials_fn, None, 10**12, jobs)

@@ -1,5 +1,6 @@
 """Network construction, fields, updates, dynamics and energy."""
 
+import functools
 import pickle
 import tracemalloc
 
@@ -146,6 +147,20 @@ class TestConstruction:
     def test_pattern_rejects_zero_sign_and_level(self, signs, levels, error):
         with pytest.raises(error):
             Pattern(signs, levels)
+
+    @pytest.mark.parametrize("build, signs, levels, match", [
+        (Pattern, [[1, 1]], [[1, 1]], "1-d arrays of equal length"),
+        (Pattern, [1, 1], [1], "1-d arrays of equal length"),
+        (Pattern, [], [], "at least one neuron"),
+        (functools.partial(Memory, NetworkKind.PNN2, 2), [1, 1], [1, 1], "non-empty \\(M, N\\)"),
+        (functools.partial(Memory, NetworkKind.PNN2, 2), [[1, 1]], [[1, 1, 1]], "of one shape"),
+        (functools.partial(Memory, NetworkKind.PNN3, 2), np.ones((0, 3)), np.ones((0, 3)),
+         "non-empty \\(M, N\\)"),
+    ], ids=["pattern-2d", "pattern-unequal", "pattern-empty", "memory-1d", "memory-mismatched",
+            "memory-empty"])
+    def test_arrays_of_the_wrong_shape_rejected(self, build, signs, levels, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            build(signs, levels)
 
     def test_constructor_rejects_fractional_level(self):
         with pytest.raises(LevelOutOfRange):

@@ -61,6 +61,17 @@ class TestMapping:
         with pytest.raises(LengthNotDivisible):
             map_binary(np.ones(7, dtype=np.int8), 2)
 
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: map_binary(np.ones((2, 2)), 1), LengthNotDivisible, "non-empty 1-d array"),
+        (lambda: map_binary([], 1), LengthNotDivisible, "non-empty 1-d array"),
+        (lambda: unmap_binary(Pattern([1, 1], [2, 3]), 1), LengthNotDivisible,
+         "image level 3 exceeds 2\\^k=2"),
+        (lambda: dpnn_capacity(1000, 0.1, -1), ValueError, "k must be >= 0, got -1"),
+    ], ids=["map-2d", "map-empty", "unmap-level-above-2-to-the-k", "capacity-negative-k"])
+    def test_bad_arguments_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     def test_matches_reference_fragment_reader(self):
         rng = make_rng(101)
         for k in (1, 2, 4):

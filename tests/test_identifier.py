@@ -6,6 +6,7 @@ import pytest
 from pnn import (
     DimensionMismatch,
     IdentifierNet,
+    IndexOutOfRange,
     LevelOutOfRange,
     Memory,
     NetworkKind,
@@ -110,6 +111,24 @@ class TestBuild:
     def test_constructor_needs_a_pnn3_memory(self, memory):
         with pytest.raises(ValueError, match="PNN3 Memory"):
             IdentifierNet(memory)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda net, patterns: digit_count(0, 4), ValueError, "need m >= 1, got 0"),
+    (lambda net, patterns: digit_count(5, 1), ValueError, "need q >= 2, got 1"),
+    (lambda net, patterns: asymptotic_digit_estimate(1, 4), ValueError, "need n_true >= 2"),
+    (lambda net, patterns: enumerated_field(net, patterns[0], net.n_digits), IndexOutOfRange,
+     "digit position 2 outside \\[0, 2\\)"),
+    (lambda net, patterns: enumerated_field(net, patterns[0], -1), IndexOutOfRange,
+     "digit position -1"),
+    (lambda net, patterns: identify(net, patterns[0], enumerated_init=[1, 2, 3]),
+     DimensionMismatch, "enumerated_init must have length 2"),
+], ids=["digit-count-m0", "digit-count-q1", "estimate-n1", "field-digit-past-end",
+        "field-digit-negative", "init-too-long"])
+def test_bad_arguments_rejected(call, error, match):
+    net, patterns = make_net(10, 12, 4)  # 10 patterns at q = 4 take two digits
+    with pytest.raises(error, match=match):
+        call(net, patterns)
 
 
 class TestCouplingStructure:

@@ -198,6 +198,19 @@ class TestBinary:
         flipped = np.mean(out != y)
         assert abs(flipped - a) < three_sigma(a, n)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda rng: random_binary_patterns(0, 5, rng), "need m, n >= 1, got m=0 n=5"),
+        (lambda rng: random_binary_patterns(2, 0, rng), "need m, n >= 1, got m=2 n=0"),
+        (lambda rng: correlated_binary_patterns(0, 5, 0.2, rng), "need m, n >= 1, got m=0 n=5"),
+        (lambda rng: correlated_binary_patterns(2, 0, 0.2, rng), "need m, n >= 1, got m=2 n=0"),
+        (lambda rng: apply_binary_noise(np.ones(4), -0.1, rng), "must be in \\[0, 1\\], got -0.1"),
+        (lambda rng: apply_binary_noise(np.ones(4), 1.5, rng), "must be in \\[0, 1\\], got 1.5"),
+    ], ids=["random-m0", "random-n0", "correlated-m0", "correlated-n0", "noise-below-0",
+            "noise-above-1"])
+    def test_bad_arguments_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(make_rng(0))
+
 
 class TestCorrelatedBinary:
     def test_full_overlap_limit_equals_template(self):

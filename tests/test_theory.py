@@ -72,6 +72,19 @@ class TestPerrPnn2:
             perr_pnn2(100, 10, 4, a=0.5)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: perr_pnn2(100, 10, 4, b=-0.1), "level-noise b must be in \\[0, 1\\], got -0.1"),
+    (lambda: perr_pnn2(100, 10, 4, b=1.5), "level-noise b must be in \\[0, 1\\], got 1.5"),
+    (lambda: perr_pnn2(0, 10, 4), "need n, m, q >= 1"),
+    (lambda: capacity_pnn2(100, 0), "need q >= 1"),
+    (lambda: perr_pnn3(0, 10, 4), "need n, m >= 1"),
+], ids=["perr-pnn2-b-below-0", "perr-pnn2-b-above-1", "perr-pnn2-n0", "capacity-pnn2-q0",
+        "perr-pnn3-n0"])
+def test_bad_arguments_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestCapacityPnn2:
     def test_spot_values(self):
         assert capacity_pnn2(1000, 1) == pytest.approx(EQ5_Q1, rel=1e-9)
