@@ -24,7 +24,9 @@ It depends on the patterns only through how many have each level at each
 neuron, an (N, q) count table built once per Memory, so a field costs O(M)
 once the overlaps are known.  Overlaps and fields are exact integers scaled
 by N * alpha^2; the single final division reproduces the integer
-comparisons bit-for-bit at any realistic size.
+comparisons bit-for-bit at any realistic size.  ``_overlaps`` compares the
+stored codes in blocks of neurons that hold about ``_FILL_BLOCK`` codes, and
+sums each block in int8 runs of 127 neurons.
 
 A Memory stores each coordinate as one code and nothing else: the index c =
 S (lev - 1) + [sigma = -1] of the stored state among a neuron's S q states
@@ -42,8 +44,8 @@ level already hold the field's beta term.  The asynchronous visit bins m by
 stored code with ``bincount``, with no sign product: a PNN2 level's sum is
 its + bin less its - bin, and decides by one scalar rule (``_visit_rule``).
 After a run of unchanged visits it bins the D of the next neurons as one
-block, through buffers made once per retrieval, and keeps them up to the
-first that fails the quiet test (``_quiet_prefix``, ``_keeps``): D is
+block, through buffers made when the retrieval starts, and keeps them up to
+the first that fails the quiet test (``_quiet_prefix``, ``_keeps``): D is
 integral, so a visit keeps (s, l) exactly when s D_l >= max |D| (PNN2) or
 D_l >= max D (PNN3).  That first mover's new state comes from its D row by
 the same scalar rule; a move shifts m by an (S q)-entry table at the stored
@@ -54,9 +56,10 @@ a neuron in all B states by one argmax of an integer key (``_decide_keys``).
 It has the same run-ahead: after ``_RUN_AHEAD`` visits in a row that moved
 no live state, one stacked product of the next neurons' W_i gives their
 sums at the current m, and the states are kept up to the first neuron that
-moves one (``_lockstep_prefix``).  Sums and keys are integers in float64,
-exact below 2**53.  Its kernel can also take the synchronous step of its
-inputs in its first sweep.
+moves one (``_lockstep_prefix``).  The W_i of a block and of a single visit
+share one stack, made when the retrieval starts.  Sums and keys are
+integers in float64, exact below 2**53.  Its kernel can also take the
+synchronous step of its inputs in its first sweep.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -80,9 +83,9 @@ from .errors import (
 )
 
 
-# about this many patterns x neurons make one block of ``Memory._fill``.  Measured at
-# N = M = 2000, q = 16 (2-core x86-64, numpy 2.4, medians of 31 interleaved rounds): the
-# block's transposed writes are per-row bound at 2**16 (32 patterns, 2,000 rows of 32 bytes),
+# about this many codes make one block of ``Memory._fill`` and of ``_overlaps``.  Measured for
+# ``_fill`` at N = M = 2000, q = 16 (2-core x86-64, numpy 2.4, medians of 31 interleaved rounds):
+# the block's transposed writes are per-row bound at 2**16 (32 patterns, 2,000 rows of 32 bytes),
 # and building from (M, N) arrays took 41.8 ms at 2**18 against 47.1 ms at 2**16; at 2**19 the
 # staged blocks lift the build's peak from 2.3 to 2.7 bytes per coordinate.
 _FILL_BLOCK = 1 << 18
@@ -96,13 +99,6 @@ _BIN_CHUNK = 1 << 15
 # neurons as one run-ahead block
 _RUN_AHEAD = 8
 
-# from this many patterns on, ``_overlaps`` sums int8 slabs of 127 neurons, below it one block of
-# up to 2**20 codes.  Measured per call (2-core x86-64, numpy 2.4, medians of 11 interleaved
-# rounds, slabs against one block): PNN2 q = 16 at N = M = 2000 1.64 against 2.48 ms, PNN3
-# q = 32 at 200 x 1000 67 against 86 us; at 200 x 400 PNN2 q = 16 78 against 74 us and PNN3
-# q = 16 48 against 50 us, and Hopfield at 800 x 200 216 against 135 us.
-_SLAB_PATTERNS = 1000
-
 
 class NetworkKind(Enum):
     """Architecture selector; Hopfield is PNN2 with q = 1."""
@@ -114,12 +110,15 @@ class NetworkKind(Enum):
 def _check_levels(levels: np.ndarray, q: int | None = None) -> None:
     """Raise LevelOutOfRange unless every level is a whole number in [1, q].
 
-    Levels must also be below 2**63, so that they cast to int64; only
-    non-integer and unsigned dtypes can hold larger values.
+    Levels must be real (bool, integer or float dtype), and below 2**63,
+    so that they cast to int64; only float and unsigned dtypes can hold
+    larger values.  Finiteness is checked before ``% 1``, which warns on inf.
     """
+    if levels.dtype.kind not in "biuf":
+        raise LevelOutOfRange(f"levels need a bool, integer or float dtype, not {levels.dtype}")
     if levels.dtype.kind not in "iu":
-        if np.any(levels % 1 != 0):
-            raise LevelOutOfRange("levels must be whole numbers")
+        if not np.all(np.isfinite(levels)) or np.any(levels % 1 != 0):
+            raise LevelOutOfRange("levels must be finite whole numbers")
         if levels.max() >= 2.0**63:
             raise LevelOutOfRange(f"level {levels.max()} does not fit in int64")
     elif levels.dtype == np.uint64 and levels.max() >= 2**63:  # no other unsigned type reaches it
@@ -131,8 +130,8 @@ def _check_levels(levels: np.ndarray, q: int | None = None) -> None:
 
 
 def _check_values(signs, levels, q: int | None = None, unsigned: bool = False) -> None:
-    """Raise unless signs are +-1 (+1 when unsigned) and levels whole numbers in [1, q]."""
-    if not np.all(np.abs(signs) == 1):
+    """Raise unless signs are real +-1 (+1 when unsigned) and levels whole numbers in [1, q]."""
+    if signs.dtype.kind not in "biuf" or not np.all(np.abs(signs) == 1):
         raise SignNotAllowed("signs must be -1 or +1")
     _check_levels(levels, q)
     if unsigned and np.any(signs != 1):
@@ -434,16 +433,15 @@ def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarr
     from the stored codes and the state's code x at each neuron.  sigma s
     [lev == l] is [c == x], less [c == x ^ 1] for PNN2 (x ^ 1 is x's level
     with the other sign), as PNN3's stored and checked input signs are all
-    +1.  It is kept in int8 and summed a block of neurons at a time, at most
-    2**20 (neuron x pattern) terms, in the narrowest type that holds
-    +-(block size), which no partial column sum leaves.  From M =
-    _SLAB_PATTERNS on, a block is a slab of at most 127 neurons, summed in
-    int8."""
+    +1.  It is kept in int8 and taken a block of neurons at a time: about
+    _FILL_BLOCK // M neurons, rounded down to a multiple of 127 from 127 on,
+    one neuron for M > _FILL_BLOCK.  Each block is compared once (twice for
+    PNN2), and its int8 column sums of at most 127 neurons, which no partial
+    sum leaves, are added into int64."""
     n, count, codes, shift = memory.n_neurons, memory.n_patterns, memory._codes, memory._shift
-    per = max(1, (1 << 20) // count)
-    if count >= _SLAB_PATTERNS:
-        per = min(per, 127)
-    acc = np.min_scalar_type(-min(n, per) - 1)
+    per = max(1, _FILL_BLOCK // count)
+    if per >= 127:
+        per -= per % 127
     x = _codes_of(signs, levels, shift, codes.dtype)[:, None]
     sums = np.zeros(count, dtype=np.int64)
     for lo in range(0, n, per):
@@ -451,7 +449,8 @@ def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarr
         agree = (block == at).view(np.int8)
         if shift:
             agree -= (block == at ^ 1).view(np.int8)
-        sums += agree.sum(axis=0, dtype=acc)
+        for part in range(0, len(agree), 127):
+            sums += agree[part:part + 127].sum(axis=0, dtype=np.int8)
     sums *= memory._alpha
     sums -= memory._beta * n
     return sums
@@ -661,12 +660,12 @@ def asynchronous_retrieve(
     codes, so a visit costs O(M + q).  Energy never increases.  After k >= 8
     unchanged visits in a row, across sweeps, the D of the next k neurons of
     the sweep (8 or more, cut at its end) are binned as one block at the
-    current overlaps, through buffers made once per call, and the neurons are
-    kept up to the first that a visit would move, as nothing moves before it.
-    D is integral, so the 1/2 makes the rule keep (s, l) exactly when
-    s D_l >= max |D| (PNN2) or D_l >= max D (PNN3); that one comparison a row
-    finds the first mover, whose new state its D row gives by the same scalar
-    rule as a single visit's.  Neurons
+    current overlaps, through buffers made when the call starts, and the
+    neurons are kept up to the first that a visit would move, as nothing
+    moves before it.  D is integral, so the 1/2 makes the rule keep (s, l)
+    exactly when s D_l >= max |D| (PNN2) or D_l >= max D (PNN3); that one
+    comparison a row finds the first mover, whose new state its D row gives
+    by the same scalar rule as a single visit's.  Neurons
     are visited in sequential order, or, given ``rng``, in a fresh
     ``rng.permutation(N)`` each sweep; ``retrieve_batch`` relaxes many inputs
     at once in sequential order.  Raises ValueError for an ``rng`` that is
@@ -680,7 +679,7 @@ def asynchronous_retrieve(
 
     n, a, shift = memory.n_neurons, memory._alpha, memory._shift
     step = np.zeros(memory.q << shift)  # the overlap step by stored code; zero between changes
-    bins = None  # the run-ahead's scratch, made at its first block
+    bins = _bins(n, memory.n_patterns, memory.q << shift)  # the run-ahead's binning scratch
     trace: list[Pattern] | None = [] if record_trace else None
 
     changed_total = run = 0  # run: the unchanged visits since the last change
@@ -690,8 +689,6 @@ def asynchronous_retrieve(
         changed_this_sweep = k = 0
         while k < n:
             if run >= _RUN_AHEAD and n - k >= _RUN_AHEAD:  # run-ahead: the next run neurons at once
-                if bins is None:
-                    bins = _bins(n, memory.n_patterns, memory.q << shift)
                 rows = slice(k, k + run) if perm is None else perm[k:k + run]
                 s, l = signs[rows], levels[rows]
                 size, (quiet, d) = len(s), _quiet_prefix(memory, rows, s, l, m, bins)
@@ -761,14 +758,16 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     rows are a copy of the inputs after the live rows in sweep 1: each visit decides them with the
     same product and key into their own z, and their overlaps never move, so sweep 1 is the
     synchronous step at their frozen m.  They are dropped after it.  W_i[mu, lev_i^mu - 1] =
-    sigma_i^mu sits in the scratch w for its visit only; the products and keys are integers,
-    exact in any summation order below 2**53, as ``Memory`` requires 4 M q N < 2**53.
+    sigma_i^mu sits in a zeroed (cap, M, q) stack, made when the call starts, for its visit
+    only: a visit's W_i in stack[0], a run-ahead block's in its first slots, all scattered and
+    cleared through one flat view.  The products and keys are integers, exact in any summation
+    order below 2**53, as ``Memory`` requires 4 M q N < 2**53.
 
     Run-ahead: once ``_RUN_AHEAD`` visits in a row have moved no live row, the next neurons, as
     many as that run, are decided at once at the current m by ``_lockstep_prefix``.  A block is
-    cut at the end of the chunk of decoded stored rows and at _BIN_CHUNK // (M max(q, 4))
-    neurons, so that its W stack, made at the first block, holds at most ``_BIN_CHUNK`` floats
-    and its scatter index a quarter of that.  A block of one is a visit, so from M max(q, 4) >
+    cut at the end of the chunk of decoded stored rows and at cap = max(1, _BIN_CHUNK // (M
+    max(q, 4))) neurons, so that the stack holds at most ``_BIN_CHUNK`` floats, or one W_i, and
+    a block's scatter index a quarter of that.  A block of one is a visit, so from M max(q, 4) >
     _BIN_CHUNK / 2 on (N = M = 2000, q = 16, say) there are only visits.  Each neuron's sums
     are its own (B, M) @ (M, q) product, as in a visit: one wide product would wake OpenBLAS's
     helper thread.  Before the first neuron that moves a live row no live m moves, so each
@@ -784,12 +783,13 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     step = as_strided(buf[s * q - s:], (s * q, q), (8, -8 * s), writeable=False)
     index = np.arange(len(inputs))  # input of each active row
     n_changed = np.zeros(len(inputs), dtype=np.int64)
-    w = np.zeros((memory.n_patterns, q))
-    flat_w, offsets = w.reshape(-1), np.arange(-1, w.size - 1, q)  # W_i[mu] at offsets + lev_i
-    per = max(1, (1 << 18) // w.size)  # rows per block of the overlap update
     neurons = max(1, _BIN_CHUNK // memory.n_patterns)  # neurons per chunk of decoded stored rows
-    cap = _BIN_CHUNK // (memory.n_patterns * max(q, 4))  # neurons per run-ahead block
-    stack = None  # the run-ahead's (cap, M, q) W stack, made at its first block
+    cap = max(1, _BIN_CHUNK // (memory.n_patterns * max(q, 4)))  # neurons per run-ahead block
+    # the W stack: a visit's W_i at stack[0], a block's k-th at stack[k], and W_k[mu] at
+    # offsets[k, mu] + lev in the flat view
+    stack = np.zeros((cap, memory.n_patterns, q))
+    flat, offsets = stack.reshape(-1), np.arange(-1, stack.size - 1, q).reshape(cap, -1)
+    per = max(1, (1 << 18) // stack[0].size)  # rows per block of the overlap update
     results: list = [None] * len(inputs)
     steps, live = None, len(inputs)  # live: the active rows; step rows follow them in sweep 1
     if step_rows:
@@ -807,27 +807,23 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
             while i < end:
                 if run >= _RUN_AHEAD and (size := min(run, end - i, cap)) > 1:
                     # run-ahead: the next neurons of the chunk decided at once at the current m
-                    if stack is None:  # each block's W_i at stack[i - first], and their offsets
-                        stack = np.zeros((cap,) + w.shape)
-                        flat_stack = stack.reshape(-1)
-                        stack_offsets = offsets + w.size * np.arange(cap)[:, None]
                     rows = slice(i - chunk, i - chunk + size)
-                    at = levels[rows] + stack_offsets[:size]
-                    flat_stack[at] = signs[rows]
+                    at = levels[rows] + offsets[:size]
+                    flat[at] = signs[rows]
                     quiet, new = _lockstep_prefix(scale, m, stack[:size], z, i, base, own, live)
                     z[i:i + quiet, live:] = new[:quiet, live:]  # the step rows' updates
                     if quiet == size:
-                        flat_stack[at] = 0
+                        flat[at] = 0
                         run, i = run + size, i + size
                         continue
                     # the first mover, decided at the m of its own visit, is moved as one
-                    i, new, wi, flat = i + quiet, new[quiet], stack[quiet], flat_stack
+                    i, new, wi = i + quiet, new[quiet], stack[quiet]
                     zi = z[i]
                 else:
-                    zi, wi, flat = z[i], w, flat_w
-                    at = levels[i - chunk] + offsets
-                    flat_w[at] = signs[i - chunk]  # same-type scatter: the faster
-                    new = _decide_keys(scale, m @ w, zi, base, own[i].take(zi))
+                    zi, wi = z[i], stack[0]
+                    at = levels[i - chunk] + offsets[0]
+                    flat[at] = signs[i - chunk]  # same-type scatter: the faster
+                    new = _decide_keys(scale, m @ wi, zi, base, own[i].take(zi))
                 zi[live:] = new[live:]  # the step rows take their update and so never move
                 moved = (new != zi).nonzero()[0]
                 if moved.size:

@@ -149,7 +149,7 @@ def identify(
     index = 0
     for j in range(net.n_digits):
         scaled = _digit_amplitudes(net, m, m_sum, j)
-        digit = int(np.argmax(scaled == scaled.max()))
+        digit = int(scaled.argmax())
         if counter is not None:
             counter.enumerated_field_evals += 1
         index = index * memory.q + digit

@@ -18,6 +18,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .core import NetworkKind, Pattern
+from .dpnn import _as_signs
 from .errors import LevelOutOfRange
 
 
@@ -115,12 +116,12 @@ def random_binary_patterns(m: int, n: int, rng: np.random.Generator) -> list[np.
 
 
 def apply_binary_noise(y: np.ndarray, a: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each +-1 coordinate independently with probability a."""
+    """Flip each +-1 coordinate independently with probability a.  y is checked as
+    ``map_binary`` checks it, with the same errors."""
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"a must be in [0, 1], got {a}")
-    y = np.asarray(y, dtype=np.int8)
-    out = y.copy()
-    flip = rng.random(y.size) < a
+    out = _as_signs(y)  # a fresh int8 copy
+    flip = rng.random(out.size) < a
     out[flip] = -out[flip]
     return out
 

@@ -35,7 +35,7 @@ from oracles import (
     reference_asynchronous_retrieve,
     with_neuron,
 )
-from pnn.core import _SLAB_PATTERNS, _overlaps
+from pnn.core import _FILL_BLOCK, _overlaps
 from pnn.noise import _qnary_arrays
 
 
@@ -135,6 +135,15 @@ class TestConstruction:
         ([1], [2.0**63], LevelOutOfRange),
         ([1], np.array([2**63], dtype=np.uint64), LevelOutOfRange),
         ([1], np.array([2**64 - 1], dtype=np.uint64), LevelOutOfRange),
+        # |1j| = 1, and an int8 cast would drop the imaginary part
+        ([1j, -1], [1, 2], SignNotAllowed),
+        ([1 + 0j, -1], [1, 2], SignNotAllowed),
+        ([1, -1], [2 + 0j, 1], LevelOutOfRange),
+        ([1], [np.inf], LevelOutOfRange),  # inf % 1 warns, so finiteness comes first
+        ([1], [-np.inf], LevelOutOfRange),
+        ([1], [np.nan], LevelOutOfRange),
+        (["+"], [1], SignNotAllowed),
+        ([1], ["1"], LevelOutOfRange),
     ])
     def test_pattern_rejects_fractional_values(self, signs, levels, error):
         with pytest.raises(error):
@@ -191,15 +200,19 @@ class TestConstruction:
         (NetworkKind.PNN3, "signs", -1, SignNotAllowed),
         (NetworkKind.PNN2, "levels", 2.5, LevelOutOfRange),  # no Pattern holds it
         (NetworkKind.PNN2, "levels", np.nan, LevelOutOfRange),  # a cast before the check warns
+        (NetworkKind.PNN2, "levels", np.inf, LevelOutOfRange),  # so does inf % 1
+        (NetworkKind.PNN2, "signs", 1j, SignNotAllowed),  # |1j| = 1, stored as +1 by a cast
+        (NetworkKind.PNN2, "levels", 2 + 1j, LevelOutOfRange),
     ])
     def test_bad_entry_in_the_last_fill_block_rejected(self, kind, field, value, error):
         n, q = 2**14, 3
         m = 2 * (pnn.core._FILL_BLOCK // n) + 1
         rows = {"signs": np.ones((m, n)), "levels": np.full((m, n), 2.0)}
+        rows[field] = rows[field].astype(np.result_type(rows[field], value))  # complex for 1j
         rows[field][m - 1, n - 1] = value
         with pytest.raises(error) as from_arrays:
             Memory(kind, q, rows["signs"], rows["levels"])
-        if value % 1 == 0:
+        if isinstance(value, int):
             # Pattern._of skips the checks of Pattern(...), so a zero sign reaches build_memory
             patterns = [Pattern._of(s, l) for s, l in zip(rows["signs"], rows["levels"])]
             with pytest.raises(error) as from_patterns:
@@ -318,14 +331,17 @@ class TestLocalField:
 
 
     @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
-    @pytest.mark.parametrize("n, m", [(127, 2), (128, 2), (32767, 2), (32768, 2)] + [
-        (n, _SLAB_PATTERNS) for n in (127, 128, 254, 255)])
+    @pytest.mark.parametrize("n, m", [
+        (n, m) for m in (2, 1032, 1033) for n in (126, 127, 128, 254, 255, 256)] + [
+        (3, _FILL_BLOCK + 1)])
     def test_overlaps_reach_plus_and_minus_n_at_the_accumulator_bounds(self, kind, n, m):
-        # below _SLAB_PATTERNS patterns the column sums run in the narrowest type that holds +-N:
-        # int8 up to N = 127, int16 up to 32767, so each N here sits at one end of a type's range;
-        # from it on they run in int8 slabs of 127 neurons, full at N = 127 and 254, one neuron
-        # over at 128 and 255.  Pattern mu stores state t = mu % 2 at every neuron: (+1, 1) at
-        # t = 0, and (-1, 1) for Hopfield or (+1, 2) for PNN3 at q = 2, whose overlaps are +-N too
+        # a block holds _FILL_BLOCK // M neurons, rounded down to a multiple of 127 from 127 on,
+        # and sums them in int8 runs of 127: one block at M = 2, blocks of 254 neurons at
+        # M = 1032 and of 127 at M = 1033, and of one neuron above _FILL_BLOCK patterns.  Each
+        # N sits at a run's edge: 126 and 127 fill one run, 128 spills one neuron into a second,
+        # and so on.  Pattern mu stores state t = mu % 2 at every neuron: (+1, 1) at t = 0, and
+        # (-1, 1) for Hopfield or (+1, 2) for PNN3 at q = 2, whose overlaps are +-N too, so a
+        # full run sums to +-127, the int8 bound
         t = (np.arange(m) % 2)[:, None]
         ones = np.ones((m, n), dtype=np.int8)
         pnn2 = kind is NetworkKind.PNN2

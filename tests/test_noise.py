@@ -1,6 +1,7 @@
 """Pattern generators and distortion channels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from pnn import (
     NetworkKind,
     NoiseSpec,
     Pattern,
+    PnnError,
     apply_binary_noise,
     apply_qnary_noise,
     build_memory,
     correlated_binary_patterns,
     make_rng,
+    map_binary,
     random_binary_patterns,
     random_qnary_patterns,
 )
@@ -205,11 +208,23 @@ class TestBinary:
         (lambda rng: correlated_binary_patterns(2, 0, 0.2, rng), "need m, n >= 1, got m=2 n=0"),
         (lambda rng: apply_binary_noise(np.ones(4), -0.1, rng), "must be in \\[0, 1\\], got -0.1"),
         (lambda rng: apply_binary_noise(np.ones(4), 1.5, rng), "must be in \\[0, 1\\], got 1.5"),
+        # an int8 cast alone would pass these through as [2, 1], [0, 1] and [0, 1]
+        (lambda rng: apply_binary_noise(np.array([2, 1]), 0.0, rng), "only -1 and \\+1"),
+        (lambda rng: apply_binary_noise(np.array([0.5, 1]), 0.0, rng), "only -1 and \\+1"),
+        (lambda rng: apply_binary_noise(np.array([1j, 1]), 0.0, rng), "only -1 and \\+1"),
+        (lambda rng: apply_binary_noise(np.array([1, -1, 2]), 0.5, rng), "only -1 and \\+1"),
     ], ids=["random-m0", "random-n0", "correlated-m0", "correlated-n0", "noise-below-0",
-            "noise-above-1"])
+            "noise-above-1", "noise-of-2", "noise-of-half", "noise-of-1j", "noise-of-2-at-half"])
     def test_bad_arguments_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call(make_rng(0))
+
+    @pytest.mark.parametrize("y", [[0.5, 1], np.ones((2, 2)), []])
+    def test_input_rejected_as_map_binary_rejects_it(self, y):
+        with pytest.raises((ValueError, PnnError)) as mapped:
+            map_binary(y, 1)
+        with pytest.raises(type(mapped.value), match=re.escape(str(mapped.value))):
+            apply_binary_noise(y, 0.0, make_rng(0))
 
 
 class TestCorrelatedBinary:

@@ -68,7 +68,7 @@ from oracles import (
     with_neuron,
 )
 from pnn.core import (
-    _FILL_BLOCK, _SLAB_PATTERNS, _codes_of, _decide_keys, _keeps, _lockstep, _lockstep_inputs,
+    _FILL_BLOCK, _codes_of, _decide_keys, _keeps, _lockstep, _lockstep_inputs,
     _overlaps, _states, _visit_rule,
 )
 
@@ -420,20 +420,19 @@ def test_both_constructions_store_the_whole_array_transpose(case, sign_type, lev
         assert np.array_equal(memory._level_counts, want_counts)
 
 
-@settings(max_examples=40)
+@settings(max_examples=80)
 @given(st.sampled_from(NetworkKind), st.integers(1, 5),
-       st.sampled_from([(127, 40), (128, 40), (254, 40), (255, 40), (1100, _SLAB_PATTERNS - 1),
-                        (255, _SLAB_PATTERNS - 1), (255, _SLAB_PATTERNS), (127, 8300),
-                        (128, 8300), (2500, 1000)]),
+       st.sampled_from([(n, m) for m in (40, 1032, 1033) for n in (126, 127, 128, 254, 255, 256)]
+                       + [(2500, 1000), (128, 8300), (3, _FILL_BLOCK + 1)]),
        st.sampled_from(["stored", "flipped", "random"]), st.integers(0, 2**32 - 1))
 def test_blocked_overlaps_equal_the_one_pass_sum(kind, q, shape, state, seed):
-    """Both kinds take one path, whose blocks follow M.  Below _SLAB_PATTERNS patterns a block
-    holds up to 2**20 (neuron x pattern) entries, summed in the narrowest type that holds its
-    +-(neurons): one int8 block at N = 127, one int16 block at N = 128 to 255, and 2 blocks at
-    N = 1100, M = 999.  From _SLAB_PATTERNS on, a block is an int8 slab of at most 127 neurons:
-    3 at N = 255 and 20 at N = 2500, and 2 of at most 126 at M = 8300.  A stored state puts some
-    overlap at +-N, and fills each full slab of its pattern to exactly +127, or -127 when PNN2's
-    state is flipped."""
+    """Both kinds take one path, whose blocks follow M: _FILL_BLOCK // M neurons, rounded down
+    to a multiple of 127 from 127 on, each summed in int8 runs of 127 neurons.  One block at
+    M = 40; blocks of 254 neurons at M = 1032 and of 127 at M = 1033, the two sides of a
+    block-size step; 10 blocks of at most 254 at N = 2500, M = 1000; 5 of at most 31 at N = 128,
+    M = 8300; and 3 of one neuron above _FILL_BLOCK patterns.  Each N sits at a run's edge (126 to 128 and
+    254 to 256).  A stored state puts some overlap at +-N, and fills each full run of its
+    pattern to exactly +127, or -127 when PNN2's state is flipped."""
     q = max(q, 2) if kind is NetworkKind.PNN3 else q
     (n, m), rng = shape, np.random.default_rng(seed)
     levels = rng.integers(1, q + 1, size=(m, n), dtype=np.uint8)
