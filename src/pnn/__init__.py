@@ -22,7 +22,6 @@ from .dpnn import (
     capacity_exponent,
     dpnn_build,
     dpnn_capacity,
-    dpnn_retrieve,
     k_critical,
     k_critical_asymptotic,
     k_critical_detail,
@@ -42,10 +41,8 @@ from .errors import (
 from .identifier import (
     IdentifierNet,
     OpCounter,
-    asymptotic_digit_estimate,
     build_identifier,
     digit_count,
-    enumerated_field,
     identify,
 )
 from .noise import (
@@ -53,7 +50,6 @@ from .noise import (
     apply_binary_noise,
     apply_qnary_noise,
     correlated_binary_patterns,
-    random_binary_patterns,
     random_qnary_patterns,
 )
 from .rng import make_rng
@@ -61,7 +57,6 @@ from .theory import (
     ErrorBound,
     capacity_pnn2,
     capacity_pnn3,
-    error_exponent,
     level_noise_rescaled,
     perr_pnn2,
     perr_pnn3,

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple, Sequence, get_args, get_origin
 import numpy as np
 
 from .core import (
-    Memory, NetworkKind, Pattern, _check_retrieval, _lockstep, _network_q, retrieve_batch,
+    Memory, NetworkKind, Pattern, _lockstep, _network_q, _whole, retrieve_batch,
 )
 from .dpnn import (
     MappingParams, capacity_exponent, dpnn_build, dpnn_capacity, k_critical, map_binary,
@@ -381,7 +381,7 @@ def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, m
     if not points:
         raise ConfigError("sweep needs a non-empty --values list")
     _positive(trials, "trials")
-    _check_retrieval(max_sweeps)
+    _whole("max_sweeps", max_sweeps)
 
     settings = [{**base, sweep: value} for value in points]
     specs = [_point_noise(kind, sweep, **setting) for setting in settings]  # before any draw
@@ -449,7 +449,7 @@ def cmd_dpnn_bench(*, seed, trials, jobs, N, k, M, load, a, overlap, max_sweeps)
     _positive(jobs, "jobs")
     m = _pattern_count(M, load, N)
     _positive(trials, "trials")
-    _check_retrieval(max_sweeps)
+    _whole("max_sweeps", max_sweeps)
     params = MappingParams.for_length(N, k)
     k_c = k_critical(N, a)  # checks N >= 2 and a; NoFeasibleK propagates (exit 3)
     ensemble = correlated_binary_patterns(m, N, overlap, make_rng(seed, 0))

@@ -412,11 +412,11 @@ def _check_state(memory: Memory, state: Pattern) -> None:
     _check_values(state.signs, state.levels, memory.q, unsigned=memory.kind is NetworkKind.PNN3)
 
 
-def _check_retrieval(max_sweeps) -> int:
-    """The sweep cap of a retrieval as an int, checked to be a whole number >= 1."""
-    if not (max_sweeps >= 1 and max_sweeps % 1 == 0):
-        raise ValueError(f"max_sweeps must be a whole number >= 1, got {max_sweeps}")
-    return int(max_sweeps)
+def _whole(name: str, value, least: int = 1) -> int:
+    """value as an int, checked to be a whole number >= least; a ValueError names it if not."""
+    if not (value >= least and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value}")
+    return int(value)
 
 
 # -- exact integer internals, scaled by N alpha^2 ---------------------------
@@ -675,7 +675,7 @@ def asynchronous_retrieve(
         raise ValueError(f"rng must be None or a numpy Generator, got {rng!r}")
     signs, levels, m = _stack_inputs(memory, [input_state])
     signs, levels, m = signs[:, 0], _as_levels(memory, levels[:, 0]), m[0]
-    max_sweeps = _check_retrieval(max_sweeps)
+    max_sweeps = _whole("max_sweeps", max_sweeps)
 
     n, a, shift = memory.n_neurons, memory._alpha, memory._shift
     step = np.zeros(memory.q << shift)  # the overlap step by stored code; zero between changes
@@ -775,7 +775,7 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     their update.  The first mover, decided at the m of its own visit, is moved as a visit moves
     it, and the walk goes on after it."""
     z, m, scale, own = _lockstep_inputs(memory, inputs)  # z and m: the active rows
-    max_sweeps = _check_retrieval(max_sweeps)
+    max_sweeps = _whole("max_sweeps", max_sweeps)
     n, q, s = memory.n_neurons, memory.q, 1 << memory._shift
     buf = np.pad(memory._alpha * _SIGNS[:s], s * q - s)  # S (q - 1) zeros each side
     # step[z] = alpha s e_l for z = S (l - 1) + t with no (Q, q) table: row z starts z floats into

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Memory, NetworkKind, Pattern, asynchronous_retrieve
+from .core import Memory, NetworkKind, Pattern, _whole
 from .errors import DimensionMismatch, LengthNotDivisible, LevelOutOfRange, NoFeasibleK
 from .theory import capacity_pnn2
 
@@ -45,8 +45,7 @@ class MappingParams:
 
     @classmethod
     def for_length(cls, n_bits: int, k: int) -> "MappingParams":
-        if k < 0:
-            raise ValueError(f"mapping parameter k must be >= 0, got {k}")
+        k = _whole("mapping parameter k", k, 0)
         if k > 62:
             raise LevelOutOfRange(f"mapping parameter k={k} > 62: levels up to 2^k overflow int64")
         if n_bits < 1 or n_bits % (k + 1) != 0:
@@ -83,8 +82,7 @@ def _as_signs(y) -> np.ndarray:
 def map_binary(y, k: int) -> Pattern:
     """Map a +-1 vector into its internal image (one neuron per fragment)."""
     y = _as_signs(y)
-    MappingParams.for_length(y.size, k)
-    return Pattern._of(*_map_rows(y, k))
+    return Pattern._of(*_map_rows(y, MappingParams.for_length(y.size, k).k))
 
 
 def _map_rows(y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +100,8 @@ def _map_rows(y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def unmap_binary(image: Pattern, k: int) -> np.ndarray:
     """Invert ``map_binary``; exact on every valid internal image."""
-    q = MappingParams.for_length(len(image) * (k + 1), k).q  # checks k
+    params = MappingParams.for_length(len(image) * (k + 1), k)  # checks k
+    k, q = params.k, params.q
     if image.levels.max() > q:
         raise LengthNotDivisible(
             f"image level {int(image.levels.max())} exceeds 2^k={q}"
@@ -150,11 +149,12 @@ def _largest_divisor_at_most(n: int, x: int) -> int:
     return next(d for d in range(min(x, root), 0, -1) if n % d == 0)
 
 
-def _check_k_inputs(n_bits: int, a: float) -> None:
-    if n_bits < 2:
-        raise ValueError(f"binary length must be >= 2, got {n_bits}")
+def _check_k_inputs(n_bits: int, a: float) -> int:
+    """The binary length as an int, checked to be a whole number >= 2, with a checked too."""
+    n_bits = _whole("binary length", n_bits, 2)
     if not 0.0 <= a < 0.5:
         raise ValueError(f"bit-noise a must be in [0, 0.5), got {a}")
+    return n_bits
 
 
 def k_critical(n_bits: int, a: float) -> int:
@@ -175,7 +175,7 @@ def k_critical_detail(n_bits: int, a: float) -> KCriticalResult:
     divisor near the limit, as N with small factors do, but takes O(sqrt N)
     steps for N with no small factor, such as 10^18 + 9.
     """
-    _check_k_inputs(n_bits, a)
+    n_bits = _check_k_inputs(n_bits, a)
     count_limit = n_bits // MIN_VECTOR_NEURONS  # d * 100 <= N
     intact_limit = _intact_limit(n_bits, a, n_bits)
     by_count = _largest_divisor_at_most(n_bits, count_limit)
@@ -203,7 +203,7 @@ def k_critical_asymptotic(n_bits: int, a: float) -> int:
     exact factorization of N is an artifact of the chosen size; buildable
     networks must still use ``k_critical``.
     """
-    _check_k_inputs(n_bits, a)
+    n_bits = _check_k_inputs(n_bits, a)
     limit = _intact_limit(n_bits, a, n_bits // MIN_VECTOR_NEURONS)
     if limit == 0:
         raise NoFeasibleK(
@@ -219,9 +219,8 @@ def dpnn_capacity(n_bits: int, a: float, k: int) -> float:
     up to encoding, so the plain Hopfield capacity applies (the k >= 1
     formula divides by k).
     """
-    _check_k_inputs(n_bits, a)
-    if k < 0:
-        raise ValueError(f"mapping parameter k must be >= 0, got {k}")
+    n_bits = _check_k_inputs(n_bits, a)
+    k = _whole("mapping parameter k", k, 0)
     if k == 0:
         return capacity_pnn2(n_bits, 1, a, 0.0)
     log_n = math.log(n_bits)
@@ -246,15 +245,10 @@ def dpnn_build(binary_patterns, k: int) -> Memory:
     """
     if not len(binary_patterns):
         raise LengthNotDivisible("at least one binary pattern is required")
-    sizes = {MappingParams.for_length(_as_signs(row).size, k).n_bits for row in binary_patterns}
-    if len(sizes) > 1:
-        raise DimensionMismatch(f"binary pattern lengths differ: {sorted(sizes)}")
+    params = {MappingParams.for_length(_as_signs(row).size, k) for row in binary_patterns}
+    if len(params) > 1:
+        lengths = sorted(p.n_bits for p in params)
+        raise DimensionMismatch(f"binary pattern lengths differ: {lengths}")
+    k = params.pop().k
     return Memory(NetworkKind.PNN2, 2**k, *_map_rows(np.asarray(binary_patterns, dtype=np.int8), k))
 
-
-def dpnn_retrieve(memory: Memory, noisy_y, k: int, max_sweeps: int) -> np.ndarray:
-    """Three-stage recognition: map, relax to a fixed point (sequential
-    order), map back."""
-    image = map_binary(noisy_y, k)
-    result = asynchronous_retrieve(memory, image, max_sweeps)
-    return unmap_binary(result.final_state, k)

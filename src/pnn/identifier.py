@@ -20,36 +20,25 @@ the caller looks the pattern up (here: list indexing).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import Memory, NetworkKind, Pattern, build_memory
-from .core import _check_levels, _check_state, _field_denominator, _overlaps
-from .errors import DimensionMismatch, IndexOutOfRange, UnknownPattern
+from .core import _check_levels, _check_state, _overlaps, _whole
+from .errors import DimensionMismatch, UnknownPattern
 
 
 def digit_count(m: int, q: int) -> int:
     """Base-q digits needed to number m patterns: ceil(log_q m), at least 1."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
+    m, q = _whole("m", m), _whole("q", q, 2)
     n = 1
     span = q
     while span < m:
         span *= q
         n += 1
     return n
-
-
-def asymptotic_digit_estimate(n_true: int, q: int) -> float:
-    """Digit count when m sits at the unsigned network's capacity: 2 + ln N / ln q."""
-    if n_true < 2 or q < 2:
-        raise ValueError("need n_true >= 2 and q >= 2")
-    return 2.0 + math.log(n_true) / math.log(q)
 
 
 @dataclass
@@ -102,24 +91,11 @@ def build_identifier(patterns: Sequence[Pattern], q: int) -> IdentifierNet:
 
 
 def _digit_amplitudes(net: IdentifierNet, m: np.ndarray, m_sum: int, j: int) -> np.ndarray:
-    """q^2 N times the amplitudes of enumerated coordinate j, given the
-    memory's overlaps m with the input (m_sum = sum(m)): q bincount - sum(m)."""
+    """q^2 N times the amplitudes of enumerated coordinate j under the input's true coordinates,
+    A_l = (1/N) sum_mu <e_l, y_j^mu - e/q> (sum_i <x_i^mu - e/q, x_i>), given the memory's
+    overlaps m with the input (m_sum = sum(m)): q bincount - sum(m), exact until divided."""
     q = net.memory.q
     return q * np.bincount(net.digit_codes[:, j], weights=m, minlength=q) - m_sum
-
-
-def enumerated_field(net: IdentifierNet, state: Pattern, j: int) -> np.ndarray:
-    """Amplitudes of enumerated coordinate j under the input's true coordinates.
-
-    A_l = (1/N) sum_mu <e_l, y_j^mu - e/q> (sum_i <x_i^mu - e/q, x_i>); the
-    sums are exact integers scaled by q^2 until the final division.
-    """
-    memory = net.memory
-    _check_state(memory, state)
-    if not 0 <= j < net.n_digits:
-        raise IndexOutOfRange(f"digit position {j} outside [0, {net.n_digits})")
-    m = _overlaps(memory, state.signs, state.levels)
-    return _digit_amplitudes(net, m, int(m.sum()), j) / _field_denominator(memory)
 
 
 def identify(

@@ -17,7 +17,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .core import NetworkKind, Pattern
+from .core import NetworkKind, Pattern, _network_q, _whole
 from .dpnn import _as_signs
 from .errors import LevelOutOfRange
 
@@ -56,26 +56,22 @@ def _qnary_arrays(
     """The patterns of ``random_qnary_patterns`` as (M, N) int8 signs and levels in the
     narrowest unsigned type that holds q, one row a pattern, with no Pattern built."""
     draws = _qnary_draws(m, n, q, kind, rng)
-    signs, levels = np.empty((m, n), dtype=np.int8), np.empty((m, n), dtype=np.min_scalar_type(q))
+    signs, levels = np.empty((m, n), dtype=np.int8), np.empty((m, n), np.min_scalar_type(int(q)))
     for mu, (row_signs, row_levels) in enumerate(draws):
         signs[mu], levels[mu] = row_signs, row_levels
     return signs, levels
 
 
 def _qnary_draws(m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Generator):
-    """Check the arguments of ``random_qnary_patterns``; return an iterator over its M
-    patterns' (signs, levels).  A PNN2 pattern is drawn when reached: its levels (int64), then
-    its signs.  PNN3 levels come from (k, N) draws of about 2**16 levels, which yield the values,
-    and leave the generator in the state, of k draws of N; each is cast, as drawn, to the
-    narrowest type holding q, so no int64 copy of all M patterns is made."""
-    if m < 1 or n < 1 or q < 1:
-        raise ValueError(f"need m, n, q >= 1, got m={m} n={n} q={q}")
-    if q % 1 != 0:
-        raise LevelOutOfRange(f"q must be a whole number, got {q}")
-    if not isinstance(kind, NetworkKind):
-        raise ValueError(f"kind must be a NetworkKind, got {kind!r}")
+    """Check the arguments of ``random_qnary_patterns``, kind and q as a ``Memory`` checks them;
+    return an iterator over its M patterns' (signs, levels).  A PNN2 pattern is drawn when
+    reached: its levels (int64), then its signs.  PNN3 levels come from (k, N) draws of about
+    2**16 levels, which yield the values, and leave the generator in the state, of k draws of N;
+    each is cast, as drawn, to the narrowest type holding q, so no int64 copy of all M patterns
+    is made."""
+    q, m, n = _network_q(kind, q), _whole("m", m), _whole("n", n)
     if kind is NetworkKind.PNN3:
-        per, narrow = max(1, (1 << 16) // n), np.min_scalar_type(int(q))
+        per, narrow = max(1, (1 << 16) // n), np.min_scalar_type(q)
         blocks = (rng.integers(1, q + 1, size=(min(per, m - lo), n)).astype(narrow)
                   for lo in range(0, m, per))
         return zip(repeat(np.ones(n, dtype=np.int8)), chain.from_iterable(blocks))
@@ -108,13 +104,6 @@ def apply_qnary_noise(
     return Pattern._of(signs, levels.astype(np.min_scalar_type(int(q)), copy=False))
 
 
-def random_binary_patterns(m: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """M i.i.d. uniform +-1 vectors of length n."""
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got m={m} n={n}")
-    return [(2 * rng.integers(0, 2, size=n) - 1).astype(np.int8) for _ in range(m)]
-
-
 def apply_binary_noise(y: np.ndarray, a: float, rng: np.random.Generator) -> np.ndarray:
     """Flip each +-1 coordinate independently with probability a.  y is checked as
     ``map_binary`` checks it, with the same errors."""
@@ -137,8 +126,7 @@ def correlated_binary_patterns(
     """
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValueError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got m={m} n={n}")
+    m, n = _whole("m", m), _whole("n", n)
     template = (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
     patterns = []
     for _ in range(m):

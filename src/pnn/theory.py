@@ -9,6 +9,9 @@ These are the quantities the Monte Carlo experiments are checked against:
     perr  < sqrt(N M) * exp(-(N/2M) * (q(q-1)/2) * (1-b_eff)^2)
     M_max = (N / (2 ln N)) * (q(q-1)/2) * (1-b_eff)^2
 
+At a fixed load M/N the PNN2 exponent, q^2 (1-b)^2 (1-2a)^2 / (2 M/N), does
+not depend on N; only the sqrt(N M) prefactor grows with it.
+
 All logarithms are natural.  A bound above 1 carries no information; it is
 returned verbatim with ``vacuous=True`` rather than clamped, so the exponent
 stays visible in tables.
@@ -38,7 +41,18 @@ def level_noise_rescaled(q: int, b: float) -> float:
     """b_eff = q b / (q-1), the rescaling entering the PNN3 formulas."""
     if q < 2:
         raise ValueError(f"PNN3 formulas need q >= 2, got {q}")
+    _check_probs(0.0, b)
     return q * b / (q - 1)
+
+
+def _pnn3_signal(q: int, b: float) -> float:
+    """(1 - b_eff)^2, the signal factor of both PNN3 formulas, which need b_eff < 1."""
+    b_eff = level_noise_rescaled(q, b)
+    if b_eff >= 1.0:
+        raise ValueError(
+            f"rescaled level noise {b_eff:.4f} >= 1 (b must stay below (q-1)/q)"
+        )
+    return (1 - b_eff) ** 2
 
 
 def perr_pnn2(n: int, m: int, q: int, a: float = 0.0, b: float = 0.0) -> ErrorBound:
@@ -65,12 +79,7 @@ def perr_pnn3(n: int, m: int, q: int, b: float = 0.0) -> ErrorBound:
     """One-step retrieval error bound for PNN3."""
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
-    b_eff = level_noise_rescaled(q, b)
-    if b_eff >= 1.0:
-        raise ValueError(
-            f"rescaled level noise {b_eff:.4f} >= 1 (b must stay below (q-1)/q)"
-        )
-    exponent = (n / (2 * m)) * (q * (q - 1) / 2) * (1 - b_eff) ** 2
+    exponent = (n / (2 * m)) * (q * (q - 1) / 2) * _pnn3_signal(q, b)
     value = math.sqrt(n * m) * math.exp(-exponent)
     return ErrorBound(value, value > 1.0)
 
@@ -79,22 +88,4 @@ def capacity_pnn3(n: int, q: int, b: float = 0.0) -> float:
     """Asymptotic PNN3 storage capacity (about half of PNN2's at large q)."""
     if n < 2:
         raise ValueError(f"capacity needs n >= 2 (ln n > 0), got {n}")
-    b_eff = level_noise_rescaled(q, b)
-    if b_eff >= 1.0:
-        raise ValueError(
-            f"rescaled level noise {b_eff:.4f} >= 1 (b must stay below (q-1)/q)"
-        )
-    return (n / (2 * math.log(n))) * (q * (q - 1) / 2) * (1 - b_eff) ** 2
-
-
-def error_exponent(q: int, b: float, load: float, a: float = 0.0) -> float:
-    """N-independent exponent of the PNN2 bound at fixed load M/N.
-
-    perr ~ sqrt(NM) exp(-E) with E = q^2 (1-b)^2 (1-2a)^2 / (2 load); E is
-    what makes high-noise, many-pattern retrieval regimes comparable across
-    sizes (the sqrt(NM) prefactor grows with N and is ignored here).
-    """
-    _check_probs(a, b)
-    if load <= 0:
-        raise ValueError(f"load must be positive, got {load}")
-    return q**2 * (1 - b) ** 2 * (1 - 2 * a) ** 2 / (2 * load)
+    return (n / (2 * math.log(n))) * (q * (q - 1) / 2) * _pnn3_signal(q, b)

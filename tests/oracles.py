@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: explicit q-dimensional basis vectors,
 explicit N x N weight matrices, triple loops.  None of it shares code with
-the package internals.  The exceptions in kind are
+the package internals; ``random_binary_patterns`` draws the uniform +-1 test
+inputs of the binary pipeline.  The exceptions in kind are
 ``reference_asynchronous_retrieve``, a copy of the package's earlier serial
 kernel, one visit at a time, written out from the public pattern arrays,
 ``reference_overlaps``, the package's earlier overlap sum over all N neurons
@@ -320,6 +321,13 @@ def reference_qnary_patterns(m: int, n: int, q: int, kind: NetworkKind, rng) -> 
             signs = np.ones(n, dtype=np.int8)
         patterns.append(Pattern(signs, levels))
     return patterns
+
+
+def random_binary_patterns(m: int, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """M i.i.d. uniform +-1 vectors of length n."""
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m={m} n={n}")
+    return [(2 * rng.integers(0, 2, size=n) - 1).astype(np.int8) for _ in range(m)]
 
 
 def reference_qnary_noise(pattern: Pattern, q: int, a: float, b: float, rng):

@@ -10,6 +10,7 @@ body.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -32,9 +33,7 @@ from pnn import (
     correlated_binary_patterns,
     dpnn_build,
     dpnn_capacity,
-    dpnn_retrieve,
     energy,
-    error_exponent,
     identify,
     is_fixed_point,
     k_critical,
@@ -44,14 +43,13 @@ from pnn import (
     map_binary,
     perr_pnn2,
     perr_pnn3,
-    random_binary_patterns,
     random_qnary_patterns,
     retrieve_batch,
     synchronous_step,
     unmap_binary,
 )
 from pnn.cli import main as cli_main
-from oracles import ScalarHopfield, naive_decide, with_neuron
+from oracles import ScalarHopfield, naive_decide, random_binary_patterns, with_neuron
 
 
 def _report(num, name, ok, detail=""):
@@ -183,19 +181,27 @@ def test_c04_noise_immunity_trend():
 
 
 def test_c05_bound_exponents_at_fixed_load():
-    """The N-independent exponent reproduces the two high-noise operating
-    points: exp(-4.096) ~ 0.0166 at (q=64, b=0.9, load 5) and
+    """The exponent E of perr_pnn2 = sqrt(N M) exp(-E) at a fixed load M/N is
+    the same at N=1000 and N=10000, and reproduces the two high-noise
+    operating points: exp(-4.096) ~ 0.0166 at (q=64, b=0.9, load 5) and
     exp(-5.0176) ~ 0.0066 at (q=64, b=0.65, load 50)."""
-    first = error_exponent(64, 0.9, 5)
-    second = error_exponent(64, 0.65, 50)
-    ok = (
-        abs(np.exp(-first) - 0.0166390988617236276) < 1e-3
-        and abs(np.exp(-second) - 0.00662039660968005042) < 1e-3
-        and first == pytest.approx(4.096, rel=1e-9)
-        and second == pytest.approx(5.0176, rel=1e-9)
-    )
-    _report(5, "bound exponents at fixed load", ok,
-            f"exp(-{first:.3f})={np.exp(-first):.4f}, exp(-{second:.4f})={np.exp(-second):.4f}")
+
+    def exponent(n, load, b):
+        m = load * n
+        return math.log(math.sqrt(n * m)) - math.log(perr_pnn2(n, m, 64, 0.0, b).value)
+
+    ok, details = True, []
+    for n in (1000, 10_000):
+        first, second = exponent(n, 5, 0.9), exponent(n, 50, 0.65)
+        ok &= (
+            abs(np.exp(-first) - 0.0166390988617236276) < 1e-3
+            and abs(np.exp(-second) - 0.00662039660968005042) < 1e-3
+            and first == pytest.approx(4.096, rel=1e-9)
+            and second == pytest.approx(5.0176, rel=1e-9)
+        )
+        details.append(f"N={n}: exp(-{first:.3f})={np.exp(-first):.4f}, "
+                       f"exp(-{second:.4f})={np.exp(-second):.4f}")
+    _report(5, "bound exponents at fixed load", ok, "; ".join(details))
 
 
 def test_c06_pnn3_vs_pnn2():
@@ -241,13 +247,13 @@ def test_c08_mapping_bijectivity():
 
 
 def _dpnn_outputs(ensemble, k, a, trials, seed):
-    """Pipeline outputs on seeded noisy copies; trial t probes pattern t mod M."""
+    """Pipeline outputs on seeded noisy copies, relaxed together by ``retrieve_batch`` as
+    ``pnn dpnn-bench`` relaxes them; trial t probes pattern t mod M."""
     memory = dpnn_build(ensemble, k)
-    outputs = []
-    for t in range(trials):
-        noisy = apply_binary_noise(ensemble[t % len(ensemble)], a, make_rng(seed, 1 + t))
-        outputs.append(dpnn_retrieve(memory, noisy, k, 10))
-    return outputs
+    noisy = [apply_binary_noise(ensemble[t % len(ensemble)], a, make_rng(seed, 1 + t))
+             for t in range(trials)]
+    results = retrieve_batch(memory, [map_binary(y, k) for y in noisy], 10)
+    return [unmap_binary(r.final_state, k) for r in results]
 
 
 def test_c09_dpnn_on_correlated_patterns():

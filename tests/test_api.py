@@ -1,6 +1,7 @@
-"""The package's public names, pinned so none appears or disappears unnoticed, and the
-README's library example, run as written."""
+"""The package's public names, pinned so none appears or disappears unnoticed, each used
+outside the tests, and the README's library example, run as written."""
 
+import re
 from pathlib import Path
 
 import pnn
@@ -27,7 +28,6 @@ PUBLIC_NAMES = [
     "UnknownPattern",
     "apply_binary_noise",
     "apply_qnary_noise",
-    "asymptotic_digit_estimate",
     "asynchronous_retrieve",
     "build_identifier",
     "build_memory",
@@ -38,10 +38,7 @@ PUBLIC_NAMES = [
     "digit_count",
     "dpnn_build",
     "dpnn_capacity",
-    "dpnn_retrieve",
     "energy",
-    "enumerated_field",
-    "error_exponent",
     "identify",
     "is_fixed_point",
     "k_critical",
@@ -53,7 +50,6 @@ PUBLIC_NAMES = [
     "map_binary",
     "perr_pnn2",
     "perr_pnn3",
-    "random_binary_patterns",
     "random_qnary_patterns",
     "retrieve_batch",
     "synchronous_step",
@@ -61,11 +57,29 @@ PUBLIC_NAMES = [
 ]
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_public_names_are_pinned():
     assert sorted(pnn.__all__) == PUBLIC_NAMES
 
 
+def test_every_public_name_is_used_outside_the_tests():
+    """Each name is in the README, in a benchmark script, or in a package module other than
+    ``__init__.py`` on a line that is not its own def or class line: a name that only the tests
+    call belongs in the tests."""
+    sources = [ROOT / "README.md", *sorted((ROOT / "benchmarks").glob("*.py")),
+               *sorted(p for p in (ROOT / "src" / "pnn").glob("*.py") if p.name != "__init__.py")]
+    lines = [line for path in sources for line in path.read_text().splitlines()]
+    unused = [
+        name for name in pnn.__all__
+        if not any(re.search(rf"\b{name}\b", line)
+                   and not re.match(rf"\s*(def|class) {name}\b", line) for line in lines)
+    ]
+    assert unused == []
+
+
 def test_readme_library_example_runs_as_written():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(example, "README.md", "exec"), {})

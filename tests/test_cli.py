@@ -433,6 +433,17 @@ class TestTheoryTable:
         assert float(two["capacity_pnn2"]) == pytest.approx(capacity_pnn2(2, 4))
         assert float(two["capacity_pnn3"]) == pytest.approx(capacity_pnn3(2, 4))
 
+    @pytest.mark.parametrize("b", ["-0.5", "nan"])
+    def test_level_noise_outside_0_1_leaves_every_bound_empty(self, capsys, b):
+        code, out, err = run_cli(capsys, "theory-table", "--N", "1000", "--q", "4", "--M", "100",
+                                 "--b", b)
+        assert (code, err) == (0, "")
+        _, (row,) = parse_csv(out)
+        bounds = ["theory_perr", "vacuous_flag", "capacity_pnn2",
+                  "perr_pnn3", "perr_pnn3_vacuous", "capacity_pnn3"]
+        assert [row[column] for column in bounds] == [""] * len(bounds)
+        assert row["dpnn_capacity"] != ""  # the cells that take no b are still filled
+
     @pytest.mark.parametrize("args, blank", [
         (["--N", "1000", "--k", "600"], ["dpnn_capacity"]),  # (2 (1 - a))**(2 k)
         (["--q", "1" + "0" * 200], ["theory_perr", "vacuous_flag", "capacity_pnn2"]),  # float(q)
@@ -581,7 +592,7 @@ class TestArgumentHandling:
         (["sweep", "--sweep", "q", "--values", "4,0", "--N", "20", "--M", "5"], "got 0", 0),
         (["sweep", "--sweep", "M", "--values", "5,0", "--N", "20", "--q", "4"], "got 0", 0),
         (["sweep", "--sweep", "b", "--values", "0.1", "--N", "0", "--q", "4", "--M", "5"],
-         "n=0", 0),
+         "n must be a whole number >= 1, got 0", 0),
         (["sweep", "--sweep", "b", "--values", "1.5", "--N", "20", "--q", "4", "--M", "5"],
          "got 1.5", 0),
         (["sweep", "--sweep", "q", "--values", "4", "--N", "20", "--M", "5", "--max-sweeps", "0"],

@@ -21,19 +21,18 @@ from pnn import (
     correlated_binary_patterns,
     dpnn_build,
     dpnn_capacity,
-    dpnn_retrieve,
     k_critical,
     k_critical_asymptotic,
     k_critical_detail,
     make_rng,
     map_binary,
-    random_binary_patterns,
     unmap_binary,
 )
 from pnn import dpnn
 from oracles import (
     DenseVectorHopfield,
     ScalarHopfield,
+    random_binary_patterns,
     reference_map_binary,
     reference_map_fragment,
     reference_unmap_binary,
@@ -42,6 +41,12 @@ from oracles import (
 # hand evaluation of the capacity formula at N=1000, a=0, k=1:
 # (1000/(2 ln 1000)) * 4 / (1 * (1 + 1/ln 1000))
 CAPACITY_1000_0_1 = 252.916273890741103
+
+
+def pipeline(memory, noisy_y, k, max_sweeps):
+    """Three-stage recognition: map, relax to a fixed point (sequential order), map back."""
+    result = asynchronous_retrieve(memory, map_binary(noisy_y, k), max_sweeps)
+    return unmap_binary(result.final_state, k)
 
 
 class TestMapping:
@@ -66,8 +71,28 @@ class TestMapping:
         (lambda: map_binary([], 1), LengthNotDivisible, "non-empty 1-d array"),
         (lambda: unmap_binary(Pattern([1, 1], [2, 3]), 1), LengthNotDivisible,
          "image level 3 exceeds 2\\^k=2"),
-        (lambda: dpnn_capacity(1000, 0.1, -1), ValueError, "k must be >= 0, got -1"),
-    ], ids=["map-2d", "map-empty", "unmap-level-above-2-to-the-k", "capacity-negative-k"])
+        (lambda: dpnn_capacity(1000, 0.1, -1), ValueError,
+         "mapping parameter k must be a whole number >= 0, got -1"),
+        # a fractional k is rejected wherever k enters, before any length or level is checked
+        (lambda: MappingParams.for_length(5, 1.5), ValueError,
+         "mapping parameter k must be a whole number >= 0, got 1.5"),
+        (lambda: map_binary([1] * 5, 1.5), ValueError, "k must be a whole number >= 0, got 1.5"),
+        (lambda: dpnn_build([[1] * 5], 1.5), ValueError, "k must be a whole number >= 0, got 1.5"),
+        (lambda: unmap_binary(Pattern([1, 1], [1, 2]), 1.5), ValueError,
+         "k must be a whole number >= 0, got 1.5"),
+        (lambda: dpnn_capacity(1000, 0.1, 1.5), ValueError,
+         "k must be a whole number >= 0, got 1.5"),
+        (lambda: k_critical(1000.5, 0.1), ValueError,
+         "binary length must be a whole number >= 2, got 1000.5"),
+        (lambda: k_critical_asymptotic(1000.5, 0.1), ValueError,
+         "binary length must be a whole number >= 2, got 1000.5"),
+        (lambda: dpnn_capacity(1000.5, 0.1, 1), ValueError,
+         "binary length must be a whole number >= 2, got 1000.5"),
+        (lambda: k_critical(1, 0.1), ValueError, "binary length must be a whole number >= 2"),
+    ], ids=["map-2d", "map-empty", "unmap-level-above-2-to-the-k", "capacity-negative-k",
+            "params-fractional-k", "map-fractional-k", "build-fractional-k", "unmap-fractional-k",
+            "capacity-fractional-k", "k-critical-fractional-n", "k-asymptotic-fractional-n",
+            "capacity-fractional-n", "k-critical-n1"])
     def test_bad_arguments_rejected(self, call, error, match):
         with pytest.raises(error, match=match):
             call()
@@ -121,6 +146,15 @@ class TestMapping:
         assert (p.n, p.q) == (100, 512)
         with pytest.raises(LengthNotDivisible):
             MappingParams.for_length(1000, 6)
+
+    def test_whole_float_k_and_length_act_as_ints(self):
+        y = make_rng(104).choice([-1, 1], size=12)
+        assert map_binary(y, 2.0) == map_binary(y, 2)
+        assert np.array_equal(unmap_binary(map_binary(y, 2), 2.0), y)
+        assert dpnn_build([y], 2.0).q == 4
+        assert dpnn_capacity(1000.0, 0.1, 2.0) == dpnn_capacity(1000, 0.1, 2)
+        assert k_critical(1000.0, 0.1) == k_critical(1000, 0.1) == 9
+        assert type(k_critical_asymptotic(1000.0, 0.1)) is int
 
     def test_levels_up_to_2_to_the_62_fit_and_larger_k_is_rejected(self):
         # levels reach 2^k, which int64 holds up to k = 62
@@ -221,7 +255,7 @@ class TestPipeline:
         patterns = random_binary_patterns(5, 40, rng)
         memory = dpnn_build(patterns, 3)
         for y in patterns:
-            assert np.array_equal(dpnn_retrieve(memory, y, 3, max_sweeps=5), y)
+            assert np.array_equal(pipeline(memory, y, 3, max_sweeps=5), y)
 
     def test_single_pattern_recovers_under_noise(self):
         # one stored pattern: a couple of intact fragments carry the field
@@ -229,7 +263,7 @@ class TestPipeline:
         y = random_binary_patterns(1, 60, rng)[0]
         memory = dpnn_build([y], 2)
         noisy = apply_binary_noise(y, 0.2, rng)
-        out = dpnn_retrieve(memory, noisy, 2, max_sweeps=10)
+        out = pipeline(memory, noisy, 2, max_sweeps=10)
         assert np.array_equal(out, y) or np.array_equal(out, -y)
 
     def test_two_intact_fragments_suffice_for_single_pattern(self):
@@ -247,7 +281,7 @@ class TestPipeline:
             corrupted_levels[f] = image.levels[f] % (2**k) + 1  # different level
             corrupted_signs[f] = -image.signs[f]
         noisy = unmap_binary(Pattern(corrupted_signs, corrupted_levels), k)
-        out = dpnn_retrieve(memory, noisy, k, max_sweeps=5)
+        out = pipeline(memory, noisy, k, max_sweeps=5)
         assert np.array_equal(out, y)
 
     def test_k0_reduces_to_scalar_hopfield(self):
@@ -257,7 +291,7 @@ class TestPipeline:
         oracle = ScalarHopfield(patterns)
         for _ in range(5):
             noisy = apply_binary_noise(patterns[0], 0.15, rng)
-            got = dpnn_retrieve(memory, noisy, 0, max_sweeps=10)
+            got = pipeline(memory, noisy, 0, max_sweeps=10)
             want, _, _, _, _ = oracle.retrieve(noisy, 10)
             assert np.array_equal(got, want)
 
@@ -284,21 +318,20 @@ class TestPipeline:
             assert np.array_equal(mine.final_state.levels, o_levels)
             assert (mine.converged, mine.sweeps_used) == (o_conv, o_sweeps)
             assert np.array_equal(
-                dpnn_retrieve(memory, noisy, k, 10),
+                pipeline(memory, noisy, k, 10),
                 reference_unmap_binary(o_signs, o_levels, k),
             )
 
     @pytest.mark.parametrize("bad", [[1.5, -1.7], [-1.0, 1.2], [1, -1, 0.5, 1]])
     def test_fractional_entries_rejected_and_whole_floats_accepted(self, bad):
         # checked before any cast to integers, which would truncate 1.5 to 1
-        for call in (lambda: map_binary(bad, 0), lambda: dpnn_build([bad], 0),
-                     lambda: dpnn_retrieve(dpnn_build([[1, -1] * (len(bad) // 2)], 0), bad, 0, 3)):
+        for call in (lambda: map_binary(bad, 0), lambda: dpnn_build([bad], 0)):
             with pytest.raises(ValueError, match="only -1 and \\+1"):
                 call()
         assert map_binary([1.0, -1.0], 0) == map_binary([1, -1], 0)
         memory = dpnn_build([[1.0, -1.0]], 0)
         assert np.array_equal(memory.pattern_signs, [[1, -1]])
-        assert np.array_equal(dpnn_retrieve(memory, [1.0, -1.0], 0, 3), [1, -1])
+        assert np.array_equal(pipeline(memory, [1.0, -1.0], 0, 3), [1, -1])
 
     def test_build_validates(self):
         with pytest.raises(LengthNotDivisible):

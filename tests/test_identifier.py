@@ -6,7 +6,6 @@ import pytest
 from pnn import (
     DimensionMismatch,
     IdentifierNet,
-    IndexOutOfRange,
     LevelOutOfRange,
     Memory,
     NetworkKind,
@@ -16,17 +15,17 @@ from pnn import (
     SignNotAllowed,
     UnknownPattern,
     apply_qnary_noise,
-    asymptotic_digit_estimate,
     build_identifier,
     build_memory,
     capacity_pnn3,
     digit_count,
-    enumerated_field,
     identify,
     make_rng,
     random_qnary_patterns,
 )
 from oracles import coupling_block, naive_identifier_field
+from pnn.core import _field_denominator, _overlaps
+from pnn.identifier import _digit_amplitudes
 
 
 def make_net(m, n, q, seed=0):
@@ -46,15 +45,6 @@ class TestDigitCount:
     def test_exact_powers(self):
         assert digit_count(8**3, 8) == 3
         assert digit_count(8**3 + 1, 8) == 4
-
-
-class TestAsymptoticEstimate:
-    def test_screen_sized_examples(self):
-        assert asymptotic_digit_estimate(10**4, 100) == pytest.approx(4.0, abs=1e-12)
-        assert asymptotic_digit_estimate(10**6, 100) == pytest.approx(5.0, abs=1e-12)
-
-    def test_q_equals_n(self):
-        assert asymptotic_digit_estimate(500, 500) == pytest.approx(3.0, abs=1e-12)
 
 
 class TestBuild:
@@ -114,17 +104,16 @@ class TestBuild:
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda net, patterns: digit_count(0, 4), ValueError, "need m >= 1, got 0"),
-    (lambda net, patterns: digit_count(5, 1), ValueError, "need q >= 2, got 1"),
-    (lambda net, patterns: asymptotic_digit_estimate(1, 4), ValueError, "need n_true >= 2"),
-    (lambda net, patterns: enumerated_field(net, patterns[0], net.n_digits), IndexOutOfRange,
-     "digit position 2 outside \\[0, 2\\)"),
-    (lambda net, patterns: enumerated_field(net, patterns[0], -1), IndexOutOfRange,
-     "digit position -1"),
+    (lambda net, patterns: digit_count(0, 4), ValueError, "m must be a whole number >= 1, got 0"),
+    (lambda net, patterns: digit_count(5, 1), ValueError, "q must be a whole number >= 2, got 1"),
+    (lambda net, patterns: digit_count(2.5, 4), ValueError,
+     "m must be a whole number >= 1, got 2.5"),
+    (lambda net, patterns: digit_count(5, 2.5), ValueError,
+     "q must be a whole number >= 2, got 2.5"),
     (lambda net, patterns: identify(net, patterns[0], enumerated_init=[1, 2, 3]),
      DimensionMismatch, "enumerated_init must have length 2"),
-], ids=["digit-count-m0", "digit-count-q1", "estimate-n1", "field-digit-past-end",
-        "field-digit-negative", "init-too-long"])
+], ids=["digit-count-m0", "digit-count-q1", "digit-count-m-fractional", "digit-count-q-fractional",
+        "init-too-long"])
 def test_bad_arguments_rejected(call, error, match):
     net, patterns = make_net(10, 12, 4)  # 10 patterns at q = 4 take two digits
     with pytest.raises(error, match=match):
@@ -156,10 +145,13 @@ class TestCouplingStructure:
         np.testing.assert_allclose(block, want, atol=1e-12)
 
     def test_enumerated_field_matches_naive(self):
+        # the amplitudes identify takes each digit's argmax of, scaled back to the field
         net, patterns = make_net(8, 9, 4)
+        memory = net.memory
         state = apply_qnary_noise(patterns[3], 4, NoiseSpec(0, 0.3), make_rng(5))
+        m = _overlaps(memory, state.signs, state.levels)
         for j in range(net.n_digits):
-            got = enumerated_field(net, state, j)
+            got = _digit_amplitudes(net, m, int(m.sum()), j) / _field_denominator(memory)
             want = naive_identifier_field(net, state, j)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 

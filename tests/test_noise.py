@@ -19,10 +19,9 @@ from pnn import (
     correlated_binary_patterns,
     make_rng,
     map_binary,
-    random_binary_patterns,
     random_qnary_patterns,
 )
-from oracles import reference_qnary_noise, reference_qnary_patterns
+from oracles import random_binary_patterns, reference_qnary_noise, reference_qnary_patterns
 from pnn.noise import _qnary_arrays
 
 
@@ -74,19 +73,27 @@ class TestQnaryGeneration:
         with pytest.raises(ValueError):
             random_qnary_patterns(1, 0, 2, NetworkKind.PNN2, make_rng(0))
 
-    @pytest.mark.parametrize("args, error", [
-        ((0, 4, 2, NetworkKind.PNN2), ValueError), ((2, 0, 2, NetworkKind.PNN3), ValueError),
-        ((2, 4, 0, NetworkKind.PNN2), ValueError), ((2, 4, 2.5, NetworkKind.PNN3), LevelOutOfRange),
-        ((2, 4, 3, "pnn2"), ValueError),
-    ])
+    @pytest.mark.parametrize("args, error, match", [
+        ((0, 4, 2, NetworkKind.PNN2), ValueError, "m must be a whole number >= 1, got 0"),
+        ((2, 0, 2, NetworkKind.PNN3), ValueError, "n must be a whole number >= 1, got 0"),
+        ((2.5, 4, 2, NetworkKind.PNN2), ValueError, "m must be a whole number >= 1, got 2.5"),
+        ((2, 4.5, 2, NetworkKind.PNN3), ValueError, "n must be a whole number >= 1, got 4.5"),
+        ((2, 4, 0, NetworkKind.PNN2), LevelOutOfRange, "q must be a whole number >= 1, got 0"),
+        ((2, 4, 2.5, NetworkKind.PNN3), LevelOutOfRange, "q must be a whole number >= 1, got 2.5"),
+        ((2, 3, 1, NetworkKind.PNN3), LevelOutOfRange, "PNN3 requires q >= 2"),
+        ((2, 4, 3, "pnn2"), ValueError, "kind must be a NetworkKind"),
+    ], ids=["m0", "n0", "m-fractional", "n-fractional", "q0", "q-fractional", "pnn3-q1",
+            "kind-str"])
     @pytest.mark.parametrize("draw", [random_qnary_patterns, _qnary_arrays])
-    def test_patterns_and_arrays_reject_the_same_arguments(self, draw, args, error):
-        with pytest.raises(error):
+    def test_patterns_and_arrays_reject_the_same_arguments(self, draw, args, error, match):
+        # kind and q are checked as a Memory checks them
+        with pytest.raises(error, match=match):
             draw(*args, make_rng(0))
 
     @pytest.mark.parametrize("kind, q", [
         (NetworkKind.PNN2, 1), (NetworkKind.PNN2, 3), (NetworkKind.PNN2, 16),
         (NetworkKind.PNN3, 3), (NetworkKind.PNN3, 16), (NetworkKind.PNN3, 1000),
+        (NetworkKind.PNN2, 4.0), (NetworkKind.PNN3, 4.0),  # a whole float q acts as an int
     ])
     def test_drawn_arrays_build_the_memory_of_the_drawn_patterns(self, kind, q):
         # q = 1 draws no level words, and q = 3 rejects some of them; PNN3 draws its M
@@ -204,8 +211,10 @@ class TestBinary:
     @pytest.mark.parametrize("call, match", [
         (lambda rng: random_binary_patterns(0, 5, rng), "need m, n >= 1, got m=0 n=5"),
         (lambda rng: random_binary_patterns(2, 0, rng), "need m, n >= 1, got m=2 n=0"),
-        (lambda rng: correlated_binary_patterns(0, 5, 0.2, rng), "need m, n >= 1, got m=0 n=5"),
-        (lambda rng: correlated_binary_patterns(2, 0, 0.2, rng), "need m, n >= 1, got m=2 n=0"),
+        (lambda rng: correlated_binary_patterns(0, 5, 0.2, rng), "m must be a whole number >= 1"),
+        (lambda rng: correlated_binary_patterns(2, 0, 0.2, rng), "n must be a whole number >= 1"),
+        (lambda rng: correlated_binary_patterns(2.5, 4, 0.1, rng), "m must be .* >= 1, got 2.5"),
+        (lambda rng: correlated_binary_patterns(2, 4.5, 0.1, rng), "n must be .* >= 1, got 4.5"),
         (lambda rng: apply_binary_noise(np.ones(4), -0.1, rng), "must be in \\[0, 1\\], got -0.1"),
         (lambda rng: apply_binary_noise(np.ones(4), 1.5, rng), "must be in \\[0, 1\\], got 1.5"),
         # an int8 cast alone would pass these through as [2, 1], [0, 1] and [0, 1]
@@ -213,7 +222,8 @@ class TestBinary:
         (lambda rng: apply_binary_noise(np.array([0.5, 1]), 0.0, rng), "only -1 and \\+1"),
         (lambda rng: apply_binary_noise(np.array([1j, 1]), 0.0, rng), "only -1 and \\+1"),
         (lambda rng: apply_binary_noise(np.array([1, -1, 2]), 0.5, rng), "only -1 and \\+1"),
-    ], ids=["random-m0", "random-n0", "correlated-m0", "correlated-n0", "noise-below-0",
+    ], ids=["random-m0", "random-n0", "correlated-m0", "correlated-n0", "correlated-m-fractional",
+            "correlated-n-fractional", "noise-below-0",
             "noise-above-1", "noise-of-2", "noise-of-half", "noise-of-1j", "noise-of-2-at-half"])
     def test_bad_arguments_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):

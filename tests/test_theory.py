@@ -12,7 +12,6 @@ import pytest
 from pnn import (
     capacity_pnn2,
     capacity_pnn3,
-    error_exponent,
     level_noise_rescaled,
     perr_pnn2,
     perr_pnn3,
@@ -78,8 +77,16 @@ class TestPerrPnn2:
     (lambda: perr_pnn2(0, 10, 4), "need n, m, q >= 1"),
     (lambda: capacity_pnn2(100, 0), "need q >= 1"),
     (lambda: perr_pnn3(0, 10, 4), "need n, m >= 1"),
+    # PNN3's b is checked as PNN2's is, before it is rescaled
+    (lambda: perr_pnn3(100, 10, 4, -0.5), "level-noise b must be in \\[0, 1\\], got -0.5"),
+    (lambda: perr_pnn3(100, 10, 4, math.nan), "level-noise b must be in \\[0, 1\\], got nan"),
+    (lambda: capacity_pnn3(100, 4, -0.5), "level-noise b must be in \\[0, 1\\], got -0.5"),
+    (lambda: capacity_pnn3(100, 4, math.nan), "level-noise b must be in \\[0, 1\\], got nan"),
+    (lambda: level_noise_rescaled(4, -1), "level-noise b must be in \\[0, 1\\], got -1"),
+    (lambda: level_noise_rescaled(4, math.nan), "level-noise b must be in \\[0, 1\\], got nan"),
 ], ids=["perr-pnn2-b-below-0", "perr-pnn2-b-above-1", "perr-pnn2-n0", "capacity-pnn2-q0",
-        "perr-pnn3-n0"])
+        "perr-pnn3-n0", "perr-pnn3-b-below-0", "perr-pnn3-b-nan", "capacity-pnn3-b-below-0",
+        "capacity-pnn3-b-nan", "rescaled-b-below-0", "rescaled-b-nan"])
 def test_bad_arguments_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -127,20 +134,26 @@ class TestPnn3:
             capacity_pnn3(100, 8, b=0.9)
 
 
+def exponent_at_load(n, load, q, b, a=0.0):
+    """E in perr_pnn2 = sqrt(N M) exp(-E) at M = load N."""
+    m = load * n
+    return math.log(math.sqrt(n * m)) - math.log(perr_pnn2(n, m, q, a, b).value)
+
+
 class TestErrorExponent:
-    def test_high_noise_regime(self):
-        expo = error_exponent(64, 0.9, 5)
+    """perr_pnn2's exponent at a fixed load M/N, the same at every N."""
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    def test_high_noise_regime(self, n):
+        expo = exponent_at_load(n, 5, 64, 0.9)
         assert expo == pytest.approx(EXP_HIGH_NOISE, rel=1e-9)
         assert math.exp(-expo) == pytest.approx(EXP_HIGH_NOISE_P, abs=1e-12)
 
-    def test_many_patterns_regime(self):
-        expo = error_exponent(64, 0.65, 50)
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    def test_many_patterns_regime(self, n):
+        expo = exponent_at_load(n, 50, 64, 0.65)
         assert expo == pytest.approx(EXP_MANY_PATTERNS, rel=1e-9)
         assert math.exp(-expo) == pytest.approx(EXP_MANY_PATTERNS_P, abs=1e-12)
 
     def test_hopfield_regime(self):
-        assert error_exponent(1, 0.0, 0.1, a=0.3) == pytest.approx(0.8, rel=1e-12)
-
-    def test_load_validated(self):
-        with pytest.raises(ValueError):
-            error_exponent(8, 0.1, 0.0)
+        assert exponent_at_load(1000, 0.1, 1, 0.0, a=0.3) == pytest.approx(0.8, rel=1e-12)
