@@ -39,6 +39,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 import os
 import sys
 import time
@@ -49,7 +50,7 @@ from typing import Callable, NamedTuple, Sequence, get_args, get_origin
 import numpy as np
 
 from .core import (
-    Memory, NetworkKind, Pattern, _lockstep, _network_q, _whole, retrieve_batch,
+    Memory, NetworkKind, Pattern, _lockstep, _whole, retrieve_batch,
 )
 from .dpnn import (
     MappingParams, capacity_exponent, dpnn_build, dpnn_capacity, k_critical, map_binary,
@@ -58,7 +59,8 @@ from .dpnn import (
 from .errors import NoFeasibleK, PnnError, UnknownPattern
 from .identifier import IdentifierNet, OpCounter, identify
 from .noise import (
-    NoiseSpec, _qnary_arrays, apply_binary_noise, apply_qnary_noise, correlated_binary_patterns,
+    NoiseSpec, _drawn_q, _qnary_arrays, apply_binary_noise, apply_qnary_noise,
+    correlated_binary_patterns,
 )
 from .rng import make_rng
 from .theory import capacity_pnn2, capacity_pnn3, perr_pnn2, perr_pnn3
@@ -249,11 +251,11 @@ def _run_trials(trials_fn: Callable, ctx, trials: int, jobs: int) -> dict:
     batches = (range(lo, min(lo + per, trials)) for lo in starts)
     workers = min(workers, len(starts))
     if workers <= 1:
-        return _column_sums(trials_fn(ctx, batch) for batch in batches)
+        return _sum_batches(trials_fn(ctx, batch) for batch in batches)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(trials_fn, ctx)
     ) as pool:
-        return _column_sums(_in_flight(pool, batches, workers))
+        return _sum_batches(_in_flight(pool, batches, workers))
 
 
 def _in_flight(pool, batches, limit: int):
@@ -268,11 +270,14 @@ def _in_flight(pool, batches, limit: int):
         yield pending.popleft().result()
 
 
-def _column_sums(records) -> dict:
-    """The sums of records that share their keys, added key by key in record order."""
-    return functools.reduce(
-        lambda totals, record: {key: totals[key] + record[key] for key in totals}, records
-    )
+def _sum_batches(batch_sums) -> dict:
+    """The column sums of a stream of batches' sums, added in batch order as they arrive."""
+    return functools.reduce(lambda totals, sums: _column_sums((totals, sums)), batch_sums)
+
+
+def _column_sums(records: Sequence[dict]) -> dict:
+    """The sums of records that share their keys, each column added once in record order."""
+    return {key: sum(map(operator.itemgetter(key), records)) for key in records[0]}
 
 
 def _cells(sums: dict, trials: int, per_coord: int) -> dict:
@@ -360,7 +365,7 @@ def _point_noise(kind: NetworkKind, sweep: str, *, q, M, a, b) -> NoiseSpec:
     spec = NoiseSpec(a, b)
     if kind is NetworkKind.PNN3 and a > 0:
         raise ConfigError("PNN3 states carry no sign; sign noise a must be 0")
-    _network_q(kind, q)
+    _drawn_q(kind, q)
     if q == 1 and b > 0:
         raise ConfigError("q=1 has no level noise; set b=0")
     if sweep == "M":
@@ -522,7 +527,7 @@ def cmd_identify_bench(*, seed, trials, jobs, N, q, M, load, b) -> list:
     m = _pattern_count(M, load, N)
     _positive(trials, "trials")
     # q and b, checked before the patterns are drawn (the draw checks M, N)
-    _network_q(NetworkKind.PNN3, q)
+    _drawn_q(NetworkKind.PNN3, q)
     spec = NoiseSpec(0.0, b)
 
     signs, levels = _qnary_arrays(m, N, q, NetworkKind.PNN3, make_rng(seed, 0))

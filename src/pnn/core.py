@@ -241,6 +241,24 @@ class Pattern:
         pattern._freeze(signs, levels)
         return pattern
 
+    @classmethod
+    def _rows(cls, signs: np.ndarray, levels: np.ndarray) -> list["Pattern"]:
+        """The Patterns of the rows of (k, N) int8 signs and unsigned levels the library drew,
+        each a read-only view of its rows with no copy; the arrays are frozen.  As ``_freeze``
+        narrows, a row whose highest level fits a narrower type is narrowed into a copy."""
+        signs.setflags(write=False)
+        levels.setflags(write=False)
+        patterns = []
+        for row_signs, row_levels in zip(signs, levels):
+            pattern = object.__new__(cls)
+            if row_levels.itemsize > 1:
+                narrow = np.min_scalar_type(int(row_levels.max()))
+                row_levels = row_levels.astype(narrow, copy=False)
+                row_levels.setflags(write=False)
+            pattern.signs, pattern.levels = row_signs, row_levels
+            patterns.append(pattern)
+        return patterns
+
     def _freeze(self, signs: np.ndarray, levels: np.ndarray) -> None:
         # astype copies, so the caller's arrays stay its own; a 1-byte type holds no level above
         # 255, so its levels need no max to narrow

@@ -52,6 +52,7 @@ class MappingParams:
             raise LengthNotDivisible(
                 f"k+1={k + 1} must divide the binary length N >= 1, got N={n_bits}"
             )
+        n_bits = int(n_bits)  # a whole float length acts as an int
         return cls(k=k, n=n_bits // (k + 1), n_bits=n_bits, q=2**k)
 
 

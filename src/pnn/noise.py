@@ -8,12 +8,15 @@ the decorrelating pipeline.
 
 All generators are pure functions of their arguments and the supplied
 ``numpy`` Generator (see :mod:`pnn.rng`): same seed and stream, same output.
+A q-ary pattern set is drawn in blocks of about 2**16 draws, with the values
+and the generator state of one ``integers`` call for each pattern's levels
+and (PNN2) one for its signs; a PNN2 block maps raw 32-bit generator words
+as numpy maps them, which bounds q at 2**32 for drawn patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -42,12 +45,17 @@ def random_qnary_patterns(
     """M random patterns with i.i.d. equiprobable coordinates.
 
     PNN2 coordinates are uniform over 2q signed states, PNN3 over q unsigned
-    states (all signs +1).
+    states (all signs +1).  The draws, and the generator state they leave, are
+    those of M draws of ``rng.integers(1, q + 1, size=n)`` each followed (PNN2)
+    by ``rng.integers(0, 2, size=n)`` for the signs.  Raises LevelOutOfRange
+    for q above 2**32, the largest range numpy draws from one 32-bit word.
+    Each Pattern views one row of its block's read-only arrays.
     """
-    draws = _qnary_draws(m, n, q, kind, rng)
-    # rows in this type freeze with no max for q <= 255 (PNN3 rows are drawn in it)
-    narrow = np.min_scalar_type(int(q))
-    return [Pattern._of(signs, levels.astype(narrow, copy=False)) for signs, levels in draws]
+    m, n, q = _whole("m", m), _whole("n", n), _drawn_q(kind, q)
+    patterns = []
+    for signs, levels in _qnary_blocks(m, n, q, kind, rng):
+        patterns += Pattern._rows(signs, levels)
+    return patterns
 
 
 def _qnary_arrays(
@@ -55,28 +63,99 @@ def _qnary_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The patterns of ``random_qnary_patterns`` as (M, N) int8 signs and levels in the
     narrowest unsigned type that holds q, one row a pattern, with no Pattern built."""
-    draws = _qnary_draws(m, n, q, kind, rng)
-    signs, levels = np.empty((m, n), dtype=np.int8), np.empty((m, n), np.min_scalar_type(int(q)))
-    for mu, (row_signs, row_levels) in enumerate(draws):
-        signs[mu], levels[mu] = row_signs, row_levels
+    m, n, q = _whole("m", m), _whole("n", n), _drawn_q(kind, q)
+    signs, levels = np.empty((m, n), dtype=np.int8), np.empty((m, n), np.min_scalar_type(q))
+    lo = 0
+    for block_signs, block_levels in _qnary_blocks(m, n, q, kind, rng):
+        hi = lo + len(block_levels)
+        signs[lo:hi], levels[lo:hi] = block_signs, block_levels
+        lo = hi
     return signs, levels
 
 
-def _qnary_draws(m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Generator):
-    """Check the arguments of ``random_qnary_patterns``, kind and q as a ``Memory`` checks them;
-    return an iterator over its M patterns' (signs, levels).  A PNN2 pattern is drawn when
-    reached: its levels (int64), then its signs.  PNN3 levels come from (k, N) draws of about
-    2**16 levels, which yield the values, and leave the generator in the state, of k draws of N;
-    each is cast, as drawn, to the narrowest type holding q, so no int64 copy of all M patterns
-    is made."""
-    q, m, n = _network_q(kind, q), _whole("m", m), _whole("n", n)
+_WORD = 1 << 32  # numpy draws from a range up to 2**32 with one 32-bit word per value
+_BLOCK = 1 << 16  # draws per block
+
+
+def _drawn_q(kind: NetworkKind, q) -> int:
+    """q as an int, checked as a ``Memory`` checks it (kind too) and to be at most 2**32."""
+    q = _network_q(kind, q)
+    if q > _WORD:
+        raise LevelOutOfRange(f"drawn patterns need q <= 2**32, got q={q}")
+    return q
+
+
+def _qnary_blocks(m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Generator):
+    """Yield the checked arguments' M patterns as (k, N) blocks of int8 signs and levels in the
+    narrowest unsigned type that holds q, each block about 2**16 draws.
+
+    PNN3 levels come from one ``rng.integers(1, q + 1, size=(k, N))`` call, which yields the
+    values, and leaves the generator in the state, of k calls of size N.  A PNN2 block is k
+    patterns of w = N [q > 1] + N words from one call for uint32 words, which takes one 32-bit
+    word from the bit generator per value, and each pattern's words are its levels, then its
+    signs.  numpy maps a word x to the level floor(x q / 2**32) + 1 and rejects, and replaces
+    with the next word, an x with (x q) mod 2**32 < 2**32 mod q (Lemire's method); a sign is
+    2 (x >> 31) - 1, which no word is rejected for.
+    """
+    narrow = np.min_scalar_type(q)
     if kind is NetworkKind.PNN3:
-        per, narrow = max(1, (1 << 16) // n), np.min_scalar_type(q)
-        blocks = (rng.integers(1, q + 1, size=(min(per, m - lo), n)).astype(narrow)
-                  for lo in range(0, m, per))
-        return zip(repeat(np.ones(n, dtype=np.int8)), chain.from_iterable(blocks))
-    draws = (rng.integers(1, q + 1, size=n) for _ in range(m))
-    return ((2 * rng.integers(0, 2, size=n) - 1, levels) for levels in draws)  # levels, then signs
+        per, ones = max(1, _BLOCK // n), np.ones(n, dtype=np.int8)
+        for lo in range(0, m, per):
+            k = min(per, m - lo)
+            yield np.broadcast_to(ones, (k, n)), rng.integers(1, q + 1, size=(k, n)).astype(narrow)
+        return
+    w = n + n * (q > 1)
+    per = max(1, _BLOCK // w)
+    for lo in range(0, m, per):
+        k = min(per, m - lo)
+        words = rng.integers(0, _WORD, size=k * w, dtype=np.uint32)
+        if q == 1:
+            yield _signs(words.reshape(k, n)), np.ones((k, n), dtype=narrow)
+            continue
+        if _WORD % q:  # q is not a power of 2, so numpy can reject a level word
+            words = _drop_rejected(words, k, n, q, rng)
+        pairs = words.reshape(k, 2, n)
+        levels = pairs[:, 0].astype(np.uint64)
+        levels *= q  # in place: below 2**64, and faster than a fresh product
+        levels >>= 32
+        levels = levels.astype(narrow, copy=False)
+        levels += 1
+        yield _signs(pairs[:, 1]), levels
+
+
+def _signs(words: np.ndarray) -> np.ndarray:
+    """The int8 signs 2 (x >> 31) - 1 numpy draws from uint32 words x for ``integers(0, 2)``."""
+    return 2 * (words >> 31).astype(np.int8) - 1
+
+
+def _drop_rejected(words: np.ndarray, k: int, n: int, q: int, rng) -> np.ndarray:
+    """A block of k PNN2 patterns' 2 k N words with each level word numpy rejects dropped, and
+    as many more words drawn at the end of the block as were dropped.
+
+    A word is rejected when (x q) mod 2**32 < 2**32 mod q.  A pattern's levels are the first N
+    kept words from where its run starts, and its signs the N words after them, so a dropped
+    word moves every later run.  Each round walks the runs over the words drawn so far and draws
+    one more word for each word their level runs drop, never more than the block still needs,
+    until the k runs end exactly at the last word.
+    """
+    threshold = _WORD % q
+    if not (words.reshape(k, 2, n)[:, 0] * np.uint32(q) < threshold).any():
+        return words  # the common case: a word is rejected with probability below q / 2**32
+    while True:
+        kept = words * np.uint32(q) >= threshold  # the uint32 product wraps mod 2**32
+        before = np.concatenate(([0], np.cumsum(kept)))  # kept words before each index
+        drop, start = [], 0
+        for _ in range(k):
+            end = int(np.searchsorted(before, before[start] + n))  # just past the N-th kept word
+            drop.append(start + np.flatnonzero(~kept[start:end]))
+            start = end + n
+            if start > len(words):  # the run outlasts the words
+                break
+        drop = np.concatenate(drop)
+        if start == len(words):
+            return np.delete(words, drop)
+        more = rng.integers(0, _WORD, size=2 * k * n + len(drop) - len(words), dtype=np.uint32)
+        words = np.concatenate((words, more))
 
 
 def apply_qnary_noise(

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .core import _whole
+
 
 class ErrorBound(NamedTuple):
     """A probability bound and whether it exceeds 1 (vacuous)."""
@@ -39,8 +41,7 @@ def _check_probs(a: float, b: float) -> None:
 
 def level_noise_rescaled(q: int, b: float) -> float:
     """b_eff = q b / (q-1), the rescaling entering the PNN3 formulas."""
-    if q < 2:
-        raise ValueError(f"PNN3 formulas need q >= 2, got {q}")
+    q = _whole("q", q, 2)  # the PNN3 formulas need q >= 2
     _check_probs(0.0, b)
     return q * b / (q - 1)
 
@@ -58,8 +59,7 @@ def _pnn3_signal(q: int, b: float) -> float:
 def perr_pnn2(n: int, m: int, q: int, a: float = 0.0, b: float = 0.0) -> ErrorBound:
     """One-step retrieval error bound for PNN2 (Hopfield when q=1, b=0)."""
     _check_probs(a, b)
-    if n < 1 or m < 1 or q < 1:
-        raise ValueError("need n, m, q >= 1")
+    n, m, q = _whole("n", n), _whole("m", m), _whole("q", q)
     exponent = n * (1 - 2 * a) ** 2 * q**2 * (1 - b) ** 2 / (2 * m)
     value = math.sqrt(n * m) * math.exp(-exponent)
     return ErrorBound(value, value > 1.0)
@@ -68,17 +68,13 @@ def perr_pnn2(n: int, m: int, q: int, a: float = 0.0, b: float = 0.0) -> ErrorBo
 def capacity_pnn2(n: int, q: int, a: float = 0.0, b: float = 0.0) -> float:
     """Asymptotic PNN2 storage capacity."""
     _check_probs(a, b)
-    if n < 2:
-        raise ValueError(f"capacity needs n >= 2 (ln n > 0), got {n}")
-    if q < 1:
-        raise ValueError("need q >= 1")
+    n, q = _whole("n", n, 2), _whole("q", q)  # n >= 2 so that ln n > 0
     return n * (1 - 2 * a) ** 2 * q**2 * (1 - b) ** 2 / (2 * math.log(n))
 
 
 def perr_pnn3(n: int, m: int, q: int, b: float = 0.0) -> ErrorBound:
     """One-step retrieval error bound for PNN3."""
-    if n < 1 or m < 1:
-        raise ValueError("need n, m >= 1")
+    n, m = _whole("n", n), _whole("m", m)
     exponent = (n / (2 * m)) * (q * (q - 1) / 2) * _pnn3_signal(q, b)
     value = math.sqrt(n * m) * math.exp(-exponent)
     return ErrorBound(value, value > 1.0)
@@ -86,6 +82,5 @@ def perr_pnn3(n: int, m: int, q: int, b: float = 0.0) -> ErrorBound:
 
 def capacity_pnn3(n: int, q: int, b: float = 0.0) -> float:
     """Asymptotic PNN3 storage capacity (about half of PNN2's at large q)."""
-    if n < 2:
-        raise ValueError(f"capacity needs n >= 2 (ln n > 0), got {n}")
+    n = _whole("n", n, 2)  # so that ln n > 0
     return (n / (2 * math.log(n))) * (q * (q - 1) / 2) * _pnn3_signal(q, b)

@@ -591,6 +591,13 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("argv, needle, draws", [
         (["sweep", "--sweep", "q", "--values", "4,0", "--N", "20", "--M", "5"], "got 0", 0),
         (["sweep", "--sweep", "M", "--values", "5,0", "--N", "20", "--q", "4"], "got 0", 0),
+        # a q above 2**32 is rejected at once, where a Memory of it would fail to allocate
+        (["sweep", "--sweep", "q", "--values", "4294967297", "--N", "10", "--M", "2"],
+         "drawn patterns need q <= 2**32, got q=4294967297", 0),
+        (["sweep", "--sweep", "q", "--values", "4,4294967297", "--N", "10", "--M", "2"],
+         "drawn patterns need q <= 2**32, got q=4294967297", 0),
+        (["identify-bench", "--N", "10", "--q", "4294967297", "--M", "2"],
+         "drawn patterns need q <= 2**32, got q=4294967297", 0),
         (["sweep", "--sweep", "b", "--values", "0.1", "--N", "0", "--q", "4", "--M", "5"],
          "n must be a whole number >= 1, got 0", 0),
         (["sweep", "--sweep", "b", "--values", "1.5", "--N", "20", "--q", "4", "--M", "5"],

@@ -89,10 +89,12 @@ class TestMapping:
         (lambda: dpnn_capacity(1000.5, 0.1, 1), ValueError,
          "binary length must be a whole number >= 2, got 1000.5"),
         (lambda: k_critical(1, 0.1), ValueError, "binary length must be a whole number >= 2"),
+        (lambda: MappingParams.for_length(12.5, 2), LengthNotDivisible,
+         "k\\+1=3 must divide the binary length N >= 1, got N=12.5"),
     ], ids=["map-2d", "map-empty", "unmap-level-above-2-to-the-k", "capacity-negative-k",
             "params-fractional-k", "map-fractional-k", "build-fractional-k", "unmap-fractional-k",
             "capacity-fractional-k", "k-critical-fractional-n", "k-asymptotic-fractional-n",
-            "capacity-fractional-n", "k-critical-n1"])
+            "capacity-fractional-n", "k-critical-n1", "params-fractional-length"])
     def test_bad_arguments_rejected(self, call, error, match):
         with pytest.raises(error, match=match):
             call()
@@ -155,6 +157,9 @@ class TestMapping:
         assert dpnn_capacity(1000.0, 0.1, 2.0) == dpnn_capacity(1000, 0.1, 2)
         assert k_critical(1000.0, 0.1) == k_critical(1000, 0.1) == 9
         assert type(k_critical_asymptotic(1000.0, 0.1)) is int
+        params = MappingParams.for_length(12.0, 2.0)
+        assert params == MappingParams.for_length(12, 2)
+        assert (type(params.n), type(params.n_bits)) == (int, int)
 
     def test_levels_up_to_2_to_the_62_fit_and_larger_k_is_rejected(self):
         # levels reach 2^k, which int64 holds up to k = 62

@@ -82,8 +82,13 @@ class TestQnaryGeneration:
         ((2, 4, 2.5, NetworkKind.PNN3), LevelOutOfRange, "q must be a whole number >= 1, got 2.5"),
         ((2, 3, 1, NetworkKind.PNN3), LevelOutOfRange, "PNN3 requires q >= 2"),
         ((2, 4, 3, "pnn2"), ValueError, "kind must be a NetworkKind"),
+        # numpy draws a level above 2**32 from 64-bit words, which the word blocks do not follow
+        ((2, 3, 2**32 + 1, NetworkKind.PNN2), LevelOutOfRange,
+         "drawn patterns need q <= 2\\*\\*32, got q=4294967297"),
+        ((2, 3, 2**32 + 1, NetworkKind.PNN3), LevelOutOfRange,
+         "drawn patterns need q <= 2\\*\\*32, got q=4294967297"),
     ], ids=["m0", "n0", "m-fractional", "n-fractional", "q0", "q-fractional", "pnn3-q1",
-            "kind-str"])
+            "kind-str", "pnn2-q-above-2-to-the-32", "pnn3-q-above-2-to-the-32"])
     @pytest.mark.parametrize("draw", [random_qnary_patterns, _qnary_arrays])
     def test_patterns_and_arrays_reject_the_same_arguments(self, draw, args, error, match):
         # kind and q are checked as a Memory checks them
@@ -96,8 +101,10 @@ class TestQnaryGeneration:
         (NetworkKind.PNN2, 4.0), (NetworkKind.PNN3, 4.0),  # a whole float q acts as an int
     ])
     def test_drawn_arrays_build_the_memory_of_the_drawn_patterns(self, kind, q):
-        # q = 1 draws no level words, and q = 3 rejects some of them; PNN3 draws its M
-        # patterns in one call, which must leave the generator where M calls of N leave it
+        # q = 1 draws no level words.  No q here has a rejected level word: q = 3 rejects a word
+        # with probability 2**-32, and a q whose words are often rejected (3 * 2**30 rejects a
+        # quarter) has no Memory; test_properties draws those.  PNN3 draws its M patterns in one
+        # call, which must leave the generator where M calls of N leave it
         rngs = [make_rng(5, 2) for _ in range(3)]
         patterns = reference_qnary_patterns(30, 17, q, kind, rngs[0])
         assert random_qnary_patterns(30, 17, q, kind, rngs[1]) == patterns
@@ -108,6 +115,14 @@ class TestQnaryGeneration:
             assert np.array_equal(getattr(got, name), getattr(want, name))
         after = [rng.integers(0, 2**62, size=5).tolist() for rng in rngs]
         assert after[1] == after[0] and after[2] == after[0]
+
+    @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
+    def test_whole_float_arguments_act_as_ints(self, kind):
+        whole_floats, ints = (2.0, 3.0, 4.0), (2, 3, 4)
+        got, want = (_qnary_arrays(*args, kind, make_rng(6)) for args in (whole_floats, ints))
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+        got, want = (random_qnary_patterns(*args, kind, make_rng(6)) for args in (whole_floats, ints))
+        assert got == want
 
     @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
     def test_fractional_q_rejected(self, kind):

@@ -14,9 +14,11 @@ retrieval with its run-ahead blocks against the visit-by-visit reference
 on wider memories (N in 16..60, so that blocks are taken), both Memory
 constructions against one whole-array transpose and the blocked overlap sum
 against the one-pass sum, each across several blocks, the patterns the
-library freezes unchecked against the checked Pattern, the one-pass DPNN
-build against the images stored one by one, the bisected critical mapping
-parameter against the linear scan, the critical mapping parameter and its
+library freezes unchecked against the checked Pattern, the pattern sets
+drawn in blocks of generator words, and the generator state they leave,
+against patterns drawn one call at a time, the one-pass DPNN build against
+the images stored one by one, the bisected critical mapping parameter
+against the linear scan, the critical mapping parameter and its
 binding restrictions against the search of the list of all divisors, the
 binary mapping against its literal reference, the identifier's digits
 against the naive identifier field, level noise against its modular
@@ -64,6 +66,7 @@ from oracles import (
     reference_map_binary,
     reference_overlaps,
     reference_qnary_noise,
+    reference_qnary_patterns,
     reference_unmap_binary,
     with_neuron,
 )
@@ -71,6 +74,7 @@ from pnn.core import (
     _FILL_BLOCK, _codes_of, _decide_keys, _keeps, _lockstep, _lockstep_inputs,
     _overlaps, _states, _visit_rule,
 )
+from pnn.noise import _qnary_arrays
 
 
 @st.composite
@@ -449,6 +453,46 @@ def test_blocked_overlaps_equal_the_one_pass_sum(kind, q, shape, state, seed):
         s = s if kind is NetworkKind.PNN3 else 1 - 2 * rng.integers(0, 2, size=n)
     got, want = _overlaps(memory, s, l), reference_overlaps(memory, s, l)
     assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+_BIT_GENERATORS = {
+    "philox": np.random.Philox,
+    "pcg64": np.random.PCG64,
+    "mt19937": np.random.MT19937,
+    # a 64-bit generator that holds the unused half of its last word for the next uint32
+    "philox-half-word": lambda seed: _with_half_word(np.random.Philox(seed)),
+}
+
+
+def _with_half_word(bit_generator):
+    np.random.Generator(bit_generator).integers(0, 2**32, size=1, dtype=np.uint32)
+    return bit_generator
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(NetworkKind),
+       st.sampled_from([1, 2, 3, 16, 100, 129, 300, 3 * 2**30, 2**31 + 1, 2**32]),
+       st.integers(1, 7), st.one_of(st.integers(1, 64), st.integers(2**14, 2**15 + 1)),
+       st.sampled_from(sorted(_BIT_GENERATORS)), st.integers(0, 2**32 - 1))
+def test_drawn_patterns_equal_patterns_drawn_one_call_at_a_time(kind, q, m, n, bits, seed):
+    """The patterns and the arrays drawn in blocks of generator words hold the values and the
+    dtypes of patterns drawn with one call for each pattern's levels and one for its signs, and
+    leave the generator where those calls leave it.  n from 2**14 puts a few patterns in a
+    block, so that M spans several; q = 3 * 2**30 and 2**31 + 1 reject a quarter and half of
+    the level words, and q = 2**32 takes each word as it is."""
+    assume(kind is NetworkKind.PNN2 or q > 1)
+    rngs = [np.random.Generator(_BIT_GENERATORS[bits](seed)) for _ in range(3)]
+    want = reference_qnary_patterns(m, n, q, kind, rngs[0])
+    got = random_qnary_patterns(m, n, q, kind, rngs[1])
+    signs, levels = _qnary_arrays(m, n, q, kind, rngs[2])
+    assert got == want
+    assert [p.levels.dtype for p in got] == [p.levels.dtype for p in want]
+    assert all(p.signs.dtype == np.int8 for p in got)
+    assert signs.dtype == np.int8 and levels.dtype == np.min_scalar_type(q)
+    assert np.array_equal(signs, np.stack([p.signs for p in want]))
+    assert np.array_equal(levels, np.stack([p.levels.astype(np.uint64) for p in want]))
+    after = [rng.integers(0, 2**62, size=3).tolist() for rng in rngs]
+    assert after[1] == after[0] and after[2] == after[0]
 
 
 @settings(max_examples=60)

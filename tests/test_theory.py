@@ -74,9 +74,17 @@ class TestPerrPnn2:
 @pytest.mark.parametrize("call, match", [
     (lambda: perr_pnn2(100, 10, 4, b=-0.1), "level-noise b must be in \\[0, 1\\], got -0.1"),
     (lambda: perr_pnn2(100, 10, 4, b=1.5), "level-noise b must be in \\[0, 1\\], got 1.5"),
-    (lambda: perr_pnn2(0, 10, 4), "need n, m, q >= 1"),
-    (lambda: capacity_pnn2(100, 0), "need q >= 1"),
-    (lambda: perr_pnn3(0, 10, 4), "need n, m >= 1"),
+    (lambda: perr_pnn2(0, 10, 4), "n must be a whole number >= 1, got 0"),
+    (lambda: capacity_pnn2(100, 0), "q must be a whole number >= 1, got 0"),
+    (lambda: perr_pnn3(0, 10, 4), "n must be a whole number >= 1, got 0"),
+    # N, M and q are whole numbers, as the formulas assume
+    (lambda: perr_pnn2(100.5, 10, 3), "n must be a whole number >= 1, got 100.5"),
+    (lambda: perr_pnn2(100, 10.5, 3), "m must be a whole number >= 1, got 10.5"),
+    (lambda: perr_pnn2(100, 10, 2.5), "q must be a whole number >= 1, got 2.5"),
+    (lambda: capacity_pnn2(100, 2.5), "q must be a whole number >= 1, got 2.5"),
+    (lambda: perr_pnn3(100, 10, 2.5), "q must be a whole number >= 2, got 2.5"),
+    (lambda: perr_pnn3(100, 10.5, 4), "m must be a whole number >= 1, got 10.5"),
+    (lambda: capacity_pnn3(100.5, 4), "n must be a whole number >= 2, got 100.5"),
     # PNN3's b is checked as PNN2's is, before it is rescaled
     (lambda: perr_pnn3(100, 10, 4, -0.5), "level-noise b must be in \\[0, 1\\], got -0.5"),
     (lambda: perr_pnn3(100, 10, 4, math.nan), "level-noise b must be in \\[0, 1\\], got nan"),
@@ -85,8 +93,10 @@ class TestPerrPnn2:
     (lambda: level_noise_rescaled(4, -1), "level-noise b must be in \\[0, 1\\], got -1"),
     (lambda: level_noise_rescaled(4, math.nan), "level-noise b must be in \\[0, 1\\], got nan"),
 ], ids=["perr-pnn2-b-below-0", "perr-pnn2-b-above-1", "perr-pnn2-n0", "capacity-pnn2-q0",
-        "perr-pnn3-n0", "perr-pnn3-b-below-0", "perr-pnn3-b-nan", "capacity-pnn3-b-below-0",
-        "capacity-pnn3-b-nan", "rescaled-b-below-0", "rescaled-b-nan"])
+        "perr-pnn3-n0", "perr-pnn2-n-fractional", "perr-pnn2-m-fractional",
+        "perr-pnn2-q-fractional", "capacity-pnn2-q-fractional", "perr-pnn3-q-fractional",
+        "perr-pnn3-m-fractional", "capacity-pnn3-n-fractional", "perr-pnn3-b-below-0",
+        "perr-pnn3-b-nan", "capacity-pnn3-b-below-0", "capacity-pnn3-b-nan", "rescaled-b-below-0", "rescaled-b-nan"])
 def test_bad_arguments_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
