@@ -20,8 +20,9 @@ Every CSV starts with the same column prefix
 followed by command-specific columns (documented per command below).  Each
 command returns its rows as ``{column: value}``; a column a row does not name
 is left empty.  Output bytes are a pure function of the configuration and
-seed: trials draw from counter-based streams keyed by trial index, so
-``--jobs`` parallelism cannot change the result.  A trial
+seed: trials draw from counter-based streams keyed by trial index and run in
+this process, in batches whose size cannot change the result.  ``--jobs`` is
+accepted and checked, but runs nothing in parallel.  A trial
 counts as a pattern error unless the final state matches the target exactly;
 for signed networks an exact global sign flip is still an error but is also
 reported in ``sign_flip``.
@@ -33,7 +34,6 @@ memory, 3 infeasible parameters.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import csv
 import functools
@@ -43,7 +43,6 @@ import operator
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence, get_args, get_origin
 
@@ -98,7 +97,7 @@ class Option(NamedTuple):
 _SEED = Option("seed", int, 0, "experiment seed (default 0)")
 _OUT = Option("out", str, None, "CSV path (default stdout)")
 _TRIALS = Option("trials", int, REQUIRED, "Monte Carlo trials per point")
-_JOBS = Option("jobs", int, 1, "parallel worker processes (default 1)")
+_JOBS = Option("jobs", int, 1, "checked to be >= 1; every trial runs in this process (default 1)")
 _MAX_SWEEPS = Option("max_sweeps", int, 20, "retrieval sweep cap (default 20)")
 
 
@@ -213,65 +212,26 @@ def _write_csv(fh, header: Sequence[str], rows: list[dict]) -> None:
 # sweep by the synchronous step's rows (800 KB at B=128, M=400), and the
 # (k, M) rows of the moved states' overlap update.  128 was measured on the
 # bincount kernel that preceded the matrix products (README q sweep, 200
-# trials, --jobs 1: it beat 32, 64 and one batch of 200); on the product
-# kernel one batch of 200 beat 128 + 72 in 6 of 8 runs, so it is due to be
-# sized by work instead.
+# trials: it beat 32, 64 and one batch of 200); on the product kernel one
+# batch of 200 beat 128 + 72 in 6 of 8 runs, so it is due to be sized by
+# work instead.
 _BATCH_TRIALS = 128
 
-# (batch trial function, context) of the current point, set once in each
-# pool worker by the pool's initializer so the context is not sent per batch
-_worker_task = None
 
-
-def _init_worker(trials_fn: Callable, ctx) -> None:
-    global _worker_task
-    _worker_task = (trials_fn, ctx)
-
-
-def _run_batch(batch: range) -> dict:
-    trials_fn, ctx = _worker_task
-    return trials_fn(ctx, batch)
-
-
-def _run_trials(trials_fn: Callable, ctx, trials: int, jobs: int) -> dict:
-    """The column sums of the records of trials 0..trials-1, in up to ``jobs`` processes.
+def _run_trials(trials_fn: Callable, ctx, trials: int) -> dict:
+    """The column sums of the records of trials 0..trials-1.
 
     ``trials_fn(ctx, batch)`` returns the column sums of the records of one
-    contiguous range of trial indices, keyed by the CSV column each sum
-    feeds.  Batches are as large as the cap allows with one per worker, and
-    the pool never has more workers than batches or CPUs.  Batches are made
-    as they are submitted, at most one per worker in flight, and their sums
-    are added in batch order.  Each record depends only on (ctx, t) and
-    integer columns sum exactly, so neither the worker count nor the batch
-    size can change an integer total.
+    contiguous range of at most ``_BATCH_TRIALS`` trial indices, keyed by the
+    CSV column each sum feeds.  Each batch is made only when its turn comes,
+    so a huge ``trials`` holds no list of them, and the sums are added in
+    batch order.  Each record depends only on (ctx, t) and integer columns
+    sum exactly, so the batch size cannot change an integer total.
     """
-    workers = min(jobs, trials, os.cpu_count() or 1)
-    per = min(_BATCH_TRIALS, math.ceil(trials / workers))
-    starts = range(0, trials, per)
-    batches = (range(lo, min(lo + per, trials)) for lo in starts)
-    workers = min(workers, len(starts))
-    if workers <= 1:
-        return _sum_batches(trials_fn(ctx, batch) for batch in batches)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(trials_fn, ctx)
-    ) as pool:
-        return _sum_batches(_in_flight(pool, batches, workers))
-
-
-def _in_flight(pool, batches, limit: int):
-    """The results of ``_run_batch`` over ``batches``, in order, with at most ``limit`` batches
-    submitted to ``pool`` and not yet collected."""
-    pending = collections.deque()
-    for batch in batches:
-        if len(pending) == limit:
-            yield pending.popleft().result()
-        pending.append(pool.submit(_run_batch, batch))
-    while pending:
-        yield pending.popleft().result()
-
-
-def _sum_batches(batch_sums) -> dict:
-    """The column sums of a stream of batches' sums, added in batch order as they arrive."""
+    batch_sums = (
+        trials_fn(ctx, range(lo, min(lo + _BATCH_TRIALS, trials)))
+        for lo in range(0, trials, _BATCH_TRIALS)
+    )
     return functools.reduce(lambda totals, sums: _column_sums((totals, sums)), batch_sums)
 
 
@@ -373,8 +333,7 @@ def _point_noise(kind: NetworkKind, sweep: str, *, q, M, a, b) -> NoiseSpec:
     return spec
 
 
-def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, max_sweeps) -> list:
-    _positive(jobs, "jobs")
+def cmd_sweep(*, seed, trials, sweep, values, N, q, M, load, a, b, kind, max_sweeps) -> list:
     kind = NetworkKind(kind.lower())
     points = _parse_list(values, int if sweep in ("q", "M") else float, "values")
     if sweep == "M" and (M is not None or load is not None):
@@ -403,7 +362,7 @@ def cmd_sweep(*, seed, trials, jobs, sweep, values, N, q, M, load, a, b, kind, m
         rows.append(dict(
             experiment=f"sweep-{sweep}", N=N, q=q, M=m, a=a, b=b, trials=trials, seed=seed,
             **_theory_bound(kind, N, m, q, a, b),
-            **_cells(_run_trials(_sweep_trials, ctx, trials, jobs), trials, N),
+            **_cells(_run_trials(_sweep_trials, ctx, trials), trials, N),
         ))
     return rows
 
@@ -450,8 +409,7 @@ def _dpnn_trials(ctx, batch: range) -> dict:
     return _column_sums(records)
 
 
-def cmd_dpnn_bench(*, seed, trials, jobs, N, k, M, load, a, overlap, max_sweeps) -> list:
-    _positive(jobs, "jobs")
+def cmd_dpnn_bench(*, seed, trials, N, k, M, load, a, overlap, max_sweeps) -> list:
     m = _pattern_count(M, load, N)
     _positive(trials, "trials")
     _whole("max_sweeps", max_sweeps)
@@ -470,7 +428,7 @@ def cmd_dpnn_bench(*, seed, trials, jobs, N, k, M, load, a, overlap, max_sweeps)
         dpnn_memory=dpnn_build(ensemble, k), hopfield_memory=dpnn_build(ensemble, 0),
         ensemble=ensemble, k=k, a=a, seed=seed, max_sweeps=max_sweeps,
     )
-    sums = _run_trials(_dpnn_trials, ctx, trials, jobs)
+    sums = _run_trials(_dpnn_trials, ctx, trials)
 
     image_level_noise = 1.0 - (1.0 - a) ** k
     return [dict(
@@ -522,8 +480,7 @@ def _identify_trials(ctx, batch: range) -> dict:
     return _column_sums(records)
 
 
-def cmd_identify_bench(*, seed, trials, jobs, N, q, M, load, b) -> list:
-    _positive(jobs, "jobs")
+def cmd_identify_bench(*, seed, trials, N, q, M, load, b) -> list:
     m = _pattern_count(M, load, N)
     _positive(trials, "trials")
     # q and b, checked before the patterns are drawn (the draw checks M, N)
@@ -533,7 +490,7 @@ def cmd_identify_bench(*, seed, trials, jobs, N, q, M, load, b) -> list:
     signs, levels = _qnary_arrays(m, N, q, NetworkKind.PNN3, make_rng(seed, 0))
     net = IdentifierNet(Memory(NetworkKind.PNN3, q, signs, levels))
     ctx = SimpleNamespace(net=net, spec=spec, seed=seed)
-    sums = _run_trials(_identify_trials, ctx, trials, jobs)
+    sums = _run_trials(_identify_trials, ctx, trials)
     elapsed_ns = sums.pop("elapsed_ns")
 
     # wall time varies run to run; keep it out of the deterministic CSV
@@ -637,6 +594,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     config = _read_config_file(args.config, command.options) if args.config else {}
     values = _resolve(command.options, args, config)
     out = values.pop("out")
+    _positive(values.pop("jobs", 1), "jobs")  # accepted and checked; trials run in this process
     if out is None or out == "-":
         sink = contextlib.nullcontext(sys.stdout)
     else:  # opened before any trial runs, so an unwritable path fails at once

@@ -374,7 +374,8 @@ def test_c11_identifier():
 
 def test_c12_cli_determinism(tmp_path):
     """Same configuration and seed give byte-identical CSVs for every
-    command, with and without trial-level parallelism."""
+    command, at ``--jobs 1`` and at ``--jobs 2``, which is accepted and
+    changes no byte."""
     cases = {
         "sweep": [
             "sweep", "--sweep", "q", "--values", "2,4", "--N", "50", "--M", "75",

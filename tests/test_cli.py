@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,43 +60,6 @@ CONFIG_SETTINGS = {
         "k": "1,2", "seed": "3",
     },
 }
-
-
-@pytest.fixture
-def serial_pools(monkeypatch):
-    """Puts in-process stand-ins for the process pool, which start no process, and returns the
-    list of those made.  A stand-in runs a submitted batch when its result is collected, and
-    records its size and the most batches it held uncollected at once."""
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            self.size, self.held, self.most = max_workers, 0, 0
-            initializer(*initargs)
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            self.held += 1
-            self.most = max(self.most, self.held)
-            return SimpleNamespace(result=lambda: self._collect(fn, *args))
-
-        def map(self, fn, items):  # as ``Executor.map`` does it: every item submitted first
-            futures = [self.submit(fn, item) for item in items]
-            return (future.result() for future in futures)
-
-        def _collect(self, fn, *args):
-            self.held -= 1
-            return fn(*args)
-
-    monkeypatch.setattr("pnn.cli.ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr("pnn.cli._worker_task", None)
-    return pools
 
 
 def parse_csv(text):
@@ -476,7 +438,8 @@ README_CSV_SHA256 = [
          "--a", "0,0.1", "--b", "0,0.5", "--k", "1"],
         "2935b49e1ae6e934f51dd6d9dd613def7b82d41f957e1c551ce99184f6f3fa9d", id="theory-table"),
 ]
-# the same bytes from two forked workers, for every command that has --jobs
+# the same bytes with --jobs 2, for every command that has --jobs: it is accepted and changes
+# no byte
 README_CSV_SHA256 += [
     pytest.param(p.values[0] + ["--jobs", "2"], p.values[1], id=f"{p.id}-jobs2")
     for p in README_CSV_SHA256 if p.id != "theory-table"
@@ -511,8 +474,7 @@ OTHER_SWEEPS_CSV_SHA256 = [
         ["sweep", "--sweep", "b", "--values", "0.3", "--kind", "pnn2", "--q", "200", "--N", "60",
          "--M", "20", "--trials", "4", "--seed", "1"],
         "43857414cd2a60702179049d6fa8f64d51b78faeb2c2b90c552158cb0ec00104", id="sweep-b-pnn2-q200"),
-    # PNN2 at q = 129 stores uint16 codes while its levels fit uint8, and --jobs 2 pickles the
-    # Memory, codes alone, into the pool
+    # PNN2 at q = 129 stores uint16 codes while its levels fit uint8; --jobs 2 changes no byte
     pytest.param(
         ["sweep", "--sweep", "b", "--values", "0.3", "--kind", "pnn2", "--q", "129", "--N", "60",
          "--M", "20", "--trials", "6", "--jobs", "2", "--seed", "1"],
@@ -646,8 +608,15 @@ class TestArgumentHandling:
          "pattern count required: --M or --load"),
         (["sweep", "--sweep", "a", "--values", "0.1", "--N", "20", "--M", "5", "--q", "1",
           "--b", "0.3", "--trials", "2"], "q=1 has no level noise; set b=0"),
+        (["sweep", "--sweep", "q", "--values", "4", "--N", "20", "--M", "5", "--trials", "2",
+          "--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["dpnn-bench", "--N", "100", "--k", "1", "--M", "5", "--trials", "2", "--jobs", "0"],
+         "jobs must be >= 1, got 0"),
+        (["identify-bench", "--N", "20", "--q", "4", "--M", "5", "--trials", "2", "--jobs", "0"],
+         "jobs must be >= 1, got 0"),
     ], ids=["config-line-without-equals", "unreadable-config", "bad-list", "no-trials",
-            "no-pattern-count", "level-noise-at-q1"])
+            "no-pattern-count", "level-noise-at-q1", "sweep-jobs-0", "dpnn-bench-jobs-0",
+            "identify-bench-jobs-0"])
     def test_configuration_error_is_exit_2_with_its_message(self, capsys, tmp_path, argv, needle):
         (tmp_path / "no-equals.cfg").write_text("N = 40\ntrials 5\n")
         code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
@@ -766,21 +735,28 @@ class TestArgumentHandling:
         assert len(from_file.splitlines()) > 1
         assert from_file == with_flags
 
-    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch, serial_pools):
-        monkeypatch.setattr("pnn.cli.os.cpu_count", lambda: 3)
-        args = [
-            "sweep", "--sweep", "q", "--values", "2", "--N", "30", "--M", "20",
-            "--b", "0.2", "--trials", "12", "--seed", "1",
-        ]
-        code, capped, _ = run_cli(capsys, *args, "--jobs", "100000")
-        assert code == 0
-        assert [pool.size for pool in serial_pools] == [3]  # 3 CPUs, so 3 batches of 4 trials
-        code, serial, _ = run_cli(capsys, *args)
-        assert code == 0
-        assert capped == serial
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--sweep", "q", "--values", "2", "--N", "30", "--M", "20", "--b", "0.2",
+         "--trials", "12"],
+        ["dpnn-bench", "--N", "100", "--k", "1", "--M", "15", "--a", "0.1", "--overlap", "0.5",
+         "--trials", "16"],
+        ["identify-bench", "--N", "60", "--q", "8", "--M", "100", "--b", "0.3", "--trials", "20"],
+    ], ids=["sweep", "dpnn-bench", "identify-bench"])
+    def test_jobs_runs_every_trial_in_this_process(self, capsys, monkeypatch, argv):
+        """``--jobs 4`` on 4 CPUs starts no process and writes the bytes of the same command
+        without it."""
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
 
-    def test_at_most_one_batch_per_worker_is_in_flight(self, monkeypatch, serial_pools):
-        monkeypatch.setattr("pnn.cli.os.cpu_count", lambda: 3)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("os.fork", no_process)
+        monkeypatch.setattr("multiprocessing.process.BaseProcess.start", no_process)
+        argv = argv + ["--seed", "1"]
+        code, want, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--jobs", "4")[:2] == (0, want)
+
+    def test_batches_are_made_in_order_and_summed_exactly(self):
         batches = []
 
         def trials_fn(ctx, batch):
@@ -788,18 +764,15 @@ class TestArgumentHandling:
             return {"trials": len(batch), "indices": sum(batch), "halves": 0.5}
 
         trials = 3000 * _BATCH_TRIALS + 7
-        totals = cli._run_trials(trials_fn, None, trials, 3)
-        assert [(pool.size, pool.most) for pool in serial_pools] == [(3, 3)]
+        totals = cli._run_trials(trials_fn, None, trials)
         assert batches == [range(lo, min(lo + _BATCH_TRIALS, trials))
                            for lo in range(0, trials, _BATCH_TRIALS)]
         assert totals == {
             "trials": trials, "indices": trials * (trials - 1) // 2, "halves": 0.5 * len(batches),
         }
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_a_failing_batch_stops_a_huge_run_at_once(self, monkeypatch, serial_pools, jobs):
+    def test_a_failing_batch_stops_a_huge_run_at_once(self):
         # 10**12 trials make about 7.8e9 batches, none of which may be made ahead of its turn
-        monkeypatch.setattr("pnn.cli.os.cpu_count", lambda: 2)
         calls = []
 
         def trials_fn(ctx, batch):
@@ -809,5 +782,5 @@ class TestArgumentHandling:
             return {"trials": len(batch)}
 
         with pytest.raises(RuntimeError, match="third batch"):
-            cli._run_trials(trials_fn, None, 10**12, jobs)
-        assert len(calls) == 3 and len(serial_pools) == jobs - 1
+            cli._run_trials(trials_fn, None, 10**12)
+        assert len(calls) == 3

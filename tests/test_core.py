@@ -903,7 +903,7 @@ class TestRetrieveBatch:
             want.final_state, want.converged, want.sweeps_used, want.updates_changed)
 
     def test_pickled_memory_keeps_one_byte_per_coordinate(self):
-        # the payload that ``--jobs`` ships to each worker: the codes plus the (N, q) count table
+        # what ``pickle.dumps(memory)`` writes: the codes plus the (N, q) count table
         n = m = 2000
         mem = Memory(NetworkKind.PNN2, 16, *_qnary_arrays(m, n, 16, NetworkKind.PNN2, make_rng(42)))
         assert len(pickle.dumps(mem)) <= 1.1 * n * m
