@@ -61,6 +61,16 @@ share one stack, made when the retrieval starts.  Sums and keys are
 integers in float64, exact below 2**53.  Its kernel can also take the
 synchronous step of its inputs in its first sweep.
 
+At q = 1 (Hopfield) a neuron's decision field is one integer, D_i = sigma_i .
+m - s_i M, and two neurons couple through one integer, N J_ij = sigma_i .
+sigma_j, so ``retrieve_batch`` walks a Hopfield memory in blocks of
+``_COUPLING_BLOCK`` neurons instead (``_coupling_walk``): one product gives
+every input's D in a block, and only a block in which an input moves makes
+its (K, K) couplings, corrects the D of its later neurons flip by flip, and
+moves m by one product at its end (``_coupling_block``).  For q >= 2 a
+coupling is a q x q block, q^2 times the work, so those memories keep the
+W_i walk.  ``asynchronous_retrieve`` keeps its one-neuron visit at q = 1.
+
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
 """
@@ -94,6 +104,16 @@ _FILL_BLOCK = 1 << 18
 # float64 weights buffers (256 KB each) stay in cache and are allocated once per retrieval; a
 # lockstep run-ahead block's W stack holds at most this many floats
 _BIN_CHUNK = 1 << 15
+
+# neurons per block of the q = 1 coupling walk (``_coupling_walk``).  Measured on a 2-core x86-64
+# host (numpy 2.4, OpenBLAS 0.3.31, medians of 9 interleaved rounds) at K = 8, 16, 32, 64, 128 and
+# 256: dpnn-bench's 40-input Hopfield batch (N = 800, M = 200) took 12.9, 12.7, 12.7, 13.8, 17.6
+# and 24.3 ms, and 40 inputs with step rows at N = 1000, M = 160 took 137, 127, 133, 145, 186 and
+# 265 ms.  A block's products take K M B multiply-adds, under the 2**18 below which OpenBLAS keeps
+# a product on one thread at dpnn's B = 40, but not at the batch cap: there (B = 128 and its step
+# rows, N = 1000, M = 150) one thread and the default two read 280 and 286 ms (4 of 11
+# interleaved rounds faster on two), as the walk's time goes to its per-neuron steps, not to them.
+_COUPLING_BLOCK = 16
 
 # after this many visits in a row that moved nothing, both retrieval engines decide the next
 # neurons as one run-ahead block
@@ -474,14 +494,19 @@ def _overlaps(memory: Memory, signs: np.ndarray, levels: np.ndarray) -> np.ndarr
     return sums
 
 
-def _stack_inputs(memory: Memory, inputs: Sequence[Pattern]):
-    """Check B input states; their neuron-major (N, B) int64 signs and
-    levels, and their (B, M) float64 scaled overlaps plus beta, so that the
-    sums of sigma_i m by level hold the decision field's beta C_i."""
+def _check_inputs(memory: Memory, inputs: Sequence[Pattern]) -> None:
+    """Raise unless there is at least one input state and each is a state of ``memory``."""
     if len(inputs) == 0:
         raise DimensionMismatch("at least one input state is required")
     for state in inputs:
         _check_state(memory, state)
+
+
+def _stack_inputs(memory: Memory, inputs: Sequence[Pattern]):
+    """Check B input states; their neuron-major (N, B) int64 signs and
+    levels, and their (B, M) float64 scaled overlaps plus beta, so that the
+    sums of sigma_i m by level hold the decision field's beta C_i."""
+    _check_inputs(memory, inputs)
     # int64 working copies: narrow levels would wrap in the kernels' index arithmetic
     signs = np.stack([p.signs for p in inputs], axis=1, dtype=np.int64)
     levels = np.stack([p.levels for p in inputs], axis=1, dtype=np.int64)
@@ -754,32 +779,75 @@ def retrieve_batch(
     """Relax several inputs in lockstep, visiting neurons in sequential order.
 
     Result r equals ``asynchronous_retrieve(memory, inputs[r], max_sweeps)``
-    bit for bit.  A visit to neuron i scatters its signed one-hot (M, q) matrix
-    W_i into a zeroed scratch and decides every still-active input from its
-    sums m @ W_i (``_decide_keys``).  The k inputs that moved from z to z' add
+    bit for bit.  For q >= 2 a visit to neuron i scatters its signed one-hot
+    (M, q) matrix W_i into a zeroed scratch and decides every still-active
+    input from its sums m @ W_i (``_decide_keys``).  The k inputs that moved from z to z' add
     (step[z'] - step[z]) @ W_i^T to their overlaps, step[z] = alpha s e_l,
     in products of at most 2**18 multiply-adds, which OpenBLAS keeps on one
     thread.  A sweep changes a neuron at most once, so its changes are the
     neurons that differ from its start.  An input drops out after the first
     sweep that changes nothing in it.  After a quiet stretch it decides the
-    next neurons at once (see ``_lockstep``).  One input is faster serially:
-    alone, an input took 2.1-4.0 times as long here as in
+    next neurons at once (see ``_key_walk``).  A Hopfield memory (q = 1)
+    is walked in blocks of consecutive neurons instead, through their
+    one-integer couplings (see ``_coupling_walk``).  For q >= 2 one input is
+    faster serially: alone, an input took 2.1-4.0 times as long here as in
     ``asynchronous_retrieve`` (2-core x86-64, numpy 2.4; PNN2 q = 4 and 16
-    and PNN3 q = 16 at N = 200, M = 400, Hopfield at 800 x 200, and PNN2
-    q = 16 at N = M = 2000)."""
+    and PNN3 q = 16 at N = 200, M = 400, and PNN2 q = 16 at N = M = 2000).
+    At q = 1 it is not: ten of dpnn-bench's Hopfield inputs (800 x 200)
+    took 0.70-0.75 times as long alone here as in ``asynchronous_retrieve``."""
     return _lockstep(memory, inputs, max_sweeps)[0]
 
 
 def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_rows: bool = False):
     """``retrieve_batch(memory, inputs, max_sweeps)`` and, given ``step_rows``, also the list of
     ``synchronous_step(memory, x)`` for x in inputs (else None) from one input pass.  The step
-    rows are a copy of the inputs after the live rows in sweep 1: each visit decides them with the
-    same product and key into their own z, and their overlaps never move, so sweep 1 is the
-    synchronous step at their frozen m.  They are dropped after it.  W_i[mu, lev_i^mu - 1] =
-    sigma_i^mu sits in a zeroed (cap, M, q) stack, made when the call starts, for its visit
-    only: a visit's W_i in stack[0], a run-ahead block's in its first slots, all scattered and
-    cleared through one flat view.  The products and keys are integers, exact in any summation
-    order below 2**53, as ``Memory`` requires 4 M q N < 2**53.
+    rows are a copy of the inputs after the live rows in sweep 1: each visit decides them as it
+    decides the live rows, into their own state, and their overlaps never move, so sweep 1 is the
+    synchronous step at their frozen m.  They are dropped after it.  A sweep is walked by
+    ``_coupling_walk`` for q = 1 (Hopfield) and by ``_key_walk`` for every other memory; both
+    hold the (B, M) float64 overlaps m and take integer products and sums, exact in any
+    summation order below 2**53, as ``Memory`` requires 4 M q N < 2**53.  A sweep changes a
+    neuron at most once, so its changes are the neurons that differ from its start, and a row
+    ends after the first sweep that changes nothing in it."""
+    hopfield = memory.q == 1
+    z, m, sweep = (_coupling_walk if hopfield else _key_walk)(memory, inputs)  # the active rows
+    max_sweeps = _whole("max_sweeps", max_sweeps)
+    index = np.arange(len(inputs))  # input of each active row
+    n_changed = np.zeros(len(inputs), dtype=np.int64)
+    results: list = [None] * len(inputs)
+    steps, live = None, len(inputs)  # live: the active rows; step rows follow them in sweep 1
+    if step_rows:
+        z, m = np.hstack([z, z]), np.vstack([m, m])
+
+    def patterns(z):  # the coupling walk holds signs, whose state codes are [s = -1]
+        return _patterns(memory, (z < 0).view(np.uint8) if hopfield else z)
+
+    for sweeps in range(1, max_sweeps + 1):
+        start = z[:, :live].copy()
+        sweep(z, m, live)
+        if step_rows and sweeps == 1:
+            steps = patterns(z[:, live:])
+        changed = np.count_nonzero(z[:, :live] != start, axis=0)
+        n_changed += changed
+        done = (changed == 0) | (sweeps == max_sweeps)
+        ends, keep = np.flatnonzero(done), np.flatnonzero(~done)  # below live: step rows go too
+        for r, final in zip(ends, patterns(z[:, ends])):
+            results[index[r]] = RetrievalResult(final, not changed[r], sweeps, int(n_changed[r]))
+        index, z, m, n_changed, live = index[keep], z[:, keep], m[keep], n_changed[keep], keep.size
+        if live == 0:
+            break
+    return results, steps
+
+
+def _key_walk(memory: Memory, inputs: Sequence[Pattern]):
+    """The sweep of ``_lockstep`` for q >= 2: the inputs' (N, B) int64 state indices z and (B, M)
+    overlaps plus beta m (``_lockstep_inputs``), and ``sweep(z, m, live)``, which walks one
+    sweep over them in place.  W_i[mu, lev_i^mu - 1] = sigma_i^mu sits in a zeroed (cap, M, q)
+    stack, made here, for its visit only: a visit's W_i in stack[0], a run-ahead block's in its
+    first slots, all scattered and cleared through one flat view.  A visit decides every row from
+    its sums m @ W_i by ``_decide_keys``; the k live rows that moved from z to z' add (step[z'] -
+    step[z]) @ W_i^T to their overlaps, step[z] = alpha s e_l, in products of at most 2**18
+    multiply-adds, which OpenBLAS keeps on one thread.
 
     Run-ahead: once ``_RUN_AHEAD`` visits in a row have moved no live row, the next neurons, as
     many as that run, are decided at once at the current m by ``_lockstep_prefix``.  A block is
@@ -792,15 +860,12 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     decision before it is its visit's: the live rows keep their states and the step rows take
     their update.  The first mover, decided at the m of its own visit, is moved as a visit moves
     it, and the walk goes on after it."""
-    z, m, scale, own = _lockstep_inputs(memory, inputs)  # z and m: the active rows
-    max_sweeps = _whole("max_sweeps", max_sweeps)
+    z, m, scale, own = _lockstep_inputs(memory, inputs)
     n, q, s = memory.n_neurons, memory.q, 1 << memory._shift
     buf = np.pad(memory._alpha * _SIGNS[:s], s * q - s)  # S (q - 1) zeros each side
     # step[z] = alpha s e_l for z = S (l - 1) + t with no (Q, q) table: row z starts z floats into
     # buf[S (q - 1):] and steps S back a column, so only column l - 1 meets alpha sign[t]
     step = as_strided(buf[s * q - s:], (s * q, q), (8, -8 * s), writeable=False)
-    index = np.arange(len(inputs))  # input of each active row
-    n_changed = np.zeros(len(inputs), dtype=np.int64)
     neurons = max(1, _BIN_CHUNK // memory.n_patterns)  # neurons per chunk of decoded stored rows
     cap = max(1, _BIN_CHUNK // (memory.n_patterns * max(q, 4)))  # neurons per run-ahead block
     # the W stack: a visit's W_i at stack[0], a block's k-th at stack[k], and W_k[mu] at
@@ -808,14 +873,10 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
     stack = np.zeros((cap, memory.n_patterns, q))
     flat, offsets = stack.reshape(-1), np.arange(-1, stack.size - 1, q).reshape(cap, -1)
     per = max(1, (1 << 18) // stack[0].size)  # rows per block of the overlap update
-    results: list = [None] * len(inputs)
-    steps, live = None, len(inputs)  # live: the active rows; step rows follow them in sweep 1
-    if step_rows:
-        z, m = np.hstack([z, z]), np.vstack([m, m])
-
     run = 0  # the visits since the last that moved a live row
-    for sweeps in range(1, max_sweeps + 1):
-        start = z[:, :live].copy()
+
+    def sweep(z: np.ndarray, m: np.ndarray, live: int) -> None:
+        nonlocal run
         base = s * q * np.arange(z.shape[1]) + np.arange(s)[:, None]
         for chunk in range(0, n, neurons):
             # sigma_i and lev_i of every stored pattern, decoded once for a chunk of neurons
@@ -852,18 +913,75 @@ def _lockstep(memory: Memory, inputs: Sequence[Pattern], max_sweeps: int, step_r
                 flat[at] = 0
                 run = 0 if moved.size else run + 1
                 i += 1
-        if step_rows and sweeps == 1:
-            steps = _patterns(memory, z[:, live:])
-        changed = np.count_nonzero(z[:, :live] != start, axis=0)
-        n_changed += changed
-        done = (changed == 0) | (sweeps == max_sweeps)
-        ends, keep = np.flatnonzero(done), np.flatnonzero(~done)  # below live: step rows go too
-        for r, final in zip(ends, _patterns(memory, z[:, ends])):
-            results[index[r]] = RetrievalResult(final, not changed[r], sweeps, int(n_changed[r]))
-        index, z, m, n_changed, live = index[keep], z[:, keep], m[keep], n_changed[keep], keep.size
-        if live == 0:
-            break
-    return results, steps
+
+    return z, m, sweep
+
+
+def _coupling_walk(memory: Memory, inputs: Sequence[Pattern]):
+    """The sweep of ``_lockstep`` for q = 1: the inputs' (N, B) float64 signs x and (B, M)
+    overlaps m = x^T sigma, and ``sweep(x, m, live)``, which walks one sweep over them in place.
+
+    At q = 1 neuron i's decision field is one integer, D_i = sigma_i . m - s_i M, and a row
+    moves there exactly when s D_i < 0, that is s sigma_i . m < M (a zero keeps the sign).  Two
+    neurons couple through one integer, N J_ij = sigma_i . sigma_j, so the sweep walks
+    ``_COUPLING_BLOCK`` neurons at a time: one (K, M) @ (M, B) product gives sigma_i . m for
+    every row, the live rows are walked through the block by ``_coupling_block`` only when one
+    of them moves in it, and the step rows take their decisions and nothing else.  For q >= 2 a
+    coupling is a q x q block, q^2 times the work, so the other memories take ``_key_walk``.
+    The stored signs are decoded a block at a time into one scratch, for the overlaps here and
+    again in every sweep."""
+    _check_inputs(memory, inputs)
+    x = np.stack([p.signs for p in inputs], axis=1, dtype=np.float64)
+    n, count = memory.n_neurons, memory.n_patterns
+    blocks = [slice(lo, lo + _COUPLING_BLOCK) for lo in range(0, n, _COUPLING_BLOCK)]
+    scratch = np.empty((min(n, _COUPLING_BLOCK), count))
+
+    def sigma(rows: slice) -> np.ndarray:  # the stored signs of neurons rows: _SIGNS at a code
+        codes = memory._codes[rows]
+        return _SIGNS.take(codes, out=scratch[:len(codes)], mode="clip")
+
+    m = np.zeros((len(inputs), count))
+    for rows in blocks:
+        m += x[rows].T @ sigma(rows)
+
+    def sweep(x: np.ndarray, m: np.ndarray, live: int) -> None:
+        for rows in blocks:
+            sig, s = sigma(rows), x[rows]
+            h = sig @ m.T  # (K, B): sigma_i . m
+            moves = s * h < count
+            if live < len(m):  # the step rows take their decisions, at their frozen m
+                np.negative(s[:, live:], out=s[:, live:], where=moves[:, live:])
+            if moves[:, :live].any():
+                _coupling_block(sig, h[:, :live], s[:, :live], m[:live], moves[:, :live])
+
+    return x, m, sweep
+
+
+def _coupling_block(sig: np.ndarray, h: np.ndarray, s: np.ndarray, m: np.ndarray,
+                    moves: np.ndarray) -> None:
+    """Walk B live rows through one block of K neurons in order, in place, given the block's
+    (K, M) stored signs sig, the rows' (K, B) signs s and sums h = sigma_i . m at the block's
+    start, their (B, M) overlaps m, and whether each row moves at each neuron at that start.
+    A neuron's decision stands once the walk has passed it.  A row that flips neuron i, s to
+    -s, moves sigma_j . m by -2 s N J_ji for each later neuron j, so the walk corrects that row's
+    h, decides its later neurons again, and goes on to the next neuron at which a row moves.
+    The (K, K) couplings are made here, for a block that has a mover, and m moves once, by the
+    (B, K) @ (K, M) product of the flips and the stored signs."""
+    couple = sig @ sig.T  # N J_ij off the diagonal, doubled below
+    couple *= 2.0
+    count = sig.shape[1]
+    i = int(moves.any(axis=1).argmax())  # the first neuron at which a row moves
+    while i < len(s):
+        flip = s[i] * moves[i]  # s where the row moves at neuron i, else 0
+        later = slice(i + 1, None)
+        h[later] -= np.multiply.outer(couple[i, later], flip)
+        np.less(s[later] * h[later], count, out=moves[later])
+        ahead = np.logical_or.reduce(moves[later], axis=1).nonzero()[0]
+        i += 1 + (int(ahead[0]) if ahead.size else len(s))
+    delta = s * moves  # each row's flips: s' - s = -2 s
+    delta *= -2.0
+    s += delta
+    m += delta.T @ sig
 
 
 def energy(memory: Memory, state: Pattern) -> float:

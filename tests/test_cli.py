@@ -488,6 +488,20 @@ OTHER_SWEEPS_CSV_SHA256 = [
         "dc112bf0c5e0307a577b7f5c6f16caf072acfce30d1a737a1ef290c706dd24ad",
         id=f"sweep-b-pnn2-slabs-jobs{jobs}")
     for jobs in ("1", "2")
+] + [
+    # Hopfield (q = 1) points either side of its finite-load jump at M/N = 0.138: coord_err
+    # 0.0047 and 0.13 after 3.65 and 12.15 sweeps on average
+    pytest.param(
+        ["sweep", "--sweep", "M", "--values", "120,160", "--N", "1000", "--q", "1", "--a", "0.1",
+         "--trials", "40", "--seed", "4"],
+        "6c11435fe3f499d92a9f78a0e391f4ad0ea3237a06d08926dde2b95e1c88f613",
+        id="sweep-M-hopfield-transition"),
+    # the README's q = 1 example at 300 trials, which ends in a short batch of 44
+    pytest.param(
+        ["sweep", "--sweep", "M", "--values", "40", "--N", "200", "--q", "1", "--trials", "300",
+         "--seed", "11", "--max-sweeps", "1"],
+        "d2f33fb4f372dfa5eac93f88d7877fb54a2da48c6a17c4f750f2ce7a272b009c",
+        id="sweep-M-hopfield-short-batch"),
 ]
 
 

@@ -835,9 +835,6 @@ class TestRetrieveBatch:
         "first mover on a block's last row": (
             (NetworkKind.PNN2, 3, [31], None),
             [(8, 8, 8), (16, 16, 15), (0, 8, 8), (8, 16, 16), (24, 16, 16)]),
-        "hopfield": (
-            (NetworkKind.PNN2, 1, [12], None),
-            [(8, 8, 4), (21, 8, 8), (29, 11, 11), (0, 27, 27), (27, 13, 13)]),
         "pnn3 movers in two blocks": (
             (NetworkKind.PNN3, 3, [8, 20], None),
             [(8, 8, 0), (17, 8, 3), (29, 8, 8), (37, 3, 3), (0, 19, 19), (19, 21, 21)]),
@@ -875,7 +872,6 @@ class TestRetrieveBatch:
     # moves them back, then runs quiet; the synchronous step, at the noisy input's overlaps, also
     # moves a later neuron that no visit moves, so only a step row changes there
     LOCKSTEP_STEP_ROW_CASES = {
-        "hopfield": (NetworkKind.PNN2, 1, 6, 2, [0, 1, 2]),
         "pnn2": (NetworkKind.PNN2, 3, 10, 29, [0, 1, 2, 3]),
         "pnn3": (NetworkKind.PNN3, 3, 10, 3, [0, 1]),
     }
@@ -899,6 +895,83 @@ class TestRetrieveBatch:
         assert all(any(i <= j < i + quiet for i, _, quiet in blocks) for j in only_step)
         assert steps == [step]
         (got,) = results
+        assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
+            want.final_state, want.converged, want.sweeps_used, want.updates_changed)
+
+    @staticmethod
+    def spy_coupling_blocks(monkeypatch, memory, block):
+        """For each ``_coupling_block`` call of the q = 1 walk, cut into blocks of ``block``
+        neurons, in call order: the first neurons of the blocks whose stored signs it was given
+        (one, for distinct blocks), and how many overlap rows it was given."""
+        monkeypatch.setattr(pnn.core, "_COUPLING_BLOCK", block)
+        stored, walk, calls = memory.pattern_signs.T, pnn.core._coupling_block, []
+
+        def spy(sig, h, s, m, moves):
+            starts = range(0, memory.n_neurons, block)
+            owners = [lo for lo in starts if np.array_equal(sig, stored[lo:lo + block])]
+            calls.append((owners, len(m)))
+            walk(sig, h, s, m, moves)
+
+        monkeypatch.setattr(pnn.core, "_coupling_block", spy)
+        return calls
+
+    def test_coupling_walk_never_reaches_the_key_walk(self, monkeypatch):
+        # a q = 1 memory takes the coupling walk: the quiet stretches after the movers, which
+        # start the key walk's run-ahead blocks, call neither of its deciders
+        def unreachable(*args):
+            raise AssertionError("a q = 1 memory reached the key walk")
+
+        mem, patterns = random_memory(make_rng(41), 40, 1, 3, NetworkKind.PNN2)
+        inputs = [moved_off(patterns[0], [12], NetworkKind.PNN2, 1), patterns[1],
+                  random_state(make_rng(7), 40, 1, NetworkKind.PNN2)]
+        for name in ("_decide_keys", "_lockstep_prefix"):
+            monkeypatch.setattr(pnn.core, name, unreachable)
+        results, steps = pnn.core._lockstep(mem, inputs, 5, step_rows=True)
+        assert results == retrieve_batch(mem, inputs, 5)
+        for x, got in zip(inputs, results):
+            want = reference_asynchronous_retrieve(mem, x, 5)
+            assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
+                want.final_state, want.converged, want.sweeps_used, want.updates_changed)
+        assert steps == [synchronous_step(mem, x) for x in inputs]
+
+    @pytest.mark.parametrize("movers", [[], [12], [5, 6, 21], [0, 39]],
+                             ids=["fixed-point", "one-mover", "two-blocks", "first-and-last"])
+    def test_coupling_walk_makes_couplings_only_in_blocks_a_live_row_moves_in(
+            self, movers, monkeypatch):
+        # N = 40, M = 3, walked in blocks of 4 neurons: the (K, K) couplings are made, and m moved,
+        # once for each block that holds a neuron the reference moves, and a quiet block costs
+        # only its product and comparison
+        mem, patterns = random_memory(make_rng(41), 40, 1, 3, NetworkKind.PNN2)
+        state = moved_off(patterns[0], movers, NetworkKind.PNN2, 1)
+        want = reference_asynchronous_retrieve(mem, state, 5, record_trace=True)
+        # the case as named: sweep 1 moves the given neurons back and nothing else, sweep 2 none
+        moved = [i for i, (a, b) in enumerate(zip([state] + want.trace, want.trace)) if a != b]
+        sweeps = 2 if movers else 1
+        assert (moved, want.final_state, want.sweeps_used) == (movers, patterns[0], sweeps)
+        calls = self.spy_coupling_blocks(monkeypatch, mem, 4)
+        (got,), _ = pnn.core._lockstep(mem, [state], 5)
+        assert calls == [([lo], 1) for lo in sorted({i - i % 4 for i in movers})]
+        assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
+            want.final_state, want.converged, want.sweeps_used, want.updates_changed)
+
+    def test_coupling_walk_moves_no_overlaps_for_step_row_only_moves(self, monkeypatch):
+        # Hopfield at N = 48, M = 6, walked in blocks of 4 neurons, with neurons 0-2 moved off
+        # stored pattern 0: sweep 1 moves them back, then runs quiet, while the synchronous step,
+        # at the noisy input's overlaps, also moves later neurons that no visit moves.  m moves
+        # only in _coupling_block, which is called for block 0 alone and never given the step
+        # row's m
+        n = 48
+        mem, patterns = random_memory(make_rng(2), n, 1, 6, NetworkKind.PNN2)
+        state = moved_off(patterns[0], [0, 1, 2], NetworkKind.PNN2, 1)
+        want = reference_asynchronous_retrieve(mem, state, 20, record_trace=True)
+        moved = [i for i, (a, b) in enumerate(zip([state] + want.trace, want.trace)) if a != b]
+        step = synchronous_step(mem, state)
+        only_step = sorted(set(np.flatnonzero(step.signs != state.signs).tolist()) - set(moved))
+        assert moved == [0, 1, 2] and only_step and min(only_step) >= 4  # the case as named
+        calls = self.spy_coupling_blocks(monkeypatch, mem, 4)
+        (got,), steps = pnn.core._lockstep(mem, [state], 20, step_rows=True)
+        assert calls == [([0], 1)]
+        assert steps == [step]
         assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
             want.final_state, want.converged, want.sweeps_used, want.updates_changed)
 

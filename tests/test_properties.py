@@ -9,7 +9,9 @@ asynchronous one in either visiting order, visit by visit) and the
 synchronous step against the naive decision rule on the naive field, the
 batched argmax key against the naive rule on small integer fields,
 batched retrieval against its serial form, the first sweep's one-step
-rows against the synchronous step of each input, asynchronous
+rows against the synchronous step of each input, the q = 1 coupling walk
+across block edges against the serial reference and the scalar Hopfield
+oracle's synchronous step, asynchronous
 retrieval with its run-ahead blocks against the visit-by-visit reference
 on wider memories (N in 16..60, so that blocks are taken), both Memory
 constructions against one whole-array transpose and the blocked overlap sum
@@ -31,6 +33,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import pnn.core
 from pnn import (
     IdentifierNet,
     Memory,
@@ -55,6 +58,7 @@ from pnn import (
     unmap_binary,
 )
 from oracles import (
+    ScalarHopfield,
     exact_local_field,
     naive_decide,
     naive_energy,
@@ -309,6 +313,41 @@ def test_step_rows_are_the_synchronous_step_and_leave_retrieval_alone(kind, q, c
     if fixed:
         assert steps == inputs
         assert [outcome(r) for r in results] == [(state, True, 1, 0) for state in inputs]
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_coupling_walk_equals_the_oracles_across_block_edges(data):
+    # the q = 1 walk in blocks of 4 neurons, over 1 to 3 blocks + 1 neurons, so that blocks end
+    # inside and at the end of a sweep, with inputs that are random, repeated or a stored pattern
+    # with a few flips, and a sweep cap that some rows reach
+    block = 4
+    n, m = data.draw(st.integers(1, 3 * block + 1)), data.draw(st.integers(1, 8))
+    sign = st.sampled_from((-1, 1))
+    stored = data.draw(arrays(np.int8, (m, n), elements=sign))
+    memory = Memory(NetworkKind.PNN2, 1, stored, np.ones((m, n), np.int8))
+    inputs = []
+    for _ in range(data.draw(st.integers(1, 9))):
+        start = data.draw(st.sampled_from(["random", "repeat", "near a stored pattern"]))
+        if start == "repeat" and inputs:
+            inputs.append(data.draw(st.sampled_from(inputs)))
+            continue
+        if start == "near a stored pattern":
+            signs = stored[data.draw(st.integers(0, m - 1))].copy()
+            signs[data.draw(st.lists(st.integers(0, n - 1), max_size=3))] *= -1
+        else:
+            signs = data.draw(arrays(np.int8, n, elements=sign))
+        inputs.append(Pattern(signs, np.ones(n, np.int8)))
+    max_sweeps = data.draw(st.integers(1, 3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pnn.core, "_COUPLING_BLOCK", block)
+        (batch, none), (results, steps) = (
+            _lockstep(memory, inputs, max_sweeps, step_rows) for step_rows in (False, True))
+    want = [outcome(reference_asynchronous_retrieve(memory, x, max_sweeps)) for x in inputs]
+    assert none is None
+    assert [outcome(r) for r in batch] == [outcome(r) for r in results] == want
+    hopfield = ScalarHopfield(stored)
+    assert steps == [Pattern(hopfield.synchronous_step(x.signs), np.ones(n)) for x in inputs]
 
 
 # q at either side of the code type's uint8 bound, S q - 1 = 255 (S = 2 for PNN2, 1 for PNN3),
