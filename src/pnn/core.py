@@ -67,9 +67,12 @@ sigma_j, so ``retrieve_batch`` walks a Hopfield memory in blocks of
 ``_COUPLING_BLOCK`` neurons instead (``_coupling_walk``): one product gives
 every input's D in a block, and only a block in which an input moves makes
 its (K, K) couplings, corrects the D of its later neurons flip by flip, and
-moves m by one product at its end (``_coupling_block``).  For q >= 2 a
-coupling is a q x q block, q^2 times the work, so those memories keep the
-W_i walk.  ``asynchronous_retrieve`` keeps its one-neuron visit at q = 1.
+moves m by one product at its end (``_coupling_block``; a block with one
+live input is walked in Python floats).  For q >= 2 a coupling is a q x q
+block, q^2 times the work, so those memories keep the W_i walk.  A
+sequential, untraced ``asynchronous_retrieve`` of a Hopfield memory takes
+the coupling walk with one input; given an ``rng`` or a trace, and at
+q >= 2, it keeps its one-neuron visit.
 
 Levels are 1-based (they index the basis vectors e_1..e_q); neuron positions
 are 0-based sequence indices.
@@ -711,11 +714,17 @@ def asynchronous_retrieve(
     by the same scalar rule as a single visit's.  Neurons
     are visited in sequential order, or, given ``rng``, in a fresh
     ``rng.permutation(N)`` each sweep; ``retrieve_batch`` relaxes many inputs
-    at once in sequential order.  Raises ValueError for an ``rng`` that is
+    at once in sequential order.  A sequential, untraced call on a Hopfield
+    memory (q = 1) is ``retrieve_batch`` of the one input, whose coupling
+    walk gives the same result: at dpnn-bench's Hopfield memory (N = 800,
+    M = 200) an input took 2.7-3.0 ms there against 6.0-9.4 ms by the visits
+    (2-core x86-64, numpy 2.4).  Raises ValueError for an ``rng`` that is
     neither None nor a ``np.random.Generator``.
     """
     if not (rng is None or isinstance(rng, np.random.Generator)):
         raise ValueError(f"rng must be None or a numpy Generator, got {rng!r}")
+    if memory.q == 1 and rng is None and not record_trace:  # the q = 1 coupling walk
+        return _lockstep(memory, [input_state], max_sweeps)[0][0]
     signs, levels, m = _stack_inputs(memory, [input_state])
     signs, levels, m = signs[:, 0], _as_levels(memory, levels[:, 0]), m[0]
     max_sweeps = _whole("max_sweeps", max_sweeps)
@@ -793,8 +802,8 @@ def retrieve_batch(
     faster serially: alone, an input took 2.1-4.0 times as long here as in
     ``asynchronous_retrieve`` (2-core x86-64, numpy 2.4; PNN2 q = 4 and 16
     and PNN3 q = 16 at N = 200, M = 400, and PNN2 q = 16 at N = M = 2000).
-    At q = 1 it is not: ten of dpnn-bench's Hopfield inputs (800 x 200)
-    took 0.70-0.75 times as long alone here as in ``asynchronous_retrieve``."""
+    At q = 1 it is not, so a sequential, untraced ``asynchronous_retrieve``
+    of a Hopfield memory runs this walk with its one input."""
     return _lockstep(memory, inputs, max_sweeps)[0]
 
 
@@ -966,20 +975,37 @@ def _coupling_block(sig: np.ndarray, h: np.ndarray, s: np.ndarray, m: np.ndarray
     -s, moves sigma_j . m by -2 s N J_ji for each later neuron j, so the walk corrects that row's
     h, decides its later neurons again, and goes on to the next neuron at which a row moves.
     The (K, K) couplings are made here, for a block that has a mover, and m moves once, by the
-    (B, K) @ (K, M) product of the flips and the stored signs."""
+    (B, K) @ (K, M) product of the flips and the stored signs.  One row (B = 1, as every
+    sequential, untraced ``asynchronous_retrieve`` of a Hopfield memory gives, and a batch once
+    its other rows have ended) is walked in Python floats: h, s and the couplings are read once
+    as lists, and each flip corrects the later neurons' h in a plain loop, where the numpy walk
+    pays about ten calls a mover.  For B > 1 the numpy walk stays: walking each of dpnn-bench's
+    40 rows in Python took 18.9-19.0 ms a batch against its 13.0-14.6 ms (2-core x86-64,
+    numpy 2.4)."""
     couple = sig @ sig.T  # N J_ij off the diagonal, doubled below
     couple *= 2.0
     count = sig.shape[1]
-    i = int(moves.any(axis=1).argmax())  # the first neuron at which a row moves
-    while i < len(s):
-        flip = s[i] * moves[i]  # s where the row moves at neuron i, else 0
-        later = slice(i + 1, None)
-        h[later] -= np.multiply.outer(couple[i, later], flip)
-        np.less(s[later] * h[later], count, out=moves[later])
-        ahead = np.logical_or.reduce(moves[later], axis=1).nonzero()[0]
-        i += 1 + (int(ahead[0]) if ahead.size else len(s))
-    delta = s * moves  # each row's flips: s' - s = -2 s
-    delta *= -2.0
+    if len(m) == 1:  # one row: the same walk in Python floats, with no numpy call a neuron
+        hs, ss, couple = h[:, 0].tolist(), s[:, 0].tolist(), couple.tolist()
+        flips = [0.0] * len(ss)
+        for i, si in enumerate(ss):
+            if si * hs[i] < count:
+                flips[i] = -2.0 * si
+                row = couple[i]
+                for j in range(i + 1, len(ss)):
+                    hs[j] -= row[j] * si
+        delta = np.array(flips)[:, None]
+    else:
+        i = int(moves.any(axis=1).argmax())  # the first neuron at which a row moves
+        while i < len(s):
+            flip = s[i] * moves[i]  # s where the row moves at neuron i, else 0
+            later = slice(i + 1, None)
+            h[later] -= np.multiply.outer(couple[i, later], flip)
+            np.less(s[later] * h[later], count, out=moves[later])
+            ahead = np.logical_or.reduce(moves[later], axis=1).nonzero()[0]
+            i += 1 + (int(ahead[0]) if ahead.size else len(s))
+        delta = s * moves  # each row's flips: s' - s = -2 s
+        delta *= -2.0
     s += delta
     m += delta.T @ sig
 

@@ -228,8 +228,9 @@ class ScalarHopfield:
         h = self.weights @ state.astype(np.int64)
         return np.where(h > 0, 1, np.where(h < 0, -1, state)).astype(np.int8)
 
-    def retrieve(self, state: np.ndarray, max_sweeps: int):
-        """Sequential asynchronous retrieval; returns the per-update trace."""
+    def retrieve(self, state: np.ndarray, max_sweeps: int, rng=None):
+        """Asynchronous retrieval in sequential order, or, given ``rng``, in a fresh
+        ``rng.permutation(n)`` each sweep; returns the per-update trace."""
         s = np.asarray(state, dtype=np.int8).copy()
         trace = []
         converged = False
@@ -238,7 +239,7 @@ class ScalarHopfield:
         for _ in range(max_sweeps):
             sweeps += 1
             changed = 0
-            for i in range(self.n):
+            for i in range(self.n) if rng is None else rng.permutation(self.n):
                 h = self.field(s, i)
                 new = 1 if h > 0 else (-1 if h < 0 else int(s[i]))
                 if new != s[i]:

@@ -32,6 +32,7 @@ from pnn import (
     synchronous_step,
     unmap_binary,
 )
+from oracles import ScalarHopfield
 from pnn import cli
 from pnn.cli import _BATCH_TRIALS, COMMANDS, PREFIX_COLUMNS, _fmt, main
 
@@ -222,7 +223,9 @@ def _coord_errors(result, target):
 class TestBatchedTrials:
     """More trials than one batch holds, so the CLI relaxes two lockstep
     batches; every CSV cell the trials produce must equal a recomputation
-    that relaxes each trial alone with ``asynchronous_retrieve``."""
+    that relaxes each trial alone with ``asynchronous_retrieve``, or, for
+    the raw Hopfield memory, whose sequential calls are the same walk, with
+    the scalar Hopfield oracle."""
 
     TRIALS = _BATCH_TRIALS + 5
     MAX_SWEEPS = 4
@@ -269,19 +272,16 @@ class TestBatchedTrials:
         )
         assert code == 0
         ensemble = correlated_binary_patterns(m, n, overlap, make_rng(seed, 0))
-        memories = {k: dpnn_build(ensemble, k), 0: dpnn_build(ensemble, 0)}
+        memory, hopfield = dpnn_build(ensemble, k), ScalarHopfield(ensemble)
         records = []
         for t in range(self.TRIALS):
             target = ensemble[t % m]
             noisy = apply_binary_noise(target, a, make_rng(seed, 1 + t))
-            record = []
-            for kk, memory in memories.items():
-                result = asynchronous_retrieve(memory, map_binary(noisy, kk), self.MAX_SWEEPS)
-                recovered = unmap_binary(result.final_state, kk)
-                errs = int(np.count_nonzero(recovered != target))
-                record += [errs, int(errs > 0), result.sweeps_used]
-            records.append(record)
-        coord, pat, sweeps, hop_coord, hop_pat, _ = zip(*records)
+            result = asynchronous_retrieve(memory, map_binary(noisy, k), self.MAX_SWEEPS)
+            errs = int(np.count_nonzero(unmap_binary(result.final_state, k) != target))
+            hop_errs = int(np.count_nonzero(hopfield.retrieve(noisy, self.MAX_SWEEPS)[0] != target))
+            records.append((errs, int(errs > 0), result.sweeps_used, hop_errs, int(hop_errs > 0)))
+        coord, pat, sweeps, hop_coord, hop_pat = zip(*records)
         want = {
             "coord_err": _mean(coord) / n, "pattern_err": _mean(pat), "avg_sweeps": _mean(sweeps),
             "hopfield_coord_err": _mean(hop_coord) / n, "hopfield_pattern_err": _mean(hop_pat),

@@ -37,6 +37,7 @@ from oracles import (
 )
 from pnn.core import _FILL_BLOCK, _overlaps
 from pnn.noise import _qnary_arrays
+from spies import spy_coupling_blocks, spy_coupling_walks
 
 
 def random_memory(rng, n, q, m, kind):
@@ -71,6 +72,17 @@ def moved_off(state, neurons, kind, q):
         s, l = int(state.signs[i]), int(state.levels[i])
         state = with_neuron(state, i, *((1, l % q + 1) if kind is NetworkKind.PNN3 else (-s, l)))
     return state
+
+
+def outcome(result):
+    return result.final_state, result.converged, result.sweeps_used, result.updates_changed
+
+
+def hopfield_outcome(oracle, state, max_sweeps, rng=None):
+    """``outcome`` of the ScalarHopfield oracle's retrieval of a q = 1 state, and its trace."""
+    final, converged, sweeps, changed, trace = oracle.retrieve(state.signs, max_sweeps, rng)
+    ones = np.ones(len(final))
+    return (Pattern(final, ones), converged, sweeps, changed), [Pattern(t, ones) for t in trace]
 
 
 def spy_lockstep_blocks(monkeypatch):
@@ -546,6 +558,74 @@ class TestAsynchronousRetrieve:
         assert len(res.trace) == 8 * res.sweeps_used
         assert res.trace[-1] == res.final_state
 
+    @pytest.mark.parametrize("kind, q", [
+        (NetworkKind.PNN2, 1), (NetworkKind.PNN2, 3), (NetworkKind.PNN3, 3),
+    ], ids=["hopfield", "pnn2", "pnn3"])
+    def test_coupling_walk_takes_only_the_sequential_untraced_hopfield_calls(
+            self, kind, q, monkeypatch):
+        # a q = 1 call with neither an rng nor a trace is the coupling walk of its one input; one
+        # with either, and every q >= 2 call, keeps the one-neuron visit.  Each equals the scalar
+        # Hopfield oracle (q = 1) or the visit-by-visit reference (q >= 2)
+        rng = make_rng(62)
+        mem, patterns = random_memory(rng, 30, q, 4, kind)
+        inputs = [moved_off(patterns[0], [3, 17], kind, q)]
+        inputs += [random_state(rng, 30, q, kind) for _ in range(3)]
+        oracle = ScalarHopfield([p.signs for p in patterns]) if q == 1 else None
+        walks = spy_coupling_walks(monkeypatch)
+        for x in inputs:
+            for seed, traced in [(None, False), (5, False), (None, True), (5, True)]:
+                def order():
+                    return None if seed is None else make_rng(seed)
+
+                before = len(walks)
+                got = asynchronous_retrieve(mem, x, 10, rng=order(), record_trace=traced)
+                walked = q == 1 and seed is None and not traced
+                assert walks[before:] == ([1] if walked else [])
+                if oracle is not None:
+                    want, trace = hopfield_outcome(oracle, x, 10, order())
+                else:
+                    ref = reference_asynchronous_retrieve(mem, x, 10, order(), record_trace=True)
+                    want, trace = outcome(ref), ref.trace
+                assert outcome(got) == want
+                assert got.trace == (trace if traced else None)
+
+    # at q = 1, N = 10: the (state, max_sweeps, rng) of a call and the error type and message
+    # that the one-neuron visit raised for it, from the first bad argument of rng, then the
+    # state, then max_sweeps
+    ROUTE_FAULTS = {
+        "rng": ("stored", 5, 7, ValueError, "rng must be None or a numpy Generator, got 7"),
+        "rng before state": (
+            "short", 0, 7, ValueError, "rng must be None or a numpy Generator, got 7"),
+        "wrong length": ("short", 5, None, DimensionMismatch, "state length 9 != network size 10"),
+        "sign of 0": ("zero sign", 5, None, SignNotAllowed, "signs must be -1 or +1"),
+        "level of 2": ("level 2", 5, None, LevelOutOfRange, "level 2 exceeds q=1"),
+        "max_sweeps of 0": (
+            "stored", 0, None, ValueError, "max_sweeps must be a whole number >= 1, got 0"),
+        "max_sweeps of 2.5": (
+            "stored", 2.5, None, ValueError, "max_sweeps must be a whole number >= 1, got 2.5"),
+        "length before max_sweeps": (
+            "short", 0, None, DimensionMismatch, "state length 9 != network size 10"),
+        "sign before max_sweeps": (
+            "zero sign", 2.5, None, SignNotAllowed, "signs must be -1 or +1"),
+        "level before max_sweeps": ("level 2", 0, None, LevelOutOfRange, "level 2 exceeds q=1"),
+    }
+
+    @pytest.mark.parametrize("name", list(ROUTE_FAULTS))
+    def test_coupling_walk_route_raises_what_the_visit_raised(self, name):
+        state, max_sweeps, rng, error, message = self.ROUTE_FAULTS[name]
+        mem, patterns = random_memory(make_rng(32), 10, 1, 2, NetworkKind.PNN2)
+        signs, levels, at = patterns[0].signs, patterns[0].levels, np.arange(10) == 4
+        states = {
+            "stored": patterns[0],
+            "short": Pattern(signs[:9], levels[:9]),
+            # unchecked, as the Pattern constructor rejects a zero sign
+            "zero sign": Pattern._of(np.where(at, 0, signs).astype(np.int8), levels),
+            "level 2": Pattern(signs, np.where(at, 2, levels)),
+        }
+        with pytest.raises(Exception) as caught:
+            asynchronous_retrieve(mem, states[state], max_sweeps, rng)
+        assert (type(caught.value), str(caught.value)) == (error, message)
+
     P2, P3 = NetworkKind.PNN2, NetworkKind.PNN3
     # name: (kind, q, stored signs, stored levels, input signs, input levels), then the visit
     # that shows the case, with its state (s, l) and exact field h (scaled by N alpha^2)
@@ -736,11 +816,10 @@ class TestRetrieveBatch:
         batch = retrieve_batch(mem, inputs, 3)
         serial = [asynchronous_retrieve(mem, x, 3) for x in inputs]
         assert {r.converged for r in serial} == {True, False}
-        for got, want in zip(batch, serial):
-            assert got.final_state == want.final_state
-            assert (got.converged, got.sweeps_used, got.updates_changed) == (
-                want.converged, want.sweeps_used, want.updates_changed
-            )
+        # at q = 1 both run the coupling walk, so the reference checks them
+        for x, got, alone in zip(inputs, batch, serial):
+            want = outcome(reference_asynchronous_retrieve(mem, x, 3))
+            assert outcome(got) == outcome(alone) == want
 
     def test_one_visit_moves_rows_by_sign_by_level_and_by_both(self):
         # three noisy copies of a stored pattern that differ from it at neuron 0
@@ -898,23 +977,6 @@ class TestRetrieveBatch:
         assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
             want.final_state, want.converged, want.sweeps_used, want.updates_changed)
 
-    @staticmethod
-    def spy_coupling_blocks(monkeypatch, memory, block):
-        """For each ``_coupling_block`` call of the q = 1 walk, cut into blocks of ``block``
-        neurons, in call order: the first neurons of the blocks whose stored signs it was given
-        (one, for distinct blocks), and how many overlap rows it was given."""
-        monkeypatch.setattr(pnn.core, "_COUPLING_BLOCK", block)
-        stored, walk, calls = memory.pattern_signs.T, pnn.core._coupling_block, []
-
-        def spy(sig, h, s, m, moves):
-            starts = range(0, memory.n_neurons, block)
-            owners = [lo for lo in starts if np.array_equal(sig, stored[lo:lo + block])]
-            calls.append((owners, len(m)))
-            walk(sig, h, s, m, moves)
-
-        monkeypatch.setattr(pnn.core, "_coupling_block", spy)
-        return calls
-
     def test_coupling_walk_never_reaches_the_key_walk(self, monkeypatch):
         # a q = 1 memory takes the coupling walk: the quiet stretches after the movers, which
         # start the key walk's run-ahead blocks, call neither of its deciders
@@ -948,7 +1010,7 @@ class TestRetrieveBatch:
         moved = [i for i, (a, b) in enumerate(zip([state] + want.trace, want.trace)) if a != b]
         sweeps = 2 if movers else 1
         assert (moved, want.final_state, want.sweeps_used) == (movers, patterns[0], sweeps)
-        calls = self.spy_coupling_blocks(monkeypatch, mem, 4)
+        calls = spy_coupling_blocks(monkeypatch, mem, 4)
         (got,), _ = pnn.core._lockstep(mem, [state], 5)
         assert calls == [([lo], 1) for lo in sorted({i - i % 4 for i in movers})]
         assert (got.final_state, got.converged, got.sweeps_used, got.updates_changed) == (
@@ -968,7 +1030,7 @@ class TestRetrieveBatch:
         step = synchronous_step(mem, state)
         only_step = sorted(set(np.flatnonzero(step.signs != state.signs).tolist()) - set(moved))
         assert moved == [0, 1, 2] and only_step and min(only_step) >= 4  # the case as named
-        calls = self.spy_coupling_blocks(monkeypatch, mem, 4)
+        calls = spy_coupling_blocks(monkeypatch, mem, 4)
         (got,), steps = pnn.core._lockstep(mem, [state], 20, step_rows=True)
         assert calls == [([0], 1)]
         assert steps == [step]
@@ -1148,3 +1210,8 @@ class TestHopfieldEquivalence:
             assert len(res.trace) == len(o_trace)
             for mine, theirs in zip(res.trace, o_trace):
                 assert np.array_equal(mine.signs, theirs)
+            # untraced, the call takes the coupling walk; given an rng, the visits in its order
+            want, _ = hopfield_outcome(oracle, state, 10)
+            assert outcome(asynchronous_retrieve(mem, state, 10)) == want
+            got = asynchronous_retrieve(mem, state, 10, rng=make_rng(61, case))
+            assert outcome(got) == hopfield_outcome(oracle, state, 10, make_rng(61, case))[0]

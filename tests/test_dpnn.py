@@ -297,8 +297,13 @@ class TestPipeline:
         for _ in range(5):
             noisy = apply_binary_noise(patterns[0], 0.15, rng)
             got = pipeline(memory, noisy, 0, max_sweeps=10)
-            want, _, _, _, _ = oracle.retrieve(noisy, 10)
+            want, converged, sweeps, changed, _ = oracle.retrieve(noisy, 10)
             assert np.array_equal(got, want)
+            # the k = 0 image is the bits, and the whole outcome is the oracle's
+            result = asynchronous_retrieve(memory, map_binary(noisy, 0), 10)
+            assert np.array_equal(result.final_state.signs, want)
+            assert (result.converged, result.sweeps_used, result.updates_changed) == (
+                converged, sweeps, changed)
 
     @pytest.mark.parametrize(
         "n_bits, k, m, a, c, seed",

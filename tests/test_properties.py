@@ -10,8 +10,9 @@ synchronous step against the naive decision rule on the naive field, the
 batched argmax key against the naive rule on small integer fields,
 batched retrieval against its serial form, the first sweep's one-step
 rows against the synchronous step of each input, the q = 1 coupling walk
-across block edges against the serial reference and the scalar Hopfield
-oracle's synchronous step, asynchronous
+across block edges, alone and inside a batch whose other rows have ended,
+against the serial reference and the scalar Hopfield oracle's retrieval
+and synchronous step, asynchronous
 retrieval with its run-ahead blocks against the visit-by-visit reference
 on wider memories (N in 16..60, so that blocks are taken), both Memory
 constructions against one whole-array transpose and the blocked overlap sum
@@ -79,6 +80,7 @@ from pnn.core import (
     _overlaps, _states, _visit_rule,
 )
 from pnn.noise import _qnary_arrays
+from spies import expected_coupling_blocks, spy_coupling_blocks
 
 
 @st.composite
@@ -239,14 +241,12 @@ def test_every_visit_follows_the_naive_field_and_changes_lower_energy(case, perm
 @given(memory_and_states(count=st.integers(1, 5)), st.integers(1, 4))
 def test_batched_retrieval_equals_serial_retrieval(case, max_sweeps):
     memory, inputs = case
+    # at q = 1 both run the coupling walk, so the reference checks them
     batch = retrieve_batch(memory, inputs, max_sweeps)
     assert len(batch) == len(inputs)
     for state, got in zip(inputs, batch):
-        want = asynchronous_retrieve(memory, state, max_sweeps)
-        assert got.final_state == want.final_state
-        assert (got.converged, got.sweeps_used, got.updates_changed) == (
-            want.converged, want.sweeps_used, want.updates_changed
-        )
+        want = outcome(reference_asynchronous_retrieve(memory, state, max_sweeps))
+        assert outcome(got) == outcome(asynchronous_retrieve(memory, state, max_sweeps)) == want
 
 
 def outcome(result):
@@ -303,32 +303,56 @@ def test_step_rows_are_the_synchronous_step_and_leave_retrieval_alone(kind, q, c
     max_sweeps = data.draw(sweeps)
     fixed = data.draw(st.booleans())
     if fixed:  # the inputs relaxed to fixed points, which neither kernel may move
-        relaxed = [asynchronous_retrieve(memory, state, 200) for state in inputs]
+        relaxed = [reference_asynchronous_retrieve(memory, state, 200) for state in inputs]
         assume(all(r.converged for r in relaxed))
         inputs = [r.final_state for r in relaxed]
     results, steps = _lockstep(memory, inputs, max_sweeps, step_rows=True)
     assert steps == [synchronous_step(memory, state) for state in inputs]
-    want = retrieve_batch(memory, inputs, max_sweeps)
-    assert [outcome(r) for r in results] == [outcome(r) for r in want]
+    want = [outcome(reference_asynchronous_retrieve(memory, x, max_sweeps)) for x in inputs]
+    assert [outcome(r) for r in results] == want
     if fixed:
         assert steps == inputs
         assert [outcome(r) for r in results] == [(state, True, 1, 0) for state in inputs]
+
+
+def hopfield_outcomes(memory, hopfield, inputs, max_sweeps):
+    """The ``outcome`` of each q = 1 input by the reference, which must equal the ScalarHopfield
+    oracle's, and the oracle's per-visit traces."""
+    scalar = [hopfield.retrieve(x.signs, max_sweeps) for x in inputs]
+    want = [outcome(reference_asynchronous_retrieve(memory, x, max_sweeps)) for x in inputs]
+    assert want == [(Pattern(s, np.ones(len(s))), converged, sweeps, changed)
+                    for s, converged, sweeps, changed, _ in scalar]
+    return want, [trace for *_, trace in scalar]
+
+
+def assert_coupling_blocks(calls, inputs, traces, block):
+    """The ``spy_coupling_blocks`` record ``calls`` of one ``_lockstep`` call is the one that
+    ``expected_coupling_blocks`` predicts (a block's first neuron among the owners its stored
+    signs match, as small memories repeat blocks)."""
+    expected = expected_coupling_blocks([x.signs for x in inputs], traces, block)
+    assert [rows for _, rows in calls] == [rows for _, rows in expected]
+    assert all(lo in owners for (owners, _), (lo, _) in zip(calls, expected))
 
 
 @settings(max_examples=150)
 @given(data=st.data())
 def test_coupling_walk_equals_the_oracles_across_block_edges(data):
     # the q = 1 walk in blocks of 4 neurons, over 1 to 3 blocks + 1 neurons, so that blocks end
-    # inside and at the end of a sweep, with inputs that are random, repeated or a stored pattern
-    # with a few flips, and a sweep cap that some rows reach
+    # inside and at the end of a sweep, with one input (so every block it moves in takes the
+    # one-row walk) or several, that are random, repeated, a stored pattern with a few flips or a
+    # fixed point, and a sweep cap that some rows reach.  Each input alone, as a sequential
+    # asynchronous_retrieve takes it, is also checked, and every _coupling_block call of the batch
+    # is predicted from the scalar oracle's trace
     block = 4
     n, m = data.draw(st.integers(1, 3 * block + 1)), data.draw(st.integers(1, 8))
     sign = st.sampled_from((-1, 1))
     stored = data.draw(arrays(np.int8, (m, n), elements=sign))
     memory = Memory(NetworkKind.PNN2, 1, stored, np.ones((m, n), np.int8))
+    hopfield = ScalarHopfield(stored)
     inputs = []
-    for _ in range(data.draw(st.integers(1, 9))):
-        start = data.draw(st.sampled_from(["random", "repeat", "near a stored pattern"]))
+    for _ in range(data.draw(st.one_of(st.just(1), st.integers(2, 9)))):
+        start = data.draw(
+            st.sampled_from(["random", "repeat", "near a stored pattern", "fixed point"]))
         if start == "repeat" and inputs:
             inputs.append(data.draw(st.sampled_from(inputs)))
             continue
@@ -337,17 +361,66 @@ def test_coupling_walk_equals_the_oracles_across_block_edges(data):
             signs[data.draw(st.lists(st.integers(0, n - 1), max_size=3))] *= -1
         else:
             signs = data.draw(arrays(np.int8, n, elements=sign))
+        if start == "fixed point":  # sequential Hopfield dynamics reach one in a few sweeps
+            signs, converged, *_ = hopfield.retrieve(signs, 200)
+            assert converged
         inputs.append(Pattern(signs, np.ones(n, np.int8)))
     max_sweeps = data.draw(st.integers(1, 3))
+    want, traces = hopfield_outcomes(memory, hopfield, inputs, max_sweeps)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pnn.core, "_COUPLING_BLOCK", block)
-        (batch, none), (results, steps) = (
-            _lockstep(memory, inputs, max_sweeps, step_rows) for step_rows in (False, True))
-    want = [outcome(reference_asynchronous_retrieve(memory, x, max_sweeps)) for x in inputs]
+        calls = spy_coupling_blocks(patch, memory, block)
+        batch, none = _lockstep(memory, inputs, max_sweeps)
+        walked = calls.copy()
+        results, steps = _lockstep(memory, inputs, max_sweeps, step_rows=True)
+        alone = [asynchronous_retrieve(memory, x, max_sweeps) for x in inputs]
     assert none is None
     assert [outcome(r) for r in batch] == [outcome(r) for r in results] == want
-    hopfield = ScalarHopfield(stored)
+    assert [outcome(r) for r in alone] == want
     assert steps == [Pattern(hopfield.synchronous_step(x.signs), np.ones(n)) for x in inputs]
+    assert_coupling_blocks(walked, inputs, traces, block)
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_coupling_walk_walks_a_row_left_alone_in_a_batch_as_one_row(data):
+    # rows that end at different sweeps: fixed points, which end after sweep 1, and a random
+    # input that still moves in sweep 2, alone by then, in a loaded memory (M = 6 to 8 at N = 12
+    # to 41, where a third or more of the random inputs do), so the one-row walk runs inside a
+    # multi-row batch.  The patterns and states are drawn from a seeded generator, as drawn
+    # arrays lean to constant ones.  Every _coupling_block call is predicted from the scalar
+    # oracle's trace
+    block = 4
+    n, m = data.draw(st.integers(12, 10 * block + 1)), data.draw(st.integers(6, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def draw_signs(*shape):
+        return (1 - 2 * rng.integers(0, 2, shape)).astype(np.int8)
+
+    stored = draw_signs(m, n)
+    memory = Memory(NetworkKind.PNN2, 1, stored, np.ones((m, n), np.int8))
+    hopfield = ScalarHopfield(stored)
+    for _ in range(20):
+        lead = draw_signs(n)
+        _, converged, sweeps, _, _ = hopfield.retrieve(lead, 2)
+        if sweeps == 2 and not converged:  # the lead moves in sweep 2
+            break
+    else:
+        assume(False)
+    fixed = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        signs, converged, *_ = hopfield.retrieve(draw_signs(n), 200)
+        assert converged
+        fixed.append(signs)
+    inputs = [Pattern(signs, np.ones(n, np.int8))
+              for signs in data.draw(st.permutations(fixed + [lead]))]
+    max_sweeps = data.draw(st.integers(2, 4))
+    want, traces = hopfield_outcomes(memory, hopfield, inputs, max_sweeps)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_coupling_blocks(patch, memory, block)
+        batch = retrieve_batch(memory, inputs, max_sweeps)
+    assert [outcome(r) for r in batch] == want
+    assert_coupling_blocks(calls, inputs, traces, block)
+    assert 1 in [rows for _, rows in calls] and len(inputs) > 1
 
 
 # q at either side of the code type's uint8 bound, S q - 1 = 255 (S = 2 for PNN2, 1 for PNN3),
