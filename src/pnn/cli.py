@@ -21,8 +21,11 @@ followed by command-specific columns (documented per command below).  Each
 command returns its rows as ``{column: value}``; a column a row does not name
 is left empty.  Output bytes are a pure function of the configuration and
 seed: trials draw from counter-based streams keyed by trial index and run in
-this process, in batches whose size cannot change the result.  ``--jobs`` is
-accepted and checked, but runs nothing in parallel.  A trial
+this process.  Each command makes its trials as a stream of per-trial records
+and sums them in trial order; ``sweep`` and ``dpnn-bench`` relax them in
+batches of at most 128, whose size cannot change the result, and
+``identify-bench`` runs them one at a time.  ``--jobs`` is accepted and
+checked, but runs nothing in parallel.  A trial
 counts as a pattern error unless the final state matches the target exactly;
 for signed networks an exact global sign flip is still an error but is also
 reported in ``sign_flip``.
@@ -36,15 +39,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import itertools
 import math
-import operator
 import os
 import sys
 import time
-from types import SimpleNamespace
-from typing import Callable, NamedTuple, Sequence, get_args, get_origin
+from collections import Counter
+from typing import Callable, Iterable, NamedTuple, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -218,26 +219,20 @@ def _write_csv(fh, header: Sequence[str], rows: list[dict]) -> None:
 _BATCH_TRIALS = 128
 
 
-def _run_trials(trials_fn: Callable, ctx, trials: int) -> dict:
-    """The column sums of the records of trials 0..trials-1.
-
-    ``trials_fn(ctx, batch)`` returns the column sums of the records of one
-    contiguous range of at most ``_BATCH_TRIALS`` trial indices, keyed by the
-    CSV column each sum feeds.  Each batch is made only when its turn comes,
-    so a huge ``trials`` holds no list of them, and the sums are added in
-    batch order.  Each record depends only on (ctx, t) and integer columns
-    sum exactly, so the batch size cannot change an integer total.
-    """
-    batch_sums = (
-        trials_fn(ctx, range(lo, min(lo + _BATCH_TRIALS, trials)))
-        for lo in range(0, trials, _BATCH_TRIALS)
-    )
-    return functools.reduce(lambda totals, sums: _column_sums((totals, sums)), batch_sums)
+def _batches(trials: int):
+    """The contiguous ranges of at most ``_BATCH_TRIALS`` trial indices that cover
+    0..trials-1, in order, each made only when its turn comes, so a huge ``trials``
+    holds no list of them."""
+    return (range(lo, min(lo + _BATCH_TRIALS, trials)) for lo in range(0, trials, _BATCH_TRIALS))
 
 
-def _column_sums(records: Sequence[dict]) -> dict:
-    """The sums of records that share their keys, each column added once in record order."""
-    return {key: sum(map(operator.itemgetter(key), records)) for key in records[0]}
+def _column_sums(records: Iterable[dict]) -> Counter:
+    """The sums of records that share their keys, added in record order.  Every column is an
+    integer tally, so the sums are exact and do not depend on how the trials were batched."""
+    sums = Counter()
+    for record in records:
+        sums.update(record)
+    return sums
 
 
 def _cells(sums: dict, trials: int, per_coord: int) -> dict:
@@ -299,25 +294,24 @@ def _errors(prefix: str, errs: int) -> dict:
     return {prefix + "coord_err": int(errs), prefix + "pattern_err": int(errs > 0)}
 
 
-def _sweep_trials(ctx, batch: range) -> dict:
-    memory = ctx.memory
-    targets, inputs = [], []
-    for t in batch:
-        rng = make_rng(ctx.seed, ctx.stream_base + 1 + t)
-        idx = t % memory.n_patterns
-        targets.append(memory._pattern(idx))
-        inputs.append(apply_qnary_noise(targets[-1], memory.q, ctx.spec, rng))
-    results, syncs = _lockstep(memory, inputs, ctx.max_sweeps, step_rows=True)
-    records = []
-    for target, sync, retrieval in zip(targets, syncs, results):
-        final = retrieval.final_state
-        records.append({
-            **_errors("sync_", _coord_errors(sync, target)),
-            **_errors("", _coord_errors(final, target)),
-            "sign_flip": int(memory.kind is NetworkKind.PNN2 and final == target.sign_flipped()),
-            "avg_sweeps": retrieval.sweeps_used,
-        })
-    return _column_sums(records)
+def _sweep_records(memory: Memory, spec: NoiseSpec, seed, stream_base, trials, max_sweeps):
+    """Each trial's record, the trials of one batch relaxed in one lockstep retrieval."""
+    signed = memory.kind is NetworkKind.PNN2
+    for batch in _batches(trials):
+        targets = [memory._pattern(t % memory.n_patterns) for t in batch]
+        inputs = [
+            apply_qnary_noise(target, memory.q, spec, make_rng(seed, stream_base + 1 + t))
+            for t, target in zip(batch, targets)
+        ]
+        results, syncs = _lockstep(memory, inputs, max_sweeps, step_rows=True)
+        for target, sync, retrieval in zip(targets, syncs, results):
+            final = retrieval.final_state
+            yield {
+                **_errors("sync_", _coord_errors(sync, target)),
+                **_errors("", _coord_errors(final, target)),
+                "sign_flip": int(signed and final == target.sign_flipped()),
+                "avg_sweeps": retrieval.sweeps_used,
+            }
 
 
 def _point_noise(kind: NetworkKind, sweep: str, *, q, M, a, b) -> NoiseSpec:
@@ -354,15 +348,11 @@ def cmd_sweep(*, seed, trials, sweep, values, N, q, M, load, a, b, kind, max_swe
     for point, (setting, spec) in enumerate(zip(settings, specs)):
         q, m, a, b = setting["q"], setting["M"], setting["a"], setting["b"]
         stream_base = point * _GEN_STREAM_STRIDE
-        signs, levels = _qnary_arrays(m, N, q, kind, make_rng(seed, stream_base))
-        ctx = SimpleNamespace(
-            memory=Memory(kind, q, signs, levels), spec=spec,
-            seed=seed, stream_base=stream_base, max_sweeps=max_sweeps,
-        )
+        memory = Memory(kind, q, *_qnary_arrays(m, N, q, kind, make_rng(seed, stream_base)))
+        records = _sweep_records(memory, spec, seed, stream_base, trials, max_sweeps)
         rows.append(dict(
             experiment=f"sweep-{sweep}", N=N, q=q, M=m, a=a, b=b, trials=trials, seed=seed,
-            **_theory_bound(kind, N, m, q, a, b),
-            **_cells(_run_trials(_sweep_trials, ctx, trials), trials, N),
+            **_theory_bound(kind, N, m, q, a, b), **_cells(_column_sums(records), trials, N),
         ))
     return rows
 
@@ -386,27 +376,21 @@ DPNN_EXTRAS = [
 ]
 
 
-def _dpnn_trials(ctx, batch: range) -> dict:
-    targets = [ctx.ensemble[t % len(ctx.ensemble)] for t in batch]
-    inputs = [
-        apply_binary_noise(target, ctx.a, make_rng(ctx.seed, 1 + t))
-        for t, target in zip(batch, targets)
-    ]
-    pipeline = retrieve_batch(
-        ctx.dpnn_memory, [map_binary(y, ctx.k) for y in inputs], ctx.max_sweeps
-    )
-    hopfield = retrieve_batch(
-        ctx.hopfield_memory, [map_binary(y, 0) for y in inputs], ctx.max_sweeps
-    )
-    records = []
-    for target, retrieval, hop_retrieval in zip(targets, pipeline, hopfield):
-        errs = np.count_nonzero(unmap_binary(retrieval.final_state, ctx.k) != target)
-        hop_errs = np.count_nonzero(unmap_binary(hop_retrieval.final_state, 0) != target)
-        records.append({
-            **_errors("", errs), **_errors("hopfield_", hop_errs),
-            "avg_sweeps": retrieval.sweeps_used,
-        })
-    return _column_sums(records)
+def _dpnn_records(pipeline: Memory, hopfield: Memory, ensemble, k, a, seed, trials, max_sweeps):
+    """Each trial's record, the trials of one batch relaxed in one ``retrieve_batch`` call on
+    the k-mapped pipeline and one on the raw Hopfield network."""
+    for batch in _batches(trials):
+        targets = [ensemble[t % len(ensemble)] for t in batch]
+        inputs = [apply_binary_noise(y, a, make_rng(seed, 1 + t)) for t, y in zip(batch, targets)]
+        mapped = retrieve_batch(pipeline, [map_binary(y, k) for y in inputs], max_sweeps)
+        raw = retrieve_batch(hopfield, [map_binary(y, 0) for y in inputs], max_sweeps)
+        for target, retrieval, hop_retrieval in zip(targets, mapped, raw):
+            errs = np.count_nonzero(unmap_binary(retrieval.final_state, k) != target)
+            hop_errs = np.count_nonzero(unmap_binary(hop_retrieval.final_state, 0) != target)
+            yield {
+                **_errors("", errs), **_errors("hopfield_", hop_errs),
+                "avg_sweeps": retrieval.sweeps_used,
+            }
 
 
 def cmd_dpnn_bench(*, seed, trials, N, k, M, load, a, overlap, max_sweeps) -> list:
@@ -424,11 +408,8 @@ def cmd_dpnn_bench(*, seed, trials, N, k, M, load, a, overlap, max_sweeps) -> li
             file=sys.stderr,
         )
 
-    ctx = SimpleNamespace(
-        dpnn_memory=dpnn_build(ensemble, k), hopfield_memory=dpnn_build(ensemble, 0),
-        ensemble=ensemble, k=k, a=a, seed=seed, max_sweeps=max_sweeps,
-    )
-    sums = _run_trials(_dpnn_trials, ctx, trials)
+    pipeline, hopfield = dpnn_build(ensemble, k), dpnn_build(ensemble, 0)
+    sums = _column_sums(_dpnn_records(pipeline, hopfield, ensemble, k, a, seed, trials, max_sweeps))
 
     image_level_noise = 1.0 - (1.0 - a) ** k
     return [dict(
@@ -454,14 +435,13 @@ IDENTIFY_OPTIONS = (
 IDENTIFY_EXTRAS = ["n_digits", "field_evals_per_query"]
 
 
-def _identify_trials(ctx, batch: range) -> dict:
-    net, memory = ctx.net, ctx.net.memory
-    q, m_count = memory.q, memory.n_patterns
-    records = []
-    for t in batch:
-        rng = make_rng(ctx.seed, 1 + t)
+def _identify_records(net: IdentifierNet, spec: NoiseSpec, seed, trials):
+    """Each trial's record, the trials identified one at a time."""
+    q, m_count = net.memory.q, net.memory.n_patterns
+    for t in range(trials):
+        rng = make_rng(seed, 1 + t)
         idx = t % m_count
-        noisy = apply_qnary_noise(memory._pattern(idx), q, ctx.spec, rng)
+        noisy = apply_qnary_noise(net.memory._pattern(idx), q, spec, rng)
         seeds = rng.integers(1, q + 1, size=net.n_digits)
         counter = OpCounter()
         start = time.perf_counter_ns()
@@ -473,11 +453,10 @@ def _identify_trials(ctx, batch: range) -> dict:
         # got and idx have n_digits base-q digits, so a wrong got, an index >= M included,
         # differs from idx in at least one of them
         digit_errs = sum((idx // q**j) % q != (got // q**j) % q for j in range(net.n_digits))
-        records.append({
+        yield {
             **_errors("", digit_errs), "field_evals_per_query": counter.enumerated_field_evals,
             "elapsed_ns": elapsed_ns,  # not a column: the wall time goes to stderr
-        })
-    return _column_sums(records)
+        }
 
 
 def cmd_identify_bench(*, seed, trials, N, q, M, load, b) -> list:
@@ -489,8 +468,7 @@ def cmd_identify_bench(*, seed, trials, N, q, M, load, b) -> list:
 
     signs, levels = _qnary_arrays(m, N, q, NetworkKind.PNN3, make_rng(seed, 0))
     net = IdentifierNet(Memory(NetworkKind.PNN3, q, signs, levels))
-    ctx = SimpleNamespace(net=net, spec=spec, seed=seed)
-    sums = _run_trials(_identify_trials, ctx, trials)
+    sums = _column_sums(_identify_records(net, spec, seed, trials))
     elapsed_ns = sums.pop("elapsed_ns")
 
     # wall time varies run to run; keep it out of the deterministic CSV

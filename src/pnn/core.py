@@ -342,7 +342,7 @@ class Memory:
     q = 128 and PNN3 up to q = 256, and 2 bytes above.  ``pattern_signs``
     and ``pattern_levels`` are read-only (M, N) arrays derived from the
     codes on each call, so read them once, not per element.  Instances are
-    safe to share across threads/processes.  The constructor rejects
+    safe to share across threads.  The constructor rejects
     invalid arrays with the same typed errors as ``build_memory``.
     """
 

@@ -49,28 +49,9 @@ def random_qnary_patterns(
     those of M draws of ``rng.integers(1, q + 1, size=n)`` each followed (PNN2)
     by ``rng.integers(0, 2, size=n)`` for the signs.  Raises LevelOutOfRange
     for q above 2**32, the largest range numpy draws from one 32-bit word.
-    Each Pattern views one row of its block's read-only arrays.
+    Each Pattern views one row of the read-only arrays of ``_qnary_arrays``.
     """
-    m, n, q = _whole("m", m), _whole("n", n), _drawn_q(kind, q)
-    patterns = []
-    for signs, levels in _qnary_blocks(m, n, q, kind, rng):
-        patterns += Pattern._rows(signs, levels)
-    return patterns
-
-
-def _qnary_arrays(
-    m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The patterns of ``random_qnary_patterns`` as (M, N) int8 signs and levels in the
-    narrowest unsigned type that holds q, one row a pattern, with no Pattern built."""
-    m, n, q = _whole("m", m), _whole("n", n), _drawn_q(kind, q)
-    signs, levels = np.empty((m, n), dtype=np.int8), np.empty((m, n), np.min_scalar_type(q))
-    lo = 0
-    for block_signs, block_levels in _qnary_blocks(m, n, q, kind, rng):
-        hi = lo + len(block_levels)
-        signs[lo:hi], levels[lo:hi] = block_signs, block_levels
-        lo = hi
-    return signs, levels
+    return Pattern._rows(*_qnary_arrays(m, n, q, kind, rng))
 
 
 _WORD = 1 << 32  # numpy draws from a range up to 2**32 with one 32-bit word per value
@@ -85,9 +66,12 @@ def _drawn_q(kind: NetworkKind, q) -> int:
     return q
 
 
-def _qnary_blocks(m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Generator):
-    """Yield the checked arguments' M patterns as (k, N) blocks of int8 signs and levels in the
-    narrowest unsigned type that holds q, each block about 2**16 draws.
+def _qnary_arrays(
+    m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The patterns of ``random_qnary_patterns`` as (M, N) int8 signs and levels in the
+    narrowest unsigned type that holds q, one row a pattern, with no Pattern built.  They are
+    drawn in blocks of k patterns, each about 2**16 draws.
 
     PNN3 levels come from one ``rng.integers(1, q + 1, size=(k, N))`` call, which yields the
     values, and leaves the generator in the state, of k calls of size N.  A PNN2 block is k
@@ -97,30 +81,31 @@ def _qnary_blocks(m: int, n: int, q: int, kind: NetworkKind, rng: np.random.Gene
     with the next word, an x with (x q) mod 2**32 < 2**32 mod q (Lemire's method); a sign is
     2 (x >> 31) - 1, which no word is rejected for.
     """
-    narrow = np.min_scalar_type(q)
+    m, n, q = _whole("m", m), _whole("n", n), _drawn_q(kind, q)
+    signs, levels = np.ones((m, n), dtype=np.int8), np.ones((m, n), np.min_scalar_type(q))
     if kind is NetworkKind.PNN3:
-        per, ones = max(1, _BLOCK // n), np.ones(n, dtype=np.int8)
+        per = max(1, _BLOCK // n)
         for lo in range(0, m, per):
-            k = min(per, m - lo)
-            yield np.broadcast_to(ones, (k, n)), rng.integers(1, q + 1, size=(k, n)).astype(narrow)
-        return
+            levels[lo:lo + per] = rng.integers(1, q + 1, size=(min(per, m - lo), n))
+        return signs, levels
     w = n + n * (q > 1)
     per = max(1, _BLOCK // w)
     for lo in range(0, m, per):
         k = min(per, m - lo)
         words = rng.integers(0, _WORD, size=k * w, dtype=np.uint32)
         if q == 1:
-            yield _signs(words.reshape(k, n)), np.ones((k, n), dtype=narrow)
+            signs[lo:lo + k] = _signs(words.reshape(k, n))
             continue
         if _WORD % q:  # q is not a power of 2, so numpy can reject a level word
             words = _drop_rejected(words, k, n, q, rng)
         pairs = words.reshape(k, 2, n)
-        levels = pairs[:, 0].astype(np.uint64)
-        levels *= q  # in place: below 2**64, and faster than a fresh product
-        levels >>= 32
-        levels = levels.astype(narrow, copy=False)
-        levels += 1
-        yield _signs(pairs[:, 1]), levels
+        block = pairs[:, 0].astype(np.uint64)
+        block *= q  # in place: below 2**64, and faster than a fresh product
+        block >>= 32
+        levels[lo:lo + k] = block
+        levels[lo:lo + k] += 1
+        signs[lo:lo + k] = _signs(pairs[:, 1])
+    return signs, levels
 
 
 def _signs(words: np.ndarray) -> np.ndarray:

@@ -653,12 +653,12 @@ class TestArgumentHandling:
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.Popen([sys.executable, "-m", "pnn", *argv], env=env,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert proc.stdout.readline().startswith(b"experiment,N,q,M")
-        proc.stdout.close()  # 2,000 rows overflow the pipe, so the writer meets the closed end
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=60), err) == (1, b"")
+        with subprocess.Popen([sys.executable, "-m", "pnn", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"experiment,N,q,M")
+            proc.stdout.close()  # 2,000 rows overflow the pipe, so the writer meets the closed end
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (1, b"")
 
     def test_out_of_memory_is_exit_2_naming_the_sizes(self, capsys, monkeypatch):
         def no_memory(*args):
@@ -689,10 +689,10 @@ class TestArgumentHandling:
         assert (code, out, err) == (2, "", f"error: out of memory; lower {sizes}\n")
 
     def test_unwritable_out_is_config_error_before_any_trial(self, capsys, tmp_path, monkeypatch):
-        def no_trials(*args):
+        def no_trials(*args, **kwargs):
             raise AssertionError("trials ran before --out was opened")
 
-        monkeypatch.setattr("pnn.cli._run_trials", no_trials)
+        monkeypatch.setattr("pnn.cli._lockstep", no_trials)
         code, _, err = run_cli(
             capsys, "sweep", "--sweep", "q", "--values", "2", "--N", "20", "--M", "5",
             "--trials", "5", "--out", str(tmp_path / "missing" / "x.csv"),
@@ -771,30 +771,31 @@ class TestArgumentHandling:
         assert run_cli(capsys, *argv, "--jobs", "4")[:2] == (0, want)
 
     def test_batches_are_made_in_order_and_summed_exactly(self):
-        batches = []
-
-        def trials_fn(ctx, batch):
-            batches.append(batch)
-            return {"trials": len(batch), "indices": sum(batch), "halves": 0.5}
-
         trials = 3000 * _BATCH_TRIALS + 7
-        totals = cli._run_trials(trials_fn, None, trials)
+        batches = list(cli._batches(trials))
         assert batches == [range(lo, min(lo + _BATCH_TRIALS, trials))
                            for lo in range(0, trials, _BATCH_TRIALS)]
+        # 2**53 + 1 is not a float64, so only an integer sum gets the last column right
+        totals = cli._column_sums(
+            {"trials": len(batch), "indices": sum(batch), "big": 2**53 + 1} for batch in batches)
         assert totals == {
-            "trials": trials, "indices": trials * (trials - 1) // 2, "halves": 0.5 * len(batches),
+            "trials": trials, "indices": trials * (trials - 1) // 2,
+            "big": (2**53 + 1) * len(batches),
         }
 
     def test_a_failing_batch_stops_a_huge_run_at_once(self):
-        # 10**12 trials make about 7.8e9 batches, none of which may be made ahead of its turn
+        # 10**12 trials make about 7.8e9 batches, none of which may be made ahead of its turn,
+        # and the sums take each record as it comes
         calls = []
 
-        def trials_fn(ctx, batch):
-            calls.append(batch)
-            if len(calls) == 3:
-                raise RuntimeError("third batch")
-            return {"trials": len(batch)}
+        def records():
+            for batch in cli._batches(10**12):
+                calls.append(batch)
+                if len(calls) == 3:
+                    raise RuntimeError("third batch")
+                yield {"trials": len(batch)}
 
         with pytest.raises(RuntimeError, match="third batch"):
-            cli._run_trials(trials_fn, None, 10**12)
-        assert len(calls) == 3
+            cli._column_sums(records())
+        assert calls == [range(0, _BATCH_TRIALS), range(_BATCH_TRIALS, 2 * _BATCH_TRIALS),
+                         range(2 * _BATCH_TRIALS, 3 * _BATCH_TRIALS)]
