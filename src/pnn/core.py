@@ -80,6 +80,7 @@ are 0-based sequence indices.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -363,6 +364,11 @@ class Memory:
             raise DimensionMismatch(f"4 M q N = {4 * m * n * q} must stay below 2**53")
         unsigned = kind is NetworkKind.PNN3
         shift = 0 if unsigned else 1
+        # the int64 count bins of the S q codes at each neuron, then PNN2's (N, q) fold: an
+        # allocation that outgrows the host can succeed under overcommit, and be killed once filled
+        table, ram = 8 * n * ((q << shift) + q * shift), _physical_memory()
+        if ram and table > ram:
+            raise MemoryError(f"the count table needs {table} bytes; the host has {ram}")
         codes = np.empty((n, m), np.min_scalar_type((q << shift) - 1))
         per = max(1, _FILL_BLOCK // n)
         for lo in range(0, m, per):
@@ -416,6 +422,14 @@ class Memory:
             f"Memory(kind={self.kind.value}, N={self.n_neurons}, "
             f"q={self.q}, M={self.n_patterns})"
         )
+
+
+def _physical_memory() -> int | None:
+    """The host's physical memory in bytes, or None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
 
 
 def _network_q(kind: NetworkKind, q) -> int:

@@ -11,7 +11,8 @@ All generators are pure functions of their arguments and the supplied
 A q-ary pattern set is drawn in blocks of about 2**16 draws, with the values
 and the generator state of one ``integers`` call for each pattern's levels
 and (PNN2) one for its signs; a PNN2 block maps raw 32-bit generator words
-as numpy maps them, which bounds q at 2**32 for drawn patterns.
+as numpy maps them, which bounds q at 2**32 for drawn patterns.  A block in
+which numpy would reject a level word is rewound and drawn with those calls.
 """
 
 from __future__ import annotations
@@ -77,9 +78,11 @@ def _qnary_arrays(
     values, and leaves the generator in the state, of k calls of size N.  A PNN2 block is k
     patterns of w = N [q > 1] + N words from one call for uint32 words, which takes one 32-bit
     word from the bit generator per value, and each pattern's words are its levels, then its
-    signs.  numpy maps a word x to the level floor(x q / 2**32) + 1 and rejects, and replaces
-    with the next word, an x with (x q) mod 2**32 < 2**32 mod q (Lemire's method); a sign is
-    2 (x >> 31) - 1, which no word is rejected for.
+    signs.  numpy maps a word x to the level floor(x q / 2**32) + 1 and the sign 2 (x >> 31) - 1.
+    It rejects, and replaces with the next word, a level word with (x q) mod 2**32 < 2**32 mod q
+    (Lemire's method), so when q is not a power of 2 the generator state is read before each
+    block; a block with a rejected level word is rewound to it and drawn again with numpy's own
+    calls, one for each pattern's levels and one for its signs.
     """
     m, n, q = _whole("m", m), _whole("n", n), _drawn_q(kind, q)
     signs, levels = np.ones((m, n), dtype=np.int8), np.ones((m, n), np.min_scalar_type(q))
@@ -88,59 +91,27 @@ def _qnary_arrays(
         for lo in range(0, m, per):
             levels[lo:lo + per] = rng.integers(1, q + 1, size=(min(per, m - lo), n))
         return signs, levels
-    w = n + n * (q > 1)
-    per = max(1, _BLOCK // w)
+    threshold = _WORD % q  # nonzero when q is not a power of 2, so numpy can reject a level word
+    rows = 1 + (q > 1)  # a pattern's N level words (q > 1), then its N sign words
+    per = max(1, _BLOCK // (rows * n))
     for lo in range(0, m, per):
         k = min(per, m - lo)
-        words = rng.integers(0, _WORD, size=k * w, dtype=np.uint32)
-        if q == 1:
-            signs[lo:lo + k] = _signs(words.reshape(k, n))
+        state = rng.bit_generator.state if threshold else None
+        words = rng.integers(0, _WORD, size=(k, rows, n), dtype=np.uint32)
+        if threshold and (words[:, 0] * np.uint32(q) < threshold).any():  # the product wraps
+            rng.bit_generator.state = state
+            for mu in range(lo, lo + k):
+                levels[mu] = rng.integers(1, q + 1, size=n)
+                signs[mu] = 2 * rng.integers(0, 2, size=n) - 1
             continue
-        if _WORD % q:  # q is not a power of 2, so numpy can reject a level word
-            words = _drop_rejected(words, k, n, q, rng)
-        pairs = words.reshape(k, 2, n)
-        block = pairs[:, 0].astype(np.uint64)
-        block *= q  # in place: below 2**64, and faster than a fresh product
-        block >>= 32
-        levels[lo:lo + k] = block
-        levels[lo:lo + k] += 1
-        signs[lo:lo + k] = _signs(pairs[:, 1])
+        if q > 1:
+            block = words[:, 0].astype(np.uint64)
+            block *= q  # in place: below 2**64, and faster than a fresh product
+            block >>= 32
+            levels[lo:lo + k] = block
+            levels[lo:lo + k] += 1
+        signs[lo:lo + k] = 2 * (words[:, -1] >> 31).astype(np.int8) - 1
     return signs, levels
-
-
-def _signs(words: np.ndarray) -> np.ndarray:
-    """The int8 signs 2 (x >> 31) - 1 numpy draws from uint32 words x for ``integers(0, 2)``."""
-    return 2 * (words >> 31).astype(np.int8) - 1
-
-
-def _drop_rejected(words: np.ndarray, k: int, n: int, q: int, rng) -> np.ndarray:
-    """A block of k PNN2 patterns' 2 k N words with each level word numpy rejects dropped, and
-    as many more words drawn at the end of the block as were dropped.
-
-    A word is rejected when (x q) mod 2**32 < 2**32 mod q.  A pattern's levels are the first N
-    kept words from where its run starts, and its signs the N words after them, so a dropped
-    word moves every later run.  Each round walks the runs over the words drawn so far and draws
-    one more word for each word their level runs drop, never more than the block still needs,
-    until the k runs end exactly at the last word.
-    """
-    threshold = _WORD % q
-    if not (words.reshape(k, 2, n)[:, 0] * np.uint32(q) < threshold).any():
-        return words  # the common case: a word is rejected with probability below q / 2**32
-    while True:
-        kept = words * np.uint32(q) >= threshold  # the uint32 product wraps mod 2**32
-        before = np.concatenate(([0], np.cumsum(kept)))  # kept words before each index
-        drop, start = [], 0
-        for _ in range(k):
-            end = int(np.searchsorted(before, before[start] + n))  # just past the N-th kept word
-            drop.append(start + np.flatnonzero(~kept[start:end]))
-            start = end + n
-            if start > len(words):  # the run outlasts the words
-                break
-        drop = np.concatenate(drop)
-        if start == len(words):
-            return np.delete(words, drop)
-        more = rng.integers(0, _WORD, size=2 * k * n + len(drop) - len(words), dtype=np.uint32)
-        words = np.concatenate((words, more))
 
 
 def apply_qnary_noise(
@@ -150,22 +121,23 @@ def apply_qnary_noise(
 
     A triggered level replacement never reproduces the old level.  With q=1
     there are no other levels, so only the sign channel acts.  Raises
-    LevelOutOfRange unless q is a whole number >= the pattern's highest level.
+    LevelOutOfRange unless q is a whole number >= the pattern's highest level
+    and below 2**63, so that a shifted level, at most 2q - 1, fits in uint64.
     """
-    if not (q % 1 == 0 and q >= pattern.levels.max()):
-        raise LevelOutOfRange(f"q must be a whole number >= every level, got {q}")
-    signs, levels = pattern.signs.copy(), pattern.levels
+    if not (q % 1 == 0 and int(pattern.levels.max()) <= q < 2**63):
+        raise LevelOutOfRange(f"q must be a whole number >= every level and < 2**63, got {q}")
+    q, signs, levels = int(q), pattern.signs.copy(), pattern.levels
     n = len(pattern)
     if spec.a > 0:
         flip = rng.random(n) < spec.a
         signs[flip] = -signs[flip]
     if spec.b > 0 and q > 1:
         hit = rng.random(n) < spec.b
-        shifted = levels + rng.integers(1, q, size=n)  # int64, in [2, 2q - 1]
-        shifted[shifted > q] -= int(q)
+        shifted = levels + rng.integers(1, q, size=n, dtype=np.uint64)  # in [2, 2q - 1]
+        shifted[shifted > q] -= q
         levels = np.where(hit, shifted, levels)
     # a type that holds q, so that a Pattern freezes the levels with no max for q <= 255
-    return Pattern._of(signs, levels.astype(np.min_scalar_type(int(q)), copy=False))
+    return Pattern._of(signs, levels.astype(np.min_scalar_type(q), copy=False))
 
 
 def apply_binary_noise(y: np.ndarray, a: float, rng: np.random.Generator) -> np.ndarray:

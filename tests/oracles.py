@@ -334,7 +334,7 @@ def random_binary_patterns(m: int, n: int, rng: np.random.Generator) -> list[np.
 def reference_qnary_noise(pattern: Pattern, q: int, a: float, b: float, rng):
     """The (signs, levels) of ``apply_qnary_noise`` in int64 arrays, drawn in its order: sign
     flips (when a > 0), then level hits and offsets (when b > 0 and q > 1); a hit level l
-    becomes (l - 1 + offset) mod q + 1."""
+    becomes (l - 1 + offset) mod q + 1, in Python integers, exact for any q below 2**63."""
     signs, levels = pattern.signs.astype(np.int64), pattern.levels.astype(np.int64)
     n = signs.size
     if a > 0:
@@ -342,7 +342,8 @@ def reference_qnary_noise(pattern: Pattern, q: int, a: float, b: float, rng):
     if b > 0 and q > 1:
         hit = rng.random(n) < b
         offsets = rng.integers(1, q, size=n)
-        levels[hit] = (levels[hit] - 1 + offsets[hit]) % q + 1
+        levels[hit] = [(level - 1 + offset) % q + 1
+                       for level, offset in zip(levels[hit].tolist(), offsets[hit].tolist())]
     return signs, levels
 
 

@@ -672,6 +672,16 @@ class TestArgumentHandling:
         assert (code, out) == (2, "")
         assert err == "error: out of memory; lower --trials, --N, --q, --M or --load\n"
 
+    def test_count_table_larger_than_the_host_s_memory_is_exit_2(self, capsys, monkeypatch):
+        # a PNN2 count table of 24 N q bytes, 33 MB, on a 16 MB host
+        monkeypatch.setattr("pnn.core._physical_memory", lambda: 16 << 20)
+        code, out, err = run_cli(
+            capsys, "sweep", "--sweep", "q", "--values", "32768", "--N", "42", "--M", "2",
+            "--trials", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory; lower --trials, --N, --q, --M or --load\n"
+
     @pytest.mark.parametrize("argv, sizes", [
         (["dpnn-bench", "--N", "8", "--k", "1", "--M", "2", "--trials", "2"],
          "--trials, --N, --M or --load"),

@@ -18,6 +18,7 @@ from pnn import (
     SignNotAllowed,
     asynchronous_retrieve,
     build_memory,
+    dpnn_build,
     energy,
     is_fixed_point,
     local_field,
@@ -266,8 +267,52 @@ class TestConstruction:
         monkeypatch.setattr("pnn.core._code_sums", count_table)
         with pytest.raises(DimensionMismatch, match="2\\*\\*53"):
             Memory(NetworkKind.PNN2, 2**51, [[1]], [[1]])
-        with pytest.raises(AssertionError, match="count table"):  # 4 M q N = 2**53 - 4
+        # 4 M q N = 2**53 - 4 passes; its 5.4e16-byte table then fails the memory guard, or, on a
+        # host that cannot tell its memory, reaches the count table
+        with pytest.raises(MemoryError, match="count table needs"):
             Memory(NetworkKind.PNN2, 2**51 - 1, [[1]], [[1]])
+        monkeypatch.setattr("pnn.core._physical_memory", lambda: None)
+        with pytest.raises(AssertionError, match="count table"):
+            Memory(NetworkKind.PNN2, 2**51 - 1, [[1]], [[1]])
+
+    BUILDS = {
+        "memory": lambda kind, n, q: Memory(kind, q, np.ones((2, n)), np.ones((2, n))),
+        "build_memory": lambda kind, n, q: build_memory([Pattern(np.ones(n), np.ones(n))], kind, q),
+        # k = 15 maps 16 bits to a neuron at q = 2**15
+        "dpnn_build": lambda kind, n, q: dpnn_build([np.ones(16 * n)], 15),
+    }
+
+    # count tables of about 33 MB, 24 N q bytes for PNN2 and 8 N q for PNN3, on a 16 MB host, so
+    # that a missing guard costs nothing; dpnn_build stores PNN2 only
+    @pytest.mark.parametrize("build, kind, n, q", [
+        (build, NetworkKind.PNN2, 42, 2**15) for build in ("memory", "build_memory", "dpnn_build")
+    ] + [(build, NetworkKind.PNN3, 126, 2**15) for build in ("memory", "build_memory")])
+    def test_count_table_larger_than_the_host_s_memory_fails_fast(
+        self, monkeypatch, build, kind, n, q
+    ):
+        table = 8 * n * q * (3 if kind is NetworkKind.PNN2 else 1)
+        monkeypatch.setattr("pnn.core._physical_memory", lambda: 16 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match=f"count table needs {table} bytes"):
+                self.BUILDS[build](kind, n, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # raised before the table, or the codes, were allocated
+        monkeypatch.setattr("pnn.core._physical_memory", lambda: table)  # the table just fits
+        assert self.BUILDS[build](kind, n, q)._level_counts.shape == (n, q)
+
+    @pytest.mark.parametrize("sysconf", ["missing", "raises"])
+    def test_memory_guard_is_skipped_where_sysconf_cannot_tell(self, monkeypatch, sysconf):
+        def no_such_name(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        if sysconf == "missing":
+            monkeypatch.delattr("os.sysconf")
+        else:
+            monkeypatch.setattr("os.sysconf", no_such_name)
+        assert pnn.core._physical_memory() is None
 
     def test_memory_arrays_immutable(self):
         mem, _ = random_memory(make_rng(0), 10, 3, 2, NetworkKind.PNN2)

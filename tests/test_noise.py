@@ -29,6 +29,22 @@ def three_sigma(p, n):
     return 3 * math.sqrt(p * (1 - p) / n)
 
 
+class StateCountingPhilox(np.random.Philox):
+    """A Philox bit generator that counts the reads and the writes of its ``state``."""
+
+    reads = writes = 0
+
+    @property
+    def state(self):
+        self.reads += 1
+        return np.random.Philox.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        self.writes += 1
+        np.random.Philox.state.__set__(self, value)
+
+
 class TestNoiseSpec:
     def test_rates_validated(self):
         with pytest.raises(ValueError):
@@ -116,6 +132,31 @@ class TestQnaryGeneration:
         after = [rng.integers(0, 2**62, size=5).tolist() for rng in rngs]
         assert after[1] == after[0] and after[2] == after[0]
 
+    def test_blocks_with_a_rejected_level_word_are_rewound_and_drawn_call_by_call(self):
+        # 2**32 mod q = 43,000, so a level word is rejected with probability about 1e-5: of the
+        # four blocks of two patterns (2**15 level words each), blocks 1 and 2 hold one and are
+        # rewound, and blocks 0 and 3 are mapped from their words
+        q = 2**32 - 43_000
+        bits = StateCountingPhilox(0)
+        rngs = [np.random.Generator(np.random.Philox(0)), np.random.Generator(bits)]
+        want = reference_qnary_patterns(8, 2**14, q, NetworkKind.PNN2, rngs[0])
+        signs, levels = _qnary_arrays(8, 2**14, q, NetworkKind.PNN2, rngs[1])
+        assert (bits.reads, bits.writes) == (4, 2)
+        assert levels.dtype == np.uint32
+        assert np.array_equal(signs, np.stack([p.signs for p in want]))
+        assert np.array_equal(levels, np.stack([p.levels.astype(np.uint32) for p in want]))
+        after = [rng.integers(0, 2**62, size=3).tolist() for rng in rngs]
+        assert after[1] == after[0]
+
+    @pytest.mark.parametrize("q, reads", [(1, 0), (2, 0), (16, 0), (2**32, 0), (3, 4)])
+    def test_generator_state_is_read_only_where_a_level_word_can_be_rejected(self, q, reads):
+        # a power of 2 divides 2**32, so numpy rejects no word; q = 3 reads it once per block (a
+        # block of two patterns, 2**14 levels and signs each) and rejects a word with
+        # probability 2**-32, so it is never rewound here
+        bits = StateCountingPhilox(0)
+        _qnary_arrays(8, 2**14, q, NetworkKind.PNN2, np.random.Generator(bits))
+        assert (bits.reads, bits.writes) == (reads, 0)
+
     @pytest.mark.parametrize("kind", [NetworkKind.PNN2, NetworkKind.PNN3])
     def test_whole_float_arguments_act_as_ints(self, kind):
         whole_floats, ints = (2.0, 3.0, 4.0), (2, 3, 4)
@@ -201,6 +242,23 @@ class TestQnaryNoise:
             assert np.array_equal(got.signs, signs) and np.array_equal(got.levels, levels)
             assert hash(got) == hash(Pattern(got.signs, got.levels.astype(np.int64)))
             assert (got.levels.max() > 255) == (b > 0)
+
+    @pytest.mark.parametrize("q", [2**53 - 1, 2**53 + 11, 2**62 + 7, 2**63 - 1])
+    def test_new_levels_are_exact_above_2_to_the_53(self, q):
+        # numpy sums a uint64 level and an int64 offset in float64, which rounds from 2**53 on
+        p = Pattern(np.ones(2000, dtype=np.int8), np.full(2000, q - 2, dtype=np.uint64))
+        got = apply_qnary_noise(p, q, NoiseSpec(0, 1), make_rng(5))
+        _, levels = reference_qnary_noise(p, q, 0, 1, make_rng(5))
+        assert got.levels.dtype == np.uint64
+        assert got.levels.tolist() == levels.tolist()
+
+    @pytest.mark.parametrize("q", [2**63, 2**63 + 1, 2**64 + 5, 2.0**70])
+    @pytest.mark.parametrize("b", [0.0, 1.0])
+    def test_q_from_2_to_the_63_rejected(self, q, b):
+        # a shifted level, up to 2q - 1, must fit in uint64
+        p = Pattern(np.ones(3, dtype=np.int8), [1, 3, 2])
+        with pytest.raises(LevelOutOfRange, match="< 2\\*\\*63"):
+            apply_qnary_noise(p, q, NoiseSpec(0, b), make_rng(19))
 
 
 class TestBinary:

@@ -583,7 +583,7 @@ def _with_half_word(bit_generator):
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(NetworkKind),
-       st.sampled_from([1, 2, 3, 16, 100, 129, 300, 3 * 2**30, 2**31 + 1, 2**32]),
+       st.sampled_from([1, 2, 3, 16, 100, 129, 300, 3 * 2**30, 2**31 + 1, 2**32 - 43_000, 2**32]),
        st.integers(1, 7), st.one_of(st.integers(1, 64), st.integers(2**14, 2**15 + 1)),
        st.sampled_from(sorted(_BIT_GENERATORS)), st.integers(0, 2**32 - 1))
 def test_drawn_patterns_equal_patterns_drawn_one_call_at_a_time(kind, q, m, n, bits, seed):
@@ -591,7 +591,8 @@ def test_drawn_patterns_equal_patterns_drawn_one_call_at_a_time(kind, q, m, n, b
     dtypes of patterns drawn with one call for each pattern's levels and one for its signs, and
     leave the generator where those calls leave it.  n from 2**14 puts a few patterns in a
     block, so that M spans several; q = 3 * 2**30 and 2**31 + 1 reject a quarter and half of
-    the level words, and q = 2**32 takes each word as it is."""
+    the level words, q = 2**32 - 43,000 about 1e-5 of them, which at n from 2**14 mixes blocks
+    mapped from their words with rewound ones, and q = 2**32 takes each word as it is."""
     assume(kind is NetworkKind.PNN2 or q > 1)
     rngs = [np.random.Generator(_BIT_GENERATORS[bits](seed)) for _ in range(3)]
     want = reference_qnary_patterns(m, n, q, kind, rngs[0])
